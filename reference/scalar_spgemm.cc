@@ -2,7 +2,7 @@
  * @file
  * Scalar reference of the warp-tile kernel, compiled into the
  * test-only `dstc_reference` library (the shipped `dstc` library
- * carries the word-parallel path alone). The equivalence tests and
+ * carries the lane-step kernel alone). The equivalence tests and
  * bench/micro_spgemm link this target to keep the bitwise pin:
  * computeTile == computeTileScalar for every tile and datatype.
  */
@@ -70,7 +70,7 @@ SpGemmWarpEngine::computeTileScalar(const BitmapMatrix &a_tile,
         // multiply-value on the condensed operands: each OHMMA covers
         // an (8 x 16) chunk pair; non-padding products scatter into
         // the tile at the positions the multiply-bitmap recovers.
-        // Quantization happens here, per consumed value — the word
+        // Quantization happens here, per consumed value — the lane
         // path reads the pre-quantized encode-time lane instead, and
         // the pin proves the two agree bit for bit.
         for (int ac = 0; ac < ceilDiv(popc_a, shape_.a_chunk); ++ac) {

@@ -118,14 +118,13 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
         out.work.reserve(static_cast<size_t>(tiles_k));
         out.rows = std::min(options.tile_m, m - ti * options.tile_m);
         out.cols = std::min(options.tile_n, n - tj * options.tile_n);
-        // The warp tile accumulates straight into its region of D —
-        // no per-tile staging matrix, no copy-out.
-        float *accum =
-            d_base
-                ? d_base +
-                      static_cast<size_t>(ti) * options.tile_m * n +
-                      static_cast<size_t>(tj) * options.tile_n
-                : nullptr;
+        // The warp tile accumulates across its k-chunks in a staged
+        // lane tile (row stride 32, so the lane loop needs no stride
+        // or alias checks); the clipped region is copied to D once.
+        thread_local LaneTile stage;
+        LaneTile *tile = d_base ? &stage : nullptr;
+        if (tile)
+            std::fill_n(stage.v, out.rows * LaneTile::kDim, 0.0f);
         thread_local WarpScratch scratch;
         thread_local std::vector<std::pair<int, int>> popcs;
 
@@ -144,8 +143,7 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
 
             WarpTileResult wr;
             if (options.functional) {
-                wr = warp_engine_.computeTile(a_tile, b_tile, accum,
-                                              n,
+                wr = warp_engine_.computeTile(a_tile, b_tile, tile,
                                               options.detailed_merge,
                                               scratch);
             } else {
@@ -175,6 +173,14 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
                     out.p_cell_zero *= 1.0 - pa * pb;
                 }
             }
+        }
+        if (tile) {
+            float *d_tile =
+                d_base + static_cast<size_t>(ti) * options.tile_m * n +
+                static_cast<size_t>(tj) * options.tile_n;
+            for (int r = 0; r < out.rows; ++r)
+                std::copy_n(stage.v + r * LaneTile::kDim, out.cols,
+                            d_tile + static_cast<size_t>(r) * n);
         }
     };
     int max_workers = 1;

@@ -1,10 +1,15 @@
 #include "gemm/spgemm_warp.h"
 
+#include <cstring>
+
 #include "common/bitutil.h"
-#include "common/fp16.h"
 #include "common/logging.h"
+#include "gemm/lane_step.h"
 
 namespace dstc {
+
+static_assert(LaneTile::kDim == kLanes,
+              "a lane tile row is one set of OHMMA lanes");
 
 namespace {
 
@@ -32,35 +37,28 @@ SpGemmWarpEngine::SpGemmWarpEngine(const GpuConfig &cfg)
 
 WarpTileResult
 SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
-                              const BitmapMatrix &b_tile, float *accum,
-                              int ld, bool detailed_merge,
+                              const BitmapMatrix &b_tile, LaneTile *tile,
+                              bool detailed_merge,
                               WarpScratch &scratch) const
 {
     checkTilePair(a_tile, b_tile, shape_);
     const int m = a_tile.rows();
     const int n = b_tile.cols();
-    const int k = a_tile.cols();
+
+    if (tile)
+        accumulateTile(a_tile, b_tile, tile->v, laneStep());
 
     WarpTileResult result;
-    // The positions only matter when values are merged or the exact
-    // bank simulator consumes the address stream; timing-only calls
-    // run on popcounts alone.
-    const bool need_positions = accum != nullptr || detailed_merge;
-    if (need_positions)
+    if (detailed_merge) {
         scratch.reserveTile(m, n);
-    if (detailed_merge)
         scratch.trace.instr_addrs.clear();
-
-    for (int step = 0; step < k; ++step) {
-        // The hardware POPCs the A-column / B-row bitmaps (Fig. 15).
+    }
+    forEachLiveStep(a_tile, b_tile, [&](int step) {
+        // The hardware POPCs the A-column / B-row bitmaps (Fig. 15);
+        // the instruction mix of one SpWMMA set is then arithmetic:
+        // two POPCs, one BOHMMA, and the predication of the 8 OHMMAs.
         const int popc_a = a_tile.lineNnz(step);
         const int popc_b = b_tile.lineNnz(step);
-        if (popc_a == 0 || popc_b == 0)
-            continue; // k-step compacted away (Sec. III-B3)
-
-        // The instruction mix of one SpWMMA set, computed
-        // arithmetically: two POPCs, one BOHMMA, and the Fig. 15
-        // predication of the 8 OHMMAs.
         result.mix.popc += 2;
         ++result.mix.bohmma;
         const int enabled = enabledOhmmas(popc_a, popc_b, shape_);
@@ -69,73 +67,32 @@ SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
         const int64_t products = static_cast<int64_t>(popc_a) * popc_b;
         result.macs += products;
         result.merge_accesses += products;
-        if (!need_positions)
-            continue;
+        if (!detailed_merge)
+            return;
 
-        // Word-parallel bitmap scan: the B positions land in the
-        // reusable arena (they are re-read once per A non-zero); the
-        // A side is consumed in ctz order straight off its line
-        // words, fused with the scatter loop below. The detailed
-        // bank simulator additionally needs the A positions as an
-        // array for its chunked address stream.
+        // The bank simulator consumes one address list per OHMMA
+        // chunk pair, in issue order (tile-local addresses).
+        a_tile.linePositionsInto(step, 0, m, scratch.pos_a.data());
         b_tile.linePositionsInto(step, 0, n, scratch.pos_b.data());
-        if (detailed_merge)
-            a_tile.linePositionsInto(step, 0, m,
-                                     scratch.pos_a.data());
-
-        if (accum) {
-            // FP16-rounded operands come pre-quantized from the
-            // encoding. Each (row, col) pair is touched once per
-            // k-step, so the per-cell FP32 accumulation order is the
-            // k order — the chunked reference path sums identically
-            // (ctz iteration visits positions in increasing order,
-            // exactly like the positions array).
-            const auto val_a = a_tile.lineValuesFp16(step);
-            const auto val_b = b_tile.lineValuesFp16(step);
-            const auto a_words = a_tile.lineBits(step);
-            int ia = 0;
-            for (size_t w = 0; w < a_words.size(); ++w) {
-                uint64_t word = a_words[w];
-                const int base = static_cast<int>(w) << 6;
-                while (word) {
-                    const int pos = base + std::countr_zero(word);
-                    word &= word - 1;
-                    const float av = val_a[ia++];
-                    float *row =
-                        accum + static_cast<size_t>(pos) * ld;
-                    for (int ib = 0; ib < popc_b; ++ib)
-                        row[scratch.pos_b[ib]] += av * val_b[ib];
-                }
+        for (int ac = 0; ac < ceilDiv(popc_a, shape_.a_chunk); ++ac) {
+            const int a_lo = ac * shape_.a_chunk;
+            const int a_hi = std::min(popc_a, a_lo + shape_.a_chunk);
+            for (int bc = 0; bc < ceilDiv(popc_b, shape_.b_chunk);
+                 ++bc) {
+                const int b_lo = bc * shape_.b_chunk;
+                const int b_hi =
+                    std::min(popc_b, b_lo + shape_.b_chunk);
+                std::vector<int> addrs;
+                addrs.reserve(static_cast<size_t>(a_hi - a_lo) *
+                              (b_hi - b_lo));
+                for (int ia = a_lo; ia < a_hi; ++ia)
+                    for (int ib = b_lo; ib < b_hi; ++ib)
+                        addrs.push_back(scratch.pos_a[ia] * n +
+                                        scratch.pos_b[ib]);
+                scratch.trace.instr_addrs.push_back(std::move(addrs));
             }
         }
-
-        if (detailed_merge) {
-            // The bank simulator consumes one address list per OHMMA
-            // chunk pair, in issue order (tile-local addresses).
-            for (int ac = 0; ac < ceilDiv(popc_a, shape_.a_chunk);
-                 ++ac) {
-                const int a_lo = ac * shape_.a_chunk;
-                const int a_hi =
-                    std::min(popc_a, a_lo + shape_.a_chunk);
-                for (int bc = 0; bc < ceilDiv(popc_b, shape_.b_chunk);
-                     ++bc) {
-                    const int b_lo = bc * shape_.b_chunk;
-                    const int b_hi =
-                        std::min(popc_b, b_lo + shape_.b_chunk);
-                    std::vector<int> addrs;
-                    addrs.reserve(
-                        static_cast<size_t>(a_hi - a_lo) *
-                        (b_hi - b_lo));
-                    for (int ia = a_lo; ia < a_hi; ++ia)
-                        for (int ib = b_lo; ib < b_hi; ++ib)
-                            addrs.push_back(scratch.pos_a[ia] * n +
-                                            scratch.pos_b[ib]);
-                    scratch.trace.instr_addrs.push_back(
-                        std::move(addrs));
-                }
-            }
-        }
-    }
+    });
 
     result.issue_cycles = result.mix.tensorCycles();
     // Scalar pipe: one slot per surviving (non-compacted) k-step for
@@ -151,6 +108,30 @@ SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
             merge_model_.tileCycles(result.merge_accesses,
                                     result.mix.ohmma_issued));
     }
+    return result;
+}
+
+WarpTileResult
+SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
+                              const BitmapMatrix &b_tile, float *accum,
+                              int ld, bool detailed_merge,
+                              WarpScratch &scratch) const
+{
+    if (!accum)
+        return computeTile(a_tile, b_tile, nullptr, detailed_merge,
+                           scratch);
+    checkTilePair(a_tile, b_tile, shape_);
+    const int m = a_tile.rows();
+    const size_t row_bytes = sizeof(float) * b_tile.cols();
+    float *stage = scratch.stage.v;
+    for (int r = 0; r < m; ++r)
+        std::memcpy(stage + r * LaneTile::kDim,
+                    accum + static_cast<size_t>(r) * ld, row_bytes);
+    WarpTileResult result = computeTile(a_tile, b_tile, &scratch.stage,
+                                        detailed_merge, scratch);
+    for (int r = 0; r < m; ++r)
+        std::memcpy(accum + static_cast<size_t>(r) * ld,
+                    stage + r * LaneTile::kDim, row_bytes);
     return result;
 }
 

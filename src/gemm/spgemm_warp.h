@@ -5,13 +5,13 @@
  * (producing the exact partial-sum values) and in time (building the
  * predicated SpWMMA instruction stream and charging the merge step).
  *
- * The hot path is word-parallel: bitmap lines are scanned 64 bits at
- * a time (ctz iteration) into a caller-owned scratch arena, so a
- * k-step costs no heap allocation, and the accumulator is a flat
- * row-major span the device model points directly into the output
- * matrix. The original per-element path survives as
- * computeTileScalar — the reference the equivalence tests and the
- * before/after bench compare against.
+ * The functional path works on lanes (gemm/lane_step.h): the B line
+ * of a k-step is the 32-lane predicate of the OHMMAs, each A
+ * non-zero does one predicated 32-lane multiply-add into a staged
+ * 32x32 LaneTile, and the AND of the two tiles' line-occupancy words
+ * compacts empty k-steps away. The original per-element path
+ * survives as computeTileScalar — the reference the equivalence
+ * tests and the before/after bench compare against.
  */
 #ifndef DSTC_GEMM_SPGEMM_WARP_H
 #define DSTC_GEMM_SPGEMM_WARP_H
@@ -68,17 +68,29 @@ struct WarpTileResult
 };
 
 /**
- * Reusable per-worker scratch arena of the word-parallel tile path:
- * the condensed positions of the current k-step, plus the merge
- * trace of the detailed-merge simulator. One arena serves any number
- * of computeTile calls without reallocating; each concurrent worker
- * owns its own.
+ * A warp tile's FP32 accumulator in lane layout: 32 rows of 32
+ * lanes, row stride 32, so the lane loop runs on a fixed stride with
+ * no alias checks. Element (r, c) is v[r * kDim + c].
+ */
+struct alignas(64) LaneTile
+{
+    static constexpr int kDim = 32;
+    float v[kDim * kDim] = {};
+};
+
+/**
+ * Reusable per-worker scratch arena of the tile path: the condensed
+ * positions and merge trace of the detailed-merge simulator, and the
+ * lane tile that stages a strided accumulator. One arena serves any
+ * number of computeTile calls without reallocating; each concurrent
+ * worker owns its own.
  */
 struct WarpScratch
 {
     std::vector<int> pos_a;    ///< A-line non-zero positions
     std::vector<int> pos_b;    ///< B-line non-zero positions
     MergeTrace trace;          ///< detailed-merge address stream
+    LaneTile stage;            ///< strided-accumulator staging
 
     /** Size the buffers for tiles up to @p m x @p n. */
     void
@@ -96,18 +108,35 @@ class SpGemmWarpEngine
     explicit SpGemmWarpEngine(const GpuConfig &cfg);
 
     /**
-     * Functional + timed execution of one warp tile, word-parallel.
+     * Functional + timed execution of one warp tile.
+     *
+     * The timing walks the live k-steps (both lines non-empty) and
+     * charges each one's predicated SpWMMA set and merge. When
+     * @p tile is non-null the partial sums accumulate into it: every
+     * live k-step expands its B line into 32 lanes, and each A
+     * non-zero, in position order, adds its 32-lane product
+     * predicated by the B line's bitmap word (Fig. 15). Each on-lane
+     * cell gets one multiply and one add per k-step, in k order, so
+     * the result is bitwise that of computeTileScalar.
      *
      * @param a_tile column-major bitmap of the (m x k) A tile
      * @param b_tile row-major bitmap of the (k x n) B tile
-     * @param accum  if non-null, the base of the row-major FP32
-     *               accumulator region the partial sums merge into
-     *               (gather-accumulate-scatter, Fig. 7); element
-     *               (r, c) of the tile lands at accum[r * ld + c]
-     * @param ld     accumulator leading dimension (row stride)
+     * @param tile   if non-null, the accumulator; only rows < m are
+     *               touched and lanes >= n only ever gain -0.0f
      * @param detailed_merge use the cycle-accurate bank simulator
      *               instead of the analytic merge model
      * @param scratch caller-owned scratch arena, reused across calls
+     */
+    WarpTileResult computeTile(const BitmapMatrix &a_tile,
+                               const BitmapMatrix &b_tile,
+                               LaneTile *tile, bool detailed_merge,
+                               WarpScratch &scratch) const;
+
+    /**
+     * The same over a strided row-major accumulator: element (r, c)
+     * of the tile lands at accum[r * ld + c]. The (m x n) region is
+     * staged through @p scratch's lane tile and copied back; nothing
+     * outside it is read or written.
      */
     WarpTileResult computeTile(const BitmapMatrix &a_tile,
                                const BitmapMatrix &b_tile, float *accum,
@@ -125,9 +154,10 @@ class SpGemmWarpEngine
 
     /**
      * The pre-word-parallel per-element path, kept verbatim as the
-     * reference model: the equivalence tests assert the word path
-     * reproduces its results, stats and cycles bit-for-bit, and the
-     * micro bench reports speedup against it. Unlike the word path —
+     * reference model: the equivalence tests assert the lane path
+     * (every compiled lane-step variant) reproduces its results,
+     * stats and cycles bit-for-bit, and the micro bench reports
+     * speedup against it. Unlike the lane path —
      * which multiplies the pre-quantized lane the encoder filled —
      * this reference re-quantizes each raw operand value through
      * @p spec_a / @p spec_b per element, so the pin also verifies
@@ -136,8 +166,8 @@ class SpGemmWarpEngine
      *
      * Defined in the test-only `dstc_reference` library (see
      * reference/scalar_spgemm.cc), which tests and benches link on
-     * top of `dstc`; the shipped library carries the word-parallel
-     * kernel alone.
+     * top of `dstc`; the shipped library carries the lane kernel
+     * alone.
      */
     WarpTileResult computeTileScalar(const BitmapMatrix &a_tile,
                                      const BitmapMatrix &b_tile,

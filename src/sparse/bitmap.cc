@@ -51,6 +51,7 @@ BitmapMatrix::encode(const Matrix<float> &dense, Major major,
         bm.line_offsets_[line + 1] =
             static_cast<int>(bm.values_.size());
     }
+    bm.setOccupancy();
     return bm;
 }
 
@@ -78,6 +79,7 @@ BitmapMatrix::encodePlane(const float *data, int rows, int cols,
     bm.values_fp16_.resize(bm.values_.size());
     for (size_t i = 0; i < bm.values_.size(); ++i)
         bm.values_fp16_[i] = spec.apply(bm.values_[i]);
+    bm.setOccupancy();
     return bm;
 }
 
@@ -134,7 +136,22 @@ BitmapMatrix::fromPacked(int rows, int cols, Major major,
     bm.values_ = std::move(values);
     bm.values_fp16_ = std::move(values_fp16);
     bm.line_offsets_ = std::move(line_offsets);
+    bm.setOccupancy();
     return bm;
+}
+
+void
+BitmapMatrix::setOccupancy()
+{
+    const int lines = numLines();
+    if (lines > 64) {
+        occupied_lines_ = ~uint64_t{0};
+        return;
+    }
+    occupied_lines_ = 0;
+    for (int line = 0; line < lines; ++line)
+        if (line_offsets_[line + 1] != line_offsets_[line])
+            occupied_lines_ |= uint64_t{1} << line;
 }
 
 Matrix<float>

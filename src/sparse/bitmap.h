@@ -204,12 +204,25 @@ class BitmapMatrix
     /** Bitmap words per packing line. */
     int wordsPerLine() const { return words_per_line_; }
 
+    /**
+     * Line-occupancy word: bit l is set iff line l holds a non-zero
+     * — the per-tile occupancy bitmap whose AND across the A and B
+     * tiles compacts empty k-steps away (Sec. III-B3). With more
+     * than 64 lines the word cannot name every line and is all ones
+     * (every line "may be occupied"); callers then fall back to
+     * lineNnz.
+     */
+    uint64_t occupiedLines() const { return occupied_lines_; }
+
     /** Value lookup by coordinates; zero if the bit is clear. */
     float valueAt(int r, int c) const;
 
   private:
     int lineOf(int r, int c) const;
     int posOf(int r, int c) const;
+    /** Derive occupied_lines_ from line_offsets_; every factory
+     *  calls it last. */
+    void setOccupancy();
 
     int rows_ = 0;
     int cols_ = 0;
@@ -219,6 +232,7 @@ class BitmapMatrix
     std::vector<float> values_;       ///< packed non-zeros, line order
     std::vector<float> values_fp16_;  ///< values_ through QuantSpec::apply
     std::vector<int> line_offsets_;   ///< per-line prefix sums into values_
+    uint64_t occupied_lines_ = 0;     ///< see occupiedLines()
 };
 
 /**

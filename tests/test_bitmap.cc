@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/fp16.h"
 #include "common/rng.h"
+#include "sparse/serialize.h"
 
 namespace dstc {
 namespace {
@@ -255,6 +257,73 @@ TEST(Bitmap, AndPrimitivesToleratiesMismatchedSpans)
     EXPECT_EQ(pos[0], 0);
     EXPECT_EQ(pos[1], 1);
     EXPECT_EQ(pos[2], 3);
+}
+
+/** The occupancy word rebuilt from lineNnz: all ones past 64 lines. */
+uint64_t
+occupancyFromLineNnz(const BitmapMatrix &bm)
+{
+    if (bm.numLines() > 64)
+        return ~uint64_t{0};
+    uint64_t mask = 0;
+    for (int line = 0; line < bm.numLines(); ++line)
+        if (bm.lineNnz(line) != 0)
+            mask |= uint64_t{1} << line;
+    return mask;
+}
+
+TEST(Bitmap, OccupiedLinesMatchLineCountsForEveryFactory)
+{
+    EXPECT_EQ(BitmapMatrix().occupiedLines(), 0u);
+    Rng rng(260);
+    // Line counts below, at and past the 64-bit word; the sparse
+    // draws leave empty lines scattered through each.
+    const int dims[][2] = {{1, 1},   {5, 64},  {64, 5},
+                           {33, 65}, {65, 33}, {32, 96}};
+    for (const auto &d : dims) {
+        for (double sparsity : {0.0, 0.97, 1.0}) {
+            const Matrix<float> m =
+                randomSparseMatrix(d[0], d[1], sparsity, rng);
+            for (Major major : {Major::Row, Major::Col}) {
+                const BitmapMatrix bm = BitmapMatrix::encode(m, major);
+                EXPECT_EQ(bm.occupiedLines(), occupancyFromLineNnz(bm))
+                    << d[0] << "x" << d[1] << " " << sparsity;
+
+                // fromPacked, from the encoding's own parts.
+                std::vector<uint64_t> bits;
+                std::vector<float> values, fp16;
+                std::vector<int> offsets = {0};
+                for (int line = 0; line < bm.numLines(); ++line) {
+                    const auto w = bm.lineBits(line);
+                    bits.insert(bits.end(), w.begin(), w.end());
+                    const auto v = bm.lineValues(line);
+                    values.insert(values.end(), v.begin(), v.end());
+                    const auto q = bm.lineValuesFp16(line);
+                    fp16.insert(fp16.end(), q.begin(), q.end());
+                    offsets.push_back(offsets.back() + bm.lineNnz(line));
+                }
+                const BitmapMatrix packed = BitmapMatrix::fromPacked(
+                    m.rows(), m.cols(), major, std::move(bits),
+                    std::move(values), std::move(fp16),
+                    std::move(offsets));
+                EXPECT_EQ(packed.occupiedLines(), bm.occupiedLines());
+
+                // A serialize round trip.
+                std::stringstream buf;
+                saveBitmap(bm, buf);
+                const auto loaded = loadBitmap(buf);
+                ASSERT_TRUE(loaded.has_value());
+                EXPECT_EQ(loaded->occupiedLines(), bm.occupiedLines());
+            }
+            const BitmapMatrix plane =
+                BitmapMatrix::encodePlane(m.data().data(), d[0], d[1]);
+            EXPECT_EQ(plane.occupiedLines(),
+                      occupancyFromLineNnz(plane));
+            EXPECT_EQ(plane.occupiedLines(),
+                      BitmapMatrix::encode(m, Major::Row)
+                          .occupiedLines());
+        }
+    }
 }
 
 } // namespace

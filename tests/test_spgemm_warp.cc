@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "common/rng.h"
+#include "gemm/lane_step.h"
 #include "tensor/reference.h"
 
 namespace dstc {
@@ -226,6 +230,64 @@ class WordScalarEquivalence
 };
 
 /**
+ * Bit patterns of a matrix, so signed zeros and infinities compare
+ * exactly, with every NaN mapped to one canonical quiet NaN. When
+ * both operands of a multiply or add are NaN, IEEE 754 leaves open
+ * which one's sign and payload the result carries, and the compiler
+ * may commute either operation, so a scalar and a vector build of
+ * the same expression can disagree on that sign (int8 codes of an
+ * operand holding +-inf are NaNs of both signs). Whether a cell is
+ * NaN is still pinned.
+ */
+std::vector<uint32_t>
+bitsOf(const Matrix<float> &mat)
+{
+    std::vector<uint32_t> bits(mat.data().size());
+    for (size_t i = 0; i < bits.size(); ++i) {
+        const float v = mat.data()[i];
+        bits[i] = std::isnan(v) ? 0x7fc00000u
+                                : std::bit_cast<uint32_t>(v);
+    }
+    return bits;
+}
+
+/**
+ * The tile pair accumulated by one compiled lane-step variant onto a
+ * lane tile holding @p init; returns the (m x n) region.
+ */
+Matrix<float>
+runVariant(const BitmapMatrix &a_bm, const BitmapMatrix &b_bm,
+           const Matrix<float> &init, LaneStepFn fn)
+{
+    LaneTile tile;
+    for (int r = 0; r < init.rows(); ++r)
+        for (int c = 0; c < init.cols(); ++c)
+            tile.v[r * LaneTile::kDim + c] = init.at(r, c);
+    accumulateTile(a_bm, b_bm, tile.v, fn);
+    Matrix<float> out(init.rows(), init.cols());
+    for (int r = 0; r < out.rows(); ++r)
+        for (int c = 0; c < out.cols(); ++c)
+            out.at(r, c) = tile.v[r * LaneTile::kDim + c];
+    return out;
+}
+
+/** Every compiled variant the running CPU supports reproduces the
+ *  scalar reference's accumulator bit for bit. */
+void
+expectEveryVariantMatches(const BitmapMatrix &a_bm,
+                          const BitmapMatrix &b_bm,
+                          const Matrix<float> &init,
+                          const Matrix<float> &scalar)
+{
+    ASSERT_FALSE(laneStepVariants().empty());
+    EXPECT_STREQ(laneStepVariants().back().name, "default");
+    for (const LaneStepVariant &v : laneStepVariants())
+        EXPECT_EQ(bitsOf(runVariant(a_bm, b_bm, init, v.fn)),
+                  bitsOf(scalar))
+            << "lane step " << v.name;
+}
+
+/**
  * The word-parallel path must reproduce the seed per-element path
  * bit-for-bit: identical accumulator contents (the FP32 sums, not
  * just close), identical instruction mix, and identical cycle
@@ -251,7 +313,9 @@ TEST_P(WordScalarEquivalence, BitwiseIdenticalToScalarReference)
         a_bm, b_bm, &accum_scalar, p.detailed);
 
     expectIdenticalResults(word, scalar);
-    EXPECT_EQ(accum_word.data(), accum_scalar.data()); // bitwise
+    EXPECT_EQ(bitsOf(accum_word), bitsOf(accum_scalar));
+    expectEveryVariantMatches(a_bm, b_bm, Matrix<float>(p.m, p.n),
+                              accum_scalar);
 
     // Timing-only calls (null accumulator) agree too.
     expectIdenticalResults(
@@ -272,6 +336,82 @@ INSTANTIATE_TEST_SUITE_P(
         EquivalenceParam{1, 7, 31, 0.6, 0.2, false},
         EquivalenceParam{31, 1, 1, 0.3, 0.8, true},
         EquivalenceParam{32, 32, 32, 1.0, 0.5, false}));
+
+/** (dtype, hostile operands, accumulator pre-fill, n, tile_k). */
+using VariantParam = std::tuple<DataType, bool, float, int, int>;
+
+class LaneVariantEquivalence
+    : public ::testing::TestWithParam<VariantParam>
+{
+};
+
+/**
+ * Replace about one non-zero in six with a hostile value: +-inf, a
+ * quiet NaN, an FP16 overflow (7e4) or a value that quantizes to +-0
+ * (1e-9). Every one keeps its bitmap bit.
+ */
+void
+sprinkleHostile(Matrix<float> &mat, Rng &rng)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float hostile[] = {inf,   -inf,  std::nanf(""), 7e4f,
+                             -7e4f, 1e-9f, -1e-9f};
+    for (float &v : mat.data())
+        if (v != 0.0f && rng.bernoulli(1.0 / 6.0))
+            v = hostile[rng.uniformInt(std::size(hostile))];
+}
+
+/**
+ * Each compiled lane-step variant, and the dispatched computeTile,
+ * against computeTileScalar across datatypes, hostile operands,
+ * non-zero accumulator pre-fills (-0.0, +inf, quiet NaN), ragged
+ * widths and k depths on both sides of the 64-line occupancy word.
+ */
+TEST_P(LaneVariantEquivalence, BitwiseIdenticalToScalarReference)
+{
+    const auto [dtype, hostile, prefill, n, k] = GetParam();
+    const int m = 32;
+    Rng rng(static_cast<uint64_t>(static_cast<int>(dtype) * 1000 +
+                                  n * 100 + k) +
+            (hostile ? 7 : 0));
+    Matrix<float> a = randomSparseMatrix(m, k, 0.5, rng);
+    Matrix<float> b = randomSparseMatrix(k, n, 0.5, rng);
+    if (hostile) {
+        sprinkleHostile(a, rng);
+        sprinkleHostile(b, rng);
+    }
+    const QuantSpec spec_a =
+        QuantSpec::forValues(dtype, a.data().data(), a.data().size());
+    const QuantSpec spec_b =
+        QuantSpec::forValues(dtype, b.data().data(), b.data().size());
+    BitmapMatrix a_bm = BitmapMatrix::encode(a, Major::Col, spec_a);
+    BitmapMatrix b_bm = BitmapMatrix::encode(b, Major::Row, spec_b);
+
+    GpuConfig cfg = GpuConfig::v100();
+    SpGemmWarpEngine engine(cfg);
+    const Matrix<float> init(m, n, prefill);
+    Matrix<float> scalar = init;
+    WarpTileResult scalar_r = engine.computeTileScalar(
+        a_bm, b_bm, &scalar, false, spec_a, spec_b);
+
+    expectEveryVariantMatches(a_bm, b_bm, init, scalar);
+    Matrix<float> word = init;
+    expectIdenticalResults(engine.computeTile(a_bm, b_bm, &word),
+                           scalar_r);
+    EXPECT_EQ(bitsOf(word), bitsOf(scalar));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DtypesHostileRagged, LaneVariantEquivalence,
+    ::testing::Combine(
+        ::testing::Values(DataType::Fp32, DataType::Fp16,
+                          DataType::Bf16, DataType::Int8,
+                          DataType::Int4),
+        ::testing::Bool(),
+        ::testing::Values(0.0f, -0.0f,
+                          std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()),
+        ::testing::Values(1, 17, 31), ::testing::Values(8, 64, 96)));
 
 TEST_F(SpGemmWarpTest, ScratchArenaIsReusableAcrossTiles)
 {

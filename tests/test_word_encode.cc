@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "gemm/sparsity_profile.h"
+#include "im2col/bitmap_im2col.h"
 #include "model/sparsity_gen.h"
 
 namespace dstc {
@@ -27,6 +28,7 @@ expectBitmapIdentical(const BitmapMatrix &a, const BitmapMatrix &b,
     ASSERT_EQ(a.cols(), b.cols()) << label;
     ASSERT_EQ(a.major(), b.major()) << label;
     ASSERT_EQ(a.nnz(), b.nnz()) << label;
+    ASSERT_EQ(a.occupiedLines(), b.occupiedLines()) << label;
     for (int line = 0; line < a.numLines(); ++line) {
         const auto wa = a.lineBits(line);
         const auto wb = b.lineBits(line);
@@ -195,6 +197,54 @@ TEST(WordEncode, ProfilesRecordTrueExtents)
     EXPECT_EQ(synth.groups(), 4);
     // Legacy construction stays tile-aligned.
     EXPECT_EQ(SparsityProfile(3, 8, 32).extent(), 96);
+}
+
+/** Every tile's occupancy word equals the mask of its non-empty
+ *  lines (all ones past 64 lines). */
+void
+expectTileOccupancy(const TwoLevelBitmapMatrix &tl, const char *label)
+{
+    for (int tr = 0; tr < tl.numTileRows(); ++tr) {
+        for (int tc = 0; tc < tl.numTileCols(); ++tc) {
+            const BitmapMatrix &t = tl.tile(tr, tc);
+            uint64_t mask = t.numLines() > 64 ? ~uint64_t{0} : 0;
+            for (int line = 0; line < t.numLines() && line < 64; ++line)
+                if (t.lineNnz(line) != 0)
+                    mask |= uint64_t{1} << line;
+            ASSERT_EQ(t.occupiedLines(), mask)
+                << label << " tile " << tr << "," << tc;
+        }
+    }
+}
+
+TEST(WordEncode, TileOccupancyMatchesLineCounts)
+{
+    Rng rng(738);
+    // Ragged 32-wide tiles, and 96-deep K tiles past the 64-bit word.
+    const Matrix<float> m = randomSparseMatrix(70, 100, 0.97, rng);
+    expectTileOccupancy(wordEncodeTwoLevel(m, 32, 32, Major::Col),
+                        "col 32x32");
+    expectTileOccupancy(wordEncodeTwoLevel(m, 32, 32, Major::Row),
+                        "row 32x32");
+    expectTileOccupancy(wordEncodeTwoLevel(m, 32, 96, Major::Col),
+                        "col 32x96");
+    expectTileOccupancy(wordEncodeTwoLevel(m, 96, 32, Major::Row),
+                        "row 96x32");
+
+    // The implicit im2col's retile builds its tiles from words too.
+    ConvShape shape;
+    shape.batch = 1;
+    shape.in_c = 3;
+    shape.in_h = shape.in_w = 20;
+    shape.out_c = 4;
+    shape.kernel = 3;
+    shape.stride = 1;
+    shape.pad = 1;
+    const Tensor4d input = randomSparseTensor(1, 3, 20, 20, 0.8, rng);
+    const LoweredFeatureMap lfm =
+        im2colFromBitmap(BitmapFeatureMap::encode(input), shape);
+    expectTileOccupancy(lfm.toTwoLevel(32, 8), "im2col 32x8");
+    expectTileOccupancy(lfm.toTwoLevel(32, 32), "im2col 32x32");
 }
 
 TEST(WordEncode, WordNnzMatchesElementCount)
