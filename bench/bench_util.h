@@ -1,9 +1,10 @@
 /**
  * @file
- * Timing scaffolding shared by the micro benches (micro_spgemm,
- * micro_spconv): wall clock, best-of-N measurement, argument parsing
- * for the common --quick/--reps/--out flags, and the warm-up that
- * keeps one-time process state out of the first timed region.
+ * Scaffolding shared by the seven micro_* benches: wall clock,
+ * best-of-N measurement, argument parsing for the common
+ * --quick/--reps/--out flags, the warm-up that keeps one-time process
+ * state out of the first timed region, and the JSON emitter that
+ * writes each bench's output file.
  */
 #ifndef DSTC_BENCH_BENCH_UTIL_H
 #define DSTC_BENCH_BENCH_UTIL_H
@@ -13,6 +14,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/thread_pool.h"
 #include "timing/gpu_config.h"
@@ -114,6 +118,146 @@ warmProcessState(const GpuConfig &cfg)
     MergeCostModel(cfg.accum_banks, cfg.operand_collector)
         .tileCycles(8 * cfg.accum_banks, 8);
 }
+
+/** The host_note of benches whose only wall-clock axis is the pool. */
+inline constexpr const char *kPoolHostNote =
+    "wall-clock figures and parallel_scaling ~ 1.0 reflect the bench "
+    "container's hardware_concurrency (1 = a single hardware thread, "
+    "where the pool cannot scale); simulated *_us fields are "
+    "machine-independent";
+
+/**
+ * One JSON object of a bench's output, fields in insertion order.
+ * Every number carries the printf precision of its field: the
+ * precision is part of the format, because check_bench.py matches
+ * measured points to the checked-in references by float equality on
+ * rounded keys (e.g. sparsity at 2 decimals).
+ */
+class JsonObject
+{
+  public:
+    JsonObject &
+    integer(const char *name, long long value)
+    {
+        return raw(name, std::to_string(value));
+    }
+
+    JsonObject &
+    number(const char *name, double value, int decimals)
+    {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
+        return raw(name, buf);
+    }
+
+    JsonObject &
+    flag(const char *name, bool value)
+    {
+        return raw(name, value ? "true" : "false");
+    }
+
+    JsonObject &
+    text(const char *name, const std::string &value)
+    {
+        return raw(name, quoted(value));
+    }
+
+    std::string
+    str() const
+    {
+        return (body_.empty() ? "{" : body_) + "}";
+    }
+
+    /** @p value as a JSON string literal. */
+    static std::string
+    quoted(const std::string &value)
+    {
+        std::string out = "\"";
+        for (const char c : value) {
+            if (c == '"' || c == '\\') {
+                out += '\\';
+                out += c;
+            } else if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned char>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+        return out + '"';
+    }
+
+  private:
+    JsonObject &
+    raw(const char *name, const std::string &value)
+    {
+        body_ += body_.empty() ? "{" : ", ";
+        body_ += quoted(name) + ": " + value;
+        return *this;
+    }
+
+    std::string body_;
+};
+
+/**
+ * The output file of one micro bench: its name, the config block
+ * (pool threads, hardware_concurrency, reps, quick, host_note) and
+ * named arrays of point objects, written to BenchArgs::out.
+ */
+class BenchJson
+{
+  public:
+    BenchJson(const char *bench, const BenchArgs &args,
+              const char *host_note = kPoolHostNote)
+        : out_(args.out)
+    {
+        doc_ = "{\n  \"bench\": " + JsonObject::quoted(bench) +
+               ",\n  \"config\": " +
+               JsonObject()
+                   .integer("threads", sharedThreadPool().numThreads())
+                   .integer("hardware_concurrency",
+                            std::thread::hardware_concurrency())
+                   .integer("reps", args.reps)
+                   .flag("quick", args.quick)
+                   .text("host_note", host_note)
+                   .str();
+    }
+
+    /** Append the array @p name: one object per item, by @p toJson. */
+    template <typename T, typename Fn>
+    void
+    array(const char *name, const std::vector<T> &items, Fn &&toJson)
+    {
+        doc_ += ",\n  " + JsonObject::quoted(name) + ": [";
+        for (size_t i = 0; i < items.size(); ++i) {
+            doc_ += i ? ",\n    " : "\n    ";
+            doc_ += toJson(items[i]).str();
+        }
+        doc_ += items.empty() ? "]" : "\n  ]";
+    }
+
+    /** Write the document to BenchArgs::out; exits 1 on failure. */
+    void
+    write() const
+    {
+        std::FILE *f = std::fopen(out_, "w");
+        const std::string text = doc_ + "\n}\n";
+        const bool ok =
+            f && std::fwrite(text.data(), 1, text.size(), f) ==
+                     text.size();
+        if (!f || std::fclose(f) != 0 || !ok) {
+            std::fprintf(stderr, "error: cannot write %s\n", out_);
+            std::exit(1);
+        }
+        std::printf("\nwrote %s\n", out_);
+    }
+
+  private:
+    const char *out_;
+    std::string doc_;
+};
 
 } // namespace bench
 } // namespace dstc

@@ -24,7 +24,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -136,49 +135,6 @@ runPoint(const DeviceSet &set, PlacementPolicy policy,
     return p;
 }
 
-void
-writeJson(const char *path, const std::vector<Point> &points,
-          int reps, bool quick)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"micro_cluster\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"threads\": %d, "
-                 "\"hardware_concurrency\": %u, \"reps\": %d, "
-                 "\"quick\": %s,\n"
-                 "    \"host_note\": \"wall-clock figures and "
-                 "parallel_scaling ~ 1.0 reflect the bench "
-                 "container's hardware_concurrency (1 = a single "
-                 "hardware thread, where the pool cannot scale); "
-                 "simulated *_us fields are machine-independent\"},"
-                 "\n",
-                 sharedThreadPool().numThreads(),
-                 std::thread::hardware_concurrency(), reps,
-                 quick ? "true" : "false");
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"devices\": \"%s\", \"policy\": \"%s\", "
-            "\"num_devices\": %d, \"requests\": %d,\n"
-            "     \"makespan_us\": %.3f, \"sum_time_us\": %.3f, "
-            "\"throughput_rpms\": %.2f,\n"
-            "     \"wall_ms\": %.3f, \"bitwise_equal\": %s}%s\n",
-            p.devices.c_str(), p.policy.c_str(), p.num_devices,
-            p.requests, p.makespan_us, p.sum_time_us,
-            p.throughput_rpms, p.wall_ms,
-            p.bitwise_equal ? "true" : "false",
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -255,7 +211,19 @@ main(int argc, char **argv)
                         devices, cost, rr, rr / cost);
     }
 
-    writeJson(args.out, points, args.reps, args.quick);
-    std::printf("\nwrote %s\n", args.out);
+    bench::BenchJson json("micro_cluster", args);
+    json.array("points", points, [](const Point &p) {
+        return bench::JsonObject()
+            .text("devices", p.devices)
+            .text("policy", p.policy)
+            .integer("num_devices", p.num_devices)
+            .integer("requests", p.requests)
+            .number("makespan_us", p.makespan_us, 3)
+            .number("sum_time_us", p.sum_time_us, 3)
+            .number("throughput_rpms", p.throughput_rpms, 2)
+            .number("wall_ms", p.wall_ms, 3)
+            .flag("bitwise_equal", p.bitwise_equal);
+    });
+    json.write();
     return 0;
 }

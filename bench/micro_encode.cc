@@ -29,7 +29,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -317,64 +316,6 @@ runLoweringPoint(int hw, int stride, double sparsity, int reps)
     return p;
 }
 
-void
-writeJson(const char *path, const std::vector<Point> &points,
-          const std::vector<PrecisionPoint> &precision, int reps,
-          bool quick)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"micro_encode\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"threads\": %d, "
-                 "\"hardware_concurrency\": %u, \"reps\": %d, "
-                 "\"quick\": %s,\n"
-                 "    \"host_note\": \"wall-clock figures and "
-                 "parallel_scaling ~ 1.0 reflect the bench "
-                 "container's hardware_concurrency (1 = a single "
-                 "hardware thread, where the pool cannot scale); "
-                 "simulated *_us fields are machine-independent\"},"
-                 "\n",
-                 sharedThreadPool().numThreads(),
-                 std::thread::hardware_concurrency(), reps,
-                 quick ? "true" : "false");
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"kind\": \"%s\", \"m\": %d, \"k\": %d, "
-            "\"sparsity\": %.2f, \"stride\": %d,\n"
-            "     \"scalar_ms\": %.3f, \"word_ms\": %.3f, "
-            "\"parallel_ms\": %.3f, \"gbps\": %.2f,\n"
-            "     \"speedup_word_vs_scalar\": %.2f, "
-            "\"parallel_scaling\": %.2f, \"bitwise_equal\": %s}%s\n",
-            p.kind.c_str(), p.m, p.k, p.sparsity, p.stride,
-            p.scalar_ms, p.word_ms, p.parallel_ms, p.gbps,
-            p.scalar_ms / p.word_ms, p.word_ms / p.parallel_ms,
-            p.bitwise_equal ? "true" : "false",
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"precision_points\": [\n");
-    for (size_t i = 0; i < precision.size(); ++i) {
-        const PrecisionPoint &p = precision[i];
-        std::fprintf(
-            f,
-            "    {\"m\": %d, \"k\": %d, \"sparsity\": %.2f, "
-            "\"dtype\": \"%s\",\n"
-            "     \"word_ms\": %.3f, \"encoded_mb\": %.3f, "
-            "\"bitwise_equal\": %s}%s\n",
-            p.m, p.k, p.sparsity, dataTypeToken(p.dtype), p.word_ms,
-            p.encoded_mb, p.bitwise_equal ? "true" : "false",
-            i + 1 < precision.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -454,7 +395,33 @@ main(int argc, char **argv)
         }
     }
 
-    writeJson(args.out, points, precision, reps, quick);
-    std::printf("\nwrote %s\n", args.out);
+    bench::BenchJson json("micro_encode", args);
+    json.array("points", points, [](const Point &p) {
+        return bench::JsonObject()
+            .text("kind", p.kind)
+            .integer("m", p.m)
+            .integer("k", p.k)
+            .number("sparsity", p.sparsity, 2)
+            .integer("stride", p.stride)
+            .number("scalar_ms", p.scalar_ms, 3)
+            .number("word_ms", p.word_ms, 3)
+            .number("parallel_ms", p.parallel_ms, 3)
+            .number("gbps", p.gbps, 2)
+            .number("speedup_word_vs_scalar", p.scalar_ms / p.word_ms, 2)
+            .number("parallel_scaling", p.word_ms / p.parallel_ms, 2)
+            .flag("bitwise_equal", p.bitwise_equal);
+    });
+    json.array("precision_points", precision,
+               [](const PrecisionPoint &p) {
+                   return bench::JsonObject()
+                       .integer("m", p.m)
+                       .integer("k", p.k)
+                       .number("sparsity", p.sparsity, 2)
+                       .text("dtype", dataTypeToken(p.dtype))
+                       .number("word_ms", p.word_ms, 3)
+                       .number("encoded_mb", p.encoded_mb, 3)
+                       .flag("bitwise_equal", p.bitwise_equal);
+               });
+    json.write();
     return 0;
 }

@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -191,49 +190,6 @@ runPoint(Session &session, int m, int n, int k, int quarters,
     return p;
 }
 
-void
-writeJson(const char *path, const std::vector<Point> &points,
-          int reps, bool quick)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"micro_hybrid\",\n");
-    std::fprintf(
-        f,
-        "  \"config\": {\"threads\": %d, \"hardware_concurrency\": "
-        "%u, \"reps\": %d, \"quick\": %s,\n"
-        "    \"host_note\": \"wall-clock ratios and parallel_scaling "
-        "~ 1.0 reflect the single-hardware-thread bench container; "
-        "simulated *_us fields are machine-independent\"},\n",
-        sharedThreadPool().numThreads(),
-        std::thread::hardware_concurrency(), reps,
-        quick ? "true" : "false");
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"mix\": %.2f, \"b_sparsity\": %.2f, \"b_kind\": "
-            "\"%s\", \"m\": %d, \"n\": %d, \"k\": %d,\n"
-            "     \"hybrid_us\": %.4f, \"best_single_us\": %.4f, "
-            "\"best_single\": \"%s\", \"ratio_vs_best\": %.4f,\n"
-            "     \"routing\": \"%s\", \"threshold\": %.4f, "
-            "\"hybrid_ms\": %.3f, \"singles_ms\": %.3f, "
-            "\"bitwise_equal\": %s}%s\n",
-            p.mix, p.b_sparsity, p.b_kind.c_str(), p.m, p.n, p.k,
-            p.hybrid_us, p.best_single_us, p.best_single.c_str(),
-            p.ratio_vs_best, p.routing.c_str(), p.threshold,
-            p.hybrid_ms, p.singles_ms,
-            p.bitwise_equal ? "true" : "false",
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -302,7 +258,29 @@ main(int argc, char **argv)
             emit(1024, 1024, 1024, quarters, 0.0, true);
     }
 
-    writeJson(args.out, points, args.reps, args.quick);
-    std::printf("\nwrote %s\n", args.out);
+    bench::BenchJson json(
+        "micro_hybrid", args,
+        "wall-clock ratios and parallel_scaling ~ 1.0 reflect the "
+        "single-hardware-thread bench container; simulated *_us fields "
+        "are machine-independent");
+    json.array("points", points, [](const Point &p) {
+        return bench::JsonObject()
+            .number("mix", p.mix, 2)
+            .number("b_sparsity", p.b_sparsity, 2)
+            .text("b_kind", p.b_kind)
+            .integer("m", p.m)
+            .integer("n", p.n)
+            .integer("k", p.k)
+            .number("hybrid_us", p.hybrid_us, 4)
+            .number("best_single_us", p.best_single_us, 4)
+            .text("best_single", p.best_single)
+            .number("ratio_vs_best", p.ratio_vs_best, 4)
+            .text("routing", p.routing)
+            .number("threshold", p.threshold, 4)
+            .number("hybrid_ms", p.hybrid_ms, 3)
+            .number("singles_ms", p.singles_ms, 3)
+            .flag("bitwise_equal", p.bitwise_equal);
+    });
+    json.write();
     return 0;
 }

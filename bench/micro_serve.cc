@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -165,62 +164,6 @@ runPoint(const DeviceSet &set, ServePolicy policy,
     return p;
 }
 
-void
-writeJson(const char *path, const std::vector<Point> &points,
-          int reps, bool quick)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"micro_serve\",\n");
-    std::fprintf(
-        f,
-        "  \"config\": {\"threads\": %d, "
-        "\"hardware_concurrency\": %u, \"reps\": %d, "
-        "\"quick\": %s,\n"
-        "    \"host_note\": \"serving metrics are simulated and "
-        "deterministic; wall_ms and parallel_scaling ~ 1.0 reflect "
-        "the bench container's hardware_concurrency (1 = a single "
-        "hardware thread, where the pool cannot scale) and are "
-        "informative only\"},\n",
-        sharedThreadPool().numThreads(),
-        std::thread::hardware_concurrency(), reps,
-        quick ? "true" : "false");
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"devices\": \"%s\", \"policy\": \"%s\", "
-            "\"load\": \"%s\", \"num_devices\": %d, "
-            "\"rate_rpms\": %.1f,\n"
-            "     \"offered\": %d, \"completed\": %d, "
-            "\"rejected\": %d,\n"
-            "     \"p50_us\": %.3f, \"p95_us\": %.3f, "
-            "\"p99_us\": %.3f,\n"
-            "     \"miss_rate\": %.4f, \"slo_attainment\": %.4f, "
-            "\"throughput_rpms\": %.2f, \"goodput_rpms\": %.2f,\n"
-            "     \"steals\": %d, \"microbatches\": %d,\n"
-            "     \"faults\": \"%s\", \"recovery\": \"%s\", "
-            "\"lost\": %d, \"retries\": %d, \"failovers\": %d, "
-            "\"hedges\": %d, \"availability\": %.4f,\n"
-            "     \"wall_ms\": %.3f, \"bitwise_equal\": %s}%s\n",
-            p.devices.c_str(), p.policy.c_str(), p.load.c_str(),
-            p.num_devices, p.rate_rpms, p.offered, p.completed,
-            p.rejected, p.p50_us, p.p95_us, p.p99_us, p.miss_rate,
-            p.slo_attainment, p.throughput_rpms, p.goodput_rpms,
-            p.steals, p.microbatches, p.faults.c_str(),
-            p.recovery.c_str(), p.lost, p.retries, p.failovers,
-            p.hedges, p.availability, p.wall_ms,
-            p.bitwise_equal ? "true" : "false",
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -360,7 +303,41 @@ main(int argc, char **argv)
                         dl_good, rr_good, dl_good / rr_good);
     }
 
-    writeJson(args.out, points, args.reps, args.quick);
-    std::printf("\nwrote %s\n", args.out);
+    bench::BenchJson json(
+        "micro_serve", args,
+        "serving metrics are simulated and deterministic; wall_ms and "
+        "parallel_scaling ~ 1.0 reflect the bench container's "
+        "hardware_concurrency (1 = a single hardware thread, where the "
+        "pool cannot scale) and are informative only");
+    json.array("points", points, [](const Point &p) {
+        return bench::JsonObject()
+            .text("devices", p.devices)
+            .text("policy", p.policy)
+            .text("load", p.load)
+            .integer("num_devices", p.num_devices)
+            .number("rate_rpms", p.rate_rpms, 1)
+            .integer("offered", p.offered)
+            .integer("completed", p.completed)
+            .integer("rejected", p.rejected)
+            .number("p50_us", p.p50_us, 3)
+            .number("p95_us", p.p95_us, 3)
+            .number("p99_us", p.p99_us, 3)
+            .number("miss_rate", p.miss_rate, 4)
+            .number("slo_attainment", p.slo_attainment, 4)
+            .number("throughput_rpms", p.throughput_rpms, 2)
+            .number("goodput_rpms", p.goodput_rpms, 2)
+            .integer("steals", p.steals)
+            .integer("microbatches", p.microbatches)
+            .text("faults", p.faults)
+            .text("recovery", p.recovery)
+            .integer("lost", p.lost)
+            .integer("retries", p.retries)
+            .integer("failovers", p.failovers)
+            .integer("hedges", p.hedges)
+            .number("availability", p.availability, 4)
+            .number("wall_ms", p.wall_ms, 3)
+            .flag("bitwise_equal", p.bitwise_equal);
+    });
+    json.write();
     return 0;
 }

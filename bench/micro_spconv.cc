@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -116,56 +115,6 @@ runPoint(const char *name, const ConvShape &shape, ConvMethod method,
     return p;
 }
 
-void
-writeJson(const char *path, const std::vector<Point> &points,
-          int reps, bool quick)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"micro_spconv\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"threads\": %d, "
-                 "\"hardware_concurrency\": %u, \"reps\": %d, "
-                 "\"quick\": %s,\n"
-                 "    \"host_note\": \"wall-clock figures and "
-                 "parallel_scaling ~ 1.0 reflect the bench "
-                 "container's hardware_concurrency (1 = a single "
-                 "hardware thread, where the pool cannot scale); "
-                 "simulated *_us fields are machine-independent\"},"
-                 "\n",
-                 sharedThreadPool().numThreads(),
-                 std::thread::hardware_concurrency(), reps,
-                 quick ? "true" : "false");
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"shape\": \"%s\", \"batch\": %d, \"in_c\": %d, "
-            "\"hw\": %d, \"out_c\": %d, \"kernel\": %d, "
-            "\"stride\": %d,\n"
-            "     \"method\": \"%s\", \"wsp\": %.2f, \"asp\": %.2f, "
-            "\"clustered\": %s,\n"
-            "     \"scalar_ms\": %.3f, \"word_ms\": %.3f, "
-            "\"parallel_ms\": %.3f,\n"
-            "     \"speedup_word_vs_scalar\": %.2f, "
-            "\"parallel_scaling\": %.2f, \"bitwise_equal\": %s}%s\n",
-            p.shape_name.c_str(), p.shape.batch, p.shape.in_c,
-            p.shape.in_h, p.shape.out_c, p.shape.kernel,
-            p.shape.stride, convMethodName(p.method), p.wsp, p.asp,
-            p.clustered ? "true" : "false",
-            p.scalar_ms, p.word_ms, p.parallel_ms,
-            p.scalar_ms / p.word_ms, p.word_ms / p.parallel_ms,
-            p.bitwise_equal ? "true" : "false",
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 ConvShape
 makeShape(int c, int hw, int oc, int stride = 1, int batch = 1)
 {
@@ -191,7 +140,6 @@ main(int argc, char **argv)
         return 2;
     const bool quick = args.quick;
     const int reps = args.reps;
-    const char *out = args.out;
 
     bench::warmProcessState(GpuConfig::v100());
 
@@ -266,7 +214,27 @@ main(int argc, char **argv)
              0.9, 0.5);
     }
 
-    writeJson(out, points, reps, quick);
-    std::printf("\nwrote %s\n", out);
+    bench::BenchJson json("micro_spconv", args);
+    json.array("points", points, [](const Point &p) {
+        return bench::JsonObject()
+            .text("shape", p.shape_name)
+            .integer("batch", p.shape.batch)
+            .integer("in_c", p.shape.in_c)
+            .integer("hw", p.shape.in_h)
+            .integer("out_c", p.shape.out_c)
+            .integer("kernel", p.shape.kernel)
+            .integer("stride", p.shape.stride)
+            .text("method", convMethodName(p.method))
+            .number("wsp", p.wsp, 2)
+            .number("asp", p.asp, 2)
+            .flag("clustered", p.clustered)
+            .number("scalar_ms", p.scalar_ms, 3)
+            .number("word_ms", p.word_ms, 3)
+            .number("parallel_ms", p.parallel_ms, 3)
+            .number("speedup_word_vs_scalar", p.scalar_ms / p.word_ms, 2)
+            .number("parallel_scaling", p.word_ms / p.parallel_ms, 2)
+            .flag("bitwise_equal", p.bitwise_equal);
+    });
+    json.write();
     return 0;
 }

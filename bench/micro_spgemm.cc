@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -227,71 +226,6 @@ runPoint(int size, double sparsity, int tile_k, int reps)
     return p;
 }
 
-void
-writeJson(const char *path, const std::vector<Point> &points,
-          const std::vector<PrecisionPoint> &precision, int reps,
-          bool quick)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"micro_spgemm\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"threads\": %d, "
-                 "\"hardware_concurrency\": %u, \"reps\": %d, "
-                 "\"quick\": %s,\n"
-                 "    \"host_note\": \"wall-clock figures and "
-                 "parallel_scaling ~ 1.0 reflect the bench "
-                 "container's hardware_concurrency (1 = a single "
-                 "hardware thread, where the pool cannot scale); "
-                 "simulated *_us fields are machine-independent\"},"
-                 "\n",
-                 sharedThreadPool().numThreads(),
-                 std::thread::hardware_concurrency(), reps,
-                 quick ? "true" : "false");
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        const double scalar_total =
-            p.scalar_compute_ms + p.scalar_merge_ms;
-        std::fprintf(
-            f,
-            "    {\"m\": %d, \"n\": %d, \"k\": %d, \"tile_k\": %d, "
-            "\"sparsity\": %.2f,\n"
-            "     \"encode_ms\": %.3f, \"scalar_compute_ms\": %.3f, "
-            "\"scalar_merge_ms\": %.3f,\n"
-            "     \"word_ms\": %.3f, \"parallel_ms\": %.3f,\n"
-            "     \"speedup_word_vs_scalar\": %.2f, "
-            "\"parallel_scaling\": %.2f, \"bitwise_equal\": %s}%s\n",
-            p.m, p.n, p.k, p.tile_k, p.sparsity, p.encode_ms,
-            p.scalar_compute_ms, p.scalar_merge_ms, p.word_ms,
-            p.parallel_ms, scalar_total / p.word_ms,
-            p.word_ms / p.parallel_ms,
-            p.bitwise_equal ? "true" : "false",
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"precision_points\": [\n");
-    for (size_t i = 0; i < precision.size(); ++i) {
-        const PrecisionPoint &p = precision[i];
-        std::fprintf(
-            f,
-            "    {\"m\": %d, \"n\": %d, \"k\": %d, "
-            "\"sparsity\": %.2f, \"dtype\": \"%s\",\n"
-            "     \"modeled_us\": %.3f, \"encoded_mb\": %.3f, "
-            "\"word_ms\": %.3f, \"memory_bound\": %s, "
-            "\"bitwise_equal\": %s}%s\n",
-            p.m, p.n, p.k, p.sparsity, dataTypeToken(p.dtype),
-            p.modeled_us, p.encoded_mb, p.word_ms,
-            p.memory_bound ? "true" : "false",
-            p.bitwise_equal ? "true" : "false",
-            i + 1 < precision.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -303,7 +237,6 @@ main(int argc, char **argv)
         return 2;
     const bool quick = args.quick;
     const int reps = args.reps;
-    const char *out = args.out;
 
     bench::warmProcessState(GpuConfig::v100());
 
@@ -382,7 +315,40 @@ main(int argc, char **argv)
         }
     }
 
-    writeJson(out, points, precision, reps, quick);
-    std::printf("\nwrote %s\n", out);
+    bench::BenchJson json("micro_spgemm", args);
+    json.array("points", points, [](const Point &p) {
+        const double scalar_total =
+            p.scalar_compute_ms + p.scalar_merge_ms;
+        return bench::JsonObject()
+            .integer("m", p.m)
+            .integer("n", p.n)
+            .integer("k", p.k)
+            .integer("tile_k", p.tile_k)
+            .number("sparsity", p.sparsity, 2)
+            .number("encode_ms", p.encode_ms, 3)
+            .number("scalar_compute_ms", p.scalar_compute_ms, 3)
+            .number("scalar_merge_ms", p.scalar_merge_ms, 3)
+            .number("word_ms", p.word_ms, 3)
+            .number("parallel_ms", p.parallel_ms, 3)
+            .number("speedup_word_vs_scalar", scalar_total / p.word_ms,
+                    2)
+            .number("parallel_scaling", p.word_ms / p.parallel_ms, 2)
+            .flag("bitwise_equal", p.bitwise_equal);
+    });
+    json.array("precision_points", precision,
+               [](const PrecisionPoint &p) {
+                   return bench::JsonObject()
+                       .integer("m", p.m)
+                       .integer("n", p.n)
+                       .integer("k", p.k)
+                       .number("sparsity", p.sparsity, 2)
+                       .text("dtype", dataTypeToken(p.dtype))
+                       .number("modeled_us", p.modeled_us, 3)
+                       .number("encoded_mb", p.encoded_mb, 3)
+                       .number("word_ms", p.word_ms, 3)
+                       .flag("memory_bound", p.memory_bound)
+                       .flag("bitwise_equal", p.bitwise_equal);
+               });
+    json.write();
     return 0;
 }

@@ -32,7 +32,6 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -183,52 +182,6 @@ runPoint(Session &session, const std::string &path, int reps)
     return p;
 }
 
-void
-writeJson(const char *path, const std::vector<Point> &points,
-          int reps, bool quick)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"micro_spmm\",\n");
-    std::fprintf(
-        f,
-        "  \"config\": {\"threads\": %d, \"hardware_concurrency\": "
-        "%u, \"reps\": %d, \"quick\": %s,\n"
-        "    \"host_note\": \"*_us fields are simulated and "
-        "machine-independent; wall_ms is the only wall-clock "
-        "field\"},\n",
-        sharedThreadPool().numThreads(),
-        std::thread::hardware_concurrency(), reps,
-        quick ? "true" : "false");
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"matrix\": \"%s\", \"m\": %d, \"k\": %d, \"n\": "
-            "%d, \"nnz\": %lld, \"density\": %.6f,\n"
-            "     \"narrow_us\": %.4f, \"wide_us\": %.4f, "
-            "\"cusparse_us\": %.4f, \"dense_us\": %.4f, "
-            "\"selected_us\": %.4f,\n"
-            "     \"selected_kernel\": \"%s\", \"narrow_vs_wide\": "
-            "%.4f, \"cusparse_vs_selected\": %.4f,\n"
-            "     \"bitwise_equal\": %s, \"workers_bitwise_equal\": "
-            "%s, \"wall_ms\": %.3f}%s\n",
-            p.matrix.c_str(), p.m, p.k, p.n,
-            static_cast<long long>(p.nnz), p.density, p.narrow_us,
-            p.wide_us, p.cusparse_us, p.dense_us, p.selected_us,
-            p.selected_kernel.c_str(), p.narrow_vs_wide,
-            p.cusparse_vs_selected, p.bitwise_equal ? "true" : "false",
-            p.workers_bitwise_equal ? "true" : "false", p.wall_ms,
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 /** bench_util's common flags plus --corpus DIR. */
 struct SpmmArgs : bench::BenchArgs
 {
@@ -317,7 +270,30 @@ main(int argc, char **argv)
         }
     }
 
-    writeJson(args.out, points, args.reps, args.quick);
-    std::printf("\nwrote %s\n", args.out);
+    bench::BenchJson json("micro_spmm", args,
+                          "*_us fields are simulated and "
+                          "machine-independent; wall_ms is the only "
+                          "wall-clock field");
+    json.array("points", points, [](const Point &p) {
+        return bench::JsonObject()
+            .text("matrix", p.matrix)
+            .integer("m", p.m)
+            .integer("k", p.k)
+            .integer("n", p.n)
+            .integer("nnz", p.nnz)
+            .number("density", p.density, 6)
+            .number("narrow_us", p.narrow_us, 4)
+            .number("wide_us", p.wide_us, 4)
+            .number("cusparse_us", p.cusparse_us, 4)
+            .number("dense_us", p.dense_us, 4)
+            .number("selected_us", p.selected_us, 4)
+            .text("selected_kernel", p.selected_kernel)
+            .number("narrow_vs_wide", p.narrow_vs_wide, 4)
+            .number("cusparse_vs_selected", p.cusparse_vs_selected, 4)
+            .flag("bitwise_equal", p.bitwise_equal)
+            .flag("workers_bitwise_equal", p.workers_bitwise_equal)
+            .number("wall_ms", p.wall_ms, 3);
+    });
+    json.write();
     return 0;
 }

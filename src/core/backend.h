@@ -35,8 +35,8 @@ struct PlanContext
     EncodingCache *cache = nullptr;
 
     /** Worker partitioning of the word-parallel operand encoders
-     *  (SessionOptions::encode_workers; the usual num_workers
-     *  contract: 0 = shared pool, 1 = serial). Encodings are bitwise
+     *  (ExecutionResources::encode_workers as resolved by the
+     *  Session; 0 = shared pool, 1 = serial). Encodings are bitwise
      *  identical for every setting. */
     int encode_workers = 1;
 

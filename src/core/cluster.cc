@@ -256,7 +256,6 @@ Cluster::Cluster(ClusterOptions options)
     for (const GpuConfig &cfg : options_.devices) {
         SessionOptions so;
         so.config = cfg;
-        so.encode_workers = options_.encode_workers;
         so.resources = options_.resources;
         so.shared_pool = pool_.get();
         so.shared_cache = &cache_;

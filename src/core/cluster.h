@@ -77,10 +77,6 @@ struct ClusterOptions
      *  Reports are bitwise identical for every setting. */
     int num_threads = 0;
 
-    /** Deprecated alias of resources.encode_workers (kept for old
-     *  call sites; resources wins when set). */
-    int encode_workers = 1;
-
     /** Per-device execution resources (SessionOptions semantics). */
     ExecutionResources resources;
 

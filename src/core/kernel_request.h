@@ -99,20 +99,17 @@ enum class Lowering
 };
 
 /**
- * Worker-thread budget of a request or session: the one consolidated
- * axis over the historical per-struct knobs. -1 inherits the next
+ * Worker-thread budget of a request or session. -1 inherits the next
  * level down, so the resolution order per request is
  *
  *   KernelRequest::resources
- *     -> the legacy per-request fields (SpGemmOptions::num_workers /
- *        ConvOptions::num_workers when set off their defaults)
  *     -> SessionOptions::resources
- *     -> the legacy SessionOptions::encode_workers
  *     -> defaults (compute 0 = shared pool, encode 1 = serial).
  *
- * The legacy fields keep working as deprecated aliases; every worker
- * partitioning in the library is bitwise deterministic, so any
- * setting changes wall-clock only, never results.
+ * Encode defaults to serial because requests batched through
+ * submitBatch already saturate the pool. Every worker partitioning in
+ * the library is bitwise deterministic, so any setting changes
+ * wall-clock only, never results.
  */
 struct ExecutionResources
 {

@@ -33,14 +33,12 @@ resolveEncodeWorkers(const KernelRequest &request,
         return request.resources.encode_workers;
     if (options.resources.encode_workers >= 0)
         return options.resources.encode_workers;
-    return options.encode_workers; // deprecated alias
+    return 1;
 }
 
 /**
- * Resolve the compute-worker axis: the request's resources win; the
- * session-level budget applies only when the legacy per-request
- * knobs sit at their defaults (an explicit legacy setting keeps
- * working as a deprecated alias). -1 = nothing to apply.
+ * Resolve the compute-worker axis (see ExecutionResources); -1 =
+ * nothing to apply, the request's options keep their default.
  */
 int
 resolveComputeWorkers(const KernelRequest &request,
@@ -48,11 +46,7 @@ resolveComputeWorkers(const KernelRequest &request,
 {
     if (request.resources.compute_workers >= 0)
         return request.resources.compute_workers;
-    if (request.gemm_options.num_workers == 0 &&
-        request.conv_options.num_workers == 0 &&
-        options.resources.compute_workers >= 0)
-        return options.resources.compute_workers;
-    return -1;
+    return options.resources.compute_workers;
 }
 
 } // namespace

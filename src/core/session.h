@@ -49,23 +49,9 @@ struct SessionOptions
     int num_threads = 0;
 
     /**
-     * Deprecated alias of resources.encode_workers: worker
-     * partitioning of the word-parallel operand encoders (0 = the
-     * process-shared pool, 1 = serial in the requesting thread, N
-     * caps the parallelism at N; encodings are bitwise identical for
-     * every setting). Consulted only when neither the request's nor
-     * the session's ExecutionResources sets the encode axis. Default
-     * serial: requests batched through submitBatch already saturate
-     * the pool, and a lone caller opts in explicitly.
-     */
-    int encode_workers = 1;
-
-    /**
      * Session-level worker budget (see ExecutionResources in
-     * kernel_request.h): the consolidated axis over encode_workers
-     * here and the per-request SpGemmOptions::num_workers /
-     * ConvOptions::num_workers. A request's own resources field
-     * overrides these; -1 axes fall through to the legacy fields.
+     * kernel_request.h). A request's own resources field overrides
+     * these; -1 axes fall through to the defaults.
      */
     ExecutionResources resources;
 

@@ -28,7 +28,6 @@ ServingEngine::ServingEngine(ServingOptions options,
     // places through its DeadlineScheduler); any policy works.
     copts.policy = PlacementPolicy::RoundRobin;
     copts.num_threads = options_.num_threads;
-    copts.encode_workers = options_.encode_workers;
     copts.resources = options_.resources;
     cluster_ = std::make_unique<Cluster>(std::move(copts));
 }

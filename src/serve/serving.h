@@ -136,10 +136,6 @@ struct ServingOptions
      *  stats are identical for every setting). */
     int num_threads = 1;
 
-    /** Deprecated alias of resources.encode_workers (kept for old
-     *  call sites; resources wins when set). */
-    int encode_workers = 1;
-
     /** Per-device execution resources (SessionOptions semantics). */
     ExecutionResources resources;
 };

@@ -1,78 +1,36 @@
 #!/usr/bin/env python3
 """CI bench-regression gate.
 
-Re-runs the micro benches in --quick mode and compares them against
-the checked-in perf trajectories (BENCH_spgemm.json, BENCH_spconv.json,
-BENCH_encode.json, BENCH_cluster.json, BENCH_spmm.json, ...):
+Re-runs each micro bench in --quick mode and checks it, together with
+its checked-in reference (BENCH_*.json), against the gates that
+BENCHES declares for it. Every bench gets the functional gate: every
+point, measured and reference, must report bitwise_equal (each fast
+path reproduces its scalar / serial reference exactly) and positive
+*_ms timings. The declared gates are:
 
- 1. Functional gate (hard): every point, measured and reference, must
-    report bitwise_equal — the word-parallel pipelines must reproduce
-    their scalar references exactly, and cluster reports must
-    reproduce serial single-Session execution. The benches also
-    self-check this and exit non-zero on divergence.
- 2. Speedup gate: for each measured point, the word-vs-scalar speedup
-    must stay above an absolute floor (the word path may never be
-    slower than the scalar reference) and above `--tolerance` times
-    the worst matching reference speedup. Points are matched on their
-    operating keys (sparsity / method / stride / clustered), not on
-    shape or machine, so the gate survives CI hardware variance while
-    still catching real pipeline regressions.
- 3. Sanity gate: all stage timings must be positive and the pooled
-    path must not be catastrophically slower than the single-thread
-    word path (`--parallel-slack`).
- 4. Placement-quality gate (micro_cluster): on every heterogeneous
-    device mix, cost-model placement must beat round-robin simulated
-    makespan (ratio >= 1), and the ratio must stay above
-    `--tolerance` times the checked-in reference ratio. Simulated
-    makespans are deterministic, so this gate is immune to CI
-    hardware variance.
- 5. Serving gate (micro_serve): on every heterogeneous device mix
-    and load level, deadline-aware placement must beat round-robin
-    on simulated p99 tail latency and goodput (ratio >= 1), with the
-    same reference-ratio tolerance; every point must also replay
-    bitwise against serial single-Session execution. Fault sweep
-    points (faults != "") additionally gate recovery quality: under
-    the crash script, failover goodput must match or beat the
-    no-recovery baseline (and stay within tolerance of the reference
-    ratio); under transient-only faults with retry, zero requests
-    may be lost. Fault timelines are exactly as deterministic as
-    healthy ones, so these are not flaky thresholds.
- 6. Hybrid-dispatch gate (micro_hybrid): on every point, reference
-    and measured, the density-partitioned hybrid must match or beat
-    the best single backend on simulated kernel time
-    (`--hybrid-floor`); the reference sweep and the measured quick
-    run must both show a material win (`--hybrid-win`) at a
-    mixed-density point; and measured ratios must track their
-    key-matched reference within `--hybrid-tolerance` (the ratios
-    are simulated and deterministic, so the tolerance only absorbs
-    intentional cost-model changes — a quick point that silently
-    stops splitting fails this, not just the floor).
+ - floor_band: a measured field must stay >= an absolute floor and
+   >= a tolerance times the smallest reference value with the same
+   operating key. Points are matched on their operating keys
+   (sparsity, method, stride, ...), never on shape or machine, so the
+   gate survives CI hardware variance while still catching real
+   regressions. Word-vs-scalar speedups (spgemm, spconv, encode),
+   hybrid-vs-best-single ratios (hybrid, floor on the reference too)
+   and narrow-vs-wide SpMM ratios (spmm, band only).
+ - policy_pair: per group of points (heterogeneous device mix, load),
+   a winner policy must match or beat a loser policy on a simulated
+   metric (ratio >= 1) and stay >= a tolerance times the reference
+   ratio. Cost vs round-robin makespan (cluster), deadline vs
+   round-robin p99 and goodput on healthy points (serve), failover vs
+   no recovery goodput under the crash script (serve).
+ - one-off checks: pooled-vs-word parallel slack, the int8-vs-fp16
+   precision gates, transient-only retry losing nothing, availability
+   in [0, 1], the hybrid mixed-density win, and the SpMM corpus median,
+   Auto selection slack, cusparse-like never-lose and worker-stability
+   checks.
 
- 7. Precision gate (micro_spgemm / micro_encode): every precision
-    point, reference and measured, must hold its in-domain bitwise
-    guarantee (serial == pooled for all datatypes; integer datatypes
-    also == the refGemmQuant golden model, and the word encoder ==
-    the scalar encode under the same QuantSpec). On micro_spgemm the
-    int8 datapath must beat fp16 by `--precision-floor` on simulated
-    kernel time at every memory-bound operating point (the narrow
-    value lanes must actually shrink the modeled DRAM traffic); on
-    micro_encode the int8 and int4 encoded footprints must be
-    strictly smaller than fp16's. Simulated times and footprints are
-    deterministic, so these thresholds only absorb intentional
-    cost-model changes.
-
- 8. SpMM gate (micro_spmm): every corpus point, reference and
-    measured, must hold the full bitwise set (narrow == scalar
-    reference == wide == csr, stable across worker counts); the
-    reference sweep's corpus-median narrow-vs-wide ratio must stay
-    >= `--spmm-median-win`; Auto format selection must stay within
-    `--spmm-select-slack` of the better format everywhere; and the
-    selected dual kernel must never lose to the cusparse-like
-    baseline. All simulated, deterministic ratios.
-
-The sanity gate's pooled-vs-word slack comparison is skipped when the
-measured run reports `hardware_concurrency == 1`: on a single
-hardware thread the pool cannot scale and its wall-clock is noise.
+Simulated (*_us) quantities are deterministic, so the tolerances on
+them only absorb intentional cost-model changes; the wall-clock gates
+(speedups, parallel slack) carry wide bands.
 
 Exit code 0 = green, 1 = regression, 2 = usage/setup error.
 """
@@ -80,56 +38,26 @@ Exit code 0 = green, 1 = regression, 2 = usage/setup error.
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
+from functools import partial
 
-# Operating-point keys per bench: reference points are matched to
-# measured points on these fields only (never on size/shape/machine).
-BENCHES = {
-    "micro_spgemm": {
-        "binary": os.path.join("bench", "micro_spgemm"),
-        "reference": "BENCH_spgemm.json",
-        "keys": ("sparsity", "tile_k"),
-        "precision": "gemm",
-    },
-    "micro_spconv": {
-        "binary": os.path.join("bench", "micro_spconv"),
-        "reference": "BENCH_spconv.json",
-        "keys": ("method", "wsp", "asp", "stride", "clustered"),
-    },
-    "micro_encode": {
-        "binary": os.path.join("bench", "micro_encode"),
-        "reference": "BENCH_encode.json",
-        "keys": ("kind", "sparsity", "stride"),
-        "precision": "encode",
-    },
-    "micro_cluster": {
-        "binary": os.path.join("bench", "micro_cluster"),
-        "reference": "BENCH_cluster.json",
-        "keys": ("devices", "policy"),
-        "mode": "cluster",
-    },
-    "micro_serve": {
-        "binary": os.path.join("bench", "micro_serve"),
-        "reference": "BENCH_serve.json",
-        "keys": ("devices", "policy", "load"),
-        "mode": "serve",
-    },
-    "micro_hybrid": {
-        "binary": os.path.join("bench", "micro_hybrid"),
-        "reference": "BENCH_hybrid.json",
-        "keys": ("mix", "b_sparsity", "b_kind"),
-        "mode": "hybrid",
-    },
-    "micro_spmm": {
-        "binary": os.path.join("bench", "micro_spmm"),
-        "reference": "BENCH_spmm.json",
-        "keys": ("matrix", "n"),
-        "mode": "spmm",
-        "corpus": True,
-    },
-}
+# Thresholds. Each names the one value the gate is held to.
+TOLERANCE = 0.40          # measured >= this x reference (speedups,
+                          # placement and serving ratios)
+MIN_SPEEDUP = 1.0         # word path never slower than scalar
+PARALLEL_SLACK = 2.0      # pooled path at most this x the word path
+HYBRID_FLOOR = 0.999      # hybrid never loses to the best single backend
+HYBRID_WIN = 1.15         # material win at some mixed-density point
+HYBRID_TOLERANCE = 0.95   # measured hybrid ratio >= this x reference
+SPMM_MEDIAN_WIN = 2.0     # corpus-median narrow-vs-wide (reference)
+SPMM_SELECT_SLACK = 1.05  # Auto format at most this x the better format
+SPMM_TOLERANCE = 0.95     # measured narrow-vs-wide >= this x reference
+PRECISION_FLOOR = 1.3     # int8 over fp16 at memory-bound points
+TIMEOUT_S = 600.0         # per-bench quick-run timeout
 
 
 def fail(msg):
@@ -150,21 +78,389 @@ def point_label(point):
     return "{" + ", ".join(parts) + "}"
 
 
-def check_points(name, points, *, require_positive):
+def sides(ref, meas):
+    return (("reference", ref.get("points", [])),
+            ("measured", meas.get("points", [])))
+
+
+def check_points(name, points):
     ok = True
     for p in points:
         if not p.get("bitwise_equal", False):
             ok = fail(f"{name}: {point_label(p)} is not bitwise "
                       f"equal to the scalar reference")
-        if require_positive:
-            for field, value in p.items():
-                if field.endswith("_ms") and not value > 0.0:
-                    ok = fail(f"{name}: {point_label(p)} has "
-                              f"non-positive timing {field}={value}")
+        for field, value in p.items():
+            if field.endswith("_ms") and not value > 0.0:
+                ok = fail(f"{name}: {point_label(p)} has "
+                          f"non-positive timing {field}={value}")
     return ok
 
 
-def run_quick(binary, timeout_s, extra=()):
+# -- generic gates ----------------------------------------------------
+
+def floor_band(name, ref, meas, *, field, keys, tolerance, floor=None,
+               floor_reference=False):
+    """`field` >= `floor` on every measured point (and every reference
+    point with `floor_reference`), and >= `tolerance` x the smallest
+    key-matched reference value."""
+    ok = True
+    ref_points = ref.get("points", [])
+    meas_points = meas.get("points", [])
+    floored = sides(ref, meas) if floor_reference else \
+        (("measured", meas_points),)
+    for side, pts in floored if floor is not None else ():
+        for p in pts:
+            value = p.get(field, 0.0)
+            if value < floor:
+                ok = fail(f"{name} ({side}): {point_label(p)} {field} "
+                          f"{value:.4f}x fell below the floor "
+                          f"{floor:.4f}x")
+    for p in meas_points:
+        value = p.get(field, 0.0)
+        matches = [r.get(field, 0.0) for r in ref_points
+                   if point_key(r, keys) == point_key(p, keys)]
+        if not matches:
+            print(f"check_bench: note: {name} {point_label(p)} has no "
+                  f"reference point with the same operating key; "
+                  f"no {field} band")
+            continue
+        threshold = tolerance * min(matches)
+        if value < threshold:
+            ok = fail(f"{name}: {point_label(p)} {field} {value:.4f}x "
+                      f"regressed below {threshold:.4f}x (= "
+                      f"{tolerance:.2f} x reference "
+                      f"{min(matches):.4f}x)")
+    return ok
+
+
+def pair_ratio(points, axis, winner, loser, field, better):
+    """winner-vs-loser ratio of `field` over `points`, oriented so > 1
+    means the winner wins; None if either side is missing or zero."""
+    values = {p.get(axis): p.get(field, 0.0) for p in points}
+    win, lose = values.get(winner), values.get(loser)
+    if not win or not lose:
+        return None
+    return lose / win if better == "lower" else win / lose
+
+
+def policy_pair(name, ref, meas, *, select, group_by, axis, winner,
+                loser, metrics, tolerance):
+    """For each group of the `select`ed measured points (the product of
+    the distinct values of the `group_by` fields; device sets are
+    restricted to heterogeneous mixes) and each (field, better, label)
+    metric: the `winner` value of `axis` must match or beat the `loser`
+    (ratio >= 1) and stay >= `tolerance` x the reference ratio."""
+    ref_points = [p for p in ref.get("points", []) if select(p)]
+    meas_points = [p for p in meas.get("points", []) if select(p)]
+    groups = [()]
+    for key in group_by:
+        values = {p.get(key) for p in meas_points}
+        if key == "devices":
+            values = {d for d in values if "+" in (d or "")}
+            if not values:
+                return fail(f"{name}: no heterogeneous device mix "
+                            f"measured")
+        groups = [g + (v,) for g in groups for v in sorted(values)]
+
+    ok = True
+    for group in groups:
+        where = "@".join(map(str, group)) or "all points"
+        members = [p for p in meas_points
+                   if point_key(p, group_by) == group]
+        ref_members = [p for p in ref_points
+                       if point_key(p, group_by) == group]
+        for field, better, label in metrics:
+            pair = (axis, winner, loser, field, better)
+            ratio = pair_ratio(members, *pair)
+            if ratio is None:
+                ok = fail(f"{name}: {where} lacks {winner}/{loser} "
+                          f"points for the {label} gate")
+                continue
+            point_ok = True
+            if ratio < 1.0:
+                point_ok = fail(f"{name}: {where} {winner} "
+                                f"({ratio:.2f}x) lost to {loser} on "
+                                f"{label}")
+            ref_ratio = pair_ratio(ref_members, *pair)
+            if ref_ratio is not None and ratio < tolerance * ref_ratio:
+                point_ok = fail(
+                    f"{name}: {where} {label} advantage {ratio:.2f}x "
+                    f"regressed below {tolerance * ref_ratio:.2f}x (= "
+                    f"{tolerance:.2f} x reference {ref_ratio:.2f}x)")
+            if point_ok:
+                print(f"check_bench: {name}: {where} {label} advantage "
+                      f"{ratio:.2f}x ({winner} vs {loser})")
+            ok = point_ok and ok
+    return ok
+
+
+# -- one-off gates ----------------------------------------------------
+
+def parallel_slack(name, ref, meas):
+    """The pooled path must not be catastrophically slower than the
+    single-thread word path. Single-rep timings are one raw sample
+    each (a late pool wake-up can triple a sub-millisecond pooled
+    point), and on one hardware thread the pool cannot scale at all,
+    so the check applies to best-of-N runs on multi-core hosts only."""
+    config = meas.get("config", {})
+    if config.get("reps", 1) < 2 or \
+            config.get("hardware_concurrency", 0) == 1:
+        return True
+    ok = True
+    for p in meas.get("points", []):
+        par = p.get("parallel_ms", 0.0)
+        word = p.get("word_ms", 0.0)
+        if par > 0 and word > 0 and par > PARALLEL_SLACK * word:
+            ok = fail(f"{name}: {point_label(p)} pooled path "
+                      f"({par:.3f} ms) is worse than "
+                      f"{PARALLEL_SLACK:.1f}x the single-thread word "
+                      f"path ({word:.3f} ms)")
+    return ok
+
+
+def precision_bitwise(name, ref, meas):
+    """Every precision point, both sides, must hold its in-domain
+    bitwise guarantee (serial == pooled; integer datatypes also ==
+    their golden model or scalar encode)."""
+    ok = True
+    for side, doc in (("reference", ref), ("measured", meas)):
+        pts = doc.get("precision_points", [])
+        if not pts:
+            ok = fail(f"{name} ({side}): no precision points — the "
+                      f"datatype axis went missing")
+        for p in pts:
+            if not p.get("bitwise_equal", False):
+                ok = fail(f"{name} ({side}): precision point "
+                          f"dtype={p.get('dtype')} "
+                          f"sparsity={p.get('sparsity')} broke its "
+                          f"in-domain bitwise guarantee")
+    return ok
+
+
+def precision_sides(ref, meas):
+    """(side, {sparsity: {dtype: point}}) for both precision sweeps."""
+    for side, doc in (("reference", ref), ("measured", meas)):
+        table = {}
+        for p in doc.get("precision_points", []):
+            table.setdefault(p.get("sparsity"), {})[p.get("dtype")] = p
+        yield side, table
+
+
+def precision_gemm(name, ref, meas):
+    """int8 must beat fp16 by PRECISION_FLOOR on simulated kernel time
+    at every memory-bound sparsity: the narrow value lanes must shrink
+    the modeled DRAM traffic."""
+    ok = True
+    for side, table in precision_sides(ref, meas):
+        if not table:
+            continue  # precision_bitwise reports the missing axis
+        gated = False
+        for sparsity, by_dtype in sorted(table.items()):
+            f16, i8 = by_dtype.get("fp16"), by_dtype.get("int8")
+            if not f16 or not i8 or not f16.get("memory_bound", False):
+                continue
+            gated = True
+            ratio = f16.get("modeled_us", 0.0) / \
+                max(i8.get("modeled_us", 0.0), 1e-9)
+            if ratio < PRECISION_FLOOR:
+                ok = fail(f"{name} ({side}): int8 advantage over fp16 "
+                          f"at sparsity={sparsity} is {ratio:.2f}x, "
+                          f"below the {PRECISION_FLOOR:.2f}x floor on "
+                          f"simulated kernel time")
+            else:
+                print(f"check_bench: {name} ({side}): int8 "
+                      f"{ratio:.2f}x faster than fp16 at "
+                      f"sparsity={sparsity} (simulated, memory-bound)")
+        if not gated:
+            ok = fail(f"{name} ({side}): no memory-bound fp16/int8 "
+                      f"pair to gate the precision advantage on")
+    return ok
+
+
+def precision_encode(name, ref, meas):
+    """The int8 and int4 encoded footprints must be strictly smaller
+    than fp16's at every sparsity."""
+    ok = True
+    for side, table in precision_sides(ref, meas):
+        for sparsity, by_dtype in sorted(table.items()):
+            f16 = by_dtype.get("fp16")
+            for narrow in ("int8", "int4"):
+                p = by_dtype.get(narrow)
+                if not f16 or not p:
+                    continue
+                if not p.get("encoded_mb", 0.0) < \
+                        f16.get("encoded_mb", 0.0):
+                    ok = fail(f"{name} ({side}): {narrow} encoded "
+                              f"footprint ({p.get('encoded_mb')} MB) "
+                              f"is not smaller than fp16's "
+                              f"({f16.get('encoded_mb')} MB) at "
+                              f"sparsity={sparsity}")
+    return ok
+
+
+def fault_points(doc):
+    return [p for p in doc.get("points", []) if p.get("faults", "")]
+
+
+def transient_retry(name, ref, meas):
+    """Under transient-only faults with retry, zero requests may be
+    lost, and the retries must actually happen."""
+    points = [p for p in fault_points(meas)
+              if "transient" in p["faults"] and "crash" not in p["faults"]
+              and "retry" in p.get("recovery", "")]
+    if not points:
+        return fail(f"{name}: no transient-only retry point measured")
+    ok = True
+    for p in points:
+        if p.get("lost", -1) != 0:
+            ok = fail(f"{name}: {point_label(p)} lost {p.get('lost')} "
+                      f"requests under transient-only faults with "
+                      f"retry (must be 0)")
+        elif p.get("retries", 0) <= 0:
+            ok = fail(f"{name}: {point_label(p)} recorded no retries "
+                      f"— the transient fault axis went missing")
+        else:
+            print(f"check_bench: {name}: {point_label(p)} retried "
+                  f"{p.get('retries')} transient failures, lost 0")
+    return ok
+
+
+def availability(name, ref, meas):
+    ok = True
+    for p in fault_points(meas):
+        avail = p.get("availability", -1.0)
+        if not 0.0 <= avail <= 1.0:
+            ok = fail(f"{name}: {point_label(p)} availability {avail} "
+                      f"outside [0, 1]")
+    return ok
+
+
+def hybrid_win(name, ref, meas):
+    """The reference sweep and the quick run must both show a material
+    hybrid win at some mixed-density point."""
+    ok = True
+    for side, pts in sides(ref, meas):
+        best = max((p.get("ratio_vs_best", 0.0) for p in pts
+                    if 0.0 < p.get("mix", 0.0) < 1.0), default=0.0)
+        if best < HYBRID_WIN:
+            ok = fail(f"{name} ({side}): best mixed-density win "
+                      f"{best:.2f}x fell below the material-win "
+                      f"threshold {HYBRID_WIN:.2f}x — the partition no "
+                      f"longer pays off anywhere")
+        else:
+            print(f"check_bench: {name} ({side}): best mixed-density "
+                  f"win {best:.2f}x over the best single backend")
+    return ok
+
+
+def spmm_median(name, ref, meas):
+    """The reference sweep's corpus-median narrow-vs-wide ratio (the
+    headline claim at 99%+ sparsity)."""
+    ratios = [p.get("narrow_vs_wide", 0.0) for p in ref.get("points", [])]
+    if not ratios:
+        return fail(f"{name}: reference sweep has no points")
+    median = statistics.median(ratios)
+    if median < SPMM_MEDIAN_WIN:
+        return fail(f"{name}: corpus-median narrow-vs-wide ratio "
+                    f"{median:.2f}x fell below the "
+                    f"{SPMM_MEDIAN_WIN:.2f}x headline floor")
+    print(f"check_bench: {name}: corpus-median narrow-vs-wide "
+          f"{median:.2f}x over {len(ratios)} matrices")
+    return True
+
+
+def spmm_points(name, ref, meas):
+    """Every SpMM point, both sides: bitwise stable across worker
+    counts, the selected dual kernel never loses to the cusparse-like
+    baseline, and Auto selection stays within SPMM_SELECT_SLACK of the
+    better format."""
+    ok = True
+    for side, pts in sides(ref, meas):
+        for p in pts:
+            label = point_label(p)
+            if not p.get("workers_bitwise_equal", False):
+                ok = fail(f"{name} ({side}): {label} narrow kernel is "
+                          f"not bitwise stable across worker counts")
+            if p.get("cusparse_vs_selected", 0.0) < 1.0:
+                ok = fail(f"{name} ({side}): {label} selected dual "
+                          f"kernel lost to the cusparse-like baseline "
+                          f"({p.get('cusparse_vs_selected', 0.0):.2f}x)")
+            best = min(p.get("narrow_us", 0.0), p.get("wide_us", 0.0))
+            sel = p.get("selected_us", 0.0)
+            if not best > 0.0 or not sel > 0.0:
+                ok = fail(f"{name} ({side}): {label} has non-positive "
+                          f"simulated times")
+            elif sel > SPMM_SELECT_SLACK * best:
+                ok = fail(f"{name} ({side}): {label} Auto selection "
+                          f"picked a format {sel / best:.3f}x the best "
+                          f"(slack {SPMM_SELECT_SLACK:.2f}x)")
+    return ok
+
+
+# -- the per-bench table ----------------------------------------------
+
+@dataclass
+class Bench:
+    reference: str
+    gates: list
+    corpus: bool = False
+
+
+def speedup(keys):
+    return partial(floor_band, field="speedup_word_vs_scalar", keys=keys,
+                   floor=MIN_SPEEDUP, tolerance=TOLERANCE)
+
+
+def healthy(p):
+    return not p.get("faults", "")
+
+
+def crash_only(p):
+    faults = p.get("faults", "")
+    return "crash" in faults and "transient" not in faults
+
+
+BENCHES = {
+    "micro_spgemm": Bench("BENCH_spgemm.json", [
+        speedup(("sparsity", "tile_k")), parallel_slack,
+        precision_bitwise, precision_gemm]),
+    "micro_spconv": Bench("BENCH_spconv.json", [
+        speedup(("method", "wsp", "asp", "stride", "clustered")),
+        parallel_slack]),
+    "micro_encode": Bench("BENCH_encode.json", [
+        speedup(("kind", "sparsity", "stride")), parallel_slack,
+        precision_bitwise, precision_encode]),
+    "micro_cluster": Bench("BENCH_cluster.json", [
+        partial(policy_pair, select=lambda p: True, group_by=("devices",),
+                axis="policy", winner="cost", loser="rr",
+                metrics=(("makespan_us", "lower", "placement quality"),),
+                tolerance=TOLERANCE)]),
+    "micro_serve": Bench("BENCH_serve.json", [
+        partial(policy_pair, select=healthy,
+                group_by=("devices", "load"), axis="policy",
+                winner="deadline", loser="rr",
+                metrics=(("p99_us", "lower", "p99 tail latency"),
+                         ("goodput_rpms", "higher", "goodput")),
+                tolerance=TOLERANCE),
+        partial(policy_pair, select=crash_only, group_by=(),
+                axis="recovery", winner="failover", loser="none",
+                metrics=(("goodput_rpms", "higher",
+                          "crash-script recovery goodput"),),
+                tolerance=TOLERANCE),
+        transient_retry, availability]),
+    "micro_hybrid": Bench("BENCH_hybrid.json", [
+        partial(floor_band, field="ratio_vs_best",
+                keys=("mix", "b_sparsity", "b_kind"), floor=HYBRID_FLOOR,
+                floor_reference=True, tolerance=HYBRID_TOLERANCE),
+        hybrid_win]),
+    "micro_spmm": Bench("BENCH_spmm.json", [
+        spmm_points, spmm_median,
+        partial(floor_band, field="narrow_vs_wide", keys=("matrix", "n"),
+                tolerance=SPMM_TOLERANCE)], corpus=True),
+}
+
+
+def run_quick(binary, extra=()):
     with tempfile.NamedTemporaryFile(suffix=".json",
                                      delete=False) as tmp:
         out_path = tmp.name
@@ -172,7 +468,7 @@ def run_quick(binary, timeout_s, extra=()):
         proc = subprocess.run([binary, "--quick", "--out", out_path,
                                *extra],
                               capture_output=True, text=True,
-                              timeout=timeout_s)
+                              timeout=TIMEOUT_S)
         if proc.returncode != 0:
             print(proc.stdout)
             print(proc.stderr, file=sys.stderr)
@@ -183,392 +479,9 @@ def run_quick(binary, timeout_s, extra=()):
         os.unlink(out_path)
 
 
-def makespan_ratio(points, devices):
-    """rr-vs-cost simulated makespan ratio of one device set (the
-    placement-quality figure; > 1 means the cost model wins)."""
-    cost = rr = None
-    for p in points:
-        if p.get("devices") != devices:
-            continue
-        if p.get("policy") == "cost":
-            cost = p.get("makespan_us", 0.0)
-        elif p.get("policy") == "rr":
-            rr = p.get("makespan_us", 0.0)
-    if not cost or not rr:
-        return None
-    return rr / cost
-
-
-def check_cluster(name, ref_points, meas_points, args):
-    """Placement-quality gate: deterministic simulated makespans, so
-    the measured ratios should track the reference exactly; the
-    tolerance only absorbs intentional timing-model changes."""
-    ok = True
-    hetero = sorted({p["devices"] for p in meas_points
-                     if "+" in p.get("devices", "")})
-    if not hetero:
-        return fail(f"{name}: no heterogeneous device mix measured")
-    for devices in hetero:
-        ratio = makespan_ratio(meas_points, devices)
-        if ratio is None:
-            ok = fail(f"{name}: {devices} lacks cost/rr points for "
-                      f"the placement-quality gate")
-            continue
-        mix_ok = True
-        if ratio < 1.0:
-            mix_ok = fail(f"{name}: {devices} cost-model placement "
-                          f"({ratio:.2f}x) lost to round-robin")
-        ref_ratio = makespan_ratio(ref_points, devices)
-        if ref_ratio is not None and \
-                ratio < args.tolerance * ref_ratio:
-            mix_ok = fail(f"{name}: {devices} placement quality "
-                          f"{ratio:.2f}x regressed below "
-                          f"{args.tolerance * ref_ratio:.2f}x "
-                          f"(= {args.tolerance:.2f} x reference "
-                          f"{ref_ratio:.2f}x)")
-        if mix_ok:
-            print(f"check_bench: {name}: {devices} placement "
-                  f"quality {ratio:.2f}x (cost vs rr)")
-        ok = mix_ok and ok
-    return ok
-
-
-def serve_ratio(points, devices, load, field, better="lower"):
-    """deadline-vs-rr ratio of one serving metric on one (device set,
-    load) pair, oriented so > 1 means the deadline policy wins."""
-    deadline = rr = None
-    for p in points:
-        if p.get("devices") != devices or p.get("load") != load:
-            continue
-        if p.get("policy") == "deadline":
-            deadline = p.get(field, 0.0)
-        elif p.get("policy") == "rr":
-            rr = p.get(field, 0.0)
-    if not deadline or not rr:
-        return None
-    return rr / deadline if better == "lower" else deadline / rr
-
-# Serving gate metrics: (json field, which direction the deadline
-# policy must win, human label).
-SERVE_METRICS = (
-    ("p99_us", "lower", "p99 tail latency"),
-    ("goodput_rpms", "higher", "goodput"),
-)
-
-
-def check_serve(name, ref_points, meas_points, args):
-    """Tail-latency/goodput gate: on every heterogeneous device mix
-    and load level, deadline-aware placement must beat round-robin on
-    p99 and goodput (ratio >= 1), and each ratio must stay above
-    `--tolerance` times the checked-in reference ratio. Serving
-    metrics are simulated and deterministic, so the tolerance only
-    absorbs intentional timing- or policy-model changes."""
-    ok = True
-    # The policy-comparison gate runs on healthy points only; fault
-    # sweep points (faults != "") are gated by check_serve_faults.
-    ref_points = [p for p in ref_points if not p.get("faults", "")]
-    meas_points = [p for p in meas_points if not p.get("faults", "")]
-    hetero = sorted({p["devices"] for p in meas_points
-                     if "+" in p.get("devices", "")})
-    if not hetero:
-        return fail(f"{name}: no heterogeneous device mix measured")
-    loads = sorted({p.get("load") for p in meas_points})
-    for devices in hetero:
-        for load in loads:
-            for field, better, label in SERVE_METRICS:
-                ratio = serve_ratio(meas_points, devices, load,
-                                    field, better)
-                if ratio is None:
-                    ok = fail(f"{name}: {devices}@{load} lacks "
-                              f"deadline/rr points for the {label} "
-                              f"gate")
-                    continue
-                point_ok = True
-                if ratio < 1.0:
-                    point_ok = fail(
-                        f"{name}: {devices}@{load} deadline policy "
-                        f"({ratio:.2f}x) lost to round-robin on "
-                        f"{label}")
-                ref = serve_ratio(ref_points, devices, load, field,
-                                  better)
-                if ref is not None and \
-                        ratio < args.tolerance * ref:
-                    point_ok = fail(
-                        f"{name}: {devices}@{load} {label} advantage "
-                        f"{ratio:.2f}x regressed below "
-                        f"{args.tolerance * ref:.2f}x (= "
-                        f"{args.tolerance:.2f} x reference "
-                        f"{ref:.2f}x)")
-                if point_ok:
-                    print(f"check_bench: {name}: {devices}@{load} "
-                          f"{label} advantage {ratio:.2f}x "
-                          f"(deadline vs rr)")
-                ok = point_ok and ok
-    return ok
-
-
-def recovery_goodput_ratio(points):
-    """failover-vs-no-recovery goodput ratio under the crash script
-    (> 1 means recovery converts lost work back into goodput)."""
-    recovered = baseline = None
-    for p in points:
-        if "crash" not in p.get("faults", "") or \
-                "transient" in p.get("faults", ""):
-            continue
-        if p.get("recovery") == "failover":
-            recovered = p.get("goodput_rpms", 0.0)
-        elif p.get("recovery") == "none":
-            baseline = p.get("goodput_rpms", 0.0)
-    if not recovered or not baseline:
-        return None
-    return recovered / baseline
-
-
-def check_serve_faults(name, ref_points, meas_points, args):
-    """Fault-recovery gate: the fault sweep's deterministic recovery
-    quality. Crash script: failover goodput >= the no-recovery
-    baseline, within tolerance of the reference ratio. Transient-only
-    with retry: zero lost requests, hard."""
-    ok = True
-    fault_meas = [p for p in meas_points if p.get("faults", "")]
-    if not fault_meas:
-        return fail(f"{name}: no fault sweep points measured")
-
-    ratio = recovery_goodput_ratio(fault_meas)
-    if ratio is None:
-        ok = fail(f"{name}: fault sweep lacks the failover/"
-                  f"no-recovery crash pair")
-    else:
-        if ratio < 1.0:
-            ok = fail(f"{name}: crash-script recovery goodput "
-                      f"({ratio:.2f}x) fell below the no-recovery "
-                      f"baseline")
-        ref = recovery_goodput_ratio(
-            [p for p in ref_points if p.get("faults", "")])
-        if ref is not None and ratio < args.tolerance * ref:
-            ok = fail(f"{name}: recovery goodput advantage "
-                      f"{ratio:.2f}x regressed below "
-                      f"{args.tolerance * ref:.2f}x (= "
-                      f"{args.tolerance:.2f} x reference {ref:.2f}x)")
-        if ok:
-            print(f"check_bench: {name}: crash-script recovery "
-                  f"goodput {ratio:.2f}x vs no-recovery baseline")
-
-    transient_retry = [
-        p for p in fault_meas
-        if "transient" in p.get("faults", "")
-        and "crash" not in p.get("faults", "")
-        and "retry" in p.get("recovery", "")]
-    if not transient_retry:
-        ok = fail(f"{name}: no transient-only retry point measured")
-    for p in transient_retry:
-        if p.get("lost", -1) != 0:
-            ok = fail(f"{name}: {point_label(p)} lost "
-                      f"{p.get('lost')} requests under transient-only "
-                      f"faults with retry (must be 0)")
-        elif p.get("retries", 0) <= 0:
-            ok = fail(f"{name}: {point_label(p)} recorded no retries "
-                      f"— the transient fault axis went missing")
-        else:
-            print(f"check_bench: {name}: {point_label(p)} retried "
-                  f"{p.get('retries')} transient failures, lost 0")
-    for p in fault_meas:
-        avail = p.get("availability", -1.0)
-        if not 0.0 <= avail <= 1.0:
-            ok = fail(f"{name}: {point_label(p)} availability "
-                      f"{avail} outside [0, 1]")
-    return ok
-
-
-def check_hybrid(name, ref_points, meas_points, args):
-    """Hybrid-dispatch gate: the intra-request split must never lose
-    to the best single backend, must win materially at a
-    mixed-density point, and measured ratios must track their
-    key-matched reference. ratio_vs_best compares simulated kernel
-    times, which are deterministic, so `--hybrid-tolerance` only
-    absorbs intentional cost-model changes."""
-    ok = True
-    for side, pts in (("reference", ref_points),
-                      ("measured", meas_points)):
-        for p in pts:
-            ratio = p.get("ratio_vs_best", 0.0)
-            if ratio < args.hybrid_floor:
-                ok = fail(f"{name} ({side}): {point_label(p)} hybrid "
-                          f"({ratio:.4f}x) lost to the best single "
-                          f"backend (floor {args.hybrid_floor:.4f}x)")
-        mixed = [p.get("ratio_vs_best", 0.0) for p in pts
-                 if 0.0 < p.get("mix", 0.0) < 1.0]
-        best = max(mixed, default=0.0)
-        if best < args.hybrid_win:
-            ok = fail(f"{name} ({side}): best mixed-density win "
-                      f"{best:.2f}x fell below the material-win "
-                      f"threshold {args.hybrid_win:.2f}x — the "
-                      f"partition no longer pays off anywhere")
-        else:
-            print(f"check_bench: {name} ({side}): best mixed-density "
-                  f"win {best:.2f}x over the best single backend")
-
-    keys = ("mix", "b_sparsity", "b_kind")
-    for p in meas_points:
-        ratio = p.get("ratio_vs_best", 0.0)
-        matches = [r.get("ratio_vs_best", 0.0) for r in ref_points
-                   if point_key(r, keys) == point_key(p, keys)]
-        if not matches:
-            print(f"check_bench: note: {name} {point_label(p)} has "
-                  f"no reference point with the same operating key; "
-                  f"floor only")
-            continue
-        threshold = args.hybrid_tolerance * min(matches)
-        if ratio < threshold:
-            ok = fail(f"{name}: {point_label(p)} hybrid advantage "
-                      f"{ratio:.4f}x regressed below "
-                      f"{threshold:.4f}x (= "
-                      f"{args.hybrid_tolerance:.2f} x reference "
-                      f"{min(matches):.4f}x)")
-    return ok
-
-
-def check_spmm(name, ref_points, meas_points, args):
-    """SpMM gate (micro_spmm): the narrow-tile format's real-matrix
-    claims. Hard, both sides: every point must also be bitwise stable
-    across worker counts (workers_bitwise_equal; plain bitwise_equal
-    — narrow == scalar reference == wide == csr — is already gated by
-    check_points). Reference sweep: the corpus-median narrow-vs-wide
-    ratio must stay >= `--spmm-median-win` (the tentpole's headline
-    claim at 99%+ sparsity). Every point, both sides: Auto format
-    selection must stay within `--spmm-select-slack` of the better
-    format, and the selected dual kernel must never lose to the
-    cusparse-like baseline. All ratios compare simulated kernel
-    times, which are deterministic, so `--spmm-tolerance` on the
-    measured-vs-reference ratio only absorbs intentional cost-model
-    changes."""
-    ok = True
-    for side, pts in (("reference", ref_points),
-                      ("measured", meas_points)):
-        for p in pts:
-            label = point_label(p)
-            if not p.get("workers_bitwise_equal", False):
-                ok = fail(f"{name} ({side}): {label} narrow kernel "
-                          f"is not bitwise stable across worker "
-                          f"counts")
-            if p.get("cusparse_vs_selected", 0.0) < 1.0:
-                ok = fail(f"{name} ({side}): {label} selected dual "
-                          f"kernel lost to the cusparse-like "
-                          f"baseline "
-                          f"({p.get('cusparse_vs_selected'):.2f}x)")
-            best = min(p.get("narrow_us", 0.0), p.get("wide_us", 0.0))
-            sel = p.get("selected_us", 0.0)
-            if not best > 0.0 or not sel > 0.0:
-                ok = fail(f"{name} ({side}): {label} has "
-                          f"non-positive simulated times")
-            elif sel > args.spmm_select_slack * best:
-                ok = fail(f"{name} ({side}): {label} Auto selection "
-                          f"picked a format {sel / best:.3f}x the "
-                          f"best (slack "
-                          f"{args.spmm_select_slack:.2f}x)")
-
-    ratios = sorted(p.get("narrow_vs_wide", 0.0) for p in ref_points)
-    if not ratios:
-        ok = fail(f"{name}: reference sweep has no points")
-    else:
-        mid = len(ratios) // 2
-        median = ratios[mid] if len(ratios) % 2 else \
-            0.5 * (ratios[mid - 1] + ratios[mid])
-        if median < args.spmm_median_win:
-            ok = fail(f"{name}: corpus-median narrow-vs-wide ratio "
-                      f"{median:.2f}x fell below the "
-                      f"{args.spmm_median_win:.2f}x headline floor")
-        else:
-            print(f"check_bench: {name}: corpus-median narrow-vs-"
-                  f"wide {median:.2f}x over {len(ratios)} matrices")
-
-    keys = ("matrix", "n")
-    for p in meas_points:
-        ratio = p.get("narrow_vs_wide", 0.0)
-        matches = [r.get("narrow_vs_wide", 0.0) for r in ref_points
-                   if point_key(r, keys) == point_key(p, keys)]
-        if not matches:
-            print(f"check_bench: note: {name} {point_label(p)} has "
-                  f"no reference point with the same operating key; "
-                  f"selection/baseline gates only")
-            continue
-        threshold = args.spmm_tolerance * min(matches)
-        if ratio < threshold:
-            ok = fail(f"{name}: {point_label(p)} narrow-vs-wide "
-                      f"{ratio:.4f}x regressed below "
-                      f"{threshold:.4f}x (= "
-                      f"{args.spmm_tolerance:.2f} x reference "
-                      f"{min(matches):.4f}x)")
-    return ok
-
-
-def check_precision(name, mode, ref_points, meas_points, args):
-    """Precision-axis gate (see module docstring, gate 7)."""
-    ok = True
-    for side, pts in (("reference", ref_points),
-                      ("measured", meas_points)):
-        if not pts:
-            ok = fail(f"{name} ({side}): no precision points — the "
-                      f"datatype axis went missing")
-            continue
-        by_sparsity = {}
-        for p in pts:
-            if not p.get("bitwise_equal", False):
-                ok = fail(f"{name} ({side}): precision point "
-                          f"dtype={p.get('dtype')} "
-                          f"sparsity={p.get('sparsity')} broke its "
-                          f"in-domain bitwise guarantee")
-            by_sparsity.setdefault(p.get("sparsity"),
-                                   {})[p.get("dtype")] = p
-
-        if mode == "gemm":
-            gated = False
-            for sparsity, by_dtype in sorted(by_sparsity.items()):
-                f16 = by_dtype.get("fp16")
-                i8 = by_dtype.get("int8")
-                if not f16 or not i8 or \
-                        not f16.get("memory_bound", False):
-                    continue
-                gated = True
-                ratio = f16.get("modeled_us", 0.0) / \
-                    max(i8.get("modeled_us", 0.0), 1e-9)
-                if ratio < args.precision_floor:
-                    ok = fail(
-                        f"{name} ({side}): int8 advantage over fp16 "
-                        f"at sparsity={sparsity} is {ratio:.2f}x, "
-                        f"below the {args.precision_floor:.2f}x "
-                        f"floor on simulated kernel time")
-                else:
-                    print(f"check_bench: {name} ({side}): int8 "
-                          f"{ratio:.2f}x faster than fp16 at "
-                          f"sparsity={sparsity} (simulated, "
-                          f"memory-bound)")
-        elif mode == "encode":
-            for sparsity, by_dtype in sorted(by_sparsity.items()):
-                f16 = by_dtype.get("fp16")
-                for narrow in ("int8", "int4"):
-                    p = by_dtype.get(narrow)
-                    if not f16 or not p:
-                        continue
-                    if not p.get("encoded_mb", 0.0) < \
-                            f16.get("encoded_mb", 0.0):
-                        ok = fail(
-                            f"{name} ({side}): {narrow} encoded "
-                            f"footprint "
-                            f"({p.get('encoded_mb')} MB) is not "
-                            f"smaller than fp16's "
-                            f"({f16.get('encoded_mb')} MB) at "
-                            f"sparsity={sparsity}")
-
-        if mode == "gemm" and not gated:
-            ok = fail(f"{name} ({side}): no memory-bound fp16/int8 "
-                      f"pair to gate the precision advantage on")
-    return ok
-
-
-def check_bench(name, spec, args):
-    ref_path = os.path.join(args.repo_root, spec["reference"])
-    binary = os.path.join(args.build_dir, spec["binary"])
+def check_bench(name, bench, args):
+    ref_path = os.path.join(args.repo_root, bench.reference)
+    binary = os.path.join(args.build_dir, "bench", name)
     if not os.path.exists(ref_path):
         print(f"check_bench: missing reference {ref_path}")
         return False
@@ -578,104 +491,26 @@ def check_bench(name, spec, args):
 
     with open(ref_path) as f:
         reference = json.load(f)
-    ref_points = reference.get("points", [])
-    ok = check_points(f"{name} (reference)", ref_points,
-                      require_positive=True)
+    ok = check_points(f"{name} (reference)",
+                      reference.get("points", []))
 
     extra = ()
-    if spec.get("corpus"):
+    if bench.corpus:
         extra = ("--corpus", os.path.join(args.repo_root, "corpus"))
     print(f"check_bench: running {binary} --quick ...")
-    measured = run_quick(binary, args.timeout, extra)
+    measured = run_quick(binary, extra)
     if measured is None:
         return fail(f"{name}: quick run failed")
-    measured_config = measured.get("config", {})
     meas_points = measured.get("points", [])
     if not meas_points:
         return fail(f"{name}: quick run produced no points")
-    ok = check_points(f"{name} (measured)", meas_points,
-                      require_positive=True) and ok
+    ok = check_points(f"{name} (measured)", meas_points) and ok
 
-    if spec.get("mode") == "cluster":
-        ok = check_cluster(name, ref_points, meas_points, args) and ok
-        if ok:
-            print(f"check_bench: {name}: "
-                  f"{len(meas_points)} quick points green")
-        return ok
-
-    if spec.get("mode") == "serve":
-        ok = check_serve(name, ref_points, meas_points, args) and ok
-        ok = check_serve_faults(name, ref_points, meas_points,
-                                args) and ok
-        if ok:
-            print(f"check_bench: {name}: "
-                  f"{len(meas_points)} quick points green")
-        return ok
-
-    if spec.get("mode") == "hybrid":
-        ok = check_hybrid(name, ref_points, meas_points, args) and ok
-        if ok:
-            print(f"check_bench: {name}: "
-                  f"{len(meas_points)} quick points green")
-        return ok
-
-    if spec.get("mode") == "spmm":
-        ok = check_spmm(name, ref_points, meas_points, args) and ok
-        if ok:
-            print(f"check_bench: {name}: "
-                  f"{len(meas_points)} quick points green")
-        return ok
-
-    keys = spec["keys"]
-    for p in meas_points:
-        speedup = p.get("speedup_word_vs_scalar", 0.0)
-        label = point_label(p)
-
-        if speedup < args.min_speedup:
-            ok = fail(f"{name}: {label} word path speedup {speedup:.2f}x "
-                      f"fell below the absolute floor "
-                      f"{args.min_speedup:.2f}x")
-
-        matches = [r.get("speedup_word_vs_scalar", 0.0)
-                   for r in ref_points
-                   if point_key(r, keys) == point_key(p, keys)]
-        if not matches:
-            print(f"check_bench: note: {name} {label} has no "
-                  f"reference point with the same operating key; "
-                  f"absolute floor only")
-            continue
-        threshold = args.tolerance * min(matches)
-        if speedup < threshold:
-            ok = fail(
-                f"{name}: {label} speedup {speedup:.2f}x regressed "
-                f"below {threshold:.2f}x (= {args.tolerance:.2f} x "
-                f"reference {min(matches):.2f}x)")
-
-        # Single-rep timings are one raw sample each; a late pool
-        # wake-up can triple a sub-millisecond pooled point, so the
-        # slack check only applies to best-of-N measurements. On a
-        # single hardware thread the pool cannot scale at all (every
-        # worker timeshares one core), so the comparison is skipped
-        # there outright.
-        reps = measured_config.get("reps", 1)
-        cores = measured_config.get("hardware_concurrency", 0)
-        par = p.get("parallel_ms", 0.0)
-        word = p.get("word_ms", 0.0)
-        if reps >= 2 and cores != 1 and par > 0 and word > 0 and \
-                par > args.parallel_slack * word:
-            ok = fail(f"{name}: {label} pooled path ({par:.3f} ms) "
-                      f"is worse than {args.parallel_slack:.1f}x the "
-                      f"single-thread word path ({word:.3f} ms)")
-
-    if spec.get("precision"):
-        ok = check_precision(name, spec["precision"],
-                             reference.get("precision_points", []),
-                             measured.get("precision_points", []),
-                             args) and ok
-
+    for gate in bench.gates:
+        ok = gate(name, reference, measured) and ok
     if ok:
-        print(f"check_bench: {name}: "
-              f"{len(meas_points)} quick points green")
+        print(f"check_bench: {name}: {len(meas_points)} quick points "
+              f"green")
     return ok
 
 
@@ -685,52 +520,11 @@ def main():
                         help="CMake build directory (bench binaries)")
     parser.add_argument("--repo-root", default=".",
                         help="directory of the BENCH_*.json references")
-    parser.add_argument("--tolerance", type=float, default=0.40,
-                        help="measured speedup must be >= tolerance * "
-                             "worst matching reference speedup")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="absolute speedup floor: the word path "
-                             "may never be slower than scalar")
-    parser.add_argument("--parallel-slack", type=float, default=2.0,
-                        help="pooled path may be at most this factor "
-                             "slower than single-thread (1-core CI)")
-    parser.add_argument("--hybrid-floor", type=float, default=0.999,
-                        help="hybrid dispatch may never lose to the "
-                             "best single backend (simulated time)")
-    parser.add_argument("--hybrid-win", type=float, default=1.15,
-                        help="required hybrid advantage at the best "
-                             "mixed-density point, reference and "
-                             "measured")
-    parser.add_argument("--hybrid-tolerance", type=float,
-                        default=0.95,
-                        help="measured hybrid ratios must stay "
-                             "within this factor of their "
-                             "key-matched reference (deterministic "
-                             "simulated ratios)")
-    parser.add_argument("--spmm-median-win", type=float, default=2.0,
-                        help="required corpus-median narrow-vs-wide "
-                             "advantage on the reference SpMM sweep")
-    parser.add_argument("--spmm-select-slack", type=float,
-                        default=1.05,
-                        help="Auto format selection may be at most "
-                             "this factor worse than the better "
-                             "format on any corpus matrix")
-    parser.add_argument("--spmm-tolerance", type=float, default=0.95,
-                        help="measured narrow-vs-wide ratios must "
-                             "stay within this factor of their "
-                             "key-matched reference (deterministic "
-                             "simulated ratios)")
-    parser.add_argument("--precision-floor", type=float, default=1.3,
-                        help="required int8-over-fp16 advantage on "
-                             "simulated kernel time at memory-bound "
-                             "precision points")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="per-bench quick-run timeout in seconds")
     args = parser.parse_args()
 
     ok = True
-    for name, spec in BENCHES.items():
-        ok = check_bench(name, spec, args) and ok
+    for name, bench in BENCHES.items():
+        ok = check_bench(name, bench, args) and ok
     if not ok:
         sys.exit(1)
     print("check_bench: all benches green")

@@ -139,6 +139,34 @@ printReport(const KernelReport &report, const GpuConfig &cfg,
     std::printf("energy           : %.1f uJ\n", energy.totalUj());
 }
 
+/** Parse one positive-integer positional ("M", "N", ...). */
+bool
+parseDimArg(const std::string &token, int64_t *out)
+{
+    char *end = nullptr;
+    errno = 0;
+    *out = std::strtoll(token.c_str(), &end, 10);
+    return !token.empty() && end == token.c_str() + token.size() &&
+           errno != ERANGE && *out > 0;
+}
+
+/** Parse positionals 1..3 as M N K; prints the error on a bad one. */
+bool
+parseMnkArgs(const CliArgs &args, int64_t dims[3])
+{
+    for (int i = 0; i < 3; ++i) {
+        const std::string &token = args.positional[i + 1];
+        if (!parseDimArg(token, &dims[i])) {
+            std::fprintf(stderr,
+                         "error: dimension '%s' must be a positive "
+                         "integer\n",
+                         token.c_str());
+            return false;
+        }
+    }
+    return true;
+}
+
 int
 runGemm(const CliArgs &args, Session &session)
 {
@@ -157,20 +185,8 @@ runGemm(const CliArgs &args, Session &session)
         return 2;
     }
     int64_t dims[3];
-    for (int i = 0; i < 3; ++i) {
-        const std::string &token = args.positional[i + 1];
-        char *end = nullptr;
-        errno = 0;
-        dims[i] = std::strtoll(token.c_str(), &end, 10);
-        if (token.empty() || end != token.c_str() + token.size() ||
-            errno == ERANGE || dims[i] <= 0) {
-            std::fprintf(stderr,
-                         "error: dimension '%s' must be a positive "
-                         "integer\n",
-                         token.c_str());
-            return 2;
-        }
-    }
+    if (!parseMnkArgs(args, dims))
+        return 2;
     const int64_t m = dims[0], n = dims[1], k = dims[2];
     const double sa = args.flagD("a-sparsity", 0.0);
     const double sb = args.flagD("b-sparsity", 0.0);
@@ -216,17 +232,6 @@ runGemm(const CliArgs &args, Session &session)
                 dataTypeToken(req.dataType()));
     printReport(report, session.config(), req.dataType());
     return 0;
-}
-
-/** Parse one positive-integer positional ("M", "N", ...). */
-bool
-parseDimArg(const std::string &token, int64_t *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    *out = std::strtoll(token.c_str(), &end, 10);
-    return !token.empty() && end == token.c_str() + token.size() &&
-           errno != ERANGE && *out > 0;
 }
 
 int
@@ -1017,21 +1022,8 @@ runBackends(const CliArgs &args, Session &session)
     KernelRequest gemm_probe = KernelRequest::gemm(64, 64, 64);
     if (probe_request) {
         int64_t dims[3];
-        for (int i = 0; i < 3; ++i) {
-            const std::string &token = args.positional[i + 1];
-            char *end = nullptr;
-            errno = 0;
-            dims[i] = std::strtoll(token.c_str(), &end, 10);
-            if (token.empty() ||
-                end != token.c_str() + token.size() ||
-                errno == ERANGE || dims[i] <= 0) {
-                std::fprintf(stderr,
-                             "error: dimension '%s' must be a "
-                             "positive integer\n",
-                             token.c_str());
-                return 2;
-            }
-        }
+        if (!parseMnkArgs(args, dims))
+            return 2;
         const double sa = args.flagD("a-sparsity", 0.0);
         const double sb = args.flagD("b-sparsity", 0.0);
         if (!checkSparsityFlag("a-sparsity", sa) ||
