@@ -1,5 +1,6 @@
 #include "common/cli_flags.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -20,6 +21,86 @@ parseWholeLl(const std::string &v, long long *out)
     if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE)
         return false;
     *out = parsed;
+    return true;
+}
+
+/** The text of @p range when @p value lies outside it, else null. */
+const char *
+outsideRange(ArgRange range, double value)
+{
+    switch (range) {
+    case ArgRange::Any:
+        return nullptr;
+    case ArgRange::Fraction:
+        return value >= 0.0 && value <= 1.0 ? nullptr : "in [0, 1]";
+    case ArgRange::AtLeastOne:
+        return value >= 1.0 ? nullptr : ">= 1";
+    case ArgRange::Positive:
+        return value > 0.0 ? nullptr : "> 0";
+    case ArgRange::NonNegative:
+        return value >= 0.0 ? nullptr : ">= 0";
+    }
+    return nullptr;
+}
+
+/** Check one value against its declaration; @p label names it. */
+bool
+checkValue(const std::string &label, const ArgSpec &spec,
+           const std::string &v)
+{
+    const char *needs = nullptr;
+    double number = 0.0;
+    char *end = nullptr;
+    switch (spec.kind) {
+    case ArgKind::Presence:
+        return true;
+    case ArgKind::Text:
+        if (v.empty())
+            needs = "a value";
+        break;
+    case ArgKind::Number:
+        number = std::strtod(v.c_str(), &end);
+        if (v.empty() || end != v.c_str() + v.size() ||
+            !std::isfinite(number))
+            needs = "a finite numeric value";
+        break;
+    case ArgKind::Int: {
+        long long parsed = 0;
+        if (!parseWholeLl(v, &parsed) || parsed < INT_MIN ||
+            parsed > INT_MAX)
+            needs = "an integer value in range";
+        number = static_cast<double>(parsed);
+        break;
+    }
+    case ArgKind::U64:
+        errno = 0;
+        number = static_cast<double>(std::strtoull(v.c_str(), &end, 10));
+        if (v.empty() || v[0] == '-' || end != v.c_str() + v.size() ||
+            errno == ERANGE)
+            needs = "an unsigned integer value";
+        break;
+    }
+    if (needs) {
+        std::fprintf(stderr, "error: %s needs %s, got '%s'\n",
+                     label.c_str(), needs, v.c_str());
+        return false;
+    }
+    const auto &choices = spec.choices;
+    if (!choices.empty() &&
+        std::find(choices.begin(), choices.end(), v) == choices.end()) {
+        std::string valid;
+        for (const std::string &choice : choices)
+            valid += (valid.empty() ? "" : ", ") + choice;
+        std::fprintf(stderr,
+                     "error: %s must be one of {%s}, got '%s'\n",
+                     label.c_str(), valid.c_str(), v.c_str());
+        return false;
+    }
+    if (const char *range = outsideRange(spec.range, number)) {
+        std::fprintf(stderr, "error: %s must be %s, got %s\n",
+                     label.c_str(), range, v.c_str());
+        return false;
+    }
     return true;
 }
 
@@ -77,75 +158,54 @@ CliArgs::flagU64(const std::string &name, uint64_t fallback) const
 }
 
 bool
-CliArgs::checkPositionals(const char *command,
-                          size_t max_positionals) const
+CliArgs::matchesForm(const std::vector<ArgSpec> &positionals,
+                     const std::vector<ArgSpec> &declared) const
 {
-    if (positional.size() <= max_positionals)
-        return true;
-    std::fprintf(stderr,
-                 "error: unexpected argument '%s' for command '%s'\n",
-                 positional[max_positionals].c_str(), command);
-    return false;
+    for (const ArgSpec &spec : declared)
+        if (spec.required && !hasFlag(spec.name))
+            return false;
+    size_t required = 0;
+    for (const ArgSpec &spec : positionals)
+        required += spec.required;
+    const size_t given = positional.empty() ? 0 : positional.size() - 1;
+    return given >= required && given <= positionals.size();
 }
 
 bool
 CliArgs::validateFlags(const char *command,
-                       const std::set<std::string> &known,
-                       const std::set<std::string> &numeric,
-                       const std::set<std::string> &integer,
-                       const std::set<std::string> &u64,
-                       const std::set<std::string> &global) const
+                       const std::vector<ArgSpec> &declared,
+                       const std::vector<ArgSpec> &positionals) const
 {
     bool ok = true;
-    for (const auto &[k, v] : flags) {
-        if (!known.count(k) && !global.count(k)) {
+    for (auto it = flags.begin(); it != flags.end(); ++it) {
+        const std::string &name = it->first;
+        const auto spec =
+            std::find_if(declared.begin(), declared.end(),
+                         [&](const ArgSpec &s) { return s.name == name; });
+        if (spec == declared.end()) {
             std::string valid;
-            for (const auto &name : global)
-                valid += (valid.empty() ? "--" : ", --") + name;
-            for (const auto &name : known)
-                valid += (valid.empty() ? "--" : ", --") + name;
+            for (const ArgSpec &s : declared)
+                valid += (valid.empty() ? "--" : ", --") + s.name;
             std::fprintf(stderr,
                          "error: unknown flag '--%s' for command "
                          "'%s' (valid: %s)\n",
-                         k.c_str(), command, valid.c_str());
+                         name.c_str(), command, valid.c_str());
             ok = false;
-            continue;
-        }
-        if (u64.count(k)) {
-            char *end = nullptr;
-            errno = 0;
-            std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || v[0] == '-' ||
-                end != v.c_str() + v.size() || errno == ERANGE) {
-                std::fprintf(stderr,
-                             "error: flag '--%s' needs an unsigned "
-                             "integer value, got '%s'\n",
-                             k.c_str(), v.c_str());
-                ok = false;
-            }
-        } else if (integer.count(k)) {
-            long long parsed = 0;
-            if (!parseWholeLl(v, &parsed) || parsed < INT_MIN ||
-                parsed > INT_MAX) {
-                std::fprintf(stderr,
-                             "error: flag '--%s' needs an integer "
-                             "value in range, got '%s'\n",
-                             k.c_str(), v.c_str());
-                ok = false;
-            }
-        } else if (numeric.count(k)) {
-            char *end = nullptr;
-            const double value = std::strtod(v.c_str(), &end);
-            if (v.empty() || end != v.c_str() + v.size() ||
-                !std::isfinite(value)) {
-                std::fprintf(stderr,
-                             "error: flag '--%s' needs a finite "
-                             "numeric value, got '%s'\n",
-                             k.c_str(), v.c_str());
-                ok = false;
-            }
+        } else if (std::any_of(flags.begin(), it, [&](const auto &f) {
+                       return f.first == name;
+                   })) {
+            std::fprintf(stderr, "error: flag '--%s' given twice\n",
+                         name.c_str());
+            ok = false;
+        } else if (!checkValue("--" + name, *spec, it->second)) {
+            ok = false;
         }
     }
+    for (size_t i = 0; i < positionals.size() && i + 1 < positional.size();
+         ++i)
+        if (!checkValue(positionals[i].name, positionals[i],
+                        positional[i + 1]))
+            ok = false;
     return ok;
 }
 
@@ -172,51 +232,6 @@ parseCliArgs(int argc, char **argv,
         }
     }
     return args;
-}
-
-bool
-checkSparsityFlag(const char *name, double value)
-{
-    if (value >= 0.0 && value <= 1.0)
-        return true;
-    std::fprintf(stderr, "error: --%s must be in [0, 1], got %g\n",
-                 name, value);
-    return false;
-}
-
-bool
-checkClusterFlag(const char *name, double value)
-{
-    if (value >= 1.0)
-        return true;
-    std::fprintf(stderr, "error: --%s must be >= 1, got %g\n", name,
-                 value);
-    return false;
-}
-
-bool
-checkChoiceFlag(const char *name, const std::string &value,
-                const std::vector<std::string> &choices)
-{
-    for (const std::string &choice : choices)
-        if (value == choice)
-            return true;
-    std::string valid;
-    for (const std::string &choice : choices)
-        valid += (valid.empty() ? "" : ", ") + choice;
-    std::fprintf(stderr, "error: --%s must be one of {%s}, got '%s'\n",
-                 name, valid.c_str(), value.c_str());
-    return false;
-}
-
-bool
-checkPositiveFlag(const char *name, double value)
-{
-    if (value > 0.0)
-        return true;
-    std::fprintf(stderr, "error: --%s must be > 0, got %g\n", name,
-                 value);
-    return false;
 }
 
 } // namespace dstc

@@ -2,14 +2,18 @@
  * @file
  * Flag parsing and validation for the CLI front ends (dstc_sim).
  *
- * The contract is validate-then-read: `validateFlags` checks every
- * flag against the command's vocabulary and value kinds — unknown
- * names, malformed numbers, non-finite values and integers outside
- * int range all *return* errors (printed to stderr) instead of
- * exiting, so the caller owns the exit path and tests can exercise
- * every rejection. After a successful validation the typed accessors
- * (`flagI`, `flagD`, `flagU64`) cannot fail; called on unvalidated
- * input they fall back to the default rather than terminating.
+ * A command form declares each of its flags and positionals once, as
+ * an ArgSpec: name, value kind, and the vocabulary or numeric range
+ * the value must fall in. The contract is validate-then-read:
+ * `validateFlags` checks every given flag and positional against
+ * those declarations — unknown or repeated names, malformed numbers,
+ * non-finite values, integers outside int range, values off the
+ * vocabulary or out of range all *return* errors (printed to stderr)
+ * instead of exiting, so the caller owns the exit path and tests can
+ * exercise every rejection. After a successful validation the typed
+ * accessors (`flagI`, `flagD`, `flagU64`) cannot fail; called on
+ * unvalidated input they fall back to the default rather than
+ * terminating.
  */
 #ifndef DSTC_COMMON_CLI_FLAGS_H
 #define DSTC_COMMON_CLI_FLAGS_H
@@ -21,6 +25,38 @@
 #include <vector>
 
 namespace dstc {
+
+/** How a declared value is read and checked. */
+enum class ArgKind
+{
+    Presence, ///< a switch that never takes a value
+    Text,     ///< a non-empty string (one of `choices`, if given)
+    Number,   ///< a finite decimal number
+    Int,      ///< a whole decimal in int range
+    U64,      ///< an unsigned decimal (seeds)
+};
+
+/** The valid range of a Number, Int or U64 value. */
+enum class ArgRange
+{
+    Any,
+    Fraction,    ///< [0, 1]: sparsities
+    AtLeastOne,  ///< >= 1: cluster factors
+    Positive,    ///< > 0: dimensions, rates, durations, depths
+    NonNegative, ///< >= 0: padding
+};
+
+/** One declared flag (`--name`) or positional of a command form. */
+struct ArgSpec
+{
+    std::string name;
+    ArgKind kind = ArgKind::Text;
+    ArgRange range = ArgRange::Any;
+    /** Text only: the closed vocabulary (empty: any non-empty). */
+    std::vector<std::string> choices = {};
+    /** A required flag or positional; it selects the form. */
+    bool required = false;
+};
 
 /** Parsed command line: positionals plus --name[ated] flags. */
 struct CliArgs
@@ -49,30 +85,31 @@ struct CliArgs
                      uint64_t fallback) const;
 
     /**
-     * Reject positionals beyond @p max_positionals — stray tokens
-     * (including a negative value after a flag, which parseCliArgs
-     * refuses to consume) used to be silently ignored.
+     * Whether these arguments have the shape of a command form: every
+     * required flag of @p flags is present and the positionals after
+     * the command (positional[0]) number at least the required and at
+     * most all of @p positionals. Values are not checked.
      */
-    bool checkPositionals(const char *command,
-                          size_t max_positionals) const;
+    bool matchesForm(const std::vector<ArgSpec> &positionals,
+                     const std::vector<ArgSpec> &flags) const;
 
     /**
-     * Validate every flag against the command's vocabulary: reject
-     * any name outside @p known and @p global (the caller's
-     * always-allowed flags, e.g. dstc_sim's --a100), any @p numeric
-     * flag whose value does not parse fully as a finite number, any
-     * @p integer flag whose value is not a whole decimal in int
-     * range (so "--seed 1e3" cannot silently atoi to 1 and
-     * "--hw 99999999999" cannot overflow an accessor), and any
-     * @p u64 flag that is not an unsigned decimal. Errors print to
-     * stderr and the function returns false — it never exits.
+     * Validate every flag against @p flags — reject a name not
+     * declared there or given twice, and a value that does not fit
+     * its declaration — and every positional after the command
+     * against @p positionals, in order. A Text value must be
+     * non-empty and in the vocabulary;
+     * a Number must parse fully as a finite number, an Int as a
+     * whole decimal in int range (so "--seed 1e3" cannot silently
+     * atoi to 1 and "--hw 99999999999" cannot overflow an
+     * accessor), a U64 as an unsigned decimal, each within its
+     * range. Errors print to stderr and the function returns false —
+     * it never exits.
      */
     bool validateFlags(const char *command,
-                       const std::set<std::string> &known,
-                       const std::set<std::string> &numeric = {},
-                       const std::set<std::string> &integer = {},
-                       const std::set<std::string> &u64 = {},
-                       const std::set<std::string> &global = {}) const;
+                       const std::vector<ArgSpec> &flags,
+                       const std::vector<ArgSpec> &positionals = {})
+        const;
 };
 
 /**
@@ -84,23 +121,6 @@ struct CliArgs
  */
 CliArgs parseCliArgs(int argc, char **argv,
                      const std::set<std::string> &boolean_flags);
-
-/** Sparsity flags are fractions in [0, 1]; prints and returns. */
-bool checkSparsityFlag(const char *name, double value);
-
-/** Cluster factors concentrate non-zeros; must be >= 1. */
-bool checkClusterFlag(const char *name, double value);
-
-/**
- * Enumerated string flag: @p value must be one of @p choices.
- * Prints the valid vocabulary to stderr and returns false otherwise
- * — never exits, per the validate-then-read contract.
- */
-bool checkChoiceFlag(const char *name, const std::string &value,
-                     const std::vector<std::string> &choices);
-
-/** Strictly positive numeric flag (rates, durations, depths). */
-bool checkPositiveFlag(const char *name, double value);
 
 } // namespace dstc
 

@@ -4,56 +4,23 @@
  * operating points without writing code. All execution goes through
  * the Session / KernelRegistry plan-execute API.
  *
- * Usage:
- *   dstc_sim gemm M N K [--a-sparsity S] [--b-sparsity S]
- *            [--cluster C] [--seed N] [--hybrid-threshold T]
- *            [--dtype fp32|fp16|bf16|int8|int4]
- *            [--method auto|dual|dense|zhu|ampere|cusparse|hybrid]
- *   dstc_sim spmm <file.mtx> [N] | spmm M N K [--a-sparsity S]
- *            [--format auto|narrow|wide] [--dtype ...] [--seed N]
- *            [--method auto|dual|dense|cusparse|hybrid]
- *   dstc_sim conv --in-c C --hw H --out-c N [--kernel K] [--stride S]
- *            [--pad P] [--wsp S] [--asp S] [--batch B] [--seed N]
- *            [--cluster C] [--act-cluster C] [--explicit]
- *            [--method auto|dual|dense|zhu]
- *   dstc_sim model vgg16|resnet18|maskrcnn|bert|rnn
- *            [--method auto|dual|dense|single] [--seed N] [--batched]
- *            [--dtype fp32|fp16|bf16|int8|int4]
- *   dstc_sim cluster vgg16|resnet18|maskrcnn|bert|rnn
- *            [--devices v100,a100,future] [--policy cost|rr|shard]
- *            [--method auto|dual|dense|single] [--replicate N]
- *            [--seed N]
- *   dstc_sim serve vgg16|resnet18|maskrcnn|bert|rnn|mix
- *            [--devices v100,a100,future]
- *            [--policy deadline|cost|rr] [--admission reject|shed]
- *            [--pattern poisson|bursty] [--rate RPMS]
- *            [--duration MS] [--depth N] [--microbatch N]
- *            [--method auto|dual|dense|single] [--seed N]
- *            [--faults SPEC] [--fault-seed N] [--retry]
- *            [--retry-budget N] [--backoff US] [--hedge]
- *            [--no-failover] [--no-degrade]
- *
- * Fault specs are ';'-separated events (see serve/faults.h):
- *   crash@<t_us>:d<idx>             crash-stop a device at t
- *   slow@<t_us>+<dur_us>x<f>:d<idx> slowdown window, factor f >= 1
- *   transient:p<prob>               per-attempt failure probability
- *   randcrash:<n>                   n seeded random crashes
- *   dstc_sim backends [M N K] [--a-sparsity S] [--b-sparsity S]
- *            [--cluster C] [--seed N] [--hybrid-threshold T]
- *   dstc_sim backends --mtx <file.mtx> [--n N]
- *   dstc_sim overhead [--dtype fp32|fp16|bf16|int8|int4]
- *
- * All commands run on the V100 machine model; pass --a100 to switch
- * (the cluster command instead takes its comma-separated --devices
- * list). Unknown commands, flags or flag values are rejected with an
- * error (exit code 2) instead of silently falling back to defaults.
+ * Each command form is one row of kCommands: its positionals and
+ * flags, declared once and validated by cli_flags, and its run
+ * function. Run `dstc_sim` with no arguments for the usage generated
+ * from that table (README.md's CLI block is that output). Single-
+ * device forms run on the V100 machine model, or on the A100-class
+ * one with --a100; cluster and serve take a --devices list instead.
+ * Unknown commands, flags or flag values, and flags the chosen form
+ * does not read, are rejected with an error (exit code 2) instead of
+ * silently falling back to defaults.
  */
-#include <cmath>
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli_flags.h"
@@ -74,42 +41,131 @@ using namespace dstc;
 
 namespace {
 
-/** Flags valid for every command (the machine-model switch). */
-const std::set<std::string> kGlobalFlags = {"a100"};
+/** A CLI vocabulary: each token and the value it selects. */
+template <typename T>
+using Tokens = std::vector<std::pair<std::string, T>>;
 
-/** Parse --method against the subset a command supports. */
-bool
-parseMethodFlag(const CliArgs &args, const std::string &fallback,
-                const std::set<std::string> &allowed, Method *out)
+template <typename T>
+std::vector<std::string>
+tokensOf(const Tokens<T> &table)
 {
-    const std::string token = args.flag("method", fallback);
-    Method method;
-    if (!parseMethod(token, &method) || !allowed.count(token)) {
-        std::string valid;
-        for (const auto &name : allowed)
-            valid += (valid.empty() ? "" : "|") + name;
-        std::fprintf(stderr,
-                     "error: unknown method '%s' (valid: %s)\n",
-                     token.c_str(), valid.c_str());
-        return false;
-    }
-    *out = method;
-    return true;
+    std::vector<std::string> tokens;
+    for (const auto &[token, value] : table)
+        tokens.push_back(token);
+    return tokens;
 }
 
-/** Parse the --dtype flag (defaulting to the FP16 datapath). */
-bool
-parseDataTypeFlag(const CliArgs &args, DataType *out)
+/** The value @p token selects; null when it is not in @p table. */
+template <typename T>
+const T *
+findToken(const Tokens<T> &table, const std::string &token)
 {
-    const std::string token = args.flag("dtype", "fp16");
-    if (!parseDataType(token, out)) {
-        std::fprintf(stderr,
-                     "error: unknown dtype '%s' (valid: "
-                     "fp32|fp16|bf16|int8|int4)\n",
-                     token.c_str());
-        return false;
-    }
-    return true;
+    for (const auto &[name, value] : table)
+        if (name == token)
+            return &value;
+    return nullptr;
+}
+
+std::string
+join(const std::vector<std::string> &words, const char *separator)
+{
+    std::string text;
+    for (const std::string &word : words)
+        text += (text.empty() ? "" : separator) + word;
+    return text;
+}
+
+const Tokens<DnnModel (*)()> kZoo = {{"vgg16", makeVgg16},
+                                     {"resnet18", makeResnet18},
+                                     {"maskrcnn", makeMaskRcnn},
+                                     {"bert", makeBertBase},
+                                     {"rnn", makeRnnLM}};
+
+const Tokens<ModelMethod> kModelMethods = {
+    {"auto", ModelMethod::Auto},
+    {"dual", ModelMethod::DualSparseImplicit},
+    {"dense", ModelMethod::DenseImplicit},
+    {"single", ModelMethod::SingleSparseImplicit}};
+
+const Tokens<GpuConfig (*)()> kDeviceModels = {
+    {"v100", GpuConfig::v100},
+    {"a100", GpuConfig::a100Like},
+    {"future", GpuConfig::futureGpu}};
+
+// -- declarations shared by several command forms --------------------
+
+const ArgSpec kA100 = {"a100", ArgKind::Presence};
+const ArgSpec kSeed = {"seed", ArgKind::U64};
+const ArgSpec kASparsity = {"a-sparsity", ArgKind::Number,
+                            ArgRange::Fraction};
+const ArgSpec kBSparsity = {"b-sparsity", ArgKind::Number,
+                            ArgRange::Fraction};
+const ArgSpec kCluster = {"cluster", ArgKind::Number,
+                          ArgRange::AtLeastOne};
+const ArgSpec kHybridThreshold = {"hybrid-threshold", ArgKind::Number};
+const ArgSpec kDtype = {"dtype", ArgKind::Text, ArgRange::Any,
+                        {"fp32", "fp16", "bf16", "int8", "int4"}};
+const ArgSpec kFormat = {"format", ArgKind::Text, ArgRange::Any,
+                         {"auto", "narrow", "wide"}};
+const ArgSpec kSpmmMethod = {"method", ArgKind::Text, ArgRange::Any,
+                             {"auto", "dual", "dense", "cusparse",
+                              "hybrid"}};
+const ArgSpec kModelMethod = {"method", ArgKind::Text, ArgRange::Any,
+                              tokensOf(kModelMethods)};
+const ArgSpec kDevices = {"devices"};
+const ArgSpec kModel = {"model", ArgKind::Text, ArgRange::Any,
+                        tokensOf(kZoo), true};
+/** A zoo model, or the resnet18 + bert "mix" (serve only). */
+const ArgSpec kServePool = {"model", ArgKind::Text, ArgRange::Any,
+                            [] {
+                                auto pools = tokensOf(kZoo);
+                                pools.push_back("mix");
+                                return pools;
+                            }(),
+                            true};
+const std::vector<ArgSpec> kMnk = {
+    {"M", ArgKind::Int, ArgRange::Positive, {}, true},
+    {"N", ArgKind::Int, ArgRange::Positive, {}, true},
+    {"K", ArgKind::Int, ArgRange::Positive, {}, true}};
+
+/** Positional @p i, validated as a positive dimension. */
+int64_t
+dimArg(const CliArgs &args, size_t i)
+{
+    return std::atoll(args.positional[i].c_str());
+}
+
+/**
+ * --method and --dtype of a GEMM-shaped request (defaults: dual,
+ * fp16). The hybrid composer has no integer datapath (per-class
+ * quantization scales would disagree), so that pair is refused.
+ */
+bool
+parseMethodAndDtype(const CliArgs &args, Method *method, DataType *dtype)
+{
+    parseMethod(args.flag("method", "dual"), method);
+    parseDataType(args.flag("dtype", "fp16"), dtype);
+    if (*method != Method::Hybrid || !dataTypeIsInteger(*dtype))
+        return true;
+    std::fprintf(stderr,
+                 "error: the hybrid composer has no integer "
+                 "datapath (per-class quantization scales would "
+                 "disagree); use --method dual\n");
+    return false;
+}
+
+/** The synthetic GEMM of `gemm M N K` and `backends M N K`. */
+KernelRequest
+syntheticGemm(const CliArgs &args)
+{
+    const double sa = args.flagD("a-sparsity", 0.0);
+    const double sb = args.flagD("b-sparsity", 0.0);
+    const double cluster = args.flagD("cluster", 1.0);
+    return KernelRequest::gemm(dimArg(args, 1), dimArg(args, 2),
+                               dimArg(args, 3), sa, sb)
+        .withClusters(sa > 0 ? cluster : 1.0, sb > 0 ? cluster : 1.0)
+        .withSeed(args.flagU64("seed", 1))
+        .withHybridThreshold(args.flagD("hybrid-threshold", -1.0));
 }
 
 void
@@ -139,200 +195,61 @@ printReport(const KernelReport &report, const GpuConfig &cfg,
     std::printf("energy           : %.1f uJ\n", energy.totalUj());
 }
 
-/** Parse one positive-integer positional ("M", "N", ...). */
-bool
-parseDimArg(const std::string &token, int64_t *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    *out = std::strtoll(token.c_str(), &end, 10);
-    return !token.empty() && end == token.c_str() + token.size() &&
-           errno != ERANGE && *out > 0;
-}
-
-/** Parse positionals 1..3 as M N K; prints the error on a bad one. */
-bool
-parseMnkArgs(const CliArgs &args, int64_t dims[3])
-{
-    for (int i = 0; i < 3; ++i) {
-        const std::string &token = args.positional[i + 1];
-        if (!parseDimArg(token, &dims[i])) {
-            std::fprintf(stderr,
-                         "error: dimension '%s' must be a positive "
-                         "integer\n",
-                         token.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
 int
 runGemm(const CliArgs &args, Session &session)
 {
-    if (!args.checkPositionals("gemm", 4))
-        return 2;
-    if (!args.validateFlags("gemm",
-                         {"a-sparsity", "b-sparsity", "cluster",
-                          "method", "seed", "hybrid-threshold",
-                          "dtype"},
-                         {"a-sparsity", "b-sparsity", "cluster",
-                          "hybrid-threshold"},
-                         {}, {"seed"}, kGlobalFlags))
-        return 2;
-    if (args.positional.size() < 4) {
-        std::fprintf(stderr, "usage: dstc_sim gemm M N K [flags]\n");
-        return 2;
-    }
-    int64_t dims[3];
-    if (!parseMnkArgs(args, dims))
-        return 2;
-    const int64_t m = dims[0], n = dims[1], k = dims[2];
-    const double sa = args.flagD("a-sparsity", 0.0);
-    const double sb = args.flagD("b-sparsity", 0.0);
-    if (!checkSparsityFlag("a-sparsity", sa) ||
-        !checkSparsityFlag("b-sparsity", sb))
-        return 2;
-    const double cluster = args.flagD("cluster", 1.0);
-    if (!checkClusterFlag("cluster", cluster))
-        return 2;
-
     Method method;
-    if (!parseMethodFlag(args, "dual",
-                         {"auto", "dual", "dense", "zhu", "ampere",
-                          "cusparse", "hybrid"},
-                         &method))
-        return 2;
     DataType dtype;
-    if (!parseDataTypeFlag(args, &dtype))
+    if (!parseMethodAndDtype(args, &method, &dtype))
         return 2;
-    if (method == Method::Hybrid && dataTypeIsInteger(dtype)) {
-        std::fprintf(stderr,
-                     "error: the hybrid composer has no integer "
-                     "datapath (per-class quantization scales would "
-                     "disagree); use --method dual\n");
-        return 2;
-    }
-
     KernelRequest req =
-        KernelRequest::gemm(m, n, k, sa, sb)
-            .withMethod(method)
-            .withDataType(dtype)
-            .withClusters(sa > 0 ? cluster : 1.0,
-                          sb > 0 ? cluster : 1.0)
-            .withSeed(args.flagU64("seed", 1))
-            .withHybridThreshold(args.flagD("hybrid-threshold", -1.0));
+        syntheticGemm(args).withMethod(method).withDataType(dtype);
 
     KernelReport report = session.run(req);
     std::printf("GEMM %lld x %lld x %lld, A sparsity %.3f, B sparsity "
                 "%.3f (%s, %s)\n",
-                static_cast<long long>(m), static_cast<long long>(n),
-                static_cast<long long>(k), sa, sb,
-                methodToken(req.method),
+                static_cast<long long>(req.m),
+                static_cast<long long>(req.n),
+                static_cast<long long>(req.k), req.a_sparsity,
+                req.b_sparsity, methodToken(req.method),
                 dataTypeToken(req.dataType()));
     printReport(report, session.config(), req.dataType());
     return 0;
 }
 
+/** `spmm M N K` (synthetic) and `spmm FILE.mtx [N]`. */
 int
 runSpmm(const CliArgs &args, Session &session)
 {
-    if (!args.checkPositionals("spmm", 4))
-        return 2;
-    if (!args.validateFlags("spmm",
-                         {"a-sparsity", "cluster", "method", "format",
-                          "seed", "dtype", "hybrid-threshold"},
-                         {"a-sparsity", "cluster", "hybrid-threshold"},
-                         {}, {"seed"}, kGlobalFlags))
-        return 2;
-    if (args.positional.size() < 2) {
-        std::fprintf(stderr,
-                     "usage: dstc_sim spmm <file.mtx> [N] [flags]\n"
-                     "       dstc_sim spmm M N K --a-sparsity S "
-                     "[flags]\n");
-        return 2;
-    }
-
     Method method;
-    if (!parseMethodFlag(args, "dual",
-                         {"auto", "dual", "dense", "cusparse",
-                          "hybrid"},
-                         &method))
+    DataType dtype;
+    if (!parseMethodAndDtype(args, &method, &dtype))
         return 2;
     SpmmFormat format;
-    if (!parseSpmmFormat(args.flag("format", "auto"), &format)) {
-        std::fprintf(stderr,
-                     "error: unknown format '%s' (valid: "
-                     "auto|narrow|wide)\n",
-                     args.flag("format", "auto").c_str());
-        return 2;
-    }
-    DataType dtype;
-    if (!parseDataTypeFlag(args, &dtype))
-        return 2;
-    if (method == Method::Hybrid && dataTypeIsInteger(dtype)) {
-        std::fprintf(stderr,
-                     "error: the hybrid composer has no integer "
-                     "datapath (per-class quantization scales would "
-                     "disagree); use --method dual\n");
-        return 2;
-    }
+    parseSpmmFormat(args.flag("format", "auto"), &format);
     const uint64_t seed = args.flagU64("seed", 1);
-
-    // `spmm M N K --a-sparsity S` is the synthetic flavor; anything
-    // that does not parse as a dimension is a .mtx path.
-    int64_t first_dim = 0;
-    const bool synthetic = parseDimArg(args.positional[1], &first_dim);
 
     Matrix<float> a_mtx, b_dense;
     KernelRequest req;
-    if (synthetic) {
-        if (args.positional.size() != 4) {
-            std::fprintf(stderr,
-                         "usage: dstc_sim spmm M N K --a-sparsity S "
-                         "[flags]\n");
-            return 2;
-        }
-        int64_t n = 0, k = 0;
-        if (!parseDimArg(args.positional[2], &n) ||
-            !parseDimArg(args.positional[3], &k)) {
-            std::fprintf(stderr, "error: dimensions must be positive "
-                                 "integers\n");
-            return 2;
-        }
+    if (args.positional.size() == 4) {
+        const int64_t m = dimArg(args, 1), n = dimArg(args, 2),
+                      k = dimArg(args, 3);
         const double sa = args.flagD("a-sparsity", 0.99);
-        if (!checkSparsityFlag("a-sparsity", sa))
-            return 2;
-        const double cluster = args.flagD("cluster", 1.0);
-        if (!checkClusterFlag("cluster", cluster))
-            return 2;
-        req = KernelRequest::spmm(first_dim, n, k, sa);
-        req.a_cluster = cluster;
+        req = KernelRequest::spmm(m, n, k, sa);
+        req.a_cluster = args.flagD("cluster", 1.0);
         std::printf("SpMM %lld x %lld x %lld, A sparsity %.4f "
                     "(synthetic)\n",
-                    static_cast<long long>(first_dim),
-                    static_cast<long long>(n),
+                    static_cast<long long>(m), static_cast<long long>(n),
                     static_cast<long long>(k), sa);
     } else {
-        if (args.positional.size() > 3) {
-            std::fprintf(stderr,
-                         "usage: dstc_sim spmm <file.mtx> [N] "
-                         "[flags]\n");
-            return 2;
-        }
         const std::string &path = args.positional[1];
         std::string error;
         if (!loadMatrixMarket(path, &a_mtx, &error)) {
             std::fprintf(stderr, "error: %s\n", error.c_str());
             return 2;
         }
-        int64_t n = 32;
-        if (args.positional.size() == 3 &&
-            !parseDimArg(args.positional[2], &n)) {
-            std::fprintf(stderr, "error: N must be a positive "
-                                 "integer\n");
-            return 2;
-        }
+        const int64_t n = args.positional.size() == 3 ? dimArg(args, 2)
+                                                      : 32;
         Rng rng(seed);
         b_dense = randomSparseMatrix(a_mtx.cols(),
                                      static_cast<int>(n), 0.0, rng);
@@ -359,18 +276,6 @@ runSpmm(const CliArgs &args, Session &session)
 int
 runConv(const CliArgs &args, Session &session)
 {
-    if (!args.checkPositionals("conv", 1))
-        return 2;
-    if (!args.validateFlags("conv",
-                         {"batch", "in-c", "hw", "out-c", "kernel",
-                          "stride", "pad", "wsp", "asp", "method",
-                          "seed", "cluster", "act-cluster",
-                          "explicit"},
-                         {"wsp", "asp", "cluster", "act-cluster"},
-                         {"batch", "in-c", "hw", "out-c", "kernel",
-                          "stride", "pad"},
-                         {"seed"}, kGlobalFlags))
-        return 2;
     ConvShape shape;
     shape.batch = args.flagI("batch", 1);
     shape.in_c = args.flagI("in-c", 0);
@@ -379,18 +284,6 @@ runConv(const CliArgs &args, Session &session)
     shape.kernel = args.flagI("kernel", 3);
     shape.stride = args.flagI("stride", 1);
     shape.pad = args.flagI("pad", 1);
-    if (shape.in_c <= 0 || shape.in_h <= 0 || shape.out_c <= 0) {
-        std::fprintf(stderr, "usage: dstc_sim conv --in-c C --hw H "
-                             "--out-c N [flags]\n");
-        return 2;
-    }
-    if (shape.batch <= 0 || shape.kernel <= 0 || shape.stride <= 0 ||
-        shape.pad < 0) {
-        std::fprintf(stderr,
-                     "error: --batch/--kernel/--stride must be "
-                     "positive and --pad non-negative\n");
-        return 2;
-    }
     if (shape.outH() <= 0) {
         std::fprintf(stderr,
                      "error: convolution output collapses to zero\n");
@@ -398,9 +291,7 @@ runConv(const CliArgs &args, Session &session)
     }
 
     Method method;
-    if (!parseMethodFlag(args, "dual", {"auto", "dual", "dense", "zhu"},
-                         &method))
-        return 2;
+    parseMethod(args.flag("method", "dual"), &method);
     const bool explicit_lowering = args.hasFlag("explicit");
     if (explicit_lowering && method == Method::DualSparse) {
         std::fprintf(stderr, "error: the dual-side design has no "
@@ -408,20 +299,14 @@ runConv(const CliArgs &args, Session &session)
         return 2;
     }
 
-    const double wsp = args.flagD("wsp", 0.0);
-    const double asp = args.flagD("asp", 0.0);
-    if (!checkSparsityFlag("wsp", wsp) || !checkSparsityFlag("asp", asp))
-        return 2;
-    KernelRequest req = KernelRequest::conv(shape, wsp, asp);
+    KernelRequest req = KernelRequest::conv(
+        shape, args.flagD("wsp", 0.0), args.flagD("asp", 0.0));
     req.method = method;
     req.lowering = explicit_lowering ? Lowering::Explicit
                                      : Lowering::Implicit;
     req.seed = args.flagU64("seed", 1);
     req.b_cluster = args.flagD("cluster", 4.0);
     req.a_cluster = args.flagD("act-cluster", 2.0);
-    if (!checkClusterFlag("cluster", req.b_cluster) ||
-        !checkClusterFlag("act-cluster", req.a_cluster))
-        return 2;
 
     KernelReport report = session.run(req);
     std::printf("CONV %s (%s)\n", shape.str().c_str(),
@@ -430,78 +315,15 @@ runConv(const CliArgs &args, Session &session)
     return 0;
 }
 
-/** Parse a model-zoo name; prints the valid set on failure. */
-bool
-parseModelArg(const std::string &name, DnnModel *out)
-{
-    if (name == "vgg16")
-        *out = makeVgg16();
-    else if (name == "resnet18")
-        *out = makeResnet18();
-    else if (name == "maskrcnn")
-        *out = makeMaskRcnn();
-    else if (name == "bert")
-        *out = makeBertBase();
-    else if (name == "rnn")
-        *out = makeRnnLM();
-    else {
-        std::fprintf(stderr,
-                     "error: unknown model '%s' (valid: vgg16, "
-                     "resnet18, maskrcnn, bert, rnn)\n",
-                     name.c_str());
-        return false;
-    }
-    return true;
-}
-
-/** Parse the model-granularity --method flag. */
-bool
-parseModelMethodArg(const std::string &token, ModelMethod *out)
-{
-    if (token == "dual")
-        *out = ModelMethod::DualSparseImplicit;
-    else if (token == "dense")
-        *out = ModelMethod::DenseImplicit;
-    else if (token == "single")
-        *out = ModelMethod::SingleSparseImplicit;
-    else if (token == "auto")
-        *out = ModelMethod::Auto;
-    else {
-        std::fprintf(stderr,
-                     "error: unknown method '%s' (valid: "
-                     "auto|dual|dense|single)\n",
-                     token.c_str());
-        return false;
-    }
-    return true;
-}
-
 int
 runModel(const CliArgs &args, Session &session)
 {
-    if (!args.checkPositionals("model", 2))
-        return 2;
-    if (!args.validateFlags("model",
-                         {"method", "seed", "batched", "dtype"}, {},
-                         {}, {"seed"}, kGlobalFlags))
-        return 2;
-    if (args.positional.size() < 2) {
-        std::fprintf(stderr, "usage: dstc_sim model <name> [flags]\n");
-        return 2;
-    }
-    DnnModel model;
-    if (!parseModelArg(args.positional[1], &model))
-        return 2;
-
-    ModelMethod method;
-    if (!parseModelMethodArg(args.flag("method", "dual"), &method))
-        return 2;
-
-    const uint64_t seed =
-        args.flagU64("seed", 1);
+    const DnnModel model = (*findToken(kZoo, args.positional[1]))();
+    const ModelMethod method =
+        *findToken(kModelMethods, args.flag("method", "dual"));
+    const uint64_t seed = args.flagU64("seed", 1);
     DataType dtype;
-    if (!parseDataTypeFlag(args, &dtype))
-        return 2;
+    parseDataType(args.flag("dtype", "fp16"), &dtype);
     ModelRunner runner(session);
     ModelRunResult result =
         args.hasFlag("batched")
@@ -556,91 +378,81 @@ parseDevicesArg(const std::string &list,
         if (comma == std::string::npos)
             comma = list.size();
         const std::string token = list.substr(start, comma - start);
-        if (token == "v100")
-            configs->push_back(GpuConfig::v100());
-        else if (token == "a100")
-            configs->push_back(GpuConfig::a100Like());
-        else if (token == "future")
-            configs->push_back(GpuConfig::futureGpu());
-        else {
+        const auto make = findToken(kDeviceModels, token);
+        if (!make) {
             std::fprintf(stderr,
-                         "error: unknown device '%s' (valid: v100, "
-                         "a100, future)\n",
-                         token.c_str());
+                         "error: unknown device '%s' (valid: %s)\n",
+                         token.c_str(),
+                         join(tokensOf(kDeviceModels), ", ").c_str());
             return false;
         }
+        configs->push_back((*make)());
         names->push_back(token);
         start = comma + 1;
     }
     return true;
 }
 
+/** The workload of cluster and serve: one model's layer batch under
+ *  --method and --seed, or serve's resnet18 + bert "mix". */
+struct ModelPool
+{
+    std::string model; ///< display name ("mix" for the mix)
+    ModelMethod method;
+    uint64_t seed;
+    std::vector<KernelRequest> requests;
+};
+
+ModelPool
+parseModelPool(const CliArgs &args)
+{
+    const std::string &name = args.positional[1];
+    const std::vector<DnnModel> models =
+        name == "mix"
+            ? std::vector<DnnModel>{makeResnet18(), makeBertBase()}
+            : std::vector<DnnModel>{(*findToken(kZoo, name))()};
+    ModelPool pool{models.size() == 1 ? models[0].name : name,
+                   *findToken(kModelMethods, args.flag("method", "dual")),
+                   args.flagU64("seed", 1),
+                   {}};
+    for (const DnnModel &model : models) {
+        const std::vector<KernelRequest> batch =
+            ModelRunner::layerRequests(model, pool.method, pool.seed);
+        pool.requests.insert(pool.requests.end(), batch.begin(),
+                             batch.end());
+    }
+    return pool;
+}
+
 int
 runCluster(const CliArgs &args)
 {
-    if (!args.checkPositionals("cluster", 2))
-        return 2;
-    // No kGlobalFlags here: the cluster command takes its machine
-    // list via --devices, so a stray --a100 must be rejected, not
-    // silently ignored.
-    if (!args.validateFlags("cluster",
-                            {"devices", "policy", "method", "seed",
-                             "replicate"},
-                            {}, {"replicate"}, {"seed"}, {}))
-        return 2;
-    if (args.positional.size() < 2) {
-        std::fprintf(stderr,
-                     "usage: dstc_sim cluster <model> [--devices "
-                     "v100,a100,future] [--policy cost|rr|shard] "
-                     "[flags]\n");
-        return 2;
-    }
-    DnnModel model;
-    if (!parseModelArg(args.positional[1], &model))
-        return 2;
-    ModelMethod method;
-    if (!parseModelMethodArg(args.flag("method", "dual"), &method))
-        return 2;
-
+    const ModelPool pool = parseModelPool(args);
     ClusterOptions opts;
     std::vector<std::string> device_names;
     if (!parseDevicesArg(args.flag("devices", "v100,v100"),
                          &opts.devices, &device_names))
         return 2;
-    if (!parsePlacementPolicy(args.flag("policy", "cost"),
-                              &opts.policy)) {
-        std::fprintf(stderr, "error: unknown policy '%s' (valid: "
-                             "cost|rr|shard)\n",
-                     args.flag("policy", "cost").c_str());
-        return 2;
-    }
+    parsePlacementPolicy(args.flag("policy", "cost"), &opts.policy);
     const int replicate = args.flagI("replicate", 1);
-    if (replicate < 1) {
-        std::fprintf(stderr,
-                     "error: --replicate must be positive\n");
-        return 2;
-    }
-    const uint64_t seed = args.flagU64("seed", 1);
 
     Cluster cluster(opts);
     // The serving shape: the same model batch arriving over and over
     // (same seed per replica, so encodings and estimates dedup in
     // the shared cache).
     std::vector<KernelRequest> requests;
-    const std::vector<KernelRequest> layer_batch =
-        ModelRunner::layerRequests(model, method, seed);
     for (int rep = 0; rep < replicate; ++rep)
-        requests.insert(requests.end(), layer_batch.begin(),
-                        layer_batch.end());
+        requests.insert(requests.end(), pool.requests.begin(),
+                        pool.requests.end());
     std::vector<KernelReport> reports =
         cluster.runBatch(std::move(requests));
 
     std::printf("%s x %d under %s on %zu devices, policy %s:\n",
-                model.name.c_str(), replicate,
-                modelMethodName(method), cluster.numDevices(),
+                pool.model.c_str(), replicate,
+                modelMethodName(pool.method), cluster.numDevices(),
                 placementPolicyToken(opts.policy));
 
-    const size_t layers = layer_batch.size();
+    const size_t layers = pool.requests.size();
     TextTable per_layer;
     per_layer.setHeader({"layer", "time (us)", "device", "backend"});
     for (size_t i = 0; i < layers; ++i)
@@ -684,52 +496,7 @@ runCluster(const CliArgs &args)
 int
 runServe(const CliArgs &args)
 {
-    if (!args.checkPositionals("serve", 2))
-        return 2;
-    // Like cluster: the device list comes from --devices, so the
-    // global --a100 switch is rejected rather than ignored.
-    if (!args.validateFlags("serve",
-                            {"devices", "policy", "admission",
-                             "pattern", "rate", "duration", "depth",
-                             "microbatch", "method", "seed", "faults",
-                             "fault-seed", "retry", "retry-budget",
-                             "backoff", "hedge", "no-failover",
-                             "no-degrade"},
-                            {"rate", "duration", "backoff"},
-                            {"depth", "microbatch", "retry-budget"},
-                            {"seed", "fault-seed"}, {}))
-        return 2;
-    if (args.positional.size() < 2) {
-        std::fprintf(stderr,
-                     "usage: dstc_sim serve <model|mix> [--devices "
-                     "v100,a100,future] [--policy deadline|cost|rr] "
-                     "[--admission reject|shed] [--faults spec] "
-                     "[--retry] [--hedge] [flags]\n");
-        return 2;
-    }
-
-    ModelMethod method;
-    if (!parseModelMethodArg(args.flag("method", "dual"), &method))
-        return 2;
-    const uint64_t seed = args.flagU64("seed", 1);
-
-    // The workload pool: one model's layer batch, or the
-    // heterogeneous resnet18+bert mix.
-    std::vector<KernelRequest> pool;
-    const std::string &pool_name = args.positional[1];
-    if (pool_name == "mix") {
-        for (const DnnModel &model : {makeResnet18(), makeBertBase()}) {
-            const std::vector<KernelRequest> batch =
-                ModelRunner::layerRequests(model, method, seed);
-            pool.insert(pool.end(), batch.begin(), batch.end());
-        }
-    } else {
-        DnnModel model;
-        if (!parseModelArg(pool_name, &model))
-            return 2;
-        pool = ModelRunner::layerRequests(model, method, seed);
-    }
-
+    ModelPool pool = parseModelPool(args);
     ServingOptions opts;
     std::vector<std::string> device_names;
     if (!parseDevicesArg(args.flag("devices", "v100,v100"),
@@ -739,26 +506,15 @@ runServe(const CliArgs &args)
     const std::string policy = args.flag("policy", "deadline");
     const std::string admission = args.flag("admission", "reject");
     const std::string pattern = args.flag("pattern", "poisson");
-    if (!checkChoiceFlag("policy", policy, {"deadline", "cost", "rr"}) ||
-        !checkChoiceFlag("admission", admission, {"reject", "shed"}) ||
-        !checkChoiceFlag("pattern", pattern, {"poisson", "bursty"}))
-        return 2;
     parseServePolicy(policy, &opts.policy);
     parseAdmissionPolicy(admission, &opts.admission);
     parseTrafficPattern(pattern, &opts.arrivals.pattern);
 
     opts.arrivals.rate_rpms = args.flagD("rate", 400.0);
     opts.arrivals.duration_ms = args.flagD("duration", 2.0);
-    opts.arrivals.seed = seed;
-    const int depth = args.flagI("depth", 256);
-    const int microbatch = args.flagI("microbatch", 4);
-    if (!checkPositiveFlag("rate", opts.arrivals.rate_rpms) ||
-        !checkPositiveFlag("duration", opts.arrivals.duration_ms) ||
-        !checkPositiveFlag("depth", depth) ||
-        !checkPositiveFlag("microbatch", microbatch))
-        return 2;
-    opts.queue_depth = static_cast<size_t>(depth);
-    opts.microbatch = static_cast<size_t>(microbatch);
+    opts.arrivals.seed = pool.seed;
+    opts.queue_depth = static_cast<size_t>(args.flagI("depth", 256));
+    opts.microbatch = static_cast<size_t>(args.flagI("microbatch", 4));
 
     // Fault injection and recovery policies. Malformed specs are a
     // usage error (exit 2) with the parser's own message — the same
@@ -777,24 +533,20 @@ runServe(const CliArgs &args)
     opts.hedge = args.hasFlag("hedge");
     opts.failover = !args.hasFlag("no-failover");
     opts.degrade = !args.hasFlag("no-degrade");
-    const int retry_budget = args.flagI("retry-budget", 3);
+    opts.retry_budget = args.flagI("retry-budget", 3);
     opts.retry_backoff_us = args.flagD("backoff", 10.0);
-    if (!checkPositiveFlag("retry-budget", retry_budget) ||
-        !checkPositiveFlag("backoff", opts.retry_backoff_us))
-        return 2;
-    opts.retry_budget = retry_budget;
 
-    ServingEngine engine(opts, std::move(pool));
+    ServingEngine engine(opts, std::move(pool.requests));
     const double capacity = engine.estimatedCapacityRpms();
     ServingResult result = engine.run();
     const ServingStats &stats = result.stats;
 
     std::printf("serve %s on %zu devices, policy %s, admission %s, "
                 "%s @ %.0f req/ms for %.1f ms (seed %llu)\n",
-                pool_name.c_str(), engine.cluster().numDevices(),
+                args.positional[1].c_str(), engine.cluster().numDevices(),
                 policy.c_str(), admission.c_str(), pattern.c_str(),
                 opts.arrivals.rate_rpms, opts.arrivals.duration_ms,
-                static_cast<unsigned long long>(seed));
+                static_cast<unsigned long long>(pool.seed));
     std::printf("estimated capacity: %.0f req/ms (offered load "
                 "%.2fx)\n\n",
                 capacity, opts.arrivals.rate_rpms / capacity);
@@ -883,8 +635,10 @@ runServe(const CliArgs &args)
  * estimate and the dual plan's choice.
  */
 int
-probeMtx(const std::string &path, int64_t n, Session &session)
+runProbeMtx(const CliArgs &args, Session &session)
 {
+    const std::string path = args.flag("mtx", "");
+    const int64_t n = args.flagI("n", 32);
     Matrix<float> a;
     std::string error;
     if (!loadMatrixMarket(path, &a, &error)) {
@@ -981,70 +735,25 @@ probeMtx(const std::string &path, int64_t n, Session &session)
     return 0;
 }
 
+/**
+ * `backends` describes the static registry; `backends M N K` also
+ * reports each backend's applicability and cost-model estimate for
+ * that request, plus the hybrid composer's partition preview.
+ */
 int
 runBackends(const CliArgs &args, Session &session)
 {
-    // With no shape the command describes the static registry; with
-    // `backends M N K [--a-sparsity ...]` it reports each backend's
-    // applicability and cost-model estimate for that request, plus
-    // the hybrid composer's partition preview. `--mtx <file>`
-    // switches to the real-matrix SpMM probe instead.
-    if (!args.checkPositionals("backends", 4) ||
-        !args.validateFlags("backends",
-                            {"a-sparsity", "b-sparsity", "cluster",
-                             "seed", "hybrid-threshold", "mtx", "n"},
-                            {"a-sparsity", "b-sparsity", "cluster",
-                             "hybrid-threshold"},
-                            {"n"}, {"seed"}, kGlobalFlags))
-        return 2;
-    const std::string mtx_path = args.flag("mtx", "");
-    if (!mtx_path.empty()) {
-        if (args.positional.size() != 1) {
-            std::fprintf(stderr, "usage: dstc_sim backends --mtx "
-                                 "<file.mtx> [--n N]\n");
-            return 2;
-        }
-        const int n = args.flagI("n", 32);
-        if (n <= 0) {
-            std::fprintf(stderr,
-                         "error: --n must be a positive integer\n");
-            return 2;
-        }
-        return probeMtx(mtx_path, n, session);
-    }
-    if (args.positional.size() != 1 && args.positional.size() != 4) {
-        std::fprintf(stderr,
-                     "usage: dstc_sim backends [M N K] [flags]\n");
-        return 2;
-    }
     const bool probe_request = args.positional.size() == 4;
-
-    KernelRequest gemm_probe = KernelRequest::gemm(64, 64, 64);
-    if (probe_request) {
-        int64_t dims[3];
-        if (!parseMnkArgs(args, dims))
-            return 2;
-        const double sa = args.flagD("a-sparsity", 0.0);
-        const double sb = args.flagD("b-sparsity", 0.0);
-        if (!checkSparsityFlag("a-sparsity", sa) ||
-            !checkSparsityFlag("b-sparsity", sb))
-            return 2;
-        const double cluster = args.flagD("cluster", 1.0);
-        if (!checkClusterFlag("cluster", cluster))
-            return 2;
-        gemm_probe = KernelRequest::gemm(dims[0], dims[1], dims[2],
-                                         sa, sb);
-        gemm_probe.a_cluster = sa > 0 ? cluster : 1.0;
-        gemm_probe.b_cluster = sb > 0 ? cluster : 1.0;
-        gemm_probe.seed = args.flagU64("seed", 1);
-        gemm_probe.hybrid_options.threshold =
-            args.flagD("hybrid-threshold", -1.0);
+    const KernelRequest gemm_probe =
+        probe_request ? syntheticGemm(args)
+                      : KernelRequest::gemm(64, 64, 64);
+    if (probe_request)
         std::printf("request: GEMM %lld x %lld x %lld, A sparsity "
                     "%.3f, B sparsity %.3f\n",
-                    static_cast<long long>(dims[0]),
-                    static_cast<long long>(dims[1]),
-                    static_cast<long long>(dims[2]), sa, sb);
-    }
+                    static_cast<long long>(gemm_probe.m),
+                    static_cast<long long>(gemm_probe.n),
+                    static_cast<long long>(gemm_probe.k),
+                    gemm_probe.a_sparsity, gemm_probe.b_sparsity);
 
     KernelRequest conv_probe;
     conv_probe.kind = KernelRequest::Kind::Conv;
@@ -1100,13 +809,8 @@ runBackends(const CliArgs &args, Session &session)
 int
 runOverhead(const CliArgs &args, Session &session)
 {
-    if (!args.checkPositionals("overhead", 1) ||
-        !args.validateFlags("overhead", {"dtype"}, {}, {}, {},
-                            kGlobalFlags))
-        return 2;
     DataType dtype;
-    if (!parseDataTypeFlag(args, &dtype))
-        return 2;
+    parseDataType(args.flag("dtype", "fp16"), &dtype);
     OverheadReport report = estimateOverhead(session.config(), dtype);
     TextTable table;
     table.setHeader({"module", "area (mm^2)", "power (W)"});
@@ -1119,6 +823,155 @@ runOverhead(const CliArgs &args, Session &session)
     return 0;
 }
 
+/** One command form: a row of the command table. */
+struct Command
+{
+    const char *name;
+    std::vector<ArgSpec> positionals = {};
+    /** Every flag of the form but --a100 (see flagsOf). */
+    std::vector<ArgSpec> flags = {};
+    /** A single-device form: one Session, V100 or --a100. */
+    int (*run)(const CliArgs &, Session &) = nullptr;
+    /** A multi-device form: takes --devices, rejects --a100. */
+    int (*run_devices)(const CliArgs &) = nullptr;
+};
+
+// A form is chosen by name, required flags and positional count, in
+// table order (so `backends --mtx` is tried before bare `backends`).
+const std::vector<Command> kCommands = {
+    {.name = "gemm",
+     .positionals = kMnk,
+     .flags = {kASparsity, kBSparsity, kCluster, kSeed, kHybridThreshold,
+               kDtype,
+               {"method", ArgKind::Text, ArgRange::Any,
+                {"auto", "dual", "dense", "zhu", "ampere", "cusparse",
+                 "hybrid"}}},
+     .run = runGemm},
+    {.name = "spmm",
+     .positionals = kMnk,
+     .flags = {kASparsity, kCluster, kSeed, kHybridThreshold, kFormat,
+               kDtype, kSpmmMethod},
+     .run = runSpmm},
+    {.name = "spmm",
+     .positionals = {{"FILE.mtx", ArgKind::Text, ArgRange::Any, {}, true},
+                     {"N", ArgKind::Int, ArgRange::Positive}},
+     .flags = {kSeed, kHybridThreshold, kFormat, kDtype, kSpmmMethod},
+     .run = runSpmm},
+    {.name = "conv",
+     .flags = {{"in-c", ArgKind::Int, ArgRange::Positive, {}, true},
+               {"hw", ArgKind::Int, ArgRange::Positive, {}, true},
+               {"out-c", ArgKind::Int, ArgRange::Positive, {}, true},
+               {"kernel", ArgKind::Int, ArgRange::Positive},
+               {"stride", ArgKind::Int, ArgRange::Positive},
+               {"pad", ArgKind::Int, ArgRange::NonNegative},
+               {"wsp", ArgKind::Number, ArgRange::Fraction},
+               {"asp", ArgKind::Number, ArgRange::Fraction},
+               {"batch", ArgKind::Int, ArgRange::Positive},
+               kSeed,
+               {"cluster", ArgKind::Number, ArgRange::AtLeastOne},
+               {"act-cluster", ArgKind::Number, ArgRange::AtLeastOne},
+               {"explicit", ArgKind::Presence},
+               {"method", ArgKind::Text, ArgRange::Any,
+                {"auto", "dual", "dense", "zhu"}}},
+     .run = runConv},
+    {.name = "model",
+     .positionals = {kModel},
+     .flags = {kModelMethod, kSeed, {"batched", ArgKind::Presence},
+               kDtype},
+     .run = runModel},
+    {.name = "cluster",
+     .positionals = {kModel},
+     .flags = {kDevices,
+               {"policy", ArgKind::Text, ArgRange::Any,
+                {"cost", "rr", "shard"}},
+               kModelMethod,
+               {"replicate", ArgKind::Int, ArgRange::Positive},
+               kSeed},
+     .run_devices = runCluster},
+    {.name = "serve",
+     .positionals = {kServePool},
+     .flags = {kDevices,
+               {"policy", ArgKind::Text, ArgRange::Any,
+                {"deadline", "cost", "rr"}},
+               {"admission", ArgKind::Text, ArgRange::Any,
+                {"reject", "shed"}},
+               {"pattern", ArgKind::Text, ArgRange::Any,
+                {"poisson", "bursty"}},
+               {"rate", ArgKind::Number, ArgRange::Positive},
+               {"duration", ArgKind::Number, ArgRange::Positive},
+               {"depth", ArgKind::Int, ArgRange::Positive},
+               {"microbatch", ArgKind::Int, ArgRange::Positive},
+               kModelMethod,
+               kSeed,
+               {"faults"},
+               {"fault-seed", ArgKind::U64},
+               {"retry", ArgKind::Presence},
+               {"retry-budget", ArgKind::Int, ArgRange::Positive},
+               {"backoff", ArgKind::Number, ArgRange::Positive},
+               {"hedge", ArgKind::Presence},
+               {"no-failover", ArgKind::Presence},
+               {"no-degrade", ArgKind::Presence}},
+     .run_devices = runServe},
+    {.name = "backends",
+     .flags = {{"mtx", ArgKind::Text, ArgRange::Any, {}, true},
+               {"n", ArgKind::Int, ArgRange::Positive}},
+     .run = runProbeMtx},
+    {.name = "backends", .run = runBackends},
+    {.name = "backends",
+     .positionals = kMnk,
+     .flags = {kASparsity, kBSparsity, kCluster, kSeed,
+               kHybridThreshold},
+     .run = runBackends},
+    {.name = "overhead", .flags = {kDtype}, .run = runOverhead},
+};
+
+std::vector<ArgSpec>
+flagsOf(const Command &command)
+{
+    std::vector<ArgSpec> flags = command.flags;
+    if (!command.run_devices)
+        flags.push_back(kA100);
+    return flags;
+}
+
+/** A form's usage line, wrapped at 72 columns. */
+std::string
+usageOf(const Command &command)
+{
+    std::vector<std::string> words = {std::string("dstc_sim ") +
+                                      command.name};
+    for (const ArgSpec &spec : command.positionals) {
+        const std::string word =
+            spec.choices.empty() ? spec.name : join(spec.choices, "|");
+        words.push_back(spec.required ? word : "[" + word + "]");
+    }
+    for (const ArgSpec &spec : flagsOf(command)) {
+        std::string word = "--" + spec.name;
+        if (!spec.choices.empty()) {
+            word += " " + join(spec.choices, "|");
+        } else if (spec.kind == ArgKind::Number) {
+            word += " X";
+        } else if (spec.kind == ArgKind::Int ||
+                   spec.kind == ArgKind::U64) {
+            word += " N";
+        } else if (spec.kind == ArgKind::Text) {
+            word += " ";
+            for (char c : spec.name)
+                word += static_cast<char>(std::toupper(c));
+        }
+        words.push_back(spec.required ? word : "[" + word + "]");
+    }
+    std::string text, line;
+    for (const std::string &word : words) {
+        if (!line.empty() && line.size() + 1 + word.size() > 72) {
+            text += line + "\n";
+            line = "        ";
+        }
+        line += (line.empty() ? "" : " ") + word;
+    }
+    return text + line + "\n";
+}
+
 } // namespace
 
 int
@@ -1127,39 +980,53 @@ main(int argc, char **argv)
     // Presence-only flags never consume a following token (else
     // `--batched bogus` would silently eat the stray argument and
     // `--a100 model ...` would eat the command).
-    CliArgs args =
-        parseCliArgs(argc, argv,
-                     {"a100", "batched", "explicit", "retry", "hedge",
-                      "no-failover", "no-degrade"});
+    std::set<std::string> presence;
+    for (const Command &command : kCommands)
+        for (const ArgSpec &spec : flagsOf(command))
+            if (spec.kind == ArgKind::Presence)
+                presence.insert(spec.name);
+    const CliArgs args = parseCliArgs(argc, argv, presence);
+
     if (args.positional.empty()) {
+        for (const Command &command : kCommands)
+            std::fputs(usageOf(command).c_str(), stderr);
         std::fprintf(stderr,
-                     "usage: dstc_sim <gemm|spmm|conv|model|cluster|"
-                     "serve|backends|overhead> [args] [--a100]\n");
+                     "\n--devices is a comma-separated list of %s; "
+                     "--faults is a\n';'-separated event list (see "
+                     "src/serve/faults.h).\n",
+                     join(tokensOf(kDeviceModels), ", ").c_str());
         return 2;
     }
-
-    const std::string &command = args.positional[0];
-    if (command == "cluster")
-        return runCluster(args); // multi-device: --devices, not --a100
-    if (command == "serve")
-        return runServe(args); // multi-device: --devices, not --a100
+    const std::string &name = args.positional[0];
+    const Command *chosen = nullptr;
+    std::string forms;
+    std::vector<std::string> names;
+    for (const Command &command : kCommands) {
+        if (names.empty() || names.back() != command.name)
+            names.push_back(command.name);
+        if (command.name != name)
+            continue;
+        forms += usageOf(command);
+        if (!chosen && args.matchesForm(command.positionals,
+                                        command.flags))
+            chosen = &command;
+    }
+    if (forms.empty()) {
+        std::fprintf(stderr,
+                     "error: unknown command '%s' (valid: %s)\n",
+                     name.c_str(), join(names, ", ").c_str());
+        return 2;
+    }
+    if (!chosen) {
+        std::fprintf(stderr, "usage:\n%s", forms.c_str());
+        return 2;
+    }
+    if (!args.validateFlags(name.c_str(), flagsOf(*chosen),
+                            chosen->positionals))
+        return 2;
+    if (chosen->run_devices)
+        return chosen->run_devices(args);
     Session session(args.hasFlag("a100") ? GpuConfig::a100Like()
                                          : GpuConfig::v100());
-    if (command == "gemm")
-        return runGemm(args, session);
-    if (command == "spmm")
-        return runSpmm(args, session);
-    if (command == "conv")
-        return runConv(args, session);
-    if (command == "model")
-        return runModel(args, session);
-    if (command == "backends")
-        return runBackends(args, session);
-    if (command == "overhead")
-        return runOverhead(args, session);
-    std::fprintf(stderr,
-                 "error: unknown command '%s' (valid: gemm, spmm, "
-                 "conv, model, cluster, serve, backends, overhead)\n",
-                 command.c_str());
-    return 2;
+    return chosen->run(args, session);
 }
