@@ -26,6 +26,7 @@
 
 namespace dstc {
 
+class Backend;
 class KernelRegistry;
 
 /** Everything a backend needs besides the request itself. */
@@ -41,29 +42,76 @@ struct PlanContext
     int encode_workers = 1;
 
     /**
-     * The registry that issued this plan (set by
-     * KernelRegistry::plan). Composer backends — Method::Hybrid —
-     * route per-class sub-requests back through it; primitive
-     * backends ignore it. Null when a backend is planned directly,
-     * which primitive backends must tolerate.
+     * The registry that issued this plan. KernelRegistry::plan sets
+     * it and is the only path that plans a request, so every plan
+     * receives it. Composer backends (Method::Hybrid) route their
+     * per-class sub-requests back through its plan() and assert it
+     * is set; primitive backends ignore it.
      */
     const KernelRegistry *registry = nullptr;
+};
+
+/**
+ * Lazily-computed content digests of a request's concrete operands.
+ * Hashing a large matrix is a full pass over its bytes, and a plan
+ * needs the same operand under several encoding families (profiles,
+ * two-level, CSR) — so each operand is digested once and the 64-bit
+ * digest is folded into every family key.
+ */
+class OperandDigests
+{
+  public:
+    uint64_t
+    a(const Matrix<float> &m)
+    {
+        return digest(&m, &a_src_, &a_);
+    }
+
+    uint64_t
+    b(const Matrix<float> &m)
+    {
+        return digest(&m, &b_src_, &b_);
+    }
+
+  private:
+    /** Each slot memoizes exactly one matrix: a later call with a
+     *  different object would silently reuse the wrong digest, so
+     *  the identity is checked, not assumed. */
+    static uint64_t
+    digest(const Matrix<float> *m, const Matrix<float> **src,
+           std::optional<uint64_t> *slot)
+    {
+        if (!*slot) {
+            *src = m;
+            *slot = CacheKey("operand-bytes").matrix(*m).value();
+        }
+        DSTC_ASSERT(*src == m,
+                    "OperandDigests slot reused for a different "
+                    "matrix");
+        return **slot;
+    }
+
+    const Matrix<float> *a_src_ = nullptr;
+    const Matrix<float> *b_src_ = nullptr;
+    std::optional<uint64_t> a_;
+    std::optional<uint64_t> b_;
 };
 
 /**
  * A planned kernel: operands resolved/encoded, ready to execute.
  * Execution is memoized — execute() and estimatedTimeUs() share one
  * underlying run, so Auto dispatch never pays twice.
+ *
+ * This is the skeleton every backend's plan builds on: it holds the
+ * request (copied once) and the PlanContext (borrowed pointers: the
+ * Session must outlive the plan), one OperandDigests, and one
+ * cache-hit accumulator that resolve() feeds and execute() reports.
  */
 class ExecutionPlan
 {
   public:
-    ExecutionPlan(const char *backend_name, Method method,
-                  std::string tag)
-        : backend_name_(backend_name), method_(method),
-          tag_(std::move(tag))
-    {
-    }
+    ExecutionPlan(const Backend &backend, const KernelRequest &request,
+                  const PlanContext &ctx);
     virtual ~ExecutionPlan() = default;
 
     /**
@@ -88,7 +136,7 @@ class ExecutionPlan
         KernelReport r = result();
         r.method = method_;
         r.backend = backend_name_;
-        r.tag = tag_;
+        r.tag = req_.tag;
         r.encode_cache_hit = cache_hit_;
         if (estimated_)
             r.planned_us = *estimated_;
@@ -115,13 +163,32 @@ class ExecutionPlan
         return *result_;
     }
 
-    /** Set by subclasses when an encoded operand came from cache. */
-    bool cache_hit_ = false;
+    /**
+     * Resolve one operand encoding through a gemm_operands.h
+     * resolver — resolver(req, ctx, digests, &hit, args...) — against
+     * this plan's request, context and digests. A cache hit marks the
+     * report's encode_cache_hit.
+     */
+    template <typename Resolver, typename... Args>
+    auto
+    resolve(Resolver resolver, Args... args)
+    {
+        bool hit = false;
+        auto resolved = resolver(req_, ctx_, digests_, &hit, args...);
+        cache_hit_ = cache_hit_ || hit;
+        return resolved;
+    }
+
+    const GpuConfig &cfg() const { return *ctx_.cfg; }
+
+    const KernelRequest req_;
+    const PlanContext ctx_;
 
   private:
     const char *backend_name_;
     Method method_;
-    std::string tag_;
+    OperandDigests digests_;
+    bool cache_hit_ = false;
     std::optional<double> estimated_;
     std::optional<KernelReport> result_;
 };
@@ -158,7 +225,8 @@ class Backend
     }
 
     /** Resolve operand encodings and produce an executable plan.
-     *  Precondition: supports(request). */
+     *  Preconditions: supports(request), and ctx.registry is the
+     *  registry planning it (KernelRegistry::plan sets it). */
     virtual std::unique_ptr<ExecutionPlan>
     plan(const KernelRequest &request, const PlanContext &ctx) const = 0;
 };
@@ -172,6 +240,14 @@ std::unique_ptr<Backend> makeCusparseLikeBackend();
 
 // The density-partitioned composer over them (src/core/hybrid.h).
 std::unique_ptr<Backend> makeHybridBackend();
+
+inline ExecutionPlan::ExecutionPlan(const Backend &backend,
+                                    const KernelRequest &request,
+                                    const PlanContext &ctx)
+    : req_(request), ctx_(ctx), backend_name_(backend.name()),
+      method_(backend.method())
+{
+}
 
 } // namespace dstc
 

@@ -7,7 +7,9 @@
  * The density-partitioned hybrid composer that routes tile classes
  * across them lives in hybrid.cc.
  *
- * plan() resolves operand encodings through the EncodingCache:
+ * Every plan builds on the ExecutionPlan skeleton (request, context,
+ * digests and cache-hit flag held once) and resolves operand
+ * encodings through the EncodingCache with ExecutionPlan::resolve():
  * two-level bitmap construction for functional dual-sparse GEMM,
  * popcount-profile synthesis for the timing sweeps, CSR encoding for
  * the cuSPARSE baseline and the conv operand encodings of the im2col
@@ -49,8 +51,11 @@ convDataTypeOk(const KernelRequest &req)
     return req.dataType() == DataType::Fp16;
 }
 
-CacheKey
-convKey(const KernelRequest &req, ConvMethod cm)
+/** Cache-backed timing-path conv operand encoding, in the resolver
+ *  shape of gemm_operands.h (conv operands carry no digest). */
+std::shared_ptr<const ConvOperandEncoding>
+resolveConvEncoding(const KernelRequest &req, const PlanContext &ctx,
+                    OperandDigests &, bool *hit, ConvMethod cm)
 {
     CacheKey key("conv-encoding");
     key.i32(static_cast<int32_t>(cm));
@@ -67,7 +72,15 @@ convKey(const KernelRequest &req, ConvMethod cm)
         .f64(req.b_cluster)
         .f64(req.a_cluster)
         .u64(req.seed);
-    return key;
+    const KernelRequest r = req; // by-value for the builder
+    return ctx.cache->getOrBuild<ConvOperandEncoding>(
+        key.value(),
+        [r, cm] {
+            return encodeConvOperands(r.shape, cm, r.b_sparsity,
+                                      r.a_sparsity, r.seed,
+                                      r.b_cluster, r.a_cluster);
+        },
+        hit);
 }
 
 // ===================================================================
@@ -77,147 +90,77 @@ convKey(const KernelRequest &req, ConvMethod cm)
 class DualGemmPlan : public ExecutionPlan
 {
   public:
-    DualGemmPlan(const char *name, const KernelRequest &req,
-                 const PlanContext &ctx)
-        : ExecutionPlan(name, Method::DualSparse, req.tag), req_(req),
-          cfg_(*ctx.cfg), cache_(ctx.cache),
-          encode_workers_(ctx.encode_workers)
-    {
-    }
+    using ExecutionPlan::ExecutionPlan;
 
   protected:
     KernelReport
     run() override
     {
-        SpGemmDevice device(cfg_);
         KernelReport report;
-        if (req_.a && req_.b) {
-            // Functional path: resolve the two-level encodings the
-            // kernel consumes (encode-once across repeated
-            // requests). Deferred to execution so a losing Auto
-            // candidate never pays for the encode.
-            resolveTwoLevel();
-            SpGemmResult r = device.multiplyEncoded(
-                *a_enc_, *b_enc_, req_.gemm_options);
-            report.stats = r.stats;
-            if (req_.gemm_options.functional)
-                report.d = std::make_shared<const Matrix<float>>(
-                    std::move(r.d));
-        } else if (req_.a_encoded && req_.b_encoded) {
-            SpGemmResult r = device.multiplyEncoded(
-                *req_.a_encoded, *req_.b_encoded, req_.gemm_options);
-            report.stats = r.stats;
-            if (req_.gemm_options.functional)
-                report.d = std::make_shared<const Matrix<float>>(
-                    std::move(r.d));
-        } else {
-            const GemmProfilesView &p = profiles();
-            report.stats = device.timeFromProfiles(
-                *p.a, *p.b, req_.gemm_options);
+        if (!req_.a && !req_.a_encoded) {
+            report.stats = profileStats();
+            return report;
         }
+        // Functional path. Concrete operands resolve the two-level
+        // encodings the kernel consumes (encode-once across repeated
+        // requests); deferred to execution so a losing Auto
+        // candidate never pays for the encode.
+        std::shared_ptr<const TwoLevelBitmapMatrix> a_enc, b_enc;
+        if (req_.a) {
+            a_enc = resolve(resolveTwoLevelA);
+            b_enc = resolve(resolveTwoLevelB);
+        }
+        SpGemmResult r = SpGemmDevice(cfg()).multiplyEncoded(
+            a_enc ? *a_enc : *req_.a_encoded,
+            b_enc ? *b_enc : *req_.b_encoded, req_.gemm_options);
+        report.stats = r.stats;
+        if (req_.gemm_options.functional)
+            report.d =
+                std::make_shared<const Matrix<float>>(std::move(r.d));
         return report;
     }
 
     double
     estimate() override
     {
-        // Functional requests estimate from a profile view so Auto
-        // dispatch (and cluster cost-model placement) never runs a
-        // candidate's kernel just to rank it; the timing-only shapes
-        // share the memoized run (never paying twice).
-        if (req_.a_encoded && req_.b_encoded)
-            return estimateEncoded();
-        if (!(req_.a && req_.b))
+        // Functional and pre-encoded requests estimate from their
+        // profile view, so Auto dispatch (and cluster cost-model
+        // placement) never runs a candidate's kernel just to rank
+        // it; the profile counts are exact, so the estimate equals
+        // the executed stats. Timing-only requests share the
+        // memoized run, and so does a pre-encoded tiling that has
+        // no profile view.
+        if ((!req_.a && !req_.a_encoded) || !profiles())
             return ExecutionPlan::estimate();
-        const GemmProfilesView &p = profiles();
-        SpGemmDevice device(cfg_);
-        return device.timeFromProfiles(*p.a, *p.b, req_.gemm_options)
-            .timeUs();
+        return profileStats().timeUs();
     }
 
   private:
-    /**
-     * Estimate a pre-encoded request from profiles read off the
-     * encodings (packing-offset reads, no value pass) — running the
-     * real kernel here would make cost-ranking as expensive as
-     * executing every candidate. The derived counts are exact, so
-     * like every dual-sparse estimate this one equals the executed
-     * stats. Tilings that disagree with the options fall back to the
-     * memoized run (timeFromProfiles asserts the warp-tile edges).
-     */
-    double
-    estimateEncoded()
+    KernelStats
+    profileStats()
     {
+        const GemmProfilesView &p = profiles();
         SpGemmOptions o = req_.gemm_options;
-        const TwoLevelBitmapMatrix &a = *req_.a_encoded;
-        const TwoLevelBitmapMatrix &b = *req_.b_encoded;
-        if (a.tileRows() != o.tile_m || a.tileCols() != o.tile_k ||
-            b.tileRows() != o.tile_k || b.tileCols() != o.tile_n)
-            return ExecutionPlan::estimate();
         // Pre-encoded operands carry the authoritative datatype (the
         // run path reads it off their specs); keep the estimate's
         // compute/traffic scaling consistent with execution.
-        o.dtype = a.spec().dtype;
-        SpGemmDevice device(cfg_);
-        return device
-            .timeFromProfiles(SparsityProfile::fromEncodedA(a),
-                              SparsityProfile::fromEncodedB(b), o)
-            .timeUs();
+        if (req_.a_encoded)
+            o.dtype = req_.a_encoded->spec().dtype;
+        return SpGemmDevice(cfg()).timeFromProfiles(*p.a, *p.b, o);
     }
 
-    /**
-     * The popcount-profile view of the operands, resolved on first
-     * use: the timing path consumes it in run(), while functional
-     * plans only need it when Auto dispatch asks for an estimate.
-     * Empty for pre-encoded requests (no profile view available).
-     */
+    /** The popcount-profile view, resolved on first use: the timing
+     *  path consumes it in run(), while functional plans only need
+     *  it when Auto dispatch asks for an estimate. */
     const GemmProfilesView &
     profiles()
     {
-        if (!profiles_resolved_) {
-            profiles_resolved_ = true;
-            PlanContext ctx;
-            ctx.cfg = &cfg_;
-            ctx.cache = cache_;
-            bool hit = false;
-            profiles_ =
-                resolveGemmProfiles(req_, ctx, digests_, &hit);
-            cache_hit_ = cache_hit_ || hit;
-        }
-        return profiles_;
+        if (!profiles_)
+            profiles_ = resolve(resolveGemmProfiles);
+        return *profiles_;
     }
 
-    /**
-     * Cache-backed two-level encodings of concrete operands, via the
-     * shared resolvers of gemm_operands.h (word-parallel encoder,
-     * bitwise identical to the element-wise encode for every worker
-     * count; one cache key per operand digest and tiling, shared
-     * with the hybrid composer's class slices).
-     */
-    void
-    resolveTwoLevel()
-    {
-        if (a_enc_)
-            return;
-        bool hit_a = false, hit_b = false;
-        PlanContext ctx;
-        ctx.cfg = &cfg_;
-        ctx.cache = cache_;
-        ctx.encode_workers = encode_workers_;
-        a_enc_ = resolveTwoLevelA(req_, ctx, digests_, &hit_a);
-        b_enc_ = resolveTwoLevelB(req_, ctx, digests_, &hit_b);
-        cache_hit_ = cache_hit_ || hit_a || hit_b;
-    }
-
-    KernelRequest req_;
-    GpuConfig cfg_;
-    EncodingCache *cache_;
-    int encode_workers_ = 1;
-    OperandDigests digests_;
-    bool profiles_resolved_ = false;
-    GemmProfilesView profiles_;
-    std::shared_ptr<const TwoLevelBitmapMatrix> a_enc_;
-    std::shared_ptr<const TwoLevelBitmapMatrix> b_enc_;
+    std::optional<GemmProfilesView> profiles_;
 };
 
 /**
@@ -231,50 +174,34 @@ class DualGemmPlan : public ExecutionPlan
 class DualSpmmPlan : public ExecutionPlan
 {
   public:
-    DualSpmmPlan(const char *name, const KernelRequest &req,
-                 const PlanContext &ctx)
-        : ExecutionPlan(name, Method::DualSparse, req.tag), req_(req),
-          cfg_(*ctx.cfg), cache_(ctx.cache),
-          encode_workers_(ctx.encode_workers)
-    {
-    }
+    using ExecutionPlan::ExecutionPlan;
 
   protected:
     KernelReport
     run() override
     {
-        SpmmDevice device(cfg_);
         const SpmmFormat format = chosenFormat();
         KernelReport report;
-        if (req_.a && req_.b) {
-            // Encodes are deferred to execution so a losing Auto
-            // candidate (and the unchosen format) never pays for
-            // them.
-            PlanContext ctx;
-            ctx.cfg = &cfg_;
-            ctx.cache = cache_;
-            ctx.encode_workers = encode_workers_;
-            bool hit = false;
-            const QuantSpec spec_b =
-                specFor(req_.dataType(), *req_.b);
-            SpmmResult r =
-                format == SpmmFormat::Narrow
-                    ? device.multiplyNarrow(
-                          *resolveNarrowTileA(req_, ctx, digests_,
-                                              &hit),
-                          *req_.b, spec_b, req_.gemm_options)
-                    : device.multiplyWide(
-                          *resolveTwoLevelA(req_, ctx, digests_,
-                                            &hit),
-                          *req_.b, spec_b, req_.gemm_options);
-            cache_hit_ = cache_hit_ || hit;
-            report.stats = r.stats;
-            if (req_.gemm_options.functional)
-                report.d = std::make_shared<const Matrix<float>>(
-                    std::move(r.d));
-        } else {
+        if (!req_.a) {
             report.stats = formatStats(format);
+            return report;
         }
+        // Encodes are deferred to execution so a losing Auto
+        // candidate (and the unchosen format) never pays for them.
+        SpmmDevice device(cfg());
+        const QuantSpec spec_b = specFor(req_.dataType(), *req_.b);
+        SpmmResult r =
+            format == SpmmFormat::Narrow
+                ? device.multiplyNarrow(*resolve(resolveNarrowTileA),
+                                        *req_.b, spec_b,
+                                        req_.gemm_options)
+                : device.multiplyWide(*resolve(resolveTwoLevelA),
+                                      *req_.b, spec_b,
+                                      req_.gemm_options);
+        report.stats = r.stats;
+        if (req_.gemm_options.functional)
+            report.d =
+                std::make_shared<const Matrix<float>>(std::move(r.d));
         return report;
     }
 
@@ -308,38 +235,17 @@ class DualSpmmPlan : public ExecutionPlan
     KernelStats
     formatStats(SpmmFormat format)
     {
-        const SpmmProfilesView &p = profiles();
-        SpmmDevice device(cfg_);
+        if (!profiles_)
+            profiles_ = resolve(resolveSpmmProfiles);
+        SpmmDevice device(cfg());
         return format == SpmmFormat::Narrow
-                   ? device.timeNarrowFromProfile(*p.a8, req_.n,
+                   ? device.timeNarrowFromProfile(*profiles_.a8, req_.n,
                                                   req_.gemm_options)
-                   : device.timeWideFromProfile(*p.a32, req_.n,
+                   : device.timeWideFromProfile(*profiles_.a32, req_.n,
                                                 req_.gemm_options);
     }
 
-    const SpmmProfilesView &
-    profiles()
-    {
-        if (!profiles_resolved_) {
-            profiles_resolved_ = true;
-            PlanContext ctx;
-            ctx.cfg = &cfg_;
-            ctx.cache = cache_;
-            bool hit = false;
-            profiles_ =
-                resolveSpmmProfiles(req_, ctx, digests_, &hit);
-            cache_hit_ = cache_hit_ || hit;
-        }
-        return profiles_;
-    }
-
-    KernelRequest req_;
-    GpuConfig cfg_;
-    EncodingCache *cache_;
-    int encode_workers_ = 1;
-    OperandDigests digests_;
     SpmmFormat format_ = SpmmFormat::Auto; ///< Auto = not chosen yet
-    bool profiles_resolved_ = false;
     SpmmProfilesView profiles_;
 };
 
@@ -348,33 +254,20 @@ class DualSpmmPlan : public ExecutionPlan
 class ConvPlan : public ExecutionPlan
 {
   public:
-    ConvPlan(const char *name, Method method, const KernelRequest &req,
+    ConvPlan(const Backend &backend, const KernelRequest &req,
              const PlanContext &ctx)
-        : ExecutionPlan(name, method, req.tag), req_(req),
-          cfg_(*ctx.cfg),
-          conv_method_(toConvMethod(method, req.lowering))
+        : ExecutionPlan(backend, req, ctx),
+          conv_method_(toConvMethod(method(), req.lowering))
     {
-        if (!req_.functional()) {
-            bool hit = false;
-            const KernelRequest r = req_;
-            const ConvMethod cm = conv_method_;
-            encoding_ = ctx.cache->getOrBuild<ConvOperandEncoding>(
-                convKey(req_, cm).value(),
-                [r, cm] {
-                    return encodeConvOperands(
-                        r.shape, cm, r.b_sparsity, r.a_sparsity,
-                        r.seed, r.b_cluster, r.a_cluster);
-                },
-                &hit);
-            cache_hit_ = hit;
-        }
+        if (!req.functional())
+            encoding_ = resolve(resolveConvEncoding, conv_method_);
     }
 
   protected:
     KernelReport
     run() override
     {
-        ConvExecutor executor(cfg_);
+        ConvExecutor executor(cfg());
         KernelReport report;
         if (req_.functional()) {
             ConvResult r = executor.run(*req_.input, *req_.b,
@@ -399,8 +292,7 @@ class ConvPlan : public ExecutionPlan
         // dispatch must not run every candidate's functional path.
         if (!req_.functional())
             return ExecutionPlan::estimate();
-        ConvExecutor executor(cfg_);
-        return executor
+        return ConvExecutor(cfg())
             .timeOnly(req_.shape, conv_method_, req_.b->sparsity(),
                       req_.input->sparsity(), req_.seed,
                       req_.b_cluster, req_.a_cluster)
@@ -408,8 +300,6 @@ class ConvPlan : public ExecutionPlan
     }
 
   private:
-    KernelRequest req_;
-    GpuConfig cfg_;
     ConvMethod conv_method_;
     std::shared_ptr<const ConvOperandEncoding> encoding_;
 };
@@ -448,11 +338,10 @@ class DualSparseBackend : public Backend
          const PlanContext &ctx) const override
     {
         if (req.kind == KernelRequest::Kind::Conv)
-            return std::make_unique<ConvPlan>(name(), method(), req,
-                                              ctx);
+            return std::make_unique<ConvPlan>(*this, req, ctx);
         if (req.kind == KernelRequest::Kind::Spmm)
-            return std::make_unique<DualSpmmPlan>(name(), req, ctx);
-        return std::make_unique<DualGemmPlan>(name(), req, ctx);
+            return std::make_unique<DualSpmmPlan>(*this, req, ctx);
+        return std::make_unique<DualGemmPlan>(*this, req, ctx);
     }
 };
 
@@ -463,50 +352,38 @@ class DualSparseBackend : public Backend
 class DenseGemmPlan : public ExecutionPlan
 {
   public:
-    DenseGemmPlan(const char *name, const KernelRequest &req,
-                  const PlanContext &ctx)
-        : ExecutionPlan(name, Method::Dense, req.tag), req_(req),
-          cfg_(*ctx.cfg)
-    {
-    }
+    using ExecutionPlan::ExecutionPlan;
 
   protected:
     KernelReport
     run() override
     {
         KernelReport report;
-        const DataType dtype = req_.dataType();
-        if (req_.a && req_.b && req_.gemm_options.functional) {
-            DenseGemmDevice device(cfg_);
-            DenseGemmResult r = device.multiply(
-                *req_.a, *req_.b, req_.outer_product,
-                specFor(dtype, *req_.a), specFor(dtype, *req_.b));
-            report.stats = r.stats;
-            report.d =
-                std::make_shared<const Matrix<float>>(std::move(r.d));
-        } else {
-            report.stats =
-                cutlassGemm(cfg_, req_.m, req_.n, req_.k, dtype);
+        if (!(req_.a && req_.gemm_options.functional)) {
+            report.stats = analyticStats();
+            return report;
         }
+        const DataType dtype = req_.dataType();
+        DenseGemmResult r = DenseGemmDevice(cfg()).multiply(
+            *req_.a, *req_.b, req_.outer_product,
+            specFor(dtype, *req_.a), specFor(dtype, *req_.b));
+        report.stats = r.stats;
+        report.d = std::make_shared<const Matrix<float>>(std::move(r.d));
         return report;
     }
 
-    double
-    estimate() override
-    {
-        // Functional plans estimate analytically so Auto never runs
-        // a losing candidate's kernel; timing plans share the
-        // memoized run.
-        if (req_.a && req_.b)
-            return cutlassGemm(cfg_, req_.m, req_.n, req_.k,
-                               req_.dataType())
-                .timeUs();
-        return ExecutionPlan::estimate();
-    }
+    /** Every flavor estimates analytically, so Auto never runs a
+     *  losing candidate's kernel; timing-only runs are this same
+     *  analytic call. */
+    double estimate() override { return analyticStats().timeUs(); }
 
   private:
-    KernelRequest req_;
-    GpuConfig cfg_;
+    KernelStats
+    analyticStats() const
+    {
+        return cutlassGemm(cfg(), req_.m, req_.n, req_.k,
+                           req_.dataType());
+    }
 };
 
 class DenseBackend : public Backend
@@ -539,58 +416,63 @@ class DenseBackend : public Backend
          const PlanContext &ctx) const override
     {
         if (req.kind == KernelRequest::Kind::Conv)
-            return std::make_unique<ConvPlan>(name(), method(), req,
-                                              ctx);
+            return std::make_unique<ConvPlan>(*this, req, ctx);
         // Kind::Spmm shares the dense GEMM plan: same geometry
         // fields, same kernel (A's sparsity is invisible to a dense
         // datapath).
-        return std::make_unique<DenseGemmPlan>(name(), req, ctx);
+        return std::make_unique<DenseGemmPlan>(*this, req, ctx);
     }
 };
 
 // ===================================================================
-// Zhu vector-wise sparse Tensor Core [72]
+// The structurally pruning baselines: Zhu vector-wise sparse Tensor
+// Core [72] and the Ampere 2:4 sparse Tensor Core
 // ===================================================================
 
-class ZhuGemmPlan : public ExecutionPlan
+/**
+ * GEMM plan of both pruning baselines. Their timing is analytic at
+ * the weights' effective sparsity (probed once, shared by estimate
+ * and run); concrete functional requests also compute the pruned
+ * product.
+ */
+class PrunedGemmPlan : public ExecutionPlan
 {
   public:
-    ZhuGemmPlan(const char *name, const KernelRequest &req,
-                const PlanContext &ctx)
-        : ExecutionPlan(name, Method::ZhuSparse, req.tag), req_(req),
-          cfg_(*ctx.cfg)
-    {
-    }
+    using ExecutionPlan::ExecutionPlan;
 
   protected:
     KernelReport
     run() override
     {
         KernelReport report;
-        const DataType dtype = req_.dataType();
-        report.stats = zhuGemm(cfg_, req_.m, req_.n, req_.k,
-                               weightSparsity(req_), dtype);
-        if (req_.a && req_.b && req_.gemm_options.functional)
+        report.stats = analyticStats();
+        if (req_.a && req_.gemm_options.functional) {
+            const DataType dtype = req_.dataType();
+            const QuantSpec sa = specFor(dtype, *req_.a);
+            const QuantSpec sb = specFor(dtype, *req_.b);
             report.d = std::make_shared<const Matrix<float>>(
-                zhuGemmFunctional(*req_.a, *req_.b, 16,
-                                  specFor(dtype, *req_.a),
-                                  specFor(dtype, *req_.b)));
+                zhu() ? zhuGemmFunctional(*req_.a, *req_.b, 16, sa, sb)
+                      : ampereGemmFunctional(*req_.a, *req_.b, sa, sb));
+        }
         return report;
     }
 
-    double
-    estimate() override
-    {
-        if (req_.a && req_.b)
-            return zhuGemm(cfg_, req_.m, req_.n, req_.k,
-                           weightSparsity(req_), req_.dataType())
-                .timeUs();
-        return ExecutionPlan::estimate();
-    }
+    double estimate() override { return analyticStats().timeUs(); }
 
   private:
-    KernelRequest req_;
-    GpuConfig cfg_;
+    bool zhu() const { return method() == Method::ZhuSparse; }
+
+    const KernelStats &
+    analyticStats()
+    {
+        if (!stats_)
+            stats_ = (zhu() ? zhuGemm : ampereGemm)(
+                cfg(), req_.m, req_.n, req_.k, weightSparsity(req_),
+                req_.dataType());
+        return *stats_;
+    }
+
+    std::optional<KernelStats> stats_;
 };
 
 class ZhuSparseBackend : public Backend
@@ -632,56 +514,14 @@ class ZhuSparseBackend : public Backend
          const PlanContext &ctx) const override
     {
         if (req.kind == KernelRequest::Kind::Conv)
-            return std::make_unique<ConvPlan>(name(), method(), req,
-                                              ctx);
-        return std::make_unique<ZhuGemmPlan>(name(), req, ctx);
+            return std::make_unique<ConvPlan>(*this, req, ctx);
+        return std::make_unique<PrunedGemmPlan>(*this, req, ctx);
     }
 };
 
 // ===================================================================
 // Ampere 2:4 sparse Tensor Core
 // ===================================================================
-
-class AmpereGemmPlan : public ExecutionPlan
-{
-  public:
-    AmpereGemmPlan(const char *name, const KernelRequest &req,
-                   const PlanContext &ctx)
-        : ExecutionPlan(name, Method::AmpereSparse, req.tag),
-          req_(req), cfg_(*ctx.cfg)
-    {
-    }
-
-  protected:
-    KernelReport
-    run() override
-    {
-        KernelReport report;
-        const DataType dtype = req_.dataType();
-        report.stats = ampereGemm(cfg_, req_.m, req_.n, req_.k,
-                                  weightSparsity(req_), dtype);
-        if (req_.a && req_.b && req_.gemm_options.functional)
-            report.d = std::make_shared<const Matrix<float>>(
-                ampereGemmFunctional(*req_.a, *req_.b,
-                                     specFor(dtype, *req_.a),
-                                     specFor(dtype, *req_.b)));
-        return report;
-    }
-
-    double
-    estimate() override
-    {
-        if (req_.a && req_.b)
-            return ampereGemm(cfg_, req_.m, req_.n, req_.k,
-                              weightSparsity(req_), req_.dataType())
-                .timeUs();
-        return ExecutionPlan::estimate();
-    }
-
-  private:
-    KernelRequest req_;
-    GpuConfig cfg_;
-};
 
 class AmpereSparseBackend : public Backend
 {
@@ -710,7 +550,7 @@ class AmpereSparseBackend : public Backend
     plan(const KernelRequest &req,
          const PlanContext &ctx) const override
     {
-        return std::make_unique<AmpereGemmPlan>(name(), req, ctx);
+        return std::make_unique<PrunedGemmPlan>(*this, req, ctx);
     }
 };
 
@@ -721,39 +561,32 @@ class AmpereSparseBackend : public Backend
 class CusparseGemmPlan : public ExecutionPlan
 {
   public:
-    CusparseGemmPlan(const char *name, const KernelRequest &req,
-                     const PlanContext &ctx)
-        : ExecutionPlan(name, Method::CusparseLike, req.tag),
-          req_(req), cfg_(*ctx.cfg), cache_(ctx.cache)
-    {
-    }
+    using ExecutionPlan::ExecutionPlan;
 
   protected:
     KernelReport
     run() override
     {
         KernelReport report;
-        if (req_.a && req_.b) {
-            // CSR encode is deferred to execution so a losing Auto
-            // candidate never pays for it. The CSR encodings stay
-            // raw FP32 (dtype-invariant, shareable across request
-            // datatypes); quantization happens per value inside the
-            // multiply. The latency-limited timing model is
-            // insensitive to the lane width.
-            resolveCsr();
+        if (!req_.a) {
+            report.stats = expectedStats();
+            return report;
+        }
+        // CSR encode is deferred to execution so a losing Auto
+        // candidate never pays for it. The CSR encodings stay raw
+        // FP32 (dtype-invariant, shareable across request
+        // datatypes); quantization happens per value inside the
+        // multiply. The latency-limited timing model is insensitive
+        // to the lane width.
+        const auto a_csr = resolve(resolveCsr, false);
+        const auto b_csr = resolve(resolveCsr, true);
+        report.stats = cusparseGemmTime(cfg(), *a_csr, *b_csr);
+        if (req_.gemm_options.functional) {
             const DataType dtype = req_.dataType();
-            report.stats = cusparseGemmTime(cfg_, *a_csr_, *b_csr_);
-            if (req_.gemm_options.functional)
-                report.d = std::make_shared<const Matrix<float>>(
-                    csrGemm(*a_csr_, *b_csr_,
-                            specFor(dtype, *req_.a),
-                            specFor(dtype, *req_.b))
-                        .decode());
-        } else {
-            double da, db;
-            operandDensities(req_, &da, &db);
-            report.stats = cusparseGemmTimeExpected(
-                cfg_, req_.m, req_.n, req_.k, da, db);
+            report.d = std::make_shared<const Matrix<float>>(
+                csrGemm(*a_csr, *b_csr, specFor(dtype, *req_.a),
+                        specFor(dtype, *req_.b))
+                    .decode());
         }
         return report;
     }
@@ -761,47 +594,24 @@ class CusparseGemmPlan : public ExecutionPlan
     double
     estimate() override
     {
-        // Functional plans estimate from the expected-value model at
-        // the operands' measured densities (operandDensities reads
-        // the matrices directly); timing plans share the memoized
-        // run.
-        if (!(req_.a && req_.b))
-            return ExecutionPlan::estimate();
-        double da, db;
-        operandDensities(req_, &da, &db);
-        return cusparseGemmTimeExpected(cfg_, req_.m, req_.n, req_.k,
-                                        da, db)
-            .timeUs();
+        // Concrete operands estimate from the expected-value model at
+        // their measured densities (operandDensities reads the
+        // matrices directly) instead of paying the CSR encode; every
+        // other flavor's run is that same model, so it shares the
+        // memoized run.
+        return req_.a ? expectedStats().timeUs()
+                      : ExecutionPlan::estimate();
     }
 
   private:
-    void
-    resolveCsr()
+    KernelStats
+    expectedStats() const
     {
-        if (a_csr_)
-            return;
-        bool hit_a = false, hit_b = false;
-        CacheKey ka("csr-a");
-        ka.u64(digests_.a(*req_.a));
-        const Matrix<float> *a = req_.a;
-        a_csr_ = cache_->getOrBuild<CsrMatrix>(
-            ka.value(), [a] { return CsrMatrix::encode(*a); },
-            &hit_a);
-        CacheKey kb("csr-b");
-        kb.u64(digests_.b(*req_.b));
-        const Matrix<float> *b = req_.b;
-        b_csr_ = cache_->getOrBuild<CsrMatrix>(
-            kb.value(), [b] { return CsrMatrix::encode(*b); },
-            &hit_b);
-        cache_hit_ = cache_hit_ || hit_a || hit_b;
+        double da, db;
+        operandDensities(req_, &da, &db);
+        return cusparseGemmTimeExpected(cfg(), req_.m, req_.n, req_.k,
+                                        da, db);
     }
-
-    KernelRequest req_;
-    GpuConfig cfg_;
-    EncodingCache *cache_;
-    OperandDigests digests_;
-    std::shared_ptr<const CsrMatrix> a_csr_;
-    std::shared_ptr<const CsrMatrix> b_csr_;
 };
 
 /**
@@ -814,81 +624,57 @@ class CusparseGemmPlan : public ExecutionPlan
 class CusparseSpmmPlan : public ExecutionPlan
 {
   public:
-    CusparseSpmmPlan(const char *name, const KernelRequest &req,
-                     const PlanContext &ctx)
-        : ExecutionPlan(name, Method::CusparseLike, req.tag),
-          req_(req), cfg_(*ctx.cfg), cache_(ctx.cache)
-    {
-    }
+    using ExecutionPlan::ExecutionPlan;
 
   protected:
     KernelReport
     run() override
     {
         KernelReport report;
-        if (req_.a && req_.b) {
-            resolveCsrA();
-            const int64_t products =
-                static_cast<int64_t>(a_csr_->nnz()) * req_.n;
-            report.stats = cusparseSpmmTime(cfg_, req_.m, products,
-                                            req_.m * req_.n);
-            if (req_.gemm_options.functional) {
-                const DataType dtype = req_.dataType();
-                report.d = std::make_shared<const Matrix<float>>(
-                    csrSpmm(*a_csr_, *req_.b,
-                            specFor(dtype, *req_.a),
-                            specFor(dtype, *req_.b)));
-            }
-        } else {
-            report.stats = timeFromDensity();
+        if (!req_.a) {
+            report.stats = statsAt(nnzA());
+            return report;
+        }
+        const auto a_csr = resolve(resolveCsr, false);
+        report.stats = statsAt(a_csr->nnz());
+        if (req_.gemm_options.functional) {
+            const DataType dtype = req_.dataType();
+            report.d = std::make_shared<const Matrix<float>>(
+                csrSpmm(*a_csr, *req_.b, specFor(dtype, *req_.a),
+                        specFor(dtype, *req_.b)));
         }
         return report;
     }
 
-    double
-    estimate() override
-    {
-        // The density probe reads the exact non-zero count (word
-        // popcounts for concrete A, profile totals otherwise), and
-        // the model depends on A only through that count — so this
-        // estimate equals the executed stats without paying the CSR
-        // encode.
-        return timeFromDensity().timeUs();
-    }
+    /** The model depends on A only through its non-zero count, so
+     *  pricing nnzA() equals the executed stats without paying the
+     *  CSR encode. */
+    double estimate() override { return statsAt(nnzA()).timeUs(); }
 
   private:
     KernelStats
-    timeFromDensity()
+    statsAt(int64_t nnz_a) const
     {
-        double da, db;
-        operandDensities(req_, &da, &db);
-        const double nnz_a =
-            da * static_cast<double>(req_.m) * req_.k;
-        return cusparseSpmmTime(
-            cfg_, req_.m,
-            static_cast<int64_t>(nnz_a) * req_.n,
-            req_.m * req_.n);
+        return cusparseSpmmTime(cfg(), req_.m, nnz_a * req_.n,
+                                req_.m * req_.n);
     }
 
-    void
-    resolveCsrA()
+    /**
+     * A's non-zero count: the word popcount for a concrete A (the
+     * count its CSR encode finds), else the density round trip
+     * density * m * k the profile and synthetic runs price too.
+     */
+    int64_t
+    nnzA() const
     {
-        if (a_csr_)
-            return;
-        bool hit = false;
-        CacheKey key("csr-a");
-        key.u64(digests_.a(*req_.a));
-        const Matrix<float> *a = req_.a;
-        a_csr_ = cache_->getOrBuild<CsrMatrix>(
-            key.value(), [a] { return CsrMatrix::encode(*a); }, &hit);
-        cache_hit_ = cache_hit_ || hit;
+        if (req_.a)
+            return wordNnz(req_.a->data().data(), req_.a->size());
+        const double da = req_.a_profile
+                              ? profileDensity(*req_.a_profile)
+                              : 1.0 - req_.a_sparsity;
+        return static_cast<int64_t>(
+            da * static_cast<double>(req_.m) * req_.k);
     }
-
-    KernelRequest req_;
-    GpuConfig cfg_;
-    EncodingCache *cache_;
-    OperandDigests digests_;
-    std::shared_ptr<const CsrMatrix> a_csr_;
 };
 
 class CusparseLikeBackend : public Backend
@@ -910,9 +696,8 @@ class CusparseLikeBackend : public Backend
          const PlanContext &ctx) const override
     {
         if (req.kind == KernelRequest::Kind::Spmm)
-            return std::make_unique<CusparseSpmmPlan>(name(), req,
-                                                      ctx);
-        return std::make_unique<CusparseGemmPlan>(name(), req, ctx);
+            return std::make_unique<CusparseSpmmPlan>(*this, req, ctx);
+        return std::make_unique<CusparseGemmPlan>(*this, req, ctx);
     }
 };
 

@@ -1,5 +1,6 @@
 #include "core/gemm_operands.h"
 
+#include "sparse/csr.h"
 #include "sparse/word_encode.h"
 
 namespace dstc {
@@ -39,8 +40,21 @@ resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
                 },
                 hit));
     }
-    if (req.a_encoded && req.b_encoded)
-        return {};
+    if (req.a_encoded && req.b_encoded) {
+        // Profiles read off the encodings' packing offsets; a tiling
+        // other than the options' has no view the timing model
+        // accepts.
+        const TwoLevelBitmapMatrix &a = *req.a_encoded;
+        const TwoLevelBitmapMatrix &b = *req.b_encoded;
+        const int tile_k = req.gemm_options.tile_k;
+        if (a.tileRows() != tile_m || a.tileCols() != tile_k ||
+            b.tileRows() != tile_k || b.tileCols() != tile_n)
+            return {};
+        return {std::make_shared<const SparsityProfile>(
+                    SparsityProfile::fromEncodedA(a)),
+                std::make_shared<const SparsityProfile>(
+                    SparsityProfile::fromEncodedB(b))};
+    }
 
     CacheKey key("gemm-profiles-synthetic");
     key.i64(req.m).i64(req.n).i64(req.k);
@@ -117,6 +131,17 @@ resolveTwoLevelB(const KernelRequest &req, const PlanContext &ctx,
                                       Major::Row, workers, spec);
         },
         hit);
+}
+
+std::shared_ptr<const CsrMatrix>
+resolveCsr(const KernelRequest &req, const PlanContext &ctx,
+           OperandDigests &digests, bool *hit, bool b_side)
+{
+    const Matrix<float> *m = b_side ? req.b : req.a;
+    CacheKey key(b_side ? "csr-b" : "csr-a");
+    key.u64(b_side ? digests.b(*m) : digests.a(*m));
+    return ctx.cache->getOrBuild<CsrMatrix>(
+        key.value(), [m] { return CsrMatrix::encode(*m); }, hit);
 }
 
 SparsityProfile

@@ -1,25 +1,28 @@
 /**
  * @file
- * Shared operand-resolution helpers of the GEMM plan layer: the
- * cached popcount-profile pair of a request (borrowed, built from
- * matrices, or synthesized per seed), lazily-memoized operand
- * digests, and the density probes the analytic baselines estimate
- * from. Both the primitive backends (backends.cc) and the hybrid
- * composer (hybrid.cc) resolve operands through these — one
- * implementation, one set of cache keys, so a hybrid plan and a
- * dual-sparse plan of the same operands share their cache entries.
+ * Shared operand-resolution helpers of the plan layer: the cached
+ * popcount-profile pair of a request (borrowed, built from matrices,
+ * read off pre-encoded operands, or synthesized per seed), the
+ * two-level, narrow-tile and CSR encodings of concrete operands, and
+ * the density probes the analytic baselines estimate from. Every
+ * resolver takes (request, context, OperandDigests, cache-hit flag),
+ * the shape ExecutionPlan::resolve() calls. Both the primitive
+ * backends (backends.cc) and the hybrid composer (hybrid.cc) resolve
+ * operands through these — one implementation, one set of cache
+ * keys, so a hybrid plan and a dual-sparse plan of the same operands
+ * share their cache entries.
  */
 #ifndef DSTC_CORE_GEMM_OPERANDS_H
 #define DSTC_CORE_GEMM_OPERANDS_H
 
 #include <memory>
-#include <optional>
 
 #include "core/backend.h"
 #include "gemm/sparsity_profile.h"
 
 namespace dstc {
 
+class CsrMatrix;
 class NarrowTileMatrix;
 
 /** The profile pair of one synthetic GEMM operating point. Both
@@ -73,54 +76,13 @@ struct GemmProfilesView
 };
 
 /**
- * Lazily-computed content digests of a request's concrete operands.
- * Hashing a large matrix is a full pass over its bytes, and a plan
- * needs the same operand under several encoding families (profiles,
- * two-level, CSR) — so each operand is digested once and the 64-bit
- * digest is folded into every family key.
+ * Resolve (or synthesize) the popcount profiles of a GEMM request.
+ * Pre-encoded operands yield profiles read off their packing offsets
+ * (SparsityProfile::fromEncodedA/B: exact counts, no decode, no value
+ * pass) — or an empty view when their tiling disagrees with the
+ * request's gemm_options, since the timing model accepts no profile
+ * at other warp-tile edges.
  */
-class OperandDigests
-{
-  public:
-    uint64_t
-    a(const Matrix<float> &m)
-    {
-        return digest(&m, &a_src_, &a_);
-    }
-
-    uint64_t
-    b(const Matrix<float> &m)
-    {
-        return digest(&m, &b_src_, &b_);
-    }
-
-  private:
-    /** Each slot memoizes exactly one matrix: a later call with a
-     *  different object would silently reuse the wrong digest, so
-     *  the identity is checked, not assumed. */
-    static uint64_t
-    digest(const Matrix<float> *m, const Matrix<float> **src,
-           std::optional<uint64_t> *slot)
-    {
-        if (!*slot) {
-            *src = m;
-            *slot = CacheKey("operand-bytes").matrix(*m).value();
-        }
-        DSTC_ASSERT(*src == m,
-                    "OperandDigests slot reused for a different "
-                    "matrix");
-        return **slot;
-    }
-
-    const Matrix<float> *a_src_ = nullptr;
-    const Matrix<float> *b_src_ = nullptr;
-    std::optional<uint64_t> a_;
-    std::optional<uint64_t> b_;
-};
-
-/** Resolve (or synthesize) the popcount profiles of a GEMM request.
- *  Returns an empty view when the request carries pre-encoded
- *  operands only (no profile view available without decoding). */
 GemmProfilesView
 resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
                     OperandDigests &digests, bool *hit);
@@ -142,6 +104,16 @@ resolveTwoLevelA(const KernelRequest &req, const PlanContext &ctx,
 std::shared_ptr<const TwoLevelBitmapMatrix>
 resolveTwoLevelB(const KernelRequest &req, const PlanContext &ctx,
                  OperandDigests &digests, bool *hit);
+
+/**
+ * Cache-backed CSR encoding of a request's concrete A operand (key
+ * family "csr-a"), or of its B operand when @p b_side (key family
+ * "csr-b"). The encoding stays raw FP32: dtype-invariant, so requests
+ * of every datatype share one entry.
+ */
+std::shared_ptr<const CsrMatrix>
+resolveCsr(const KernelRequest &req, const PlanContext &ctx,
+           OperandDigests &digests, bool *hit, bool b_side);
 
 /**
  * The A-side profile pair of one SpMM request: the strip-granular
@@ -209,11 +181,12 @@ resolveNarrowTileA(const KernelRequest &req, const PlanContext &ctx,
 double profileDensity(const SparsityProfile &p);
 
 /** Effective B-side (weight) sparsity of a GEMM request. Concrete
- *  operands are probed by the branchless word count (zhu / ampere
- *  plans call this in both estimate and run). */
+ *  operands are probed by the branchless word count (the zhu /
+ *  ampere plan calls this once and shares it between estimate and
+ *  run). */
 double weightSparsity(const KernelRequest &req);
 
-/** Operand densities of a GEMM request (cuSPARSE baseline). */
+/** Operand densities of a GEMM request (cuSPARSE GEMM baseline). */
 void operandDensities(const KernelRequest &req, double *da,
                       double *db);
 

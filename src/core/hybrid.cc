@@ -2,8 +2,9 @@
  * @file
  * The Method::Hybrid composer backend (see hybrid.h for the design).
  *
- * Split planning and class execution both route through the ordinary
- * primitive backends — the composer never re-implements a kernel, it
+ * Split planning and class execution both route through the
+ * registry's ordinary plan() (PlanContext::registry, asserted set) —
+ * the composer never re-implements a kernel, it
  * only slices operand views (SparsityProfile::selectGroups,
  * TwoLevelBitmapMatrix::selectTileRows, a row gather for the dense
  * matrix classes) and merges the per-class reports. Because every
@@ -18,6 +19,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,106 +46,23 @@ constexpr int kMaxThresholds = 8;
  */
 constexpr double kSplitMargin = 0.98;
 
-/** Fallback backend instances for plans issued without a registry
- *  (PlanContext::registry is null when a backend is planned
- *  directly). Stateless and shared. */
-const Backend *
-fallbackBackend(Method method)
-{
-    static const std::unique_ptr<Backend> dual =
-        makeDualSparseBackend();
-    static const std::unique_ptr<Backend> dense = makeDenseBackend();
-    static const std::unique_ptr<Backend> ampere =
-        makeAmpereSparseBackend();
-    static const std::unique_ptr<Backend> cusparse =
-        makeCusparseLikeBackend();
-    switch (method) {
-    case Method::DualSparse:
-        return dual.get();
-    case Method::Dense:
-        return dense.get();
-    case Method::AmpereSparse:
-        return ampere.get();
-    case Method::CusparseLike:
-        return cusparse.get();
-    default:
-        panic("hybrid routes no class to ", methodName(method));
-    }
-}
-
-const Backend *
-resolveBackend(const PlanContext &ctx, Method method)
-{
-    if (ctx.registry)
-        if (const Backend *b = ctx.registry->find(method))
-            return b;
-    return fallbackBackend(method);
-}
-
 /**
  * The density view the partition runs on: an A-side profile (group
  * granularity = the partition granularity) and the full B profile
- * for the class estimates. `usable` is false only for pre-encoded
- * operands whose tiling disagrees with the request's gemm_options —
- * there is no profile view the timing model accepts, so the request
- * is delegated wholesale to the dual-sparse backend.
+ * for the class estimates. SpMM partitions its strip profile a8 and
+ * has no B profile (each class's dual plan re-aggregates its slice
+ * for the wide-format estimate). The view is empty only for
+ * pre-encoded operands whose tiling disagrees with the request's
+ * gemm_options — there is no profile view the timing model accepts,
+ * so the request is delegated wholesale to the dual-sparse backend.
  */
-struct OperandView
+GemmProfilesView
+resolvePartitionView(const KernelRequest &req, const PlanContext &ctx,
+                     OperandDigests &digests, bool *hit)
 {
-    std::shared_ptr<const SparsityProfile> a;
-    std::shared_ptr<const SparsityProfile> b; ///< null for SpMM
-    bool usable = false;
-    bool cache_hit = false;
-
-    /** Borrowed/owned view of a concrete/synthetic/profile request
-     *  (kept so the profile-flavor class slices stay alive). */
-    GemmProfilesView profiles;
-
-    /** SpMM flavor: the strip-granular A profile pair (the partition
-     *  runs on a8; each class's dual plan re-aggregates its slice
-     *  for the wide-format estimate). */
-    SpmmProfilesView spmm_profiles;
-};
-
-OperandView
-resolveOperandView(const KernelRequest &req, const PlanContext &ctx,
-                   OperandDigests &digests)
-{
-    OperandView view;
-    if (req.kind == KernelRequest::Kind::Spmm) {
-        bool hit = false;
-        view.spmm_profiles =
-            resolveSpmmProfiles(req, ctx, digests, &hit);
-        view.cache_hit = hit;
-        view.a = view.spmm_profiles.a8;
-        view.usable = true;
-        return view;
-    }
-    if (req.a_encoded && req.b_encoded) {
-        const SpGemmOptions &o = req.gemm_options;
-        const TwoLevelBitmapMatrix &a = *req.a_encoded;
-        const TwoLevelBitmapMatrix &b = *req.b_encoded;
-        if (a.tileRows() != o.tile_m || a.tileCols() != o.tile_k ||
-            b.tileRows() != o.tile_k || b.tileCols() != o.tile_n)
-            return view;
-        // Profiles read off the encodings' packing offsets: exact
-        // per-group counts, no decode, no value pass.
-        view.a = std::make_shared<SparsityProfile>(
-            SparsityProfile::fromEncodedA(a));
-        view.b = std::make_shared<SparsityProfile>(
-            SparsityProfile::fromEncodedB(b));
-        view.usable = true;
-        return view;
-    }
-    bool hit = false;
-    view.profiles = resolveGemmProfiles(req, ctx, digests, &hit);
-    view.cache_hit = hit;
-    DSTC_ASSERT(static_cast<bool>(view.profiles),
-                "hybrid: no profile view for the request");
-    view.a = view.profiles.a;
-    view.b = view.profiles.b;
-    view.usable = true;
-    return view;
+    if (req.kind == KernelRequest::Kind::Spmm)
+        return {resolveSpmmProfiles(req, ctx, digests, hit).a8, nullptr};
+    return resolveGemmProfiles(req, ctx, digests, hit);
 }
 
 /**
@@ -170,8 +89,23 @@ candidateMethods(const KernelRequest &req)
     return methods;
 }
 
+/** @p sub routed to @p method, carrying the fields of @p req every
+ *  class sub-request inherits. */
+KernelRequest
+classSubRequest(const KernelRequest &req, KernelRequest sub,
+                Method method)
+{
+    sub.method = method;
+    sub.seed = req.seed;
+    sub.tag = req.tag;
+    sub.outer_product = req.outer_product;
+    sub.gemm_options = req.gemm_options;
+    sub.spmm_format = req.spmm_format;
+    return sub;
+}
+
 /** Plan-stage stats of one class under one method, through the
- *  backend's own cost model on a profile-flavor sub-request (exact
+ *  registry's plan() on a profile-flavor sub-request (exact
  *  densities, no values computed). Full stats, not a scalar: the
  *  split objective must merge class components the same way
  *  execution does. */
@@ -180,18 +114,14 @@ classEstimate(const KernelRequest &req, const PlanContext &ctx,
               const SparsityProfile &a_slice,
               const SparsityProfile *b_full, Method method)
 {
-    KernelRequest sub =
+    KernelRequest sub = classSubRequest(
+        req,
         req.kind == KernelRequest::Kind::Spmm
             ? KernelRequest::spmm(a_slice, req.n)
-            : KernelRequest::gemm(a_slice, *b_full);
-    sub.method = method;
-    sub.seed = req.seed;
-    sub.tag = req.tag;
-    sub.outer_product = req.outer_product;
-    sub.gemm_options = req.gemm_options;
+            : KernelRequest::gemm(a_slice, *b_full),
+        method);
     sub.gemm_options.functional = false;
-    sub.spmm_format = req.spmm_format;
-    return resolveBackend(ctx, method)->plan(sub, ctx)->execute().stats;
+    return ctx.registry->plan(sub, ctx)->execute().stats;
 }
 
 /** The executed hybrid's merged cost of a set of classes: component
@@ -225,9 +155,12 @@ wholesaleDualSplit(int groups)
 
 HybridSplit
 planSplit(const KernelRequest &req, const PlanContext &ctx,
-          const OperandView &view)
+          const GemmProfilesView &view)
 {
-    if (!view.usable)
+    DSTC_ASSERT(ctx.registry,
+                "hybrid routes its classes through the registry's "
+                "plan(); plan it via KernelRegistry::plan");
+    if (!view.a)
         return wholesaleDualSplit(req.a_encoded->numTileRows());
 
     const SparsityProfile &pa = *view.a;
@@ -393,14 +326,7 @@ gatherGroupRows(const Matrix<float> &a,
 class HybridPlan : public ExecutionPlan
 {
   public:
-    HybridPlan(const char *name, const KernelRequest &req,
-               const PlanContext &ctx)
-        : ExecutionPlan(name, Method::Hybrid, req.tag), req_(req),
-          cfg_(*ctx.cfg), cache_(ctx.cache),
-          encode_workers_(ctx.encode_workers),
-          registry_(ctx.registry)
-    {
-    }
+    using ExecutionPlan::ExecutionPlan;
 
   protected:
     double
@@ -416,7 +342,6 @@ class HybridPlan : public ExecutionPlan
         const int tile = partitionTile();
         const bool want_d =
             req_.functional() && req_.gemm_options.functional;
-        const PlanContext ctx = planCtx();
 
         KernelReport merged;
         Matrix<float> d;
@@ -434,11 +359,8 @@ class HybridPlan : public ExecutionPlan
         profile_slices_.reserve(s.classes.size());
         bool first = true;
         for (const HybridClass &cls : s.classes) {
-            const KernelRequest sub = classRequest(cls);
-            KernelReport r = resolveBackend(ctx, cls.method)
-                                 ->plan(sub, ctx)
-                                 ->execute();
-            merged.encode_cache_hit |= r.encode_cache_hit;
+            KernelReport r =
+                ctx_.registry->plan(classRequest(cls), ctx_)->execute();
             if (first) {
                 merged.stats = r.stats;
                 first = false;
@@ -479,25 +401,11 @@ class HybridPlan : public ExecutionPlan
     const HybridSplit &
     split()
     {
-        if (!split_resolved_) {
-            split_resolved_ = true;
-            const PlanContext ctx = planCtx();
-            view_ = resolveOperandView(req_, ctx, digests_);
-            cache_hit_ = cache_hit_ || view_.cache_hit;
-            split_ = planSplit(req_, ctx, view_);
+        if (!split_) {
+            view_ = resolve(resolvePartitionView);
+            split_ = planSplit(req_, ctx_, view_);
         }
-        return split_;
-    }
-
-    PlanContext
-    planCtx() const
-    {
-        PlanContext ctx;
-        ctx.cfg = &cfg_;
-        ctx.cache = cache_;
-        ctx.encode_workers = encode_workers_;
-        ctx.registry = registry_;
-        return ctx;
+        return *split_;
     }
 
     /** Tile-row group edge of the partition (the A-side warp-tile
@@ -520,8 +428,11 @@ class HybridPlan : public ExecutionPlan
     KernelRequest
     classRequest(const HybridClass &cls)
     {
+        // With no profile view (pre-encoded tiling mismatch) the
+        // groups are the encoding's own tile rows.
         if (static_cast<int>(cls.groups.size()) ==
-            (view_.usable ? view_.a->groups() : partitionGroups())) {
+            (view_.a ? view_.a->groups()
+                     : req_.a_encoded->numTileRows())) {
             // Single class covering every group: hand the original
             // request to the routed backend unchanged, so the
             // degenerate (uniform-density) case is bitwise the pure
@@ -537,7 +448,7 @@ class HybridPlan : public ExecutionPlan
             // dual-sparse backend re-chooses its A format per class,
             // so a split can run its dense stripes wide and its
             // ultra-sparse stripes narrow.
-            if (req_.a && req_.b) {
+            if (req_.a) {
                 matrix_slices_.push_back(gatherGroupRows(
                     *req_.a, cls.groups, partitionTile()));
                 sub = KernelRequest::spmm(matrix_slices_.back(),
@@ -549,16 +460,17 @@ class HybridPlan : public ExecutionPlan
                                           req_.n);
             }
         } else if (cls.method == Method::DualSparse &&
-                   (req_.a_encoded || (req_.a && req_.b))) {
-            const TwoLevelBitmapMatrix *full_a = req_.a_encoded;
-            const TwoLevelBitmapMatrix *full_b = req_.b_encoded;
-            if (!full_a) {
-                resolveConcreteTwoLevel();
-                full_a = a_enc_.get();
-                full_b = b_enc_.get();
+                   (req_.a_encoded || req_.a)) {
+            // Concrete operands slice their full two-level
+            // encodings — the same cache entries a plain dual-sparse
+            // plan of this request builds or reuses.
+            if (req_.a && !a_enc_) {
+                a_enc_ = resolve(resolveTwoLevelA);
+                b_enc_ = resolve(resolveTwoLevelB);
             }
             encoded_slices_.push_back(
-                full_a->selectTileRows(cls.groups));
+                (req_.a ? *a_enc_ : *req_.a_encoded)
+                    .selectTileRows(cls.groups));
             const TwoLevelBitmapMatrix &slice =
                 encoded_slices_.back();
             sub.kind = KernelRequest::Kind::Gemm;
@@ -566,8 +478,8 @@ class HybridPlan : public ExecutionPlan
             sub.n = req_.n;
             sub.k = req_.k;
             sub.a_encoded = &slice;
-            sub.b_encoded = full_b;
-        } else if (req_.a && req_.b) {
+            sub.b_encoded = req_.a ? b_enc_.get() : req_.b_encoded;
+        } else if (req_.a) {
             matrix_slices_.push_back(gatherGroupRows(
                 *req_.a, cls.groups, partitionTile()));
             sub = KernelRequest::gemm(matrix_slices_.back(),
@@ -578,47 +490,11 @@ class HybridPlan : public ExecutionPlan
             sub = KernelRequest::gemm(profile_slices_.back(),
                                       *view_.b);
         }
-        sub.method = cls.method;
-        sub.tag = req_.tag;
-        sub.seed = req_.seed;
-        sub.outer_product = req_.outer_product;
-        sub.gemm_options = req_.gemm_options;
-        sub.spmm_format = req_.spmm_format;
-        return sub;
+        return classSubRequest(req_, std::move(sub), cls.method);
     }
 
-    /** Group count when there is no profile view (pre-encoded tiling
-     *  mismatch: the encoding's own tile rows). */
-    int
-    partitionGroups() const
-    {
-        return req_.a_encoded->numTileRows();
-    }
-
-    /** Full two-level encodings of concrete operands, via the shared
-     *  resolvers — the same cache entries a plain dual-sparse plan
-     *  of this request builds or reuses. */
-    void
-    resolveConcreteTwoLevel()
-    {
-        if (a_enc_)
-            return;
-        bool hit_a = false, hit_b = false;
-        const PlanContext ctx = planCtx();
-        a_enc_ = resolveTwoLevelA(req_, ctx, digests_, &hit_a);
-        b_enc_ = resolveTwoLevelB(req_, ctx, digests_, &hit_b);
-        cache_hit_ = cache_hit_ || hit_a || hit_b;
-    }
-
-    KernelRequest req_;
-    GpuConfig cfg_;
-    EncodingCache *cache_;
-    int encode_workers_ = 1;
-    const KernelRegistry *registry_ = nullptr;
-    OperandDigests digests_;
-    bool split_resolved_ = false;
-    HybridSplit split_;
-    OperandView view_;
+    std::optional<HybridSplit> split_;
+    GemmProfilesView view_;
     std::vector<Matrix<float>> matrix_slices_;
     std::vector<TwoLevelBitmapMatrix> encoded_slices_;
     std::vector<SparsityProfile> profile_slices_;
@@ -657,7 +533,7 @@ class HybridBackend : public Backend
     plan(const KernelRequest &req,
          const PlanContext &ctx) const override
     {
-        return std::make_unique<HybridPlan>(name(), req, ctx);
+        return std::make_unique<HybridPlan>(*this, req, ctx);
     }
 };
 
@@ -691,9 +567,11 @@ planHybridSplit(const KernelRequest &req, const PlanContext &ctx,
                     req.kind == KernelRequest::Kind::Spmm,
                 "hybrid partitions GEMM and SpMM requests only");
     OperandDigests digests;
-    const OperandView view = resolveOperandView(req, ctx, digests);
+    bool hit = false;
+    const GemmProfilesView view =
+        resolvePartitionView(req, ctx, digests, &hit);
     if (cache_hit)
-        *cache_hit = view.cache_hit;
+        *cache_hit = hit;
     return planSplit(req, ctx, view);
 }
 

@@ -2,17 +2,18 @@
  * @file
  * Method::Hybrid: intra-request density-partitioned tile routing.
  *
- * One GEMM request rarely has one density: pruned checkpoints mix
- * near-dense tile rows (attention heads that survived pruning) with
- * near-empty ones. A single backend leaves time on the table at one
- * end or the other — the dense Tensor Core pays full rate for empty
- * tiles, the dual-sparse outer product pays bitmap overhead on dense
- * ones. The hybrid composer splits the A-side tile-row groups of a
- * request into a low/high density class pair by *exact* per-group
- * density — read straight off the operands' popcount profiles
- * (SparsityProfile::fromEncodedA/B for pre-encoded operands: no
- * decode, no extra value pass) — and routes each class to the
- * backend the cost model ranks fastest for it. Per-class partial
+ * One GEMM or SpMM request rarely has one density: pruned
+ * checkpoints mix near-dense tile rows (attention heads that
+ * survived pruning) with near-empty ones. A single backend leaves
+ * time on the table at one end or the other — the dense Tensor Core
+ * pays full rate for empty tiles, the dual-sparse outer product pays
+ * bitmap overhead on dense ones. The hybrid composer splits the
+ * A-side row groups of a request (32-row warp-tile groups for GEMM,
+ * 8-row strips for SpMM) into a low/high density class pair by
+ * *exact* per-group density — read straight off the operands'
+ * popcount profiles (SparsityProfile::fromEncodedA/B for pre-encoded
+ * operands: no decode, no extra value pass) — and routes each class
+ * to the backend the cost model ranks fastest for it. Per-class partial
  * results and stats merge into one KernelReport whose output rows
  * are bitwise identical to what the chosen backend produces for that
  * class (output row stripes depend only on the A rows of their own
@@ -80,16 +81,17 @@ struct HybridSplit
 };
 
 /**
- * Choose the split for @p req (kind == Gemm): resolve the per-group
- * densities, walk the threshold ladder, estimate every (class,
- * candidate backend) pair through the plan-stage cost model and
- * return the min-total partition with its routing. Deterministic —
- * a pure function of the request content — so replays and re-runs
- * partition identically for any worker count or submission path.
- * ctx.registry supplies the candidate backends when set (the normal
- * KernelRegistry::plan path); otherwise the composer falls back to
- * private default instances. @p cache_hit (optional) reports whether
- * the operands' profile view came from the EncodingCache.
+ * Choose the split for @p req (kind == Gemm or Spmm): resolve the
+ * per-group densities (32-row tile groups for GEMM, 8-row strips for
+ * SpMM), walk the threshold ladder, estimate every (class, candidate
+ * backend) pair through the plan-stage cost model and return the
+ * min-total partition with its routing. Deterministic — a pure
+ * function of the request content — so replays and re-runs partition
+ * identically for any worker count or submission path. Every class
+ * estimate is planned through ctx.registry, which must be set (the
+ * KernelRegistry::plan path sets it; direct callers pass their
+ * Session's registry). @p cache_hit (optional) reports whether the
+ * operands' profile view came from the EncodingCache.
  */
 HybridSplit planHybridSplit(const KernelRequest &req,
                             const PlanContext &ctx,

@@ -52,9 +52,10 @@ const char *methodName(Method method);
 bool parseMethod(const std::string &token, Method *out);
 
 /**
- * Knobs of Method::Hybrid (GEMM only): partition the A-side tile-row
- * groups of one request by exact per-group density and route each
- * class to its cost-model-fastest backend (dense-ish groups to the
+ * Knobs of Method::Hybrid (GEMM and SpMM): partition the A-side row
+ * groups of one request — 32-row tile groups for GEMM, 8-row strips
+ * for SpMM — by exact per-group density and route each class to its
+ * cost-model-fastest backend (dense-ish groups to the
  * dense/WMMA datapath, sparse groups to the dual-sparse outer
  * product, and — when B is exactly 2:4-conformant, so the prune is
  * the identity — the ampere backend). See src/core/hybrid.h.

@@ -12,10 +12,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/session.h"
+#include "gemm/sparsity_profile.h"
+#include "sparse/word_encode.h"
 #include "tensor/reference.h"
 
 namespace dstc {
@@ -141,6 +145,85 @@ TEST(AutoEstimateTest, PreEncodedEstimateIsExactWithoutRunning)
     ASSERT_GT(actual, 0.0);
     EXPECT_LT(std::fabs(estimate - actual) / actual, 1e-9)
         << "estimate=" << estimate << " actual=" << actual;
+}
+
+TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
+{
+    // Auto ranks candidates, and cluster placement prices requests,
+    // by plan-stage estimates. Every default backend, on every
+    // request flavor it supports, must estimate exactly the time it
+    // then executes. Two flavors are left out on purpose:
+    //  - cuSPARSE-like concrete GEMM: the estimate is the
+    //    expected-value model at the operands' densities, while
+    //    execution counts the real CSR products. The gap is by
+    //    design; NoMisrankingAtBackendCrossovers bounds its effect.
+    //  - functional conv: the estimate times the operands' measured
+    //    sparsities, while execution runs the convolution itself.
+    Session session;
+    Rng rng(505);
+    const Matrix<float> a = randomSparseMatrix(96, 80, 0.85, rng);
+    const Matrix<float> b = randomSparseMatrix(80, 64, 0.7, rng);
+    const SparsityProfile pa = SparsityProfile::fromMatrixA(a, 32);
+    const SparsityProfile pb = SparsityProfile::fromMatrixB(b, 32);
+    const TwoLevelBitmapMatrix a_enc =
+        TwoLevelBitmapMatrix::encode(a, 32, 32, Major::Col);
+    const TwoLevelBitmapMatrix b_enc =
+        TwoLevelBitmapMatrix::encode(b, 32, 32, Major::Row);
+    KernelRequest encoded = KernelRequest::gemm(a_enc.rows(),
+                                                b_enc.cols(), a.cols());
+    encoded.a_encoded = &a_enc;
+    encoded.b_encoded = &b_enc;
+
+    Rng spmm_rng(506);
+    const Matrix<float> sa =
+        randomSparseMatrix(120, 96, 0.95, spmm_rng);
+    const Matrix<float> sb = randomSparseMatrix(96, 32, 0.0, spmm_rng);
+    const SparsityProfile sa8 = SparsityProfile::fromMatrixA(sa, 8);
+    // The cuSPARSE-like SpMM row needs an A whose density round trip
+    // (1 - sparsity) * m * k truncates below its non-zero count.
+    ASSERT_LT(static_cast<int64_t>((1.0 - wordSparsity(sa)) *
+                                   static_cast<double>(sa.rows()) *
+                                   sa.cols()),
+              wordNnz(sa.data().data(), sa.size()));
+
+    ConvShape shape;
+    shape.in_c = 32;
+    shape.in_h = shape.in_w = 14;
+    shape.out_c = 32;
+
+    const std::vector<std::pair<std::string, KernelRequest>> flavors = {
+        {"synthetic gemm", KernelRequest::gemm(256, 192, 160, 0.8, 0.6)},
+        {"profile gemm", KernelRequest::gemm(pa, pb)},
+        {"concrete gemm", KernelRequest::gemm(a, b)},
+        {"pre-encoded gemm", encoded},
+        {"synthetic spmm", KernelRequest::spmm(256, 32, 192, 0.97)},
+        {"profile spmm", KernelRequest::spmm(sa8, 32)},
+        {"concrete spmm", KernelRequest::spmm(sa, sb)},
+        {"synthetic conv", KernelRequest::conv(shape, 0.8, 0.6)},
+    };
+    std::set<std::string> checked;
+    for (const auto &[flavor, request] : flavors) {
+        for (const auto &backend : session.registry().backends()) {
+            if (!backend->supports(request))
+                continue;
+            if (backend->method() == Method::CusparseLike &&
+                flavor == "concrete gemm")
+                continue;
+            KernelRequest req = request;
+            req.method = backend->method();
+            req.gemm_options.functional = false;
+            auto plan = session.plan(req);
+            const double estimate = plan->estimatedTimeUs();
+            const double actual = plan->execute().timeUs();
+            ASSERT_GT(actual, 0.0);
+            EXPECT_LT(std::fabs(estimate - actual) / actual, 1e-9)
+                << backend->name() << " on " << flavor
+                << ": estimate=" << estimate << " actual=" << actual;
+            checked.insert(backend->name());
+        }
+    }
+    // No backend may drop out of the table unnoticed.
+    EXPECT_EQ(checked.size(), session.registry().backends().size());
 }
 
 TEST(AutoEstimateTest, NoMisrankingAtBackendCrossovers)

@@ -372,19 +372,52 @@ TEST(HybridTest, PreEncodedPairDelegatesToDualSparse)
     EXPECT_TRUE(*hyb.d == *ref.d);
 }
 
-TEST(HybridTest, HybridSupportsGemmOnly)
+TEST(HybridTest, HybridSupportsFloatGemmAndSpmm)
 {
+    // Pins what HybridBackend::supports declares: floating-point
+    // GEMM and SpMM, with pre-encoded operands only as a GEMM pair.
     Session session;
     const Backend *hybrid = session.registry().find(Method::Hybrid);
     ASSERT_NE(hybrid, nullptr);
     EXPECT_TRUE(hybrid->supports(KernelRequest::gemm(64, 64, 64)));
+    EXPECT_TRUE(
+        hybrid->supports(KernelRequest::spmm(64, 32, 64, 0.9)));
+    EXPECT_TRUE(
+        hybrid->exact(KernelRequest::gemm(64, 64, 64, 0.5, 0.5)));
+
     ConvShape shape;
     shape.in_c = 32;
     shape.in_h = shape.in_w = 14;
     shape.out_c = 32;
     EXPECT_FALSE(hybrid->supports(KernelRequest::conv(shape)));
-    EXPECT_TRUE(
-        hybrid->exact(KernelRequest::gemm(64, 64, 64, 0.5, 0.5)));
+
+    // Integer classes would quantize each operand slice with its own
+    // scale, so the stitched output would match no single backend.
+    for (DataType dtype : {DataType::Int8, DataType::Int4}) {
+        KernelRequest gemm = KernelRequest::gemm(64, 64, 64);
+        gemm.gemm_options.dtype = dtype;
+        EXPECT_FALSE(hybrid->supports(gemm)) << dataTypeName(dtype);
+        KernelRequest spmm = KernelRequest::spmm(64, 32, 64, 0.9);
+        spmm.gemm_options.dtype = dtype;
+        EXPECT_FALSE(hybrid->supports(spmm)) << dataTypeName(dtype);
+    }
+
+    Rng rng(79);
+    const Matrix<float> m = randomSparseMatrix(64, 64, 0.8, rng);
+    const TwoLevelBitmapMatrix a_enc =
+        TwoLevelBitmapMatrix::encode(m, 32, 32, Major::Col);
+    const TwoLevelBitmapMatrix b_enc =
+        TwoLevelBitmapMatrix::encode(m, 32, 32, Major::Row);
+    KernelRequest half = KernelRequest::gemm(64, 64, 64);
+    half.a_encoded = &a_enc;
+    EXPECT_FALSE(hybrid->supports(half));
+    KernelRequest pair = half;
+    pair.b_encoded = &b_enc;
+    EXPECT_TRUE(hybrid->supports(pair));
+    KernelRequest spmm_encoded = KernelRequest::spmm(64, 32, 64, 0.8);
+    spmm_encoded.a_encoded = &a_enc;
+    spmm_encoded.b_encoded = &b_enc;
+    EXPECT_FALSE(hybrid->supports(spmm_encoded));
 }
 
 } // namespace
