@@ -132,7 +132,7 @@ runEncodePrecisionPoint(int size, double sparsity, DataType dtype,
             static_cast<uint64_t>(size));
     Matrix<float> a = randomSparseMatrix(size, size, sparsity, rng);
     Matrix<float> b = randomSparseMatrix(size, size, sparsity, rng);
-    SpGemmOptions opts; // tile_m/k/n = 32
+    SpGemmOptions opts; // tile_k = 32
 
     const QuantSpec spec_a = QuantSpec::forValues(
         dtype, a.data().data(), a.data().size());
@@ -140,20 +140,20 @@ runEncodePrecisionPoint(int size, double sparsity, DataType dtype,
         dtype, b.data().data(), b.data().size());
 
     p.word_ms = timeMs(reps, [&] {
-        wordEncodeTwoLevel(a, opts.tile_m, opts.tile_k, Major::Col, 1,
+        wordEncodeTwoLevel(a, kWarpTile, opts.tile_k, Major::Col, 1,
                            spec_a);
-        wordEncodeTwoLevel(b, opts.tile_k, opts.tile_n, Major::Row, 1,
+        wordEncodeTwoLevel(b, opts.tile_k, kWarpTile, Major::Row, 1,
                            spec_b);
     });
 
     TwoLevelBitmapMatrix a_word = wordEncodeTwoLevel(
-        a, opts.tile_m, opts.tile_k, Major::Col, 1, spec_a);
+        a, kWarpTile, opts.tile_k, Major::Col, 1, spec_a);
     TwoLevelBitmapMatrix b_pooled = wordEncodeTwoLevel(
-        b, opts.tile_k, opts.tile_n, Major::Row, 0, spec_b);
+        b, opts.tile_k, kWarpTile, Major::Row, 0, spec_b);
     TwoLevelBitmapMatrix a_scalar = TwoLevelBitmapMatrix::encode(
-        a, opts.tile_m, opts.tile_k, Major::Col, spec_a);
+        a, kWarpTile, opts.tile_k, Major::Col, spec_a);
     TwoLevelBitmapMatrix b_scalar = TwoLevelBitmapMatrix::encode(
-        b, opts.tile_k, opts.tile_n, Major::Row, spec_b);
+        b, opts.tile_k, kWarpTile, Major::Row, spec_b);
     p.encoded_mb = (a_scalar.encodedBytes() +
                     b_scalar.encodedBytes()) /
                    1e6;
@@ -174,38 +174,38 @@ runTwoLevelPoint(int size, double sparsity, int reps)
             static_cast<uint64_t>(size));
     Matrix<float> a = randomSparseMatrix(size, size, sparsity, rng);
     Matrix<float> b = randomSparseMatrix(size, size, sparsity, rng);
-    SpGemmOptions opts; // tile_m/k/n = 32
+    SpGemmOptions opts; // tile_k = 32
 
     p.scalar_ms = timeMs(reps, [&] {
-        TwoLevelBitmapMatrix::encode(a, opts.tile_m, opts.tile_k,
+        TwoLevelBitmapMatrix::encode(a, kWarpTile, opts.tile_k,
                                      Major::Col);
-        TwoLevelBitmapMatrix::encode(b, opts.tile_k, opts.tile_n,
+        TwoLevelBitmapMatrix::encode(b, opts.tile_k, kWarpTile,
                                      Major::Row);
     });
     p.word_ms = timeMs(reps, [&] {
-        wordEncodeTwoLevel(a, opts.tile_m, opts.tile_k, Major::Col,
+        wordEncodeTwoLevel(a, kWarpTile, opts.tile_k, Major::Col,
                            1);
-        wordEncodeTwoLevel(b, opts.tile_k, opts.tile_n, Major::Row,
+        wordEncodeTwoLevel(b, opts.tile_k, kWarpTile, Major::Row,
                            1);
     });
     p.parallel_ms = timeMs(reps, [&] {
-        wordEncodeTwoLevel(a, opts.tile_m, opts.tile_k, Major::Col,
+        wordEncodeTwoLevel(a, kWarpTile, opts.tile_k, Major::Col,
                            0);
-        wordEncodeTwoLevel(b, opts.tile_k, opts.tile_n, Major::Row,
+        wordEncodeTwoLevel(b, opts.tile_k, kWarpTile, Major::Row,
                            0);
     });
     p.gbps = 2.0 * static_cast<double>(size) * size *
              sizeof(float) / (p.word_ms * 1e6);
     p.bitwise_equal =
         identicalTwoLevel(
-            wordEncodeTwoLevel(a, opts.tile_m, opts.tile_k,
+            wordEncodeTwoLevel(a, kWarpTile, opts.tile_k,
                                Major::Col, 1),
-            TwoLevelBitmapMatrix::encode(a, opts.tile_m, opts.tile_k,
+            TwoLevelBitmapMatrix::encode(a, kWarpTile, opts.tile_k,
                                          Major::Col)) &&
         identicalTwoLevel(
-            wordEncodeTwoLevel(b, opts.tile_k, opts.tile_n,
+            wordEncodeTwoLevel(b, opts.tile_k, kWarpTile,
                                Major::Row, 0),
-            TwoLevelBitmapMatrix::encode(b, opts.tile_k, opts.tile_n,
+            TwoLevelBitmapMatrix::encode(b, opts.tile_k, kWarpTile,
                                          Major::Row));
     return p;
 }
@@ -244,9 +244,9 @@ runRequestPoint(int size, double sparsity, int reps)
         timeMs(reps, [&] { session.run(req); });
     SpGemmOptions opts;
     const double scalar_encode_ms = timeMs(reps, [&] {
-        TwoLevelBitmapMatrix::encode(a, opts.tile_m, opts.tile_k,
+        TwoLevelBitmapMatrix::encode(a, kWarpTile, opts.tile_k,
                                      Major::Col);
-        TwoLevelBitmapMatrix::encode(b, opts.tile_k, opts.tile_n,
+        TwoLevelBitmapMatrix::encode(b, opts.tile_k, kWarpTile,
                                      Major::Row);
     });
     // What the same request cost before the word rebuild: the
@@ -257,9 +257,9 @@ runRequestPoint(int size, double sparsity, int reps)
     // encodings exactly.
     SpGemmDevice device(session.config());
     TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
-        a, opts.tile_m, opts.tile_k, Major::Col);
+        a, kWarpTile, opts.tile_k, Major::Col);
     TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
-        b, opts.tile_k, opts.tile_n, Major::Row);
+        b, opts.tile_k, kWarpTile, Major::Row);
     Matrix<float> d_ref =
         device.multiplyEncoded(a_enc, b_enc, opts).d;
     p.bitwise_equal =

@@ -58,8 +58,8 @@ scalarPipeline(const SpGemmDevice &device,
     *merge_ms = 0.0;
     for (int ti = 0; ti < tiles_m; ++ti) {
         for (int tj = 0; tj < tiles_n; ++tj) {
-            const int rows = std::min(opts.tile_m, m - ti * opts.tile_m);
-            const int cols = std::min(opts.tile_n, n - tj * opts.tile_n);
+            const int rows = std::min(kWarpTile, m - ti * kWarpTile);
+            const int cols = std::min(kWarpTile, n - tj * kWarpTile);
             Matrix<float> accum(rows, cols);
             const double t0 = nowMs();
             for (int tk = 0; tk < tiles_k; ++tk) {
@@ -72,7 +72,7 @@ scalarPipeline(const SpGemmDevice &device,
             const double t1 = nowMs();
             for (int r = 0; r < rows; ++r)
                 for (int c = 0; c < cols; ++c)
-                    d.at(ti * opts.tile_m + r, tj * opts.tile_n + c) =
+                    d.at(ti * kWarpTile + r, tj * kWarpTile + c) =
                         accum.at(r, c);
             const double t2 = nowMs();
             *compute_ms += t1 - t0;
@@ -139,12 +139,12 @@ runPrecisionPoint(int size, double sparsity, DataType dtype, int reps)
     p.memory_bound = r.stats.bound == Bound::Memory;
     p.encoded_mb =
         (TwoLevelBitmapMatrix::encode(
-             a, serial.tile_m, serial.tile_k, Major::Col,
+             a, kWarpTile, serial.tile_k, Major::Col,
              QuantSpec::forValues(dtype, a.data().data(),
                                   a.data().size()))
              .encodedBytes() +
          TwoLevelBitmapMatrix::encode(
-             b, serial.tile_k, serial.tile_n, Major::Row,
+             b, serial.tile_k, kWarpTile, Major::Row,
              QuantSpec::forValues(dtype, b.data().data(),
                                   b.data().size()))
              .encodedBytes()) /
@@ -185,16 +185,16 @@ runPoint(int size, double sparsity, int tile_k, int reps)
     opts.tile_k = tile_k;
 
     p.encode_ms = timeMs(reps, [&] {
-        TwoLevelBitmapMatrix::encode(a, opts.tile_m, opts.tile_k,
+        TwoLevelBitmapMatrix::encode(a, kWarpTile, opts.tile_k,
                                      Major::Col);
-        TwoLevelBitmapMatrix::encode(b, opts.tile_k, opts.tile_n,
+        TwoLevelBitmapMatrix::encode(b, opts.tile_k, kWarpTile,
                                      Major::Row);
     });
 
     TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
-        a, opts.tile_m, opts.tile_k, Major::Col);
+        a, kWarpTile, opts.tile_k, Major::Col);
     TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
-        b, opts.tile_k, opts.tile_n, Major::Row);
+        b, opts.tile_k, kWarpTile, Major::Row);
 
     Matrix<float> d_scalar;
     for (int r = 0; r < reps; ++r) {

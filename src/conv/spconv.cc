@@ -137,9 +137,9 @@ ConvExecutor::run(const Tensor4d &input, const Matrix<float> &weights,
         static_cast<double>(fmap.encodedBytes());
 
     TwoLevelBitmapMatrix a_enc = lfm.toTwoLevel(
-        gemm_opts.tile_m, gemm_opts.tile_k, options.num_workers);
+        kWarpTile, gemm_opts.tile_k, options.num_workers);
     TwoLevelBitmapMatrix b_enc =
-        wordEncodeTwoLevel(wt, gemm_opts.tile_k, gemm_opts.tile_n,
+        wordEncodeTwoLevel(wt, gemm_opts.tile_k, kWarpTile,
                            Major::Row, options.num_workers);
     SpGemmDevice spgemm(cfg_);
     Matrix<float> d =

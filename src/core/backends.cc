@@ -128,9 +128,8 @@ class DualGemmPlan : public ExecutionPlan
         // placement) never runs a candidate's kernel just to rank
         // it; the profile counts are exact, so the estimate equals
         // the executed stats. Timing-only requests share the
-        // memoized run, and so does a pre-encoded tiling that has
-        // no profile view.
-        if ((!req_.a && !req_.a_encoded) || !profiles())
+        // memoized run.
+        if (!req_.a && !req_.a_encoded)
             return ExecutionPlan::estimate();
         return profileStats().timeUs();
     }

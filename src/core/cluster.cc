@@ -176,7 +176,10 @@ structuralKey(const KernelRequest &r)
     key.f64(r.a_cluster).f64(r.b_cluster);
     key.i32(r.outer_product ? 1 : 0);
     const SpGemmOptions &g = r.gemm_options;
-    key.i32(g.tile_m).i32(g.tile_n).i32(g.tile_k);
+    // Two 32s where the retired tile_m/tile_n knobs sat, so the
+    // fixed warp tile leaves every shard placement and serving
+    // batch key where it was.
+    key.i32(32).i32(32).i32(g.tile_k);
     key.i32(g.two_level ? 1 : 0)
         .i32(g.functional ? 1 : 0)
         .i32(g.detailed_merge ? 1 : 0)

@@ -16,44 +16,31 @@ resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
         return GemmProfilesView::borrowed(req.a_profile,
                                           req.b_profile);
     }
-    // Profile line lengths must match the warp-tile edges the
-    // timing model runs at (timeFromProfiles asserts this).
-    const int tile_m = req.gemm_options.tile_m;
-    const int tile_n = req.gemm_options.tile_n;
     if (req.a && req.b) {
         CacheKey key("gemm-profiles-from-matrices");
-        key.u64(digests.a(*req.a))
-            .u64(digests.b(*req.b))
-            .i32(tile_m)
-            .i32(tile_n);
+        key.u64(digests.a(*req.a)).u64(digests.b(*req.b));
         const Matrix<float> *a = req.a, *b = req.b;
         return GemmProfilesView::owned(
             ctx.cache->getOrBuild<GemmProfilePair>(
                 key.value(),
-                [a, b, tile_m, tile_n] {
+                [a, b] {
                     // Word-parallel extraction (bitwise identical to
                     // the element-wise fromMatrixA/B references).
                     return GemmProfilePair{
-                        SparsityProfile::fromMatrixAWord(*a, tile_m),
+                        SparsityProfile::fromMatrixAWord(*a,
+                                                         kWarpTile),
                         SparsityProfile::fromMatrixBWord(*b,
-                                                         tile_n)};
+                                                         kWarpTile)};
                 },
                 hit));
     }
     if (req.a_encoded && req.b_encoded) {
-        // Profiles read off the encodings' packing offsets; a tiling
-        // other than the options' has no view the timing model
-        // accepts.
-        const TwoLevelBitmapMatrix &a = *req.a_encoded;
-        const TwoLevelBitmapMatrix &b = *req.b_encoded;
-        const int tile_k = req.gemm_options.tile_k;
-        if (a.tileRows() != tile_m || a.tileCols() != tile_k ||
-            b.tileRows() != tile_k || b.tileCols() != tile_n)
-            return {};
+        // Profiles read off the encodings' packing offsets
+        // (KernelRegistry::plan asserted the pair's tiling).
         return {std::make_shared<const SparsityProfile>(
-                    SparsityProfile::fromEncodedA(a)),
+                    SparsityProfile::fromEncodedA(*req.a_encoded)),
                 std::make_shared<const SparsityProfile>(
-                    SparsityProfile::fromEncodedB(b))};
+                    SparsityProfile::fromEncodedB(*req.b_encoded))};
     }
 
     CacheKey key("gemm-profiles-synthetic");
@@ -62,21 +49,19 @@ resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
         .f64(req.b_sparsity)
         .f64(req.a_cluster)
         .f64(req.b_cluster)
-        .u64(req.seed)
-        .i32(tile_m)
-        .i32(tile_n);
+        .u64(req.seed);
     const KernelRequest r = req; // by-value for the builder
     return GemmProfilesView::owned(
         ctx.cache->getOrBuild<GemmProfilePair>(
             key.value(),
-            [r, tile_m, tile_n] {
+            [r] {
                 Rng rng(r.seed);
                 SparsityProfile a = SparsityProfile::randomA(
-                    r.m, r.k, tile_m, 1.0 - r.a_sparsity, r.a_cluster,
-                    rng);
+                    r.m, r.k, kWarpTile, 1.0 - r.a_sparsity,
+                    r.a_cluster, rng);
                 SparsityProfile b = SparsityProfile::randomA(
-                    r.n, r.k, tile_n, 1.0 - r.b_sparsity, r.b_cluster,
-                    rng);
+                    r.n, r.k, kWarpTile, 1.0 - r.b_sparsity,
+                    r.b_cluster, rng);
                 return GemmProfilePair{std::move(a), std::move(b)};
             },
             hit));
@@ -92,7 +77,6 @@ resolveTwoLevelA(const KernelRequest &req, const PlanContext &ctx,
     // digest but differing in datatype must never collide.
     CacheKey key("two-level-a");
     key.u64(digests.a(*req.a))
-        .i32(o.tile_m)
         .i32(o.tile_k)
         .i32(static_cast<int32_t>(o.dtype));
     const Matrix<float> *a = req.a;
@@ -104,7 +88,7 @@ resolveTwoLevelA(const KernelRequest &req, const PlanContext &ctx,
             // the spec is independent of the worker partitioning).
             const QuantSpec spec = QuantSpec::forValues(
                 o.dtype, a->data().data(), a->data().size());
-            return wordEncodeTwoLevel(*a, o.tile_m, o.tile_k,
+            return wordEncodeTwoLevel(*a, kWarpTile, o.tile_k,
                                       Major::Col, workers, spec);
         },
         hit);
@@ -118,7 +102,6 @@ resolveTwoLevelB(const KernelRequest &req, const PlanContext &ctx,
     CacheKey key("two-level-b");
     key.u64(digests.b(*req.b))
         .i32(o.tile_k)
-        .i32(o.tile_n)
         .i32(static_cast<int32_t>(o.dtype));
     const Matrix<float> *b = req.b;
     const int workers = ctx.encode_workers;
@@ -127,7 +110,7 @@ resolveTwoLevelB(const KernelRequest &req, const PlanContext &ctx,
         [b, &o, workers] {
             const QuantSpec spec = QuantSpec::forValues(
                 o.dtype, b->data().data(), b->data().size());
-            return wordEncodeTwoLevel(*b, o.tile_k, o.tile_n,
+            return wordEncodeTwoLevel(*b, o.tile_k, kWarpTile,
                                       Major::Row, workers, spec);
         },
         hit);

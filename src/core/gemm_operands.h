@@ -54,8 +54,6 @@ struct GemmProfilesView
     std::shared_ptr<const SparsityProfile> a;
     std::shared_ptr<const SparsityProfile> b;
 
-    explicit operator bool() const { return a && b; }
-
     static GemmProfilesView
     borrowed(const SparsityProfile *a, const SparsityProfile *b)
     {
@@ -76,12 +74,11 @@ struct GemmProfilesView
 };
 
 /**
- * Resolve (or synthesize) the popcount profiles of a GEMM request.
- * Pre-encoded operands yield profiles read off their packing offsets
- * (SparsityProfile::fromEncodedA/B: exact counts, no decode, no value
- * pass) — or an empty view when their tiling disagrees with the
- * request's gemm_options, since the timing model accepts no profile
- * at other warp-tile edges.
+ * Resolve (or synthesize) the kWarpTile-granular popcount profiles of
+ * a GEMM request. Pre-encoded operands yield profiles read off their
+ * packing offsets (SparsityProfile::fromEncodedA/B: exact counts, no
+ * decode, no value pass); KernelRegistry::plan has already asserted
+ * their tiling, so the view is never empty.
  */
 GemmProfilesView
 resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
@@ -90,9 +87,9 @@ resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
 /**
  * Cache-backed two-level encoding of a request's concrete A operand
  * (requires req.a), built by the word-parallel encoder at the
- * request's tiling (bitwise identical to the element-wise encode for
+ * request's tile_k (bitwise identical to the element-wise encode for
  * every ctx.encode_workers setting, so the key carries only the
- * operand digest and tiling). Keyed here, in one place, so a hybrid
+ * operand digest, tile_k and datatype). Keyed here, in one place, so a hybrid
  * class slice and a dual-sparse plan of the same operand share one
  * cache entry.
  */

@@ -51,10 +51,7 @@ constexpr double kSplitMargin = 0.98;
  * granularity = the partition granularity) and the full B profile
  * for the class estimates. SpMM partitions its strip profile a8 and
  * has no B profile (each class's dual plan re-aggregates its slice
- * for the wide-format estimate). The view is empty only for
- * pre-encoded operands whose tiling disagrees with the request's
- * gemm_options — there is no profile view the timing model accepts,
- * so the request is delegated wholesale to the dual-sparse backend.
+ * for the wide-format estimate).
  */
 GemmProfilesView
 resolvePartitionView(const KernelRequest &req, const PlanContext &ctx,
@@ -138,21 +135,6 @@ mergedTimeUs(const std::vector<const KernelStats *> &classes)
     return acc.timeUs();
 }
 
-/** The wholesale-dual split of a request whose pre-encoded tiling
- *  has no profile view (estimate left 0: computing it would run the
- *  kernel once more than execution needs). */
-HybridSplit
-wholesaleDualSplit(int groups)
-{
-    HybridSplit split;
-    HybridClass cls;
-    cls.method = Method::DualSparse;
-    cls.groups.resize(groups);
-    std::iota(cls.groups.begin(), cls.groups.end(), 0);
-    split.classes.push_back(std::move(cls));
-    return split;
-}
-
 HybridSplit
 planSplit(const KernelRequest &req, const PlanContext &ctx,
           const GemmProfilesView &view)
@@ -160,9 +142,6 @@ planSplit(const KernelRequest &req, const PlanContext &ctx,
     DSTC_ASSERT(ctx.registry,
                 "hybrid routes its classes through the registry's "
                 "plan(); plan it via KernelRegistry::plan");
-    if (!view.a)
-        return wholesaleDualSplit(req.a_encoded->numTileRows());
-
     const SparsityProfile &pa = *view.a;
     const SparsityProfile *pb = view.b.get(); // null for SpMM
     const int groups = pa.groups();
@@ -409,17 +388,14 @@ class HybridPlan : public ExecutionPlan
     }
 
     /** Tile-row group edge of the partition (the A-side warp-tile
-     *  rows: gemm_options.tile_m, or the pre-encoded operand's own
-     *  tiling when that is the request flavor; SpMM partitions at
-     *  strip granularity so a class boundary never splits a narrow
-     *  vector). */
+     *  rows; SpMM partitions at strip granularity so a class
+     *  boundary never splits a narrow vector). */
     int
     partitionTile() const
     {
-        if (req_.kind == KernelRequest::Kind::Spmm)
-            return NarrowTileMatrix::kStripRows;
-        return req_.a_encoded ? req_.a_encoded->tileRows()
-                              : req_.gemm_options.tile_m;
+        return req_.kind == KernelRequest::Kind::Spmm
+                   ? NarrowTileMatrix::kStripRows
+                   : kWarpTile;
     }
 
     /** The sub-request one class executes. Slices are stored on the
@@ -428,11 +404,7 @@ class HybridPlan : public ExecutionPlan
     KernelRequest
     classRequest(const HybridClass &cls)
     {
-        // With no profile view (pre-encoded tiling mismatch) the
-        // groups are the encoding's own tile rows.
-        if (static_cast<int>(cls.groups.size()) ==
-            (view_.a ? view_.a->groups()
-                     : req_.a_encoded->numTileRows())) {
+        if (static_cast<int>(cls.groups.size()) == view_.a->groups()) {
             // Single class covering every group: hand the original
             // request to the routed backend unchanged, so the
             // degenerate (uniform-density) case is bitwise the pure

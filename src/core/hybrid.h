@@ -60,7 +60,7 @@ struct HybridSplit
     /**
      * Density cut that produced the classes (groups with density >=
      * threshold form the high class). -1 when the request was not
-     * split (single class, or pre-encoded tiling mismatch).
+     * split (a single class).
      */
     double threshold = -1.0;
 

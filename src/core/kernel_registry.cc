@@ -91,6 +91,17 @@ KernelRegistry::plan(const KernelRequest &request,
                     "give both operand profiles or neither");
         DSTC_ASSERT(!request.a_encoded == !request.b_encoded,
                     "give both pre-encoded operands or neither");
+        // The kernel multiplies kWarpTile x tile_k A tiles by
+        // tile_k x kWarpTile B tiles, at the request's tile_k.
+        const int tile_k = request.gemm_options.tile_k;
+        DSTC_ASSERT(!request.a_encoded ||
+                        (request.a_encoded->tileRows() == kWarpTile &&
+                         request.a_encoded->tileCols() == tile_k &&
+                         request.b_encoded->tileRows() == tile_k &&
+                         request.b_encoded->tileCols() == kWarpTile),
+                    "pre-encoded operands must be tiled ", kWarpTile,
+                    "x", tile_k, " (A) and ", tile_k, "x", kWarpTile,
+                    " (B) to match gemm_options.tile_k");
     } else if (request.kind == KernelRequest::Kind::Spmm) {
         DSTC_ASSERT(!request.a == !request.b,
                     "give both SpMM operands or neither");

@@ -183,10 +183,9 @@ struct KernelRequest
 
     /**
      * Dual-sparse knobs (tiling, functional, merge model). tile_k
-     * (the two-level K-chunk depth) is the tunable knob; the 32x32
-     * warp tile (tile_m/tile_n) is fixed by the Tensor Core's
-     * accumulation buffer (Sec. III-B) and the machine model
-     * rejects other edges.
+     * (the two-level K-chunk depth) is the one tiling knob; the
+     * kWarpTile x kWarpTile warp tile is fixed by the Tensor Core's
+     * accumulation buffer (Sec. III-B).
      */
     SpGemmOptions gemm_options;
 
@@ -390,15 +389,6 @@ struct KernelRequest
         return *this;
     }
 
-    /** Synthetic operating point: (A, B) sparsities. */
-    KernelRequest &
-    withSparsities(double a_value, double b_value)
-    {
-        a_sparsity = a_value;
-        b_sparsity = b_value;
-        return *this;
-    }
-
     /** Synthetic operating point: (A, B) cluster factors. */
     KernelRequest &
     withClusters(double a_value, double b_value)
@@ -408,26 +398,11 @@ struct KernelRequest
         return *this;
     }
 
-    /** Two-level K-chunk depth (the tunable dual-sparse tiling). */
-    KernelRequest &
-    withTileK(int value)
-    {
-        gemm_options.tile_k = value;
-        return *this;
-    }
-
     /** Compute values (true) or only time (false). */
     KernelRequest &
     withFunctional(bool value)
     {
         gemm_options.functional = value;
-        return *this;
-    }
-
-    KernelRequest &
-    withOuterProduct(bool value)
-    {
-        outer_product = value;
         return *this;
     }
 

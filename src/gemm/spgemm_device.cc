@@ -18,6 +18,9 @@ namespace {
  */
 constexpr int64_t kTileOverheadCycles = 4;
 
+static_assert(LaneTile::kDim == kWarpTile,
+              "the lane tile stages one warp tile's accumulator");
+
 /**
  * Everything one (ti, tj) output tile contributes to the kernel
  * stats. Workers fill one outcome per tile concurrently; the caller
@@ -50,17 +53,17 @@ SpGemmDevice::multiply(const Matrix<float> &a, const Matrix<float> &b,
     DSTC_ASSERT(a.cols() == b.rows(), "SpGEMM dims: ", a.rows(), "x",
                 a.cols(), " * ", b.rows(), "x", b.cols());
 
-    // Two-level encodings: A tiled (tile_m x tile_k) column-major,
-    // B tiled (tile_k x tile_n) row-major (Fig. 8b / Fig. 9). The
+    // Two-level encodings: A tiled (32 x tile_k) column-major, B
+    // tiled (tile_k x 32) row-major (Fig. 8b / Fig. 9). The
     // per-matrix QuantSpec fills each side's quantized value lane.
     const QuantSpec spec_a = QuantSpec::forValues(
         options.dtype, a.data().data(), a.data().size());
     const QuantSpec spec_b = QuantSpec::forValues(
         options.dtype, b.data().data(), b.data().size());
     TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
-        a, options.tile_m, options.tile_k, Major::Col, spec_a);
+        a, kWarpTile, options.tile_k, Major::Col, spec_a);
     TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
-        b, options.tile_k, options.tile_n, Major::Row, spec_b);
+        b, options.tile_k, kWarpTile, Major::Row, spec_b);
     return multiplyEncoded(a_enc, b_enc, options);
 }
 
@@ -72,10 +75,10 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
     DSTC_ASSERT(a_enc.cols() == b_enc.rows(),
                 "SpGEMM dims: ", a_enc.rows(), "x", a_enc.cols(), " * ",
                 b_enc.rows(), "x", b_enc.cols());
-    DSTC_ASSERT(a_enc.tileRows() == options.tile_m &&
+    DSTC_ASSERT(a_enc.tileRows() == kWarpTile &&
                     a_enc.tileCols() == options.tile_k &&
                     b_enc.tileRows() == options.tile_k &&
-                    b_enc.tileCols() == options.tile_n,
+                    b_enc.tileCols() == kWarpTile,
                 "operand tiling must match the SpGEMM options");
     const int m = a_enc.rows(), n = b_enc.cols();
 
@@ -116,8 +119,8 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
         const int tj = static_cast<int>(t % tiles_n);
         TileOutcome &out = outcomes[static_cast<size_t>(t)];
         out.work.reserve(static_cast<size_t>(tiles_k));
-        out.rows = std::min(options.tile_m, m - ti * options.tile_m);
-        out.cols = std::min(options.tile_n, n - tj * options.tile_n);
+        out.rows = std::min(kWarpTile, m - ti * kWarpTile);
+        out.cols = std::min(kWarpTile, n - tj * kWarpTile);
         // The warp tile accumulates across its k-chunks in a staged
         // lane tile (row stride 32, so the lane loop needs no stride
         // or alias checks); the clipped region is copied to D once.
@@ -176,8 +179,8 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
         }
         if (tile) {
             float *d_tile =
-                d_base + static_cast<size_t>(ti) * options.tile_m * n +
-                static_cast<size_t>(tj) * options.tile_n;
+                d_base + static_cast<size_t>(ti) * kWarpTile * n +
+                static_cast<size_t>(tj) * kWarpTile;
             for (int r = 0; r < out.rows; ++r)
                 std::copy_n(stage.v + r * LaneTile::kDim, out.cols,
                             d_tile + static_cast<size_t>(r) * n);
@@ -255,8 +258,8 @@ SpGemmDevice::timeFromProfiles(const SparsityProfile &a,
                                const SpGemmOptions &options) const
 {
     DSTC_ASSERT(a.k() == b.k(), "profile K mismatch");
-    DSTC_ASSERT(a.tile() == options.tile_m && b.tile() == options.tile_n,
-                "profile tiling must match the SpGEMM options");
+    DSTC_ASSERT(a.tile() == kWarpTile && b.tile() == kWarpTile,
+                "profiles must use the ", kWarpTile, "-wide warp tile");
     const int64_t k = a.k();
     const int tiles_m = a.groups();
     const int tiles_n = b.groups();
@@ -282,7 +285,7 @@ SpGemmDevice::timeFromProfiles(const SparsityProfile &a,
     const auto b_tile_nnz = tile_nnz(b);
 
     const double tile_cells =
-        static_cast<double>(options.tile_m) * options.tile_n;
+        static_cast<double>(kWarpTile) * kWarpTile;
 
     const int64_t total_tiles =
         static_cast<int64_t>(tiles_m) * tiles_n;
@@ -359,8 +362,8 @@ SpGemmDevice::timeFromProfiles(const SparsityProfile &a,
         (cfg_.clock_ghz * 1e3 * cfg_.sparse_issue_efficiency *
          dataTypeComputeScale(options.dtype));
 
-    const int64_t m = static_cast<int64_t>(tiles_m) * options.tile_m;
-    const int64_t n = static_cast<int64_t>(tiles_n) * options.tile_n;
+    const int64_t m = static_cast<int64_t>(tiles_m) * kWarpTile;
+    const int64_t n = static_cast<int64_t>(tiles_n) * kWarpTile;
     const double bytes_a =
         static_cast<double>(a.encodedBytes(options.tile_k, options.dtype));
     const double bytes_b =

@@ -20,9 +20,9 @@ namespace dstc {
 /** Knobs of the device-level SpGEMM execution. */
 struct SpGemmOptions
 {
-    int tile_m = 32; ///< warp-tile rows (accumulator = tile_m x tile_n)
-    int tile_n = 32; ///< warp-tile cols
-    int tile_k = 32; ///< K extent of one two-level A/B tile
+    /** K extent of one two-level A/B tile: the one tiling knob (the
+     *  warp tile is fixed at kWarpTile x kWarpTile). */
+    int tile_k = 32;
 
     /** Use the warp-bitmap to skip empty tiles (two-level format). */
     bool two_level = true;
@@ -86,10 +86,10 @@ class SpGemmDevice
 
     /**
      * D = A x B over operands already in the two-level bitmap format
-     * (A tiled tile_m x tile_k column-major, B tiled tile_k x tile_n
-     * row-major). This is the encode-once / multiply-many entry
-     * point: weights are typically encoded offline (see
-     * sparse/serialize.h) and reused across inferences.
+     * (A tiled kWarpTile x tile_k column-major, B tiled
+     * tile_k x kWarpTile row-major, tile_k = options.tile_k). This
+     * is the encode-once / multiply-many entry point: weights are
+     * encoded once and reused across inferences.
      */
     SpGemmResult multiplyEncoded(const TwoLevelBitmapMatrix &a,
                                  const TwoLevelBitmapMatrix &b,

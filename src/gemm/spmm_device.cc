@@ -329,11 +329,11 @@ KernelStats
 SpmmDevice::timeWideFromProfile(const SparsityProfile &a, int64_t n,
                                 const SpGemmOptions &options) const
 {
-    DSTC_ASSERT(a.tile() == options.tile_m,
+    DSTC_ASSERT(a.tile() == kWarpTile,
                 "wide SpMM profiles use warp-tile granularity");
     const int64_t k = a.k();
     const SparsityProfile b_dense =
-        SparsityProfile::denseA(n, k, options.tile_n);
+        SparsityProfile::denseA(n, k, kWarpTile);
     SpGemmDevice device(cfg_);
     KernelStats stats = device.timeFromProfiles(a, b_dense, options);
     stats.name = "dstc_spmm_wide";
@@ -342,9 +342,9 @@ SpmmDevice::timeWideFromProfile(const SparsityProfile &a, int64_t n,
     // its lane width, not a two-level encoding (no bitmap overhead,
     // no tile bookkeeping).
     const int64_t m_pad =
-        static_cast<int64_t>(a.groups()) * options.tile_m;
+        static_cast<int64_t>(a.groups()) * kWarpTile;
     const int64_t n_pad =
-        static_cast<int64_t>(b_dense.groups()) * options.tile_n;
+        static_cast<int64_t>(b_dense.groups()) * kWarpTile;
     const double bytes_a = static_cast<double>(
         a.encodedBytes(options.tile_k, options.dtype));
     const double bytes_b = static_cast<double>(k) * n *

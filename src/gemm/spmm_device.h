@@ -58,7 +58,7 @@ class SpmmDevice
 
     /**
      * D = A x B with A in the 32-wide two-level encoding
-     * (tile_m x tile_k, Major::Col) and B dense.
+     * (kWarpTile x tile_k, Major::Col) and B dense.
      */
     SpmmResult multiplyWide(const TwoLevelBitmapMatrix &a,
                             const Matrix<float> &b,

@@ -78,97 +78,60 @@ TwoLevelBitmapMatrix
 LoweredFeatureMap::toTwoLevel(int tile_m, int tile_k,
                               int num_workers) const
 {
-    DSTC_ASSERT(tile_m > 0 && tile_k > 0);
-    const int tiles_m = ceilDiv(rows, tile_m);
+    DSTC_ASSERT(tile_m == kWarpTile && tile_k > 0,
+                "the lowered map retiles into ", kWarpTile,
+                "-row warp tiles");
+    const int tiles_m = ceilDiv(rows, kWarpTile);
     const int tiles_k = ceilDiv(cols, tile_k);
     std::vector<BitmapMatrix> tiles(static_cast<size_t>(tiles_m) *
                                     tiles_k);
 
+    // One 64-bit column word holds two consecutive 32-row tile
+    // slices; the tail tile keeps whatever bits remain (the column
+    // bitmap is zero past `rows`).
+    static_assert(kWarpTile == 32, "a word holds two tile slices");
+    auto slice = [&](int j, int ti) -> uint64_t {
+        const uint64_t word =
+            columns[j].bits[static_cast<size_t>(ti) >> 1];
+        return (ti & 1) ? word >> 32 : word & 0xffffffffu;
+    };
+
     // Each k-group of tile_k lowered columns fills a disjoint column
     // of tiles, so groups partition over workers with no reduction
     // needed — every tile is written exactly once. Two passes: the
-    // word-extract pass records every tile-line chunk and its
-    // popcount, then the fill pass copies each tile's parts into
-    // exactly-sized arrays (no growth checks in either loop).
+    // sizing pass counts every tile's non-zeros, then the fill pass
+    // copies each tile's parts into exactly-sized arrays (no growth
+    // checks in either loop).
     auto run_group = [&](int64_t tkl) {
         const int tk = static_cast<int>(tkl);
         const int j0 = tk * tile_k;
         const int j1 = std::min(cols, j0 + tile_k);
         const int g_cols = j1 - j0;
 
-        // Pass 1: extract the (column, tile-row) chunks. The 32-row
-        // warp tile is the production case: two tile slices per
-        // 64-bit column word, split without per-slice shift arithmetic;
-        // other tile heights fall back to generic word extraction.
-        const int wpl = ceilDiv(tile_m, 64); // words per tile line
-        std::vector<uint64_t> chunks(
-            static_cast<size_t>(g_cols) * tiles_m * wpl, 0);
-        std::vector<int> counts(static_cast<size_t>(g_cols) * tiles_m,
-                                0);
-        std::vector<int> src_offsets(
-            static_cast<size_t>(g_cols) * tiles_m, 0);
         std::vector<int64_t> tile_nnz(static_cast<size_t>(tiles_m),
                                       0);
         for (int j = j0; j < j1; ++j) {
-            const LoweredColumn &col = columns[j];
-            const size_t base = static_cast<size_t>(j - j0) * tiles_m;
-            int prefix = 0;
-            if (tile_m == 32) {
-                // One column word holds two consecutive 32-row
-                // slices; the tail tile keeps whatever bits remain
-                // (the column bitmap is zero past `rows`).
-                for (int ti = 0; ti < tiles_m; ++ti) {
-                    const uint64_t word =
-                        col.bits[static_cast<size_t>(ti) >> 1];
-                    const uint64_t chunk = (ti & 1)
-                                               ? word >> 32
-                                               : word & 0xffffffffu;
-                    chunks[base + ti] = chunk;
-                    const int cnt = popcount64(chunk);
-                    counts[base + ti] = cnt;
-                    src_offsets[base + ti] = prefix;
-                    tile_nnz[static_cast<size_t>(ti)] += cnt;
-                    prefix += cnt;
-                }
-            } else {
-                auto word_at = [&](size_t w) -> uint64_t {
-                    return w < col.bits.size() ? col.bits[w] : 0;
-                };
-                for (int ti = 0; ti < tiles_m; ++ti) {
-                    const int r0 = ti * tile_m;
-                    const int t_rows = std::min(tile_m, rows - r0);
-                    int cnt = 0;
-                    for (int t = 0; t < t_rows; t += 64) {
-                        const int src = r0 + t;
-                        const int off = src & 63;
-                        uint64_t chunk = word_at(src >> 6) >> off;
-                        if (off != 0)
-                            chunk |= word_at((src >> 6) + 1)
-                                     << (64 - off);
-                        chunk &= lowMask64(std::min(64, t_rows - t));
-                        chunks[(base + ti) * wpl + (t >> 6)] = chunk;
-                        cnt += popcount64(chunk);
-                    }
-                    counts[base + ti] = cnt;
-                    src_offsets[base + ti] = prefix;
-                    tile_nnz[static_cast<size_t>(ti)] += cnt;
-                    prefix += cnt;
-                }
+            int nnz = 0;
+            for (int ti = 0; ti < tiles_m; ++ti) {
+                const int cnt = popcount64(slice(j, ti));
+                tile_nnz[static_cast<size_t>(ti)] += cnt;
+                nnz += cnt;
             }
-            DSTC_ASSERT(prefix == static_cast<int>(col.values.size()),
+            DSTC_ASSERT(nnz == static_cast<int>(columns[j].values.size()),
                         "toTwoLevel requires a value-gathered "
                         "lowering (column ", j, ")");
         }
 
-        // Pass 2: assemble each tile from exactly-sized parts. The
-        // condensed values of a (column, tile-row) slice are the
-        // next `cnt` entries of the column's packed arrays (the
-        // prefix-popcount address-offset trick, per tile boundary).
+        // Fill pass, tile rows ascending: the condensed values of a
+        // (column, tile-row) slice are the next `cnt` entries of the
+        // column's packed arrays (the prefix-popcount address-offset
+        // trick, per tile boundary), so one cursor per column walks
+        // them.
+        std::vector<int> cursor(static_cast<size_t>(g_cols), 0);
         for (int ti = 0; ti < tiles_m; ++ti) {
-            const int t_rows = std::min(tile_m, rows - ti * tile_m);
-            const int t_wpl = ceilDiv(t_rows, 64);
-            std::vector<uint64_t> bits(
-                static_cast<size_t>(g_cols) * t_wpl);
+            const int t_rows =
+                std::min(kWarpTile, rows - ti * kWarpTile);
+            std::vector<uint64_t> bits(static_cast<size_t>(g_cols));
             std::vector<int> offsets(static_cast<size_t>(g_cols) + 1);
             const size_t nnz =
                 static_cast<size_t>(tile_nnz[static_cast<size_t>(ti)]);
@@ -177,19 +140,17 @@ LoweredFeatureMap::toTwoLevel(int tile_m, int tile_k,
             size_t vi = 0;
             for (int j = j0; j < j1; ++j) {
                 const LoweredColumn &col = columns[j];
-                const size_t slot =
-                    static_cast<size_t>(j - j0) * tiles_m + ti;
-                for (int w = 0; w < t_wpl; ++w)
-                    bits[static_cast<size_t>(j - j0) * t_wpl + w] =
-                        chunks[slot * wpl + w];
-                const int cnt = counts[slot];
-                const int src = src_offsets[slot];
+                const uint64_t chunk = slice(j, ti);
+                bits[static_cast<size_t>(j - j0)] = chunk;
+                const int cnt = popcount64(chunk);
+                int &src = cursor[static_cast<size_t>(j - j0)];
                 std::copy(col.values.begin() + src,
                           col.values.begin() + src + cnt,
                           values.begin() + vi);
                 std::copy(col.values_fp16.begin() + src,
                           col.values_fp16.begin() + src + cnt,
                           fp16.begin() + vi);
+                src += cnt;
                 vi += static_cast<size_t>(cnt);
                 offsets[static_cast<size_t>(j - j0) + 1] =
                     static_cast<int>(vi);
@@ -206,8 +167,8 @@ LoweredFeatureMap::toTwoLevel(int tile_m, int tile_k,
     ThreadPool *pool = resolveTilePool(num_workers, &max_workers);
     parallelFor(pool, tiles_k, max_workers, run_group);
 
-    return TwoLevelBitmapMatrix::fromTiles(rows, cols, tile_m, tile_k,
-                                           Major::Col,
+    return TwoLevelBitmapMatrix::fromTiles(rows, cols, kWarpTile,
+                                           tile_k, Major::Col,
                                            std::move(tiles));
 }
 

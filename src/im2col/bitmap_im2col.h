@@ -89,13 +89,15 @@ class LoweredFeatureMap
 
     /**
      * Re-tile the lowered columns into the two-level bitmap operand
-     * the device-level SpGEMM consumes (tile_m x tile_k warp tiles,
-     * column-major lines), purely by word extraction on the column
-     * bitmaps and condensed-value slicing — bit-for-bit identical to
+     * the device-level SpGEMM consumes (kWarpTile x tile_k warp
+     * tiles, column-major lines): each 64-bit column word splits into
+     * two 32-row tile slices, and the condensed values are sliced
+     * per slice — bit-for-bit identical to
      * TwoLevelBitmapMatrix::encode(decode(), ...) without ever
      * materializing the dense lowered matrix. Requires the map to
      * have been lowered with gather_values.
      *
+     * @param tile_m must be kWarpTile (asserted).
      * @param num_workers partitions the independent tile-column
      *        groups like SpGemmOptions::num_workers (0 = shared
      *        pool, 1 = serial); the result is identical for any

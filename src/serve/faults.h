@@ -22,8 +22,7 @@
  * Faults come from a FaultSpec — either scripted events parsed from
  * a compact CLI string, or `randcrash:<n>` events drawn by the
  * injector from its seed over the arrival window. Malformed specs
- * are returned as errors with a message (the serialize.h
- * malformed-input contract), never silently defaulted.
+ * are returned as errors with a message, never silently defaulted.
  *
  * The HealthTracker is the scoreboard the DeadlineScheduler
  * consults: which devices are alive, what slowdown factor applies at

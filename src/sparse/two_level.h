@@ -17,6 +17,15 @@
 
 namespace dstc {
 
+/**
+ * The warp-tile edge of the SpGEMM operands: A is tiled
+ * kWarpTile x tile_k (column-major lines), B tile_k x kWarpTile
+ * (row-major lines), so the outer-product partial matrix of one
+ * k-step is kWarpTile x kWarpTile and fits the Tensor Core's
+ * accumulation buffer (Sec. III-B). tile_k is the one tiling knob.
+ */
+constexpr int kWarpTile = 32;
+
 /** Two-level (warp-bitmap + element-bitmap) sparse matrix. */
 class TwoLevelBitmapMatrix
 {

@@ -11,6 +11,10 @@ namespace dstc {
 
 namespace {
 
+// Both two-level encoders split each 64-bit word into two warp-tile
+// lines.
+static_assert(kWarpTile == 32, "a word holds two tile lines");
+
 /** Row-major bitmap words: one branchless pass over the storage. */
 std::vector<uint64_t>
 rowMajorBits(const Matrix<float> &dense, int wpl)
@@ -58,101 +62,11 @@ transposeBits(const std::vector<uint64_t> &row_bits, int rows,
     return bits;
 }
 
-} // namespace
-
-std::vector<uint64_t>
-wordEncodeBits(const Matrix<float> &dense, Major major,
-               int *words_per_line)
-{
-    const int line_len =
-        major == Major::Col ? dense.rows() : dense.cols();
-    const int wpl = ceilDiv(line_len, 64);
-    if (words_per_line)
-        *words_per_line = wpl;
-    const int wpl_row = ceilDiv(dense.cols(), 64);
-    if (major == Major::Row)
-        return rowMajorBits(dense, wpl_row);
-    return transposeBits(rowMajorBits(dense, wpl_row), dense.rows(),
-                         dense.cols(), wpl_row, wpl);
-}
-
-BitmapMatrix
-wordEncodeBitmap(const Matrix<float> &dense, Major major,
-                 const QuantSpec &spec)
-{
-    const int rows = dense.rows(), cols = dense.cols();
-    if (major == Major::Row)
-        return BitmapMatrix::encodePlane(dense.data().data(), rows,
-                                         cols, spec);
-
-    // Pass 1, fused: row bitmap words plus the non-zeros packed in
-    // row-major order (packRowsAndGatherValues) — the dense matrix
-    // streams through exactly once.
-    const int wpl_row = ceilDiv(cols, 64);
-    const int wpl = ceilDiv(rows, 64);
-    std::vector<uint64_t> row_bits(
-        static_cast<size_t>(rows) * wpl_row, 0);
-    std::vector<float> rm_values;
-    rm_values.reserve(static_cast<size_t>(rows) * cols / 4);
-    packRowsAndGatherValues(dense.data().data(), rows, cols, wpl_row,
-                            row_bits.data(), rm_values, nullptr);
-    std::vector<uint64_t> bits =
-        transposeBits(row_bits, rows, cols, wpl_row, wpl);
-
-    // Column-line values are the non-zeros in (col, ascending row)
-    // order. Offsets fall out of the column words by POPC; the
-    // values then land by counting-sort permutation of the packed
-    // row-major array — pass 2 touches only the bitmap words and
-    // the condensed arrays (a few percent of the dense bytes), never
-    // the dense matrix again.
-    std::vector<int> offsets(static_cast<size_t>(cols) + 1, 0);
-    for (int c = 0; c < cols; ++c) {
-        const uint64_t *words =
-            bits.data() + static_cast<size_t>(c) * wpl;
-        int cnt = 0;
-        for (int w = 0; w < wpl; ++w)
-            cnt += popcount64(words[w]);
-        offsets[static_cast<size_t>(c) + 1] =
-            offsets[static_cast<size_t>(c)] + cnt;
-    }
-    const int nnz = offsets[static_cast<size_t>(cols)];
-    std::vector<float> values(static_cast<size_t>(nnz));
-    std::vector<float> fp16(static_cast<size_t>(nnz));
-    std::vector<int> cursor(offsets.begin(), offsets.end() - 1);
-    size_t src = 0;
-    for (int r = 0; r < rows; ++r) {
-        const uint64_t *words =
-            row_bits.data() + static_cast<size_t>(r) * wpl_row;
-        for (int w = 0; w < wpl_row; ++w) {
-            uint64_t word = words[w];
-            const int base = w << 6;
-            while (word) {
-                const int c = base + std::countr_zero(word);
-                word &= word - 1;
-                values[static_cast<size_t>(
-                    cursor[static_cast<size_t>(c)]++)] =
-                    rm_values[src++];
-            }
-        }
-    }
-    // Quantize in one contiguous pass (independent iterations
-    // pipeline; the permute loop stays store-bound).
-    for (int i = 0; i < nnz; ++i)
-        fp16[static_cast<size_t>(i)] =
-            spec.apply(values[static_cast<size_t>(i)]);
-    return BitmapMatrix::fromPacked(rows, cols, Major::Col,
-                                    std::move(bits),
-                                    std::move(values), std::move(fp16),
-                                    std::move(offsets));
-}
-
-namespace {
-
 /**
- * Row-major two-level encode with the production 32-wide tile,
- * built directly from the dense rows: each tile-row group packs its
- * row words (64 compares per word), splits every word into its two
- * 32-bit tile chunks, and gathers each chunk's values straight from
+ * Row-major two-level encode (the B operand: tile_rows x kWarpTile
+ * tiles), built directly from the dense rows: each tile-row group
+ * packs its row words (64 compares per word), splits every word into
+ * its two 32-bit tile chunks, and gathers each chunk's values straight from
  * the still-cache-resident dense row into the owning tile's arrays.
  * No full-matrix bitmap intermediate, no second value copy — the
  * dense matrix streams through twice (sizing + fill) while the
@@ -162,10 +76,9 @@ TwoLevelBitmapMatrix
 wordEncodeTwoLevelRow32(const Matrix<float> &dense, int tile_rows,
                         int num_workers, const QuantSpec &spec)
 {
-    constexpr int kTileCols = 32;
     const int rows = dense.rows(), cols = dense.cols();
     const int n_tile_rows = ceilDiv(rows, tile_rows);
-    const int n_tile_cols = ceilDiv(cols, kTileCols);
+    const int n_tile_cols = ceilDiv(cols, kWarpTile);
     const int wpl_row = ceilDiv(cols, 64);
     const float *data = dense.data().data();
 
@@ -238,7 +151,7 @@ wordEncodeTwoLevelRow32(const Matrix<float> &dense, int tile_rows,
                 float *values =
                     t_values[static_cast<size_t>(p)].data();
                 int at = vi[static_cast<size_t>(p)];
-                const int c_base = p * kTileCols;
+                const int c_base = p * kWarpTile;
                 while (chunk) {
                     const int b = std::countr_zero(chunk);
                     chunk &= chunk - 1;
@@ -258,7 +171,7 @@ wordEncodeTwoLevelRow32(const Matrix<float> &dense, int tile_rows,
             for (size_t i = 0; i < values.size(); ++i)
                 fp16[i] = spec.apply(values[i]);
             const int t_cols =
-                std::min(kTileCols, cols - p * kTileCols);
+                std::min(kWarpTile, cols - p * kWarpTile);
             tiles[static_cast<size_t>(g) * n_tile_cols + p] =
                 BitmapMatrix::fromPacked(
                     g_rows, t_cols, Major::Row,
@@ -274,18 +187,17 @@ wordEncodeTwoLevelRow32(const Matrix<float> &dense, int tile_rows,
     parallelFor(pool, n_tile_rows, max_workers, run_group);
 
     return TwoLevelBitmapMatrix::fromTiles(rows, cols, tile_rows,
-                                           kTileCols, Major::Row,
+                                           kWarpTile, Major::Row,
                                            std::move(tiles), spec);
 }
 
 /**
- * Column-major two-level encode with the production 32-row tile,
- * built without the full-matrix bitmap intermediate: one fused pass
- * packs row words and the non-zeros in row-major order, the block
- * transpose yields the column words, and a counting-sort permute
- * then drops every value straight into its owning tile's arrays
- * (cursor per (column, tile-row)) — the second full-matrix value
- * copy of the generic path never happens. Tile rows are
+ * Column-major two-level encode (the A operand: kWarpTile x
+ * tile_cols tiles): one fused pass packs row words and the non-zeros
+ * in row-major order, the block transpose yields the column words,
+ * and a counting-sort permute then drops every value straight into
+ * its owning tile's arrays (cursor per (column, tile-row)) — no
+ * full-matrix bitmap and no second value copy. Tile rows are
  * independent: each owns its rows' permute span (per-row source
  * offsets from pass 1), its tiles and its cursors, so the group
  * loop partitions over workers with every write disjoint.
@@ -294,9 +206,8 @@ TwoLevelBitmapMatrix
 wordEncodeTwoLevelCol32(const Matrix<float> &dense, int tile_cols,
                         int num_workers, const QuantSpec &spec)
 {
-    constexpr int kTileRows = 32;
     const int rows = dense.rows(), cols = dense.cols();
-    const int n_tile_rows = ceilDiv(rows, kTileRows);
+    const int n_tile_rows = ceilDiv(rows, kWarpTile);
     const int n_tile_cols = ceilDiv(cols, tile_cols);
     const int wpl_row = ceilDiv(cols, 64);
     const int wpl_col = ceilDiv(rows, 64);
@@ -321,8 +232,8 @@ wordEncodeTwoLevelCol32(const Matrix<float> &dense, int tile_cols,
 
     auto run_group = [&](int64_t trl) {
         const int tr = static_cast<int>(trl);
-        const int r0 = tr * kTileRows;
-        const int r1 = std::min(rows, r0 + kTileRows);
+        const int r0 = tr * kWarpTile;
+        const int r1 = std::min(rows, r0 + kWarpTile);
         const int t_rows = r1 - r0;
 
         // Per-line counts from the column-word halves, accumulated
@@ -411,12 +322,28 @@ wordEncodeTwoLevelCol32(const Matrix<float> &dense, int tile_cols,
     ThreadPool *pool = resolveTilePool(num_workers, &max_workers);
     parallelFor(pool, n_tile_rows, max_workers, run_group);
 
-    return TwoLevelBitmapMatrix::fromTiles(rows, cols, kTileRows,
+    return TwoLevelBitmapMatrix::fromTiles(rows, cols, kWarpTile,
                                            tile_cols, Major::Col,
                                            std::move(tiles), spec);
 }
 
 } // namespace
+
+std::vector<uint64_t>
+wordEncodeBits(const Matrix<float> &dense, Major major,
+               int *words_per_line)
+{
+    const int line_len =
+        major == Major::Col ? dense.rows() : dense.cols();
+    const int wpl = ceilDiv(line_len, 64);
+    if (words_per_line)
+        *words_per_line = wpl;
+    const int wpl_row = ceilDiv(dense.cols(), 64);
+    if (major == Major::Row)
+        return rowMajorBits(dense, wpl_row);
+    return transposeBits(rowMajorBits(dense, wpl_row), dense.rows(),
+                         dense.cols(), wpl_row, wpl);
+}
 
 TwoLevelBitmapMatrix
 wordEncodeTwoLevel(const Matrix<float> &dense, int tile_rows,
@@ -424,183 +351,16 @@ wordEncodeTwoLevel(const Matrix<float> &dense, int tile_rows,
                    const QuantSpec &spec)
 {
     DSTC_ASSERT(tile_rows > 0 && tile_cols > 0);
-    const int rows = dense.rows(), cols = dense.cols();
-    const int n_tile_rows = ceilDiv(rows, tile_rows);
-    const int n_tile_cols = ceilDiv(cols, tile_cols);
-
-    if (major == Major::Row && tile_cols == 32)
-        return wordEncodeTwoLevelRow32(dense, tile_rows, num_workers,
-                                       spec);
-    if (major == Major::Col && tile_rows == 32)
+    if (major == Major::Col) {
+        DSTC_ASSERT(tile_rows == kWarpTile,
+                    "column-major operands use ", kWarpTile,
+                    "-row warp tiles");
         return wordEncodeTwoLevelCol32(dense, tile_cols, num_workers,
                                        spec);
-
-    const BitmapMatrix full = wordEncodeBitmap(dense, major, spec);
-
-    // The line axis of the tiling: tile columns for Major::Col
-    // (lines are matrix columns), tile rows for Major::Row. Each
-    // line group fills a disjoint row/column of tiles, so groups
-    // partition over workers with every tile written exactly once.
-    const bool col = major == Major::Col;
-    const int line_groups = col ? n_tile_cols : n_tile_rows;
-    const int lines_per_group = col ? tile_cols : tile_rows;
-    const int perp_tiles = col ? n_tile_rows : n_tile_cols;
-    const int perp_tile = col ? tile_rows : tile_cols;
-    const int line_len = full.lineLength();
-    const int num_lines = full.numLines();
-
-    std::vector<BitmapMatrix> tiles(static_cast<size_t>(n_tile_rows) *
-                                    n_tile_cols);
-
-    // Two passes per group, mirroring LoweredFeatureMap::toTwoLevel:
-    // the word-extract pass records every (line, perp-tile) chunk and
-    // its popcount, then the fill pass copies each tile's parts into
-    // exactly-sized arrays — the condensed values of a chunk are the
-    // next `cnt` entries of the line's packed arrays (the
-    // prefix-popcount address-offset trick, per tile boundary).
-    auto run_group = [&](int64_t gl) {
-        const int g = static_cast<int>(gl);
-        const int l0 = g * lines_per_group;
-        const int l1 = std::min(num_lines, l0 + lines_per_group);
-        const int g_lines = l1 - l0;
-        const int wpl_t = ceilDiv(perp_tile, 64);
-
-        std::vector<uint64_t> chunks(static_cast<size_t>(g_lines) *
-                                         perp_tiles * wpl_t,
-                                     0);
-        std::vector<int> counts(
-            static_cast<size_t>(g_lines) * perp_tiles, 0);
-        std::vector<int> src_offsets(
-            static_cast<size_t>(g_lines) * perp_tiles, 0);
-        std::vector<int64_t> tile_nnz(
-            static_cast<size_t>(perp_tiles), 0);
-        for (int l = l0; l < l1; ++l) {
-            const auto words = full.lineBits(l);
-            auto word_at = [&](size_t w) -> uint64_t {
-                return w < words.size() ? words[w] : 0;
-            };
-            const size_t base =
-                static_cast<size_t>(l - l0) * perp_tiles;
-            int prefix = 0;
-            for (int p = 0; p < perp_tiles; ++p) {
-                const int e0 = p * perp_tile;
-                const int t_len = std::min(perp_tile, line_len - e0);
-                int cnt = 0;
-                for (int t = 0; t < t_len; t += 64) {
-                    const int src = e0 + t;
-                    const int off = src & 63;
-                    uint64_t chunk = word_at(src >> 6) >> off;
-                    if (off != 0)
-                        chunk |= word_at((src >> 6) + 1)
-                                 << (64 - off);
-                    chunk &= lowMask64(std::min(64, t_len - t));
-                    chunks[(base + p) * wpl_t + (t >> 6)] = chunk;
-                    cnt += popcount64(chunk);
-                }
-                counts[base + p] = cnt;
-                src_offsets[base + p] = prefix;
-                tile_nnz[static_cast<size_t>(p)] += cnt;
-                prefix += cnt;
-            }
-            DSTC_ASSERT(prefix == full.lineNnz(l));
-        }
-
-        // Fill pass, line-outer: one span fetch per line serves all
-        // of the line's tile chunks (fetching per (line, tile) slot
-        // would cost more than the handful-of-values copies it
-        // feeds). Each tile's parts accumulate behind a cursor.
-        std::vector<std::vector<uint64_t>> t_bits(
-            static_cast<size_t>(perp_tiles));
-        std::vector<std::vector<int>> t_offsets(
-            static_cast<size_t>(perp_tiles));
-        std::vector<std::vector<float>> t_values(
-            static_cast<size_t>(perp_tiles));
-        std::vector<std::vector<float>> t_fp16(
-            static_cast<size_t>(perp_tiles));
-        std::vector<size_t> vi(static_cast<size_t>(perp_tiles), 0);
-        std::vector<uint64_t *> bits_ptr(
-            static_cast<size_t>(perp_tiles));
-        std::vector<float *> values_ptr(
-            static_cast<size_t>(perp_tiles));
-        std::vector<float *> fp16_ptr(
-            static_cast<size_t>(perp_tiles));
-        std::vector<int *> offsets_ptr(
-            static_cast<size_t>(perp_tiles));
-        std::vector<int> t_wpls(static_cast<size_t>(perp_tiles));
-        for (int p = 0; p < perp_tiles; ++p) {
-            const int t_len =
-                std::min(perp_tile, line_len - p * perp_tile);
-            const size_t nnz = static_cast<size_t>(
-                tile_nnz[static_cast<size_t>(p)]);
-            t_bits[static_cast<size_t>(p)].resize(
-                static_cast<size_t>(g_lines) * ceilDiv(t_len, 64));
-            t_offsets[static_cast<size_t>(p)].assign(
-                static_cast<size_t>(g_lines) + 1, 0);
-            t_values[static_cast<size_t>(p)].resize(nnz);
-            t_fp16[static_cast<size_t>(p)].resize(nnz);
-            bits_ptr[static_cast<size_t>(p)] =
-                t_bits[static_cast<size_t>(p)].data();
-            values_ptr[static_cast<size_t>(p)] =
-                t_values[static_cast<size_t>(p)].data();
-            fp16_ptr[static_cast<size_t>(p)] =
-                t_fp16[static_cast<size_t>(p)].data();
-            offsets_ptr[static_cast<size_t>(p)] =
-                t_offsets[static_cast<size_t>(p)].data();
-            t_wpls[static_cast<size_t>(p)] = ceilDiv(t_len, 64);
-        }
-        for (int l = l0; l < l1; ++l) {
-            const auto vals = full.lineValues(l);
-            const auto vals16 = full.lineValuesFp16(l);
-            const size_t base =
-                static_cast<size_t>(l - l0) * perp_tiles;
-            for (int p = 0; p < perp_tiles; ++p) {
-                const int t_wpl = t_wpls[static_cast<size_t>(p)];
-                const size_t slot = base + p;
-                uint64_t *bits =
-                    bits_ptr[static_cast<size_t>(p)] +
-                    static_cast<size_t>(l - l0) * t_wpl;
-                for (int w = 0; w < t_wpl; ++w)
-                    bits[w] = chunks[slot * wpl_t + w];
-                const int cnt = counts[slot];
-                const int src = src_offsets[slot];
-                float *values = values_ptr[static_cast<size_t>(p)];
-                float *fp16 = fp16_ptr[static_cast<size_t>(p)];
-                size_t &at = vi[static_cast<size_t>(p)];
-                for (int i = 0; i < cnt; ++i) {
-                    values[at + i] = vals[src + i];
-                    fp16[at + i] = vals16[src + i];
-                }
-                at += static_cast<size_t>(cnt);
-                offsets_ptr[static_cast<size_t>(p)]
-                           [static_cast<size_t>(l - l0) + 1] =
-                               static_cast<int>(at);
-            }
-        }
-        for (int p = 0; p < perp_tiles; ++p) {
-            const int t_len =
-                std::min(perp_tile, line_len - p * perp_tile);
-            const int tile_r = col ? p : g;
-            const int tile_c = col ? g : p;
-            const int t_rows = col ? t_len : g_lines;
-            const int t_cols = col ? g_lines : t_len;
-            tiles[static_cast<size_t>(tile_r) * n_tile_cols +
-                  tile_c] =
-                BitmapMatrix::fromPacked(
-                    t_rows, t_cols, major,
-                    std::move(t_bits[static_cast<size_t>(p)]),
-                    std::move(t_values[static_cast<size_t>(p)]),
-                    std::move(t_fp16[static_cast<size_t>(p)]),
-                    std::move(t_offsets[static_cast<size_t>(p)]));
-        }
-    };
-
-    int max_workers = 1;
-    ThreadPool *pool = resolveTilePool(num_workers, &max_workers);
-    parallelFor(pool, line_groups, max_workers, run_group);
-
-    return TwoLevelBitmapMatrix::fromTiles(rows, cols, tile_rows,
-                                           tile_cols, major,
-                                           std::move(tiles), spec);
+    }
+    DSTC_ASSERT(tile_cols == kWarpTile, "row-major operands use ",
+                kWarpTile, "-column warp tiles");
+    return wordEncodeTwoLevelRow32(dense, tile_rows, num_workers, spec);
 }
 
 NarrowTileMatrix

@@ -9,10 +9,11 @@
  * The difference is purely mechanical: bits are built 64 elements
  * per word with branchless compares, column-major bitmaps come out
  * of 64x64 block transposes instead of per-element probes, values
- * are packed by ctz walks over the words (FP16-rounded once, at
- * encode time), and warp tiles are split off the full-matrix bitmap
- * by pure word extraction + condensed-value slicing — the same
- * machinery the implicit im2col uses (encodePlane / fromPacked).
+ * are packed by ctz walks over the words (quantized once, at encode
+ * time), and each 64-bit word splits into two 32-element warp-tile
+ * lines (the warp tile is fixed at kWarpTile) that assemble straight
+ * into the tiles through BitmapMatrix::fromPacked — no full-matrix
+ * bitmap is ever built.
  */
 #ifndef DSTC_SPARSE_WORD_ENCODE_H
 #define DSTC_SPARSE_WORD_ENCODE_H
@@ -28,32 +29,25 @@
 namespace dstc {
 
 /**
- * Word-parallel BitmapMatrix::encode: bitmap words built 64
- * elements at a time, values packed via ctz walks. Bitwise identical
- * to encode(dense, major, spec) in bits, values, the quantized
- * mirror and the line offsets.
- */
-BitmapMatrix wordEncodeBitmap(const Matrix<float> &dense, Major major,
-                              const QuantSpec &spec = {});
-
-/**
  * The bitmap words of @p dense alone (no values), in the line-major
  * layout of BitmapMatrix: wordsPerLine() words per packing line,
- * LSB-first. The cheap front half of wordEncodeBitmap, for callers
- * that only need popcounts (profile extraction).
+ * LSB-first, for callers that only need popcounts (profile
+ * extraction).
  */
 std::vector<uint64_t> wordEncodeBits(const Matrix<float> &dense,
                                      Major major,
                                      int *words_per_line);
 
 /**
- * Word-parallel TwoLevelBitmapMatrix::encode: the full matrix is
- * bitmap-encoded once (64 elements/word), then split into
- * tile_rows x tile_cols warp tiles by word extraction on the line
- * bitmaps and contiguous slices of the packed value arrays (the
- * prefix-popcount address-offset trick, per tile boundary). No dense
- * staging, no per-element probes, no re-rounding — the FP16 mirror
- * is sliced alongside the FP32 values.
+ * Word-parallel TwoLevelBitmapMatrix::encode of a SpGEMM operand at
+ * the fixed warp-tile edge: A as Major::Col with tile_rows ==
+ * kWarpTile (tile_cols = tile_k), B as Major::Row with tile_cols ==
+ * kWarpTile (tile_rows = tile_k); any other edge fails an assert.
+ * Column-major operands pack their rows and non-zeros in one pass,
+ * block-transpose the row words and permute the values straight into
+ * their tiles; row-major operands split each row word into its two
+ * tile chunks and gather the values from the cache-resident row. No
+ * dense staging, no per-element probes, no re-rounding.
  *
  * @param num_workers partitions the independent tile line groups
  *        over the shared pool (SpGemmOptions::num_workers contract:

@@ -127,9 +127,9 @@ TEST(AutoEstimateTest, PreEncodedEstimateIsExactWithoutRunning)
     SpGemmOptions opts;
     opts.functional = false;
     TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
-        a, opts.tile_m, opts.tile_k, Major::Col);
+        a, kWarpTile, opts.tile_k, Major::Col);
     TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
-        b, opts.tile_k, opts.tile_n, Major::Row);
+        b, opts.tile_k, kWarpTile, Major::Row);
     KernelRequest req;
     req.kind = KernelRequest::Kind::Gemm;
     req.method = Method::DualSparse;
@@ -173,6 +173,16 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
                                                 b_enc.cols(), a.cols());
     encoded.a_encoded = &a_enc;
     encoded.b_encoded = &b_enc;
+    // tile_k is the one tiling knob: a pair encoded at tile_k 16 runs
+    // under a request at tile_k 16.
+    const TwoLevelBitmapMatrix a_enc16 =
+        TwoLevelBitmapMatrix::encode(a, 32, 16, Major::Col);
+    const TwoLevelBitmapMatrix b_enc16 =
+        TwoLevelBitmapMatrix::encode(b, 16, 32, Major::Row);
+    KernelRequest encoded16 = encoded;
+    encoded16.a_encoded = &a_enc16;
+    encoded16.b_encoded = &b_enc16;
+    encoded16.gemm_options.tile_k = 16;
 
     Rng spmm_rng(506);
     const Matrix<float> sa =
@@ -196,6 +206,7 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
         {"profile gemm", KernelRequest::gemm(pa, pb)},
         {"concrete gemm", KernelRequest::gemm(a, b)},
         {"pre-encoded gemm", encoded},
+        {"pre-encoded gemm at tile_k 16", encoded16},
         {"synthetic spmm", KernelRequest::spmm(256, 32, 192, 0.97)},
         {"profile spmm", KernelRequest::spmm(sa8, 32)},
         {"concrete spmm", KernelRequest::spmm(sa, sb)},

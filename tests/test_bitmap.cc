@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/fp16.h"
 #include "common/rng.h"
-#include "sparse/serialize.h"
 
 namespace dstc {
 namespace {
@@ -307,13 +305,6 @@ TEST(Bitmap, OccupiedLinesMatchLineCountsForEveryFactory)
                     std::move(values), std::move(fp16),
                     std::move(offsets));
                 EXPECT_EQ(packed.occupiedLines(), bm.occupiedLines());
-
-                // A serialize round trip.
-                std::stringstream buf;
-                saveBitmap(bm, buf);
-                const auto loaded = loadBitmap(buf);
-                ASSERT_TRUE(loaded.has_value());
-                EXPECT_EQ(loaded->occupiedLines(), bm.occupiedLines());
             }
             const BitmapMatrix plane =
                 BitmapMatrix::encodePlane(m.data().data(), d[0], d[1]);

@@ -74,8 +74,8 @@ TEST(FaultSpecTest, ParsesEveryTokenKind)
 
 TEST(FaultSpecTest, MalformedSpecsFailWithMessage)
 {
-    // The serialize.h contract: every malformed input is an error
-    // with a message, never a silent default.
+    // Every malformed input is an error with a message, never a
+    // silent default.
     for (const char *bad :
          {"", ";", "bogus", "crash@:d0", "crash@-5:d0", "crash@100",
           "crash@100:x0", "crash@100:d", "crash@100:d1x",

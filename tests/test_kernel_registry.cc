@@ -125,6 +125,35 @@ TEST_F(KernelRegistryTest, PreEncodedOperandsOnlyRouteToDualSparse)
     }
 }
 
+TEST(KernelRegistryDeathTest, MismatchedPreEncodedTilingPanicsAtPlan)
+{
+    // A pair encoded at tile_k 16 under a request at the default
+    // tile_k 32 has no kernel to run on: plan() refuses it for every
+    // method that accepts pre-encoded operands, naming the tiling the
+    // request expects, before any backend is planned or estimated.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Matrix<float> dense(64, 64);
+    const TwoLevelBitmapMatrix a_enc =
+        TwoLevelBitmapMatrix::encode(dense, 32, 16, Major::Col);
+    const TwoLevelBitmapMatrix b_enc =
+        TwoLevelBitmapMatrix::encode(dense, 16, 32, Major::Row);
+    KernelRequest req = KernelRequest::gemm(64, 64, 64);
+    req.a_encoded = &a_enc;
+    req.b_encoded = &b_enc;
+    for (Method method :
+         {Method::DualSparse, Method::Auto, Method::Hybrid}) {
+        req.method = method;
+        EXPECT_DEATH(
+            {
+                Session session;
+                session.plan(req);
+            },
+            "must be tiled 32x32 \\(A\\) and 32x32 \\(B\\).*"
+            "kernel_registry\\.cc")
+            << methodName(method);
+    }
+}
+
 TEST_F(KernelRegistryTest, ExplicitConvAutoExcludesForcedPruneTiming)
 {
     // The explicit Single Sparse strategy's timing presumes the

@@ -138,9 +138,9 @@ TEST_F(SpGemmDeviceTest, EncodedEntryPointMatchesDenseEntryPoint)
     Matrix<float> b = randomSparseMatrix(70, 90, 0.6, rng);
     SpGemmOptions opts;
     TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
-        a, opts.tile_m, opts.tile_k, Major::Col);
+        a, kWarpTile, opts.tile_k, Major::Col);
     TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
-        b, opts.tile_k, opts.tile_n, Major::Row);
+        b, opts.tile_k, kWarpTile, Major::Row);
 
     SpGemmResult via_dense = device_.multiply(a, b, opts);
     SpGemmResult via_encoded =
@@ -283,9 +283,9 @@ TEST_F(SpGemmDeviceTest, WordPipelineMatchesScalarReferencePipeline)
     Matrix<float> b = randomSparseMatrix(70, 85, 0.5, rng);
     SpGemmOptions opts;
     TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
-        a, opts.tile_m, opts.tile_k, Major::Col);
+        a, kWarpTile, opts.tile_k, Major::Col);
     TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
-        b, opts.tile_k, opts.tile_n, Major::Row);
+        b, opts.tile_k, kWarpTile, Major::Row);
 
     // The seed pipeline, reproduced with computeTileScalar.
     SpGemmWarpEngine engine(cfg_);

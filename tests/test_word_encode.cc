@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.h"
 #include "gemm/sparsity_profile.h"
 #include "im2col/bitmap_im2col.h"
@@ -73,51 +75,63 @@ expectTwoLevelIdentical(const TwoLevelBitmapMatrix &a,
     }
 }
 
-TEST(WordEncode, BitmapMatchesScalarBothMajors)
-{
-    Rng rng(731);
-    // Ragged shapes straddling the 64-bit word boundary both ways.
-    const int dims[][2] = {{64, 64}, {50, 70}, {1, 129},
-                           {127, 1}, {65, 33}, {96, 100}};
-    for (const auto &d : dims) {
-        for (double sp : {0.0, 0.5, 0.95}) {
-            Matrix<float> m =
-                randomSparseMatrix(d[0], d[1], sp, rng);
-            expectBitmapIdentical(wordEncodeBitmap(m, Major::Col),
-                                  BitmapMatrix::encode(m, Major::Col),
-                                  "col");
-            expectBitmapIdentical(wordEncodeBitmap(m, Major::Row),
-                                  BitmapMatrix::encode(m, Major::Row),
-                                  "row");
-        }
-    }
-}
-
 TEST(WordEncode, TwoLevelMatchesScalarRaggedShapes)
 {
     Rng rng(732);
     // Non-multiple-of-32 extents exercise clipped edge tiles on both
-    // axes; tile_k = 16 exercises the non-32 chunk extraction.
-    struct Case
-    {
-        int rows, cols, tile_r, tile_c;
-    } cases[] = {{64, 64, 32, 32},  {50, 70, 32, 32},
-                 {33, 95, 32, 16},  {100, 31, 32, 32},
-                 {70, 70, 16, 64},  {129, 65, 32, 32}};
-    for (const auto &c : cases) {
-        Matrix<float> m =
-            randomSparseMatrix(c.rows, c.cols, 0.8, rng);
-        expectTwoLevelIdentical(
-            wordEncodeTwoLevel(m, c.tile_r, c.tile_c, Major::Col),
-            TwoLevelBitmapMatrix::encode(m, c.tile_r, c.tile_c,
-                                         Major::Col),
-            "col");
-        expectTwoLevelIdentical(
-            wordEncodeTwoLevel(m, c.tile_r, c.tile_c, Major::Row),
-            TwoLevelBitmapMatrix::encode(m, c.tile_r, c.tile_c,
-                                         Major::Row),
-            "row");
+    // axes, extents straddling the 64-bit word both ways exercise the
+    // row packing and the block transpose, and tile_k runs below, at
+    // and past one 64-bit word. A is Major::Col with 32-row tiles, B
+    // Major::Row with 32-column tiles.
+    const int dims[][2] = {{64, 64},  {50, 70},  {33, 95},
+                           {100, 31}, {70, 70},  {129, 65},
+                           {96, 100}, {1, 129},  {127, 1},
+                           {65, 33}};
+    for (const auto &d : dims) {
+        for (double sp : {0.0, 0.5, 0.8, 0.95}) {
+            const Matrix<float> m =
+                randomSparseMatrix(d[0], d[1], sp, rng);
+            for (int tile_k : {16, 32, 64, 96}) {
+                const std::string label =
+                    std::to_string(d[0]) + "x" + std::to_string(d[1]) +
+                    " sparsity " + std::to_string(sp) + " tile_k " +
+                    std::to_string(tile_k);
+                expectTwoLevelIdentical(
+                    wordEncodeTwoLevel(m, kWarpTile, tile_k,
+                                       Major::Col),
+                    TwoLevelBitmapMatrix::encode(m, kWarpTile, tile_k,
+                                                 Major::Col),
+                    ("col " + label).c_str());
+                expectTwoLevelIdentical(
+                    wordEncodeTwoLevel(m, tile_k, kWarpTile,
+                                       Major::Row),
+                    TwoLevelBitmapMatrix::encode(m, tile_k, kWarpTile,
+                                                 Major::Row),
+                    ("row " + label).c_str());
+            }
+        }
     }
+}
+
+TEST(WordEncodeDeathTest, OtherWarpTileEdgesAreRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Rng rng(739);
+    const Matrix<float> m = randomSparseMatrix(40, 40, 0.5, rng);
+    EXPECT_DEATH(wordEncodeTwoLevel(m, 16, 32, Major::Col),
+                 "32-row warp tiles");
+    EXPECT_DEATH(wordEncodeTwoLevel(m, 32, 16, Major::Row),
+                 "32-column warp tiles");
+
+    ConvShape shape;
+    shape.in_c = 2;
+    shape.in_h = shape.in_w = 8;
+    shape.out_c = 2;
+    const LoweredFeatureMap lfm = im2colFromBitmap(
+        BitmapFeatureMap::encode(
+            randomSparseTensor(1, 2, 8, 8, 0.5, rng)),
+        shape);
+    EXPECT_DEATH(lfm.toTwoLevel(16, 32), "32-row warp tiles");
 }
 
 TEST(WordEncode, TwoLevelIdenticalForAnyWorkerCount)
