@@ -73,22 +73,6 @@ servingTrace(int replicate)
     return requests;
 }
 
-bool
-statsBitwiseEqual(const KernelStats &a, const KernelStats &b)
-{
-    return a.compute_us == b.compute_us &&
-           a.memory_us == b.memory_us &&
-           a.dram_bytes == b.dram_bytes &&
-           a.launch_us == b.launch_us && a.bound == b.bound &&
-           a.mix.hmma == b.mix.hmma &&
-           a.mix.ohmma_issued == b.mix.ohmma_issued &&
-           a.mix.ohmma_skipped == b.mix.ohmma_skipped &&
-           a.mix.bohmma == b.mix.bohmma && a.mix.popc == b.mix.popc &&
-           a.warp_tiles == b.warp_tiles &&
-           a.warp_tiles_skipped == b.warp_tiles_skipped &&
-           a.merge_cycles == b.merge_cycles;
-}
-
 Point
 runPoint(const DeviceSet &set, PlacementPolicy policy,
          int replicate)
@@ -128,8 +112,7 @@ runPoint(const DeviceSet &set, PlacementPolicy policy,
     for (size_t i = 0; i < reports.size() && p.bitwise_equal; ++i) {
         KernelReport serial =
             reference[reports[i].device]->run(requests[i]);
-        p.bitwise_equal = statsBitwiseEqual(reports[i].stats,
-                                            serial.stats) &&
+        p.bitwise_equal = reports[i].stats == serial.stats &&
                           reports[i].backend == serial.backend;
     }
     return p;

@@ -269,9 +269,11 @@ class ConvPlan : public ExecutionPlan
         ConvExecutor executor(cfg());
         KernelReport report;
         if (req_.functional()) {
-            ConvResult r = executor.run(*req_.input, *req_.b,
-                                        req_.shape, conv_method_,
-                                        req_.conv_options);
+            // The conv pipeline partitions over the same compute
+            // workers the session resolved into gemm_options.
+            ConvResult r = executor.run(
+                *req_.input, *req_.b, req_.shape, conv_method_,
+                ConvOptions{req_.gemm_options.num_workers});
             report.stats = r.stats;
             report.output = std::make_shared<const Tensor4d>(
                 std::move(r.output));

@@ -42,8 +42,7 @@ parsePlacementPolicy(const std::string &token, PlacementPolicy *out)
 
 ClusterScheduler::ClusterScheduler(PlacementPolicy policy,
                                    size_t num_devices)
-    : policy_(policy), loads_(num_devices),
-      alive_(num_devices, uint8_t{1})
+    : policy_(policy), loads_(num_devices)
 {
     DSTC_ASSERT(num_devices >= 1, "a cluster needs a device");
 }
@@ -53,53 +52,21 @@ ClusterScheduler::place(const std::vector<double> &estimates,
                         uint64_t shard_key)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    size_t eligible = 0;
-    for (uint8_t a : alive_)
-        eligible += a;
-    DSTC_ASSERT(eligible >= 1,
-                "placement needs at least one live device");
+    const size_t n = loads_.size();
     size_t pick = 0;
     switch (policy_) {
     case PlacementPolicy::RoundRobin:
-        // Rotate over the *live* devices only: the k-th live device
-        // of the rotation, so a dead device never swallows a slot.
-        for (size_t step = static_cast<size_t>(next_round_robin_++ %
-                                               eligible),
-                    d = 0;
-             d < loads_.size(); ++d) {
-            if (!alive_[d])
-                continue;
-            if (step == 0) {
-                pick = d;
-                break;
-            }
-            --step;
-        }
+        pick = static_cast<size_t>(next_round_robin_++ % n);
         break;
     case PlacementPolicy::StaticShard:
-        // Digest modulo the live count, mapped to the k-th live
-        // device: identical layers still co-locate, re-mapped onto
-        // the survivors when the fleet shrinks.
-        for (size_t step = static_cast<size_t>(shard_key % eligible),
-                    d = 0;
-             d < loads_.size(); ++d) {
-            if (!alive_[d])
-                continue;
-            if (step == 0) {
-                pick = d;
-                break;
-            }
-            --step;
-        }
+        pick = static_cast<size_t>(shard_key % n);
         break;
     case PlacementPolicy::CostModel: {
-        DSTC_ASSERT(estimates.size() == loads_.size(),
+        DSTC_ASSERT(estimates.size() == n,
                     "CostModel placement needs one estimate per "
                     "device");
         double best = std::numeric_limits<double>::infinity();
-        for (size_t d = 0; d < loads_.size(); ++d) {
-            if (!alive_[d])
-                continue;
+        for (size_t d = 0; d < n; ++d) {
             const double finish =
                 loads_[d].estimated_busy_us + estimates[d];
             if (finish < best) { // strict: ties go to the lower index
@@ -113,32 +80,6 @@ ClusterScheduler::place(const std::vector<double> &estimates,
     }
     ++loads_[pick].placed;
     return pick;
-}
-
-void
-ClusterScheduler::setDeviceAlive(size_t device, bool alive)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    DSTC_ASSERT(device < alive_.size());
-    alive_[device] = alive ? 1 : 0;
-}
-
-bool
-ClusterScheduler::deviceAlive(size_t device) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    DSTC_ASSERT(device < alive_.size());
-    return alive_[device] != 0;
-}
-
-size_t
-ClusterScheduler::aliveDevices() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t count = 0;
-    for (uint8_t a : alive_)
-        count += a;
-    return count;
 }
 
 void

@@ -106,7 +106,6 @@ class ClusterScheduler
 {
   public:
     ClusterScheduler(PlacementPolicy policy, size_t num_devices);
-    virtual ~ClusterScheduler() = default;
 
     /**
      * Pick a device for one request. @p estimates holds the per-
@@ -121,28 +120,12 @@ class ClusterScheduler
     /** Record that a placed request finished on @p device. */
     void completed(size_t device);
 
-    /**
-     * Exclude a device from (or readmit it to) placement: a dead
-     * device is never picked by any policy — RoundRobin rotation and
-     * StaticShard digests re-map over the survivors, CostModel skips
-     * it outright. The serving layer's fault path drives this; at
-     * least one device must stay eligible.
-     */
-    void setDeviceAlive(size_t device, bool alive);
-    bool deviceAlive(size_t device) const;
-    size_t aliveDevices() const;
-
     DeviceLoad load(size_t device) const;
-    PlacementPolicy policy() const { return policy_; }
-    size_t numDevices() const { return loads_.size(); }
 
-  protected:
-    // Subclasses (the serving layer's DeadlineScheduler) extend the
-    // placement vocabulary but reuse the per-device accounting.
+  private:
     mutable std::mutex mu_;
     PlacementPolicy policy_;
     std::vector<DeviceLoad> loads_;
-    std::vector<uint8_t> alive_; ///< placement eligibility mask
     uint64_t next_round_robin_ = 0;
 };
 

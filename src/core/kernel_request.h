@@ -185,7 +185,8 @@ struct KernelRequest
      * Dual-sparse knobs (tiling, functional, merge model). tile_k
      * (the two-level K-chunk depth) is the one tiling knob; the
      * kWarpTile x kWarpTile warp tile is fixed by the Tensor Core's
-     * accumulation buffer (Sec. III-B).
+     * accumulation buffer (Sec. III-B). num_workers also partitions
+     * the functional conv pipeline.
      */
     SpGemmOptions gemm_options;
 
@@ -201,11 +202,6 @@ struct KernelRequest
     // -- convolution geometry (kind == Conv) --------------------------
     ConvShape shape;
     Lowering lowering = Lowering::Implicit;
-
-    /** Functional-conv knobs (worker partitioning of the
-     *  word-parallel pipeline); results are identical for every
-     *  setting. */
-    ConvOptions conv_options;
 
     // -- optional concrete operands (non-owning) ----------------------
     const Matrix<float> *a = nullptr; ///< GEMM left operand

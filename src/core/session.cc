@@ -62,7 +62,6 @@ Session::plan(const KernelRequest &request)
     if (compute >= 0) {
         KernelRequest resolved = request;
         resolved.gemm_options.num_workers = compute;
-        resolved.conv_options.num_workers = compute;
         return registry_.plan(resolved, ctx);
     }
     return registry_.plan(request, ctx);

@@ -72,6 +72,8 @@ struct InstructionMix
     int64_t tensorCycles() const;
 
     InstructionMix &operator+=(const InstructionMix &other);
+
+    bool operator==(const InstructionMix &) const = default;
 };
 
 /** A warp's predicated instruction stream. */

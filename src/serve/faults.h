@@ -13,7 +13,7 @@
  *  - Slowdown: a timed window during which a device's simulated
  *    service time is scaled by a factor (thermal throttling, a noisy
  *    neighbor). Placement estimates and the EDF feasibility guard
- *    see the same factor, so the scheduler routes around the slow
+ *    see the same factor, so placement routes around the slow
  *    device instead of piling work on it.
  *  - Transient: a per-dispatch execution failure drawn from a seeded
  *    hash of (seed, request id, attempt, device) — the same request
@@ -24,9 +24,9 @@
  * injector from its seed over the arrival window. Malformed specs
  * are returned as errors with a message, never silently defaulted.
  *
- * The HealthTracker is the scoreboard the DeadlineScheduler
- * consults: which devices are alive, what slowdown factor applies at
- * a virtual timestamp, and when each device crashed.
+ * The HealthTracker is the serving run's one record of device health:
+ * which devices are alive, what slowdown factor applies at a virtual
+ * timestamp, and when each device crashed.
  */
 #ifndef DSTC_SERVE_FAULTS_H
 #define DSTC_SERVE_FAULTS_H
@@ -125,9 +125,9 @@ class FaultInjector
 };
 
 /**
- * Per-device health scoreboard on the virtual clock: the
- * DeadlineScheduler and the dispatch loop consult it for liveness
- * and service-time scaling. Crashes are permanent (crash-stop);
+ * Per-device health scoreboard on the virtual clock: the serving
+ * engine's placement and dispatch consult it for liveness and
+ * service-time scaling. Crashes are permanent (crash-stop);
  * slowdown windows may overlap (factors multiply).
  */
 class HealthTracker

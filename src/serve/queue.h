@@ -4,7 +4,7 @@
  * arrival stream and the Cluster's devices.
  *
  * Requests are placed onto a per-device queue at admission time (the
- * DeadlineScheduler picks the device); the queue enforces one global
+ * ServingEngine picks the device); the queue enforces one global
  * depth bound across all devices — the backpressure surface. On
  * overload the admission policy decides who pays:
  *
@@ -15,7 +15,7 @@
  *    most of its deadline and is the likeliest goodput loss anyway).
  *
  * Dequeue order is per-policy: EDF (earliest deadline first) for the
- * deadline scheduler, FIFO otherwise. All tie-breaks are on the
+ * Deadline serving policy, FIFO otherwise. All tie-breaks are on the
  * submission id, so every operation is a pure function of the
  * admitted sequence — the serving determinism contract.
  */

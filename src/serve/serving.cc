@@ -3,10 +3,39 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace dstc {
+
+const char *
+servePolicyToken(ServePolicy policy)
+{
+    switch (policy) {
+    case ServePolicy::Deadline:
+        return "deadline";
+    case ServePolicy::CostModel:
+        return "cost";
+    case ServePolicy::RoundRobin:
+        return "rr";
+    }
+    return "?";
+}
+
+bool
+parseServePolicy(const std::string &token, ServePolicy *out)
+{
+    if (token == "deadline")
+        *out = ServePolicy::Deadline;
+    else if (token == "cost")
+        *out = ServePolicy::CostModel;
+    else if (token == "rr")
+        *out = ServePolicy::RoundRobin;
+    else
+        return false;
+    return true;
+}
 
 ServingEngine::ServingEngine(ServingOptions options,
                              std::vector<KernelRequest> pool)
@@ -24,10 +53,11 @@ ServingEngine::ServingEngine(ServingOptions options,
 
     ClusterOptions copts;
     copts.devices = options_.devices;
-    // The cluster's own scheduler is unused (the serving layer
-    // places through its DeadlineScheduler); any policy works.
+    // The engine places by its own policy and executes on the device
+    // Sessions directly, so the Cluster's placement policy is unused
+    // and its submit pool never runs a task: one thread suffices.
     copts.policy = PlacementPolicy::RoundRobin;
-    copts.num_threads = options_.num_threads;
+    copts.num_threads = 1;
     copts.resources = options_.resources;
     cluster_ = std::make_unique<Cluster>(std::move(copts));
 }
@@ -45,40 +75,60 @@ ServingEngine::deadlineFor(DeadlineClass dclass, double arrival_us,
            options_.slo_base_slack_us;
 }
 
-namespace {
-
-/** Per-pool-entry serving constants: the per-device plan-stage
- *  estimates and the encoding-compatibility digest. */
-struct PoolEntryInfo
+void
+ServingEngine::buildPoolInfo()
 {
-    std::vector<double> estimate_us; ///< one per device
-    uint64_t batch_key = 0;
-};
-
-std::vector<PoolEntryInfo>
-buildPoolInfo(Cluster &cluster, const std::vector<KernelRequest> &pool)
-{
-    std::vector<PoolEntryInfo> info(pool.size());
-    for (size_t i = 0; i < pool.size(); ++i) {
-        info[i].estimate_us.reserve(cluster.numDevices());
-        for (size_t d = 0; d < cluster.numDevices(); ++d)
-            info[i].estimate_us.push_back(
-                cluster.estimateOn(d, pool[i]));
+    if (!pool_info_.empty())
+        return;
+    const size_t n = cluster_->numDevices();
+    pool_info_.resize(pool_.size());
+    for (size_t i = 0; i < pool_.size(); ++i) {
+        pool_info_[i].estimate_us.reserve(n);
+        for (size_t d = 0; d < n; ++d)
+            pool_info_[i].estimate_us.push_back(
+                cluster_->estimateOn(d, pool_[i]));
         // Encoding compatibility = same operand contents (or, for
         // synthetic timing requests, the same structural operating
         // point) — exactly what makes two requests share entries in
         // the EncodingCache.
-        info[i].batch_key = requestContentDigest(pool[i])
-                                .value_or(requestShardKey(pool[i]));
+        pool_info_[i].batch_key = requestContentDigest(pool_[i])
+                                      .value_or(requestShardKey(pool_[i]));
     }
-    return info;
+    device_capacity_.assign(n, 0.0);
+    for (size_t d = 0; d < n; ++d) {
+        double sum_us = 0.0;
+        // One dispatch overhead per request — the no-batching worst
+        // case, so "1.0x capacity" is a true saturation point even
+        // for policies that never form micro-batches. (For this
+        // pool's ~2us kernels the overhead is roughly half the
+        // effective service time, not a rounding error.)
+        for (const PoolEntry &entry : pool_info_)
+            sum_us +=
+                entry.estimate_us[d] + options_.dispatch_overhead_us;
+        if (sum_us > 0.0)
+            device_capacity_[d] =
+                1e3 * static_cast<double>(pool_.size()) / sum_us;
+    }
 }
+
+double
+ServingEngine::estimatedCapacityRpms()
+{
+    buildPoolInfo();
+    double capacity = 0.0;
+    for (double c : device_capacity_)
+        capacity += c;
+    return capacity;
+}
+
+namespace {
 
 /** One dispatched request (or hedge arm) executing on a device. */
 struct InFlight
 {
-    ServeOutcome outcome; ///< start/finish/report already filled
-    bool fails = false;   ///< transient failure at its finish
+    QueuedRequest request; ///< as dequeued (retry/failover source)
+    ServeOutcome outcome;  ///< start/finish/report already filled
+    bool fails = false;    ///< transient failure at its finish
     /** Partner arm's device of a hedged dispatch (SIZE_MAX: not
      *  hedged, or the partner already resolved/was crash-killed). */
     size_t hedge_partner = SIZE_MAX;
@@ -94,42 +144,23 @@ struct PendingRetry
 
 } // namespace
 
-double
-ServingEngine::estimatedCapacityRpms()
-{
-    const std::vector<PoolEntryInfo> info =
-        buildPoolInfo(*cluster_, pool_);
-    double capacity = 0.0;
-    for (size_t d = 0; d < cluster_->numDevices(); ++d) {
-        double sum_us = 0.0;
-        // One dispatch overhead per request — the no-batching worst
-        // case, so "1.0x capacity" is a true saturation point even
-        // for policies that never form micro-batches. (For this
-        // pool's ~2us kernels the overhead is roughly half the
-        // effective service time, not a rounding error.)
-        for (const PoolEntryInfo &entry : info)
-            sum_us +=
-                entry.estimate_us[d] + options_.dispatch_overhead_us;
-        if (sum_us > 0.0)
-            capacity +=
-                1e3 * static_cast<double>(pool_.size()) / sum_us;
-    }
-    return capacity;
-}
-
 ServingResult
 ServingEngine::run()
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const size_t n = cluster_->numDevices();
-    const std::vector<PoolEntryInfo> info =
-        buildPoolInfo(*cluster_, pool_);
+    buildPoolInfo();
+    const std::vector<PoolEntry> &info = pool_info_;
     const std::vector<Arrival> arrivals =
         ArrivalGenerator(options_.arrivals).generate();
 
-    DeadlineScheduler scheduler(options_.policy, n);
     ServingQueue queue(n, options_.queue_depth, options_.admission);
-    const bool edf = scheduler.edfOrder();
+    // The Deadline policy drains EDF, lets idle devices steal, and
+    // drops dequeued requests whose deadline is already infeasible
+    // (the EDF overload guard: without it an overloaded EDF queue
+    // serves a procession of about-to-miss requests). The other
+    // policies do none of the three.
+    const bool edf = options_.policy == ServePolicy::Deadline;
 
     // -- fault state --------------------------------------------------
     const uint64_t fault_seed =
@@ -140,23 +171,10 @@ ServingEngine::run()
                                  options_.arrivals.duration_ms * 1e3,
                                  fault_seed);
     HealthTracker health(n);
-    FaultRecoveryStats fr;
 
-    // Healthy per-device capacity (requests per simulated ms, the
-    // estimatedCapacityRpms summand): the yardstick graceful
-    // degradation rescales the admission depth against.
-    std::vector<double> device_capacity(n, 0.0);
-    double full_capacity = 0.0;
-    for (size_t d = 0; d < n; ++d) {
-        double sum_us = 0.0;
-        for (const PoolEntryInfo &entry : info)
-            sum_us +=
-                entry.estimate_us[d] + options_.dispatch_overhead_us;
-        if (sum_us > 0.0)
-            device_capacity[d] =
-                1e3 * static_cast<double>(pool_.size()) / sum_us;
-        full_capacity += device_capacity[d];
-    }
+    // Healthy fleet capacity: the yardstick graceful degradation
+    // rescales the admission depth against.
+    const double full_capacity = estimatedCapacityRpms();
     double surviving_capacity = full_capacity;
     // Feasibility headroom under degradation: with a fraction r of
     // the fleet's capacity surviving, queues drain 1/r times slower,
@@ -168,97 +186,131 @@ ServingEngine::run()
     std::vector<bool> busy(n, false);
     std::vector<std::vector<InFlight>> inflight(n);
     std::vector<PendingRetry> retries;
+    uint64_t next_round_robin = 0;
 
     ServingResult result;
-    std::vector<int64_t> rejected_per_class(kNumDeadlineClasses, 0);
-    std::vector<int64_t> shed_per_class(kNumDeadlineClasses, 0);
-    std::vector<int64_t> dropped_per_class(kNumDeadlineClasses, 0);
-    std::vector<int64_t> lost_per_class(kNumDeadlineClasses, 0);
-    int64_t microbatches = 0, microbatched = 0;
+    ServingStats &stats = result.stats;
+    FaultRecoveryStats &fr = stats.faults;
+    stats.per_class.assign(kNumDeadlineClasses, ClassStats{});
+    stats.placed_per_device.assign(n, 0);
+    stats.completed_per_device.assign(n, 0);
+
+    auto classOf = [&](DeadlineClass dclass) -> ClassStats & {
+        return stats.per_class[static_cast<int>(dclass)];
+    };
 
     auto accountShed = [&](const std::vector<QueuedRequest> &shed) {
         for (const QueuedRequest &victim : shed)
-            ++shed_per_class[static_cast<int>(
-                victim.deadline_class)];
+            ++classOf(victim.deadline_class).shed;
     };
 
     auto loseRequest = [&](DeadlineClass dclass) {
         ++fr.lost;
-        ++lost_per_class[static_cast<int>(dclass)];
+        ++classOf(dclass).lost;
     };
 
-    // The service-time estimate the scheduler and the EDF guard see
-    // for device d at virtual time t: the plan-stage estimate scaled
-    // by any active slowdown window.
+    // The service-time estimate placement and the EDF guard see for
+    // device d at virtual time t: the plan-stage estimate scaled by
+    // any active slowdown window.
     auto scaledEstimate = [&](size_t pool_index, size_t d, double t) {
         return info[pool_index].estimate_us[d] *
                health.slowdownFactor(d, t);
     };
 
-    // Re-place a drained / retried request on the surviving fleet.
-    // Returns false when no device is alive (the caller accounts the
-    // loss). Mirrors the arrival placement path, minus admission
-    // control: recovery re-placements were admitted once already and
-    // re-enter the queue unbounded.
-    auto requeue = [&](QueuedRequest qr, double now) {
-        if (health.aliveCount() == 0)
-            return false;
-        std::vector<double> estimates(n, 0.0), ready(n, now),
-            backlog(n, 0.0);
-        for (size_t d = 0; d < n; ++d) {
-            if (!health.alive(d))
-                continue;
-            estimates[d] = scaledEstimate(qr.pool_index, d, now);
-            ready[d] = busy[d] ? free_at[d] : now;
-            backlog[d] = edf
-                             ? queue.backlogBeforeUs(d, qr.deadline_us)
-                             : queue.backlogUs(d);
+    // Place @p qr on a live device. RoundRobin takes the k-th live
+    // device of its rotation (a crashed device never swallows a
+    // slot). The others take the earliest estimated finish: device-
+    // ready time plus the backlog the request would wait behind
+    // (under Deadline only the earlier-deadline backlog, and a device
+    // that meets the deadline always ranks ahead of one that misses
+    // it) plus its own estimate. Ties go to the lowest index.
+    auto place = [&](QueuedRequest &qr, double now) {
+        size_t pick = n;
+        if (options_.policy == ServePolicy::RoundRobin) {
+            size_t step = static_cast<size_t>(next_round_robin++ %
+                                              health.aliveCount());
+            for (size_t d = 0; pick == n; ++d)
+                if (health.alive(d) && step-- == 0)
+                    pick = d;
+        } else {
+            bool best_miss = true;
+            double best = kInf;
+            for (size_t d = 0; d < n; ++d) {
+                if (!health.alive(d))
+                    continue;
+                const double finish =
+                    (busy[d] ? free_at[d] : now) +
+                    (edf ? queue.backlogBeforeUs(d, qr.deadline_us)
+                         : queue.backlogUs(d)) +
+                    scaledEstimate(qr.pool_index, d, now);
+                const bool miss = edf && finish > qr.deadline_us;
+                if (pick == n || (best_miss && !miss) ||
+                    (miss == best_miss && finish < best)) {
+                    best_miss = miss;
+                    best = finish;
+                    pick = d;
+                }
+            }
         }
-        const size_t dev = scheduler.placeArrival(
-            options_.policy == ServePolicy::RoundRobin
-                ? std::vector<double>{}
-                : estimates,
-            ready, backlog, qr.deadline_us);
-        qr.device = dev;
-        qr.estimate_us = scaledEstimate(qr.pool_index, dev, now);
-        const ServingQueue::Admit admitted =
-            queue.admit(qr, nullptr, /*force=*/true);
-        DSTC_ASSERT(admitted == ServingQueue::Admit::Admitted,
-                    "forced admission cannot be refused");
-        return true;
+        ++stats.placed_per_device[pick];
+        qr.device = pick;
+        qr.estimate_us = scaledEstimate(qr.pool_index, pick, now);
     };
 
-    auto remakeQueued = [&](const ServeOutcome &o) {
-        QueuedRequest qr;
-        qr.id = o.id;
-        qr.pool_index = o.pool_index;
-        qr.batch_key = info[o.pool_index].batch_key;
-        qr.arrival_us = o.arrival_us;
-        qr.deadline_us = o.deadline_us;
-        qr.deadline_class = o.deadline_class;
-        qr.attempts = o.attempts;
-        qr.failed_over = o.failed_over;
-        return qr;
+    // Re-place a retried or failed-over request on the surviving
+    // fleet, or lose it when no device is alive. Recovery
+    // re-placements were admitted once already and re-enter the
+    // queue unbounded.
+    auto requeue = [&](QueuedRequest qr, double now) {
+        if (health.aliveCount() == 0)
+            return loseRequest(qr.deadline_class);
+        place(qr, now);
+        const ServingQueue::Admit admitted =
+            queue.admit(std::move(qr), nullptr, /*force=*/true);
+        DSTC_ASSERT(admitted == ServingQueue::Admit::Admitted,
+                    "forced admission cannot be refused");
+    };
+
+    // A crash took @p qr off its device: re-place it on the
+    // survivors (service restarts), or lose it when failover is off
+    // or nothing survives.
+    auto failOver = [&](QueuedRequest qr, double now) {
+        if (!options_.failover || health.aliveCount() == 0)
+            return loseRequest(qr.deadline_class);
+        qr.failed_over = true;
+        ++fr.failovers;
+        requeue(std::move(qr), now);
     };
 
     // A dispatch attempt failed transiently on every arm: retry with
     // exponential backoff while the budget lasts, else the request
     // is lost.
-    auto resolveFailure = [&](const ServeOutcome &o, double now) {
-        if (options_.retry && o.attempts < options_.retry_budget) {
-            QueuedRequest qr = remakeQueued(o);
+    auto resolveFailure = [&](const InFlight &fl, double now) {
+        const int attempts = fl.request.attempts;
+        if (options_.retry && attempts < options_.retry_budget) {
+            QueuedRequest qr = fl.request;
             ++qr.attempts;
             ++fr.retries;
             const double backoff =
-                std::ldexp(options_.retry_backoff_us, o.attempts - 1);
+                std::ldexp(options_.retry_backoff_us, attempts - 1);
             retries.push_back(
                 {std::move(qr),
-                 std::max(now, o.finish_us + backoff)});
+                 std::max(now, fl.outcome.finish_us + backoff)});
         } else {
             if (options_.retry)
                 ++fr.retries_exhausted;
-            loseRequest(o.deadline_class);
+            loseRequest(fl.request.deadline_class);
         }
+    };
+
+    // Whether the hedge partner of @p fl still has its arm in flight.
+    auto partnerInFlight = [&](const InFlight &fl) {
+        if (fl.hedge_partner == SIZE_MAX)
+            return false;
+        for (const InFlight &partner : inflight[fl.hedge_partner])
+            if (partner.outcome.id == fl.outcome.id)
+                return true;
+        return false;
     };
 
     // An in-flight arm reached its finish timestamp: completion,
@@ -268,13 +320,8 @@ ServingEngine::run()
     auto resolveEntry = [&](InFlight &fl, size_t d, double now) {
         if (fl.fails) {
             ++fr.transient_failures;
-            if (fl.hedge_partner != SIZE_MAX) {
-                for (const InFlight &partner :
-                     inflight[fl.hedge_partner])
-                    if (partner.outcome.id == fl.outcome.id)
-                        return; // the other arm may still deliver
-            }
-            resolveFailure(fl.outcome, now);
+            if (!partnerInFlight(fl)) // else the other arm may deliver
+                resolveFailure(fl, now);
             return;
         }
         if (fl.hedge_partner != SIZE_MAX) {
@@ -295,36 +342,44 @@ ServingEngine::run()
                 ++fr.hedge_wins;
         }
         result.outcomes.push_back(fl.outcome);
-        scheduler.completed(d);
+        ++stats.completed_per_device[d];
     };
 
-    // An in-flight arm was interrupted by its device's crash before
-    // finishing: a surviving hedge partner carries the request; else
-    // failover re-places it (service restarts) or it is lost.
-    auto interruptEntry = [&](const InFlight &fl, double now) {
-        if (fl.hedge_partner != SIZE_MAX) {
-            for (const InFlight &partner :
-                 inflight[fl.hedge_partner])
-                if (partner.outcome.id == fl.outcome.id)
-                    return; // the surviving arm carries on alone
-        }
-        if (options_.failover && health.aliveCount() > 0) {
-            QueuedRequest qr = remakeQueued(fl.outcome);
-            qr.failed_over = true;
-            ++fr.failovers;
-            if (!requeue(std::move(qr), now))
-                loseRequest(fl.outcome.deadline_class);
-        } else {
-            loseRequest(fl.outcome.deadline_class);
-        }
+    // Execute @p qr on device @p dev from @p start on the device's
+    // Session (the report stays the bitwise single-request result;
+    // the service time scales by the slowdown at the start) and
+    // record it in flight there.
+    auto launch = [&](const QueuedRequest &qr, size_t dev,
+                      double start) -> InFlight & {
+        InFlight fl;
+        fl.request = qr;
+        ServeOutcome &o = fl.outcome;
+        o.id = qr.id;
+        o.pool_index = qr.pool_index;
+        o.device = dev;
+        o.deadline_class = qr.deadline_class;
+        o.arrival_us = qr.arrival_us;
+        o.deadline_us = qr.deadline_us;
+        o.attempts = qr.attempts;
+        o.failed_over = qr.failed_over;
+        o.start_us = start;
+        o.report = cluster_->device(dev).run(pool_[qr.pool_index]);
+        o.report.device = static_cast<int>(dev);
+        o.finish_us = start + o.report.timeUs() *
+                                  health.slowdownFactor(dev, start);
+        o.met_deadline = o.finish_us <= qr.deadline_us;
+        fl.fails = injector.transientFails(qr.id, qr.attempts, dev);
+        free_at[dev] = o.finish_us;
+        busy[dev] = true;
+        inflight[dev].push_back(std::move(fl));
+        return inflight[dev].back();
     };
 
     // Dispatch work to an idle live device: pop (or steal) a head
     // request, extend it with encoding-compatible batch mates (or
     // hedge an interactive head onto a second device), and execute
     // back to back on the device's Session. The virtual clock
-    // charges the dispatch overhead once per batch; every report
-    // stays the bitwise single-request result.
+    // charges the dispatch overhead once per batch.
     auto dispatch = [&](size_t d, double now) {
         if (busy[d] || !health.alive(d))
             return;
@@ -333,35 +388,30 @@ ServingEngine::run()
         while (true) {
             stolen = false;
             head = queue.pop(d, edf);
-            if (!head && scheduler.workStealing()) {
-                size_t donor = 0;
-                head = queue.steal(d, &donor);
-                if (head) {
-                    stolen = true;
-                    scheduler.recordSteal(donor);
-                }
+            if (!head && edf) {
+                head = queue.steal(d);
+                stolen = head.has_value();
+                if (stolen)
+                    ++stats.steals;
             }
             if (!head)
                 return;
-            if (!scheduler.dropInfeasible())
+            if (!edf)
                 break;
-            // EDF overload guard: executing a request that cannot
-            // meet its deadline even if started right now converts
-            // one miss into a procession of misses (everything
-            // behind it slips too). Drop it unexecuted and let the
-            // device serve a still-feasible request instead. Under
-            // degradation the estimate carries the surviving-
-            // capacity headroom factor; slowdown windows scale it
-            // on every policy.
+            // The EDF overload guard: executing a request that
+            // cannot meet its deadline even if started right now
+            // converts one miss into a procession of misses. Drop it
+            // unexecuted. Under degradation the estimate carries the
+            // surviving-capacity headroom factor.
             const double est =
                 scaledEstimate(head->pool_index, d, now) *
                 (options_.degrade ? degrade_factor : 1.0);
             if (now + options_.dispatch_overhead_us + est <=
                 head->deadline_us)
                 break;
-            ++dropped_per_class[static_cast<int>(
-                head->deadline_class)];
+            ++classOf(head->deadline_class).dropped;
         }
+        const double start = now + options_.dispatch_overhead_us;
 
         // Hedged dispatch: an interactive head is duplicated onto
         // the best other idle live device; the first successful arm
@@ -386,83 +436,32 @@ ServingEngine::run()
             ++fr.hedges;
             const size_t arms[2] = {d, hedge_dev};
             for (int a = 0; a < 2; ++a) {
-                const size_t dev = arms[a];
-                ServeOutcome outcome;
-                outcome.id = head->id;
-                outcome.pool_index = head->pool_index;
-                outcome.device = dev;
-                outcome.deadline_class = head->deadline_class;
-                outcome.arrival_us = head->arrival_us;
-                outcome.deadline_us = head->deadline_us;
-                outcome.stolen = stolen && a == 0;
-                outcome.attempts = head->attempts;
-                outcome.failed_over = head->failed_over;
-                outcome.hedged = true;
-                outcome.start_us =
-                    now + options_.dispatch_overhead_us;
-                outcome.report = cluster_->device(dev).run(
-                    pool_[head->pool_index]);
-                outcome.report.device = static_cast<int>(dev);
-                outcome.finish_us =
-                    outcome.start_us +
-                    outcome.report.timeUs() *
-                        health.slowdownFactor(dev, outcome.start_us);
-                outcome.met_deadline =
-                    outcome.finish_us <= head->deadline_us;
-                InFlight fl;
-                fl.outcome = std::move(outcome);
-                fl.fails = injector.transientFails(
-                    head->id, head->attempts, dev);
+                InFlight &fl = launch(*head, arms[a], start);
+                fl.outcome.stolen = stolen && a == 0;
+                fl.outcome.hedged = true;
                 fl.hedge_partner = arms[1 - a];
                 fl.hedge_secondary = a == 1;
-                free_at[dev] = fl.outcome.finish_us;
-                busy[dev] = true;
-                inflight[dev].push_back(std::move(fl));
             }
             return;
         }
 
-        std::vector<QueuedRequest> batch;
-        batch.push_back(*head);
+        std::vector<QueuedRequest> batch{*head};
         if (options_.microbatch > 1) {
             std::vector<QueuedRequest> mates = queue.popBatchMates(
                 d, head->batch_key, options_.microbatch - 1, edf);
             batch.insert(batch.end(), mates.begin(), mates.end());
         }
         if (batch.size() >= 2) {
-            ++microbatches;
-            microbatched += static_cast<int64_t>(batch.size());
+            ++stats.microbatches;
+            stats.microbatched += static_cast<int64_t>(batch.size());
         }
-        double t = now + options_.dispatch_overhead_us;
+        double t = start;
         for (size_t i = 0; i < batch.size(); ++i) {
-            const QueuedRequest &member = batch[i];
-            ServeOutcome outcome;
-            outcome.id = member.id;
-            outcome.pool_index = member.pool_index;
-            outcome.device = d;
-            outcome.deadline_class = member.deadline_class;
-            outcome.arrival_us = member.arrival_us;
-            outcome.deadline_us = member.deadline_us;
-            outcome.stolen = stolen && i == 0;
-            outcome.batched_follower = i > 0;
-            outcome.attempts = member.attempts;
-            outcome.failed_over = member.failed_over;
-            outcome.start_us = t;
-            outcome.report =
-                cluster_->device(d).run(pool_[member.pool_index]);
-            outcome.report.device = static_cast<int>(d);
-            t += outcome.report.timeUs() *
-                 health.slowdownFactor(d, outcome.start_us);
-            outcome.finish_us = t;
-            outcome.met_deadline = t <= member.deadline_us;
-            InFlight fl;
-            fl.outcome = std::move(outcome);
-            fl.fails = injector.transientFails(member.id,
-                                               member.attempts, d);
-            inflight[d].push_back(std::move(fl));
+            InFlight &fl = launch(batch[i], d, t);
+            fl.outcome.stolen = stolen && i == 0;
+            fl.outcome.batched_follower = i > 0;
+            t = fl.outcome.finish_us;
         }
-        free_at[d] = t;
-        busy[d] = true;
     };
 
     // Crash-stop @p d at @p now: resolve the completed prefix of its
@@ -474,34 +473,20 @@ ServingEngine::run()
             return; // crash-stop: a second crash is a no-op
         ++fr.crashes;
         health.markCrashed(d, now);
-        scheduler.setDeviceAlive(d, false);
-        std::vector<InFlight> flight = std::move(inflight[d]);
-        inflight[d].clear();
         busy[d] = false;
-        for (InFlight &fl : flight) {
+        for (InFlight &fl : std::exchange(inflight[d], {})) {
             if (fl.outcome.finish_us <= now)
                 resolveEntry(fl, d, now);
-            else
-                interruptEntry(fl, now);
+            else if (!partnerInFlight(fl)) // else the partner carries on
+                failOver(std::move(fl.request), now);
         }
-        for (QueuedRequest &qr : queue.drainDevice(d)) {
-            const DeadlineClass dclass = qr.deadline_class;
-            if (options_.failover && health.aliveCount() > 0) {
-                qr.failed_over = true;
-                ++fr.failovers;
-                if (!requeue(std::move(qr), now))
-                    loseRequest(dclass);
-            } else {
-                loseRequest(dclass);
-            }
-        }
+        for (QueuedRequest &qr : queue.drainDevice(d))
+            failOver(std::move(qr), now);
         if (options_.degrade) {
-            surviving_capacity =
-                std::max(0.0, surviving_capacity -
-                                  device_capacity[d]);
+            surviving_capacity = std::max(
+                0.0, surviving_capacity - device_capacity_[d]);
             if (surviving_capacity > 0.0 && full_capacity > 0.0) {
-                degrade_factor =
-                    full_capacity / surviving_capacity;
+                degrade_factor = full_capacity / surviving_capacity;
                 // Under reduced capacity the throughput-oriented
                 // class is shed before anything a user waits on.
                 queue.setShedBatchFirst(true);
@@ -540,10 +525,12 @@ ServingEngine::run()
         // Event priority at equal timestamps: faults, then device
         // completions, then retry re-placements, then arrivals — a
         // crash at t kills the batch still in flight at t, and a
-        // completion at t frees a device for the arrival at t.
+        // completion at t frees a device for the arrival at t. Every
+        // event ends with one refill sweep over the devices.
+        double now;
         if (fault_t <= arr_t && fault_t <= free_t &&
             fault_t <= retry_t) {
-            const double now = fault_t;
+            now = fault_t;
             while (next_fault < fault_events.size() &&
                    fault_events[next_fault].time_us == now) {
                 const FaultEvent &event = fault_events[next_fault++];
@@ -556,36 +543,23 @@ ServingEngine::run()
                                        event.factor);
                 }
             }
-            for (size_t d = 0; d < n; ++d)
-                dispatch(d, now);
-            continue;
-        }
-
-        if (free_t <= arr_t && free_t <= retry_t) {
+        } else if (free_t <= arr_t && free_t <= retry_t) {
             // Device-completion event(s): resolve and free every
             // device whose batch (or cancelled hedge arm) ends now,
-            // in ascending index order, then refill them.
-            const double now = free_t;
+            // in ascending index order.
+            now = free_t;
             for (size_t d = 0; d < n; ++d) {
                 if (!busy[d] || free_at[d] != now)
                     continue;
                 busy[d] = false;
-                std::vector<InFlight> flight =
-                    std::move(inflight[d]);
-                inflight[d].clear();
-                for (InFlight &fl : flight)
+                for (InFlight &fl : std::exchange(inflight[d], {}))
                     resolveEntry(fl, d, now);
             }
-            for (size_t d = 0; d < n; ++d)
-                dispatch(d, now);
-            continue;
-        }
-
-        if (retry_t <= arr_t) {
+        } else if (retry_t <= arr_t) {
             // Backoff expiry: re-place every retry that is ready, in
             // (ready, id) order so the schedule stays a pure
             // function of the admitted sequence.
-            const double now = retry_t;
+            now = retry_t;
             while (true) {
                 size_t pick = retries.size();
                 for (size_t i = 0; i < retries.size(); ++i) {
@@ -605,71 +579,43 @@ ServingEngine::run()
                 QueuedRequest qr = std::move(retries[pick].request);
                 retries.erase(retries.begin() +
                               static_cast<long>(pick));
-                const DeadlineClass dclass = qr.deadline_class;
-                if (!requeue(std::move(qr), now))
-                    loseRequest(dclass);
+                requeue(std::move(qr), now);
             }
-            for (size_t d = 0; d < n; ++d)
-                dispatch(d, now);
-            continue;
-        }
-
-        // Arrival event: admission control, placement, enqueue.
-        const Arrival &arrival = arrivals[next_arrival++];
-        const double now = arrival.time_us;
-        const PoolEntryInfo &entry = info[arrival.pool_index];
-        // The SLO stays workload-relative and fault-*independent*:
-        // the deadline derives from the healthy reference-device
-        // estimate, so a degraded fleet is held to the same bar.
-        const double deadline = deadlineFor(
-            arrival.deadline_class, now, entry.estimate_us[0]);
-
-        if (health.aliveCount() == 0) {
-            // Whole fleet dead: the front door refuses immediately.
-            ++rejected_per_class[static_cast<int>(
-                arrival.deadline_class)];
-            continue;
-        }
-        if (queue.totalDepth() >= queue.depthBound() &&
-            options_.admission == AdmissionPolicy::Reject) {
-            ++rejected_per_class[static_cast<int>(
-                arrival.deadline_class)];
-            continue;
-        }
-
-        std::vector<double> estimates(n, 0.0), ready(n, now),
-            backlog(n, 0.0);
-        for (size_t d = 0; d < n; ++d) {
-            if (!health.alive(d))
+        } else {
+            // Arrival event: admission control, placement, enqueue.
+            const Arrival &arrival = arrivals[next_arrival++];
+            now = arrival.time_us;
+            ClassStats &cls = classOf(arrival.deadline_class);
+            ++cls.offered;
+            // A dead fleet refuses at the front door; a full queue
+            // refuses under Reject (ShedOldest evicts on admit).
+            if (health.aliveCount() == 0 ||
+                (queue.totalDepth() >= queue.depthBound() &&
+                 options_.admission == AdmissionPolicy::Reject)) {
+                ++cls.rejected;
                 continue;
-            estimates[d] = scaledEstimate(arrival.pool_index, d, now);
-            ready[d] = busy[d] ? free_at[d] : now;
-            backlog[d] = edf ? queue.backlogBeforeUs(d, deadline)
-                             : queue.backlogUs(d);
+            }
+            QueuedRequest qr;
+            qr.id = arrival.id;
+            qr.pool_index = arrival.pool_index;
+            qr.batch_key = info[arrival.pool_index].batch_key;
+            qr.arrival_us = now;
+            // The SLO stays workload-relative and fault-independent:
+            // the deadline derives from the healthy reference-device
+            // estimate, so a degraded fleet is held to the same bar.
+            qr.deadline_us =
+                deadlineFor(arrival.deadline_class, now,
+                            info[arrival.pool_index].estimate_us[0]);
+            qr.deadline_class = arrival.deadline_class;
+            place(qr, now);
+            std::vector<QueuedRequest> shed;
+            const ServingQueue::Admit admitted =
+                queue.admit(std::move(qr), &shed);
+            DSTC_ASSERT(admitted == ServingQueue::Admit::Admitted,
+                        "reject-on-overload is handled before "
+                        "placement");
+            accountShed(shed);
         }
-        const size_t dev = scheduler.placeArrival(
-            options_.policy == ServePolicy::RoundRobin
-                ? std::vector<double>{}
-                : estimates,
-            ready, backlog, deadline);
-
-        QueuedRequest qr;
-        qr.id = arrival.id;
-        qr.pool_index = arrival.pool_index;
-        qr.batch_key = entry.batch_key;
-        qr.arrival_us = now;
-        qr.deadline_us = deadline;
-        qr.estimate_us = scaledEstimate(arrival.pool_index, dev, now);
-        qr.deadline_class = arrival.deadline_class;
-        qr.device = dev;
-        std::vector<QueuedRequest> shed;
-        const ServingQueue::Admit admitted = queue.admit(qr, &shed);
-        DSTC_ASSERT(admitted == ServingQueue::Admit::Admitted,
-                    "reject-on-overload is handled before placement");
-        accountShed(shed);
-
-        // The newcomer (or a rebalanced queue) may feed an idle
-        // device immediately.
         for (size_t d = 0; d < n; ++d)
             dispatch(d, now);
     }
@@ -680,13 +626,7 @@ ServingEngine::run()
               });
 
     // -- assemble the scorecard --------------------------------------
-    ServingStats &stats = result.stats;
     stats.offered = static_cast<int64_t>(arrivals.size());
-    stats.per_class.assign(kNumDeadlineClasses, ClassStats{});
-    for (const Arrival &arrival : arrivals)
-        ++stats.per_class[static_cast<int>(arrival.deadline_class)]
-              .offered;
-
     std::vector<double> latencies;
     std::vector<std::vector<double>> class_latencies(
         kNumDeadlineClasses);
@@ -713,30 +653,22 @@ ServingEngine::run()
         makespan = std::max(makespan, outcome.finish_us);
     }
     for (int c = 0; c < kNumDeadlineClasses; ++c) {
-        stats.per_class[c].rejected = rejected_per_class[c];
-        stats.per_class[c].shed = shed_per_class[c];
-        stats.per_class[c].dropped = dropped_per_class[c];
-        stats.per_class[c].lost = lost_per_class[c];
-        stats.per_class[c].latency =
-            summarizeLatencies(std::move(class_latencies[c]));
-        stats.per_class[c].recovery_latency = summarizeLatencies(
+        ClassStats &cls = stats.per_class[c];
+        cls.latency = summarizeLatencies(std::move(class_latencies[c]));
+        cls.recovery_latency = summarizeLatencies(
             std::move(class_recovery_latencies[c]));
-        stats.rejected += rejected_per_class[c];
-        stats.shed += shed_per_class[c];
-        stats.dropped += dropped_per_class[c];
-        stats.deadline_misses += stats.per_class[c].deadline_misses;
+        stats.rejected += cls.rejected;
+        stats.shed += cls.shed;
+        stats.dropped += cls.dropped;
+        stats.deadline_misses += cls.deadline_misses;
     }
     stats.completed = static_cast<int64_t>(result.outcomes.size());
     stats.admitted = stats.offered - stats.rejected;
-    stats.steals = scheduler.steals();
-    stats.microbatches = microbatches;
-    stats.microbatched = microbatched;
     fr.availability =
         stats.completed + fr.lost > 0
             ? static_cast<double>(stats.completed) /
                   static_cast<double>(stats.completed + fr.lost)
             : 1.0;
-    stats.faults = fr;
     stats.makespan_us = makespan;
     if (makespan > 0.0) {
         stats.throughput_rpms =
@@ -752,13 +684,6 @@ ServingEngine::run()
         stats.slo_attainment = static_cast<double>(met) /
                                static_cast<double>(stats.offered);
     stats.latency = summarizeLatencies(std::move(latencies));
-    stats.placed_per_device.resize(n);
-    stats.completed_per_device.resize(n);
-    for (size_t d = 0; d < n; ++d) {
-        const DeviceLoad load = scheduler.load(d);
-        stats.placed_per_device[d] = load.placed;
-        stats.completed_per_device[d] = load.completed;
-    }
     return result;
 }
 
@@ -777,7 +702,7 @@ ServingEngine::replayMatchesSerial(const ServingResult &result)
             return false;
         const KernelReport serial =
             reference[outcome.device]->run(pool_[outcome.pool_index]);
-        if (!statsBitwiseEqual(outcome.report.stats, serial.stats) ||
+        if (outcome.report.stats != serial.stats ||
             outcome.report.backend != serial.backend ||
             outcome.report.method != serial.method)
             return false;

@@ -5,9 +5,9 @@
  * The engine runs a deterministic discrete-event simulation of an
  * open-loop serving timeline on a virtual microsecond clock:
  *
- *   ArrivalGenerator ──> ServingQueue ──> DeadlineScheduler ──> Cluster
- *      (seeded traffic)   (admission,       (placement, EDF,      (per-device
- *                          backpressure)     work stealing)        Sessions)
+ *   ArrivalGenerator ──> ServingEngine::run ──> ServingQueue ──> Cluster
+ *    (seeded traffic)    (admission, placement,  (per-device    (device
+ *                         dispatch, recovery)     FIFO/EDF)      Sessions)
  *
  * Each arrival is admitted (or rejected/shed under backpressure),
  * placed on a device queue, and — when its device frees up —
@@ -22,8 +22,24 @@
  *  - two runs with the same seed produce identical ServingStats;
  *  - every KernelReport is bitwise identical to replaying the placed
  *    request serially on a fresh single Session with that device's
- *    GpuConfig (the PR 5 cluster contract, kept under open-loop
- *    traffic, EDF reordering, micro-batching and work stealing).
+ *    GpuConfig (the cluster contract, kept under open-loop traffic,
+ *    EDF reordering, micro-batching and work stealing).
+ *
+ * Three serving policies decide placement and dispatch (ServePolicy):
+ *
+ *  - Deadline (default): a request is placed on the device with the
+ *    earliest *deadline-aware* estimated finish — device-ready time
+ *    plus only the backlog an EDF dequeue would run before it
+ *    (entries with earlier deadlines), plus the request's own
+ *    per-device estimate; a device that meets the deadline always
+ *    ranks ahead of one that misses it. Device queues drain EDF, an
+ *    idle device steals the least urgent entry of the deepest queue,
+ *    and a dequeued request whose deadline is already infeasible is
+ *    dropped unexecuted (the EDF overload guard).
+ *  - CostModel: earliest estimated finish over the full FIFO
+ *    backlog. No stealing, FIFO drain, no guard.
+ *  - RoundRobin: rotation over the live devices; estimates never
+ *    consulted. No stealing, FIFO drain, no guard.
  *
  * Deadlines are workload-relative: each request's deadline is its
  * arrival time plus its class multiplier times the request's
@@ -37,23 +53,38 @@
  * drain/re-placement off crashed devices, hedged dispatch for the
  * interactive class, and capacity-rescaled graceful degradation —
  * are all pure functions of (options, seed) too, so recovery
- * quality is gated in CI exactly like p99 and goodput.
+ * quality is gated in CI exactly like p99 and goodput. The run's
+ * HealthTracker is the one record of which devices are alive.
  */
 #ifndef DSTC_SERVE_SERVING_H
 #define DSTC_SERVE_SERVING_H
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cluster.h"
 #include "serve/arrival.h"
 #include "serve/faults.h"
 #include "serve/queue.h"
-#include "serve/scheduler.h"
 #include "serve/stats.h"
 
 namespace dstc {
+
+/** How the serving layer places and dispatches admitted requests. */
+enum class ServePolicy
+{
+    Deadline,   ///< EDF drain + deadline-aware ETF + work stealing
+    CostModel,  ///< FIFO drain + earliest-estimated-finish
+    RoundRobin, ///< FIFO drain + rotation
+};
+
+/** Stable CLI/parse token of a policy ("deadline", "cost", "rr"). */
+const char *servePolicyToken(ServePolicy policy);
+
+/** Parse a CLI token into a policy; false on unknown token. */
+bool parseServePolicy(const std::string &token, ServePolicy *out);
 
 /** Construction knobs of a ServingEngine. */
 struct ServingOptions
@@ -131,10 +162,6 @@ struct ServingOptions
      *  estimatedCapacityRpms, and overload eviction sheds the batch
      *  class first. */
     bool degrade = true;
-
-    /** Shared worker-pool width of the underlying Cluster (serving
-     *  stats are identical for every setting). */
-    int num_threads = 1;
 
     /** Per-device execution resources (SessionOptions semantics). */
     ExecutionResources resources;
@@ -219,9 +246,23 @@ class ServingEngine
     bool replayMatchesSerial(const ServingResult &result);
 
   private:
+    /** Per-pool-entry serving constants. */
+    struct PoolEntry
+    {
+        std::vector<double> estimate_us; ///< one per device
+        uint64_t batch_key = 0; ///< encoding-compatibility digest
+    };
+
+    /** Fill pool_info_ and device_capacity_ on first use. */
+    void buildPoolInfo();
+
     ServingOptions options_;
     std::vector<KernelRequest> pool_;
     std::unique_ptr<Cluster> cluster_;
+    std::vector<PoolEntry> pool_info_;
+    /** Healthy per-device capacity in requests per simulated ms (the
+     *  estimatedCapacityRpms summands). */
+    std::vector<double> device_capacity_;
 };
 
 } // namespace dstc

@@ -41,20 +41,4 @@ summarizeLatencies(std::vector<double> latencies)
     return summary;
 }
 
-bool
-statsBitwiseEqual(const KernelStats &a, const KernelStats &b)
-{
-    return a.compute_us == b.compute_us &&
-           a.memory_us == b.memory_us &&
-           a.dram_bytes == b.dram_bytes &&
-           a.launch_us == b.launch_us && a.bound == b.bound &&
-           a.mix.hmma == b.mix.hmma &&
-           a.mix.ohmma_issued == b.mix.ohmma_issued &&
-           a.mix.ohmma_skipped == b.mix.ohmma_skipped &&
-           a.mix.bohmma == b.mix.bohmma && a.mix.popc == b.mix.popc &&
-           a.warp_tiles == b.warp_tiles &&
-           a.warp_tiles_skipped == b.warp_tiles_skipped &&
-           a.merge_cycles == b.merge_cycles;
-}
-
 } // namespace dstc

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "serve/arrival.h"
-#include "timing/stats.h"
 
 namespace dstc {
 
@@ -126,13 +125,6 @@ struct ServingStats
 
 /** Nearest-rank summary of @p latencies (unsorted, in us). */
 LatencySummary summarizeLatencies(std::vector<double> latencies);
-
-/**
- * Field-for-field bitwise equality of two kernel stats — the serving
- * determinism contract's comparator (shared by the replay tests and
- * micro_serve's self-check).
- */
-bool statsBitwiseEqual(const KernelStats &a, const KernelStats &b);
 
 } // namespace dstc
 

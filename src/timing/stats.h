@@ -60,6 +60,11 @@ struct KernelStats
         launch_us += other.launch_us;
         return *this;
     }
+
+    /** Field-for-field equality (doubles compared exactly): the
+     *  bitwise-determinism comparator of the cluster and serving
+     *  replay contracts. */
+    bool operator==(const KernelStats &) const = default;
 };
 
 } // namespace dstc

@@ -221,7 +221,7 @@ faultedOptions(const std::string &spec, size_t devices)
 TEST(FaultServingTest, FaultedStatsAreDeterministicForAnyWorkers)
 {
     // The tentpole pin: same seed + script = bitwise-identical stats
-    // across worker counts {1, 4} x device counts {1, 2, 4}, with
+    // across worker settings x device counts {1, 2, 4}, with
     // every recovery policy engaged at once.
     for (size_t devices : {1u, 2u, 4u}) {
         ServingOptions opts = faultedOptions(
@@ -231,12 +231,12 @@ TEST(FaultServingTest, FaultedStatsAreDeterministicForAnyWorkers)
         opts.arrivals.rate_rpms = 900.0;
         opts.retry = true;
         opts.hedge = true;
-        opts.num_threads = 1;
+        opts.resources.compute_workers = 1;
         opts.resources.encode_workers = 1;
         ServingEngine serial(opts, testPool());
         const ServingStats reference = serial.run().stats;
         EXPECT_GT(reference.offered, 0);
-        opts.num_threads = 4;
+        opts.resources.compute_workers = 0; // the shared pool
         opts.resources.encode_workers = 4;
         ServingEngine pooled(opts, testPool());
         EXPECT_TRUE(pooled.run().stats == reference)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -384,18 +385,18 @@ TEST(ServingEngineTest, ReplayIsBitwiseAcrossPoliciesAndDevices)
 
 TEST(ServingEngineTest, StatsAreWorkerCountInvariant)
 {
-    // The virtual clock is host-serial: thread-pool width and encode
-    // workers must not change a single stat (work stealing included).
+    // The virtual clock is host-serial: compute and encode workers
+    // must not change a single stat (work stealing included).
     for (size_t devices : {1u, 2u, 4u}) {
         ServingOptions opts = baseOptions();
         opts.policy = ServePolicy::Deadline; // stealing enabled
         for (size_t d = 0; d < devices; ++d)
             opts.devices.push_back(GpuConfig::v100());
-        opts.num_threads = 1;
+        opts.resources.compute_workers = 1;
         opts.resources.encode_workers = 1;
         ServingEngine serial(opts, testPool());
         const ServingStats reference = serial.run().stats;
-        opts.num_threads = 4;
+        opts.resources.compute_workers = 0; // the shared pool
         opts.resources.encode_workers = 4;
         ServingEngine pooled(opts, testPool());
         EXPECT_TRUE(pooled.run().stats == reference)
@@ -541,6 +542,214 @@ TEST(ServingEngineTest, WorkStealingOnlyUnderDeadlinePolicy)
     opts.policy = ServePolicy::CostModel;
     ServingEngine cost(opts, testPool());
     EXPECT_EQ(cost.run().stats.steals, 0);
+}
+
+// ---------------------------------------------------------------- //
+// Golden grid: one 64-bit digest of every stat and outcome across the
+// policy x admission x micro-batch x fault grid.
+
+/** splitmix64-style fold of one 64-bit word into a running digest. */
+class Digest
+{
+  public:
+    Digest &
+    u64(uint64_t v)
+    {
+        uint64_t z = (h_ ^ v) + 0x9e3779b97f4a7c15ull;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        h_ = z ^ (z >> 31);
+        return *this;
+    }
+    Digest &i64(int64_t v) { return u64(static_cast<uint64_t>(v)); }
+    Digest &
+    f64(double v)
+    {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        return u64(bits);
+    }
+    Digest &
+    latency(const LatencySummary &s)
+    {
+        return i64(s.count)
+            .f64(s.mean_us)
+            .f64(s.p50_us)
+            .f64(s.p95_us)
+            .f64(s.p99_us)
+            .f64(s.max_us);
+    }
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0;
+};
+
+void
+foldStats(const ServingStats &s, Digest *d)
+{
+    d->i64(s.offered)
+        .i64(s.admitted)
+        .i64(s.rejected)
+        .i64(s.shed)
+        .i64(s.dropped)
+        .i64(s.completed)
+        .i64(s.deadline_misses)
+        .i64(s.steals)
+        .i64(s.microbatches)
+        .i64(s.microbatched);
+    const FaultRecoveryStats &f = s.faults;
+    d->i64(f.crashes)
+        .i64(f.slowdowns)
+        .i64(f.transient_failures)
+        .i64(f.retries)
+        .i64(f.retries_exhausted)
+        .i64(f.failovers)
+        .i64(f.hedges)
+        .i64(f.hedge_wins)
+        .i64(f.hedges_cancelled)
+        .i64(f.lost)
+        .f64(f.availability);
+    d->f64(s.makespan_us)
+        .f64(s.throughput_rpms)
+        .f64(s.goodput_rpms)
+        .f64(s.deadline_miss_rate)
+        .f64(s.slo_attainment)
+        .latency(s.latency);
+    d->u64(s.per_class.size());
+    for (const ClassStats &c : s.per_class)
+        d->i64(c.offered)
+            .i64(c.completed)
+            .i64(c.deadline_misses)
+            .i64(c.rejected)
+            .i64(c.shed)
+            .i64(c.dropped)
+            .i64(c.lost)
+            .i64(c.recovered)
+            .latency(c.latency)
+            .latency(c.recovery_latency);
+    d->u64(s.placed_per_device.size());
+    for (int64_t p : s.placed_per_device)
+        d->i64(p);
+    d->u64(s.completed_per_device.size());
+    for (int64_t c : s.completed_per_device)
+        d->i64(c);
+}
+
+void
+foldOutcome(const ServeOutcome &o, Digest *d)
+{
+    const uint64_t flags = (o.met_deadline ? 1u : 0u) |
+                           (o.stolen ? 2u : 0u) |
+                           (o.batched_follower ? 4u : 0u) |
+                           (o.failed_over ? 8u : 0u) |
+                           (o.hedged ? 16u : 0u);
+    d->i64(o.id)
+        .u64(o.device)
+        .f64(o.start_us)
+        .f64(o.finish_us)
+        .i64(o.attempts)
+        .u64(flags);
+}
+
+/** Assert the cell's invariants, fold it into @p digest and add its
+ *  event counters to @p seen. */
+void
+runGoldenCell(const ServingOptions &opts, const std::string &label,
+              Digest *digest, ServingStats *seen)
+{
+    ServingEngine engine(opts, testPool());
+    const ServingResult result = engine.run();
+    const ServingStats &s = result.stats;
+    EXPECT_GT(s.offered, 0) << label;
+    EXPECT_EQ(s.admitted, s.offered - s.rejected) << label;
+    EXPECT_EQ(s.completed + s.shed + s.dropped + s.faults.lost,
+              s.admitted)
+        << label;
+    EXPECT_TRUE(engine.replayMatchesSerial(result)) << label;
+    seen->rejected += s.rejected;
+    seen->shed += s.shed;
+    seen->dropped += s.dropped;
+    seen->steals += s.steals;
+    seen->microbatches += s.microbatches;
+    seen->faults.crashes += s.faults.crashes;
+    seen->faults.failovers += s.faults.failovers;
+    seen->faults.retries += s.faults.retries;
+    seen->faults.hedge_wins += s.faults.hedge_wins;
+    seen->faults.lost += s.faults.lost;
+    foldStats(s, digest);
+    digest->u64(result.outcomes.size());
+    for (const ServeOutcome &o : result.outcomes)
+        foldOutcome(o, digest);
+}
+
+TEST(ServingGoldenTest, GridDigestIsPinned)
+{
+    const std::string fault_spec =
+        "crash@600:d1;slow@100+300x2:d0;transient:p0.05;randcrash:1";
+    ServingOptions base = baseOptions();
+    base.devices = {GpuConfig::v100(), GpuConfig::a100Like(),
+                    GpuConfig::futureGpu()};
+    base.arrivals.rate_rpms = 900.0;
+    base.queue_depth = 24;
+    Digest digest;
+    ServingStats seen;
+    for (ServePolicy policy :
+         {ServePolicy::Deadline, ServePolicy::CostModel,
+          ServePolicy::RoundRobin}) {
+        for (AdmissionPolicy admission :
+             {AdmissionPolicy::Reject, AdmissionPolicy::ShedOldest}) {
+            for (size_t microbatch : {1u, 4u}) {
+                for (bool faulted : {false, true}) {
+                    ServingOptions opts = base;
+                    opts.policy = policy;
+                    opts.admission = admission;
+                    opts.microbatch = microbatch;
+                    if (faulted) {
+                        std::string error;
+                        ASSERT_TRUE(FaultSpec::parse(
+                            fault_spec, &opts.faults, &error))
+                            << error;
+                        opts.retry = true;
+                        opts.hedge = true;
+                    }
+                    runGoldenCell(
+                        opts,
+                        std::string(servePolicyToken(policy)) +
+                            (admission == AdmissionPolicy::Reject
+                                 ? "/reject"
+                                 : "/shed") +
+                            "/mb" + std::to_string(microbatch) +
+                            (faulted ? "/faulted" : "/healthy"),
+                        &digest, &seen);
+                }
+            }
+        }
+    }
+    // The no-recovery baseline: a crash loses what the device held,
+    // and the admission bound stays at its healthy depth.
+    ServingOptions bare = base;
+    ASSERT_TRUE(FaultSpec::parse(fault_spec, &bare.faults, nullptr));
+    bare.retry = true;
+    bare.hedge = true;
+    bare.failover = false;
+    bare.degrade = false;
+    runGoldenCell(bare, "deadline/no-failover/no-degrade", &digest,
+                  &seen);
+
+    // The grid reaches every decision the digest is meant to pin.
+    EXPECT_GT(seen.rejected, 0);
+    EXPECT_GT(seen.shed, 0);
+    EXPECT_GT(seen.dropped, 0);
+    EXPECT_GT(seen.steals, 0);
+    EXPECT_GT(seen.microbatches, 0);
+    EXPECT_GT(seen.faults.crashes, 0);
+    EXPECT_GT(seen.faults.failovers, 0);
+    EXPECT_GT(seen.faults.retries, 0);
+    EXPECT_GT(seen.faults.hedge_wins, 0);
+    EXPECT_GT(seen.faults.lost, 0);
+    EXPECT_EQ(digest.value(), 0x3468bf29432d3895ull)
+        << std::hex << "0x" << digest.value();
 }
 
 } // namespace

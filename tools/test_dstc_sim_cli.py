@@ -5,7 +5,8 @@ Runs the built binary. Every accepted invocation (the README examples
 and the CLI smoke list) must exit 0; every rejected one must exit
 exactly 2 with an error on stderr; and the README's CLI block must be
 the usage that `dstc_sim` prints with no arguments, so the two cannot
-drift apart.
+drift apart. Every accepted `serve` and `cluster` invocation must also
+print byte-identical stdout when run twice.
 
 Run: python3 tools/test_dstc_sim_cli.py path/to/dstc_sim [REPO_ROOT]
 (REPO_ROOT defaults to this script's parent directory; the corpus
@@ -220,6 +221,16 @@ class DstcSimCli(unittest.TestCase):
             with self.subTest(case=case):
                 self.assertEqual(proc.returncode, 0, proc.stderr)
                 self.assertTrue(proc.stdout)
+
+    def test_serve_and_cluster_stdout_is_reproducible(self):
+        # dstc_sim prints no wall-clock values: a serving or cluster
+        # run is a pure function of its flags, byte for byte.
+        cases = [c for c in POSITIVE if argv(c)[0] in ("serve", "cluster")]
+        for case, first, second in zip(cases, run_all(cases),
+                                       run_all(cases)):
+            with self.subTest(case=case):
+                self.assertEqual(first.returncode, 0, first.stderr)
+                self.assertEqual(first.stdout, second.stdout)
 
     def test_rejected_invocations_exit_two(self):
         with tempfile.TemporaryDirectory() as tmp:
