@@ -39,8 +39,7 @@ gemmLayerRequests(const GemmLayerSpec &layer, uint64_t seed)
             layer.m, layer.n, layer.k, layer.act_sparsity,
             layer.weight_sparsity);
         req.method = method;
-        req.a_cluster = layer.act_cluster;
-        req.b_cluster = layer.weight_cluster;
+        req.withClusters(layer.act_cluster, layer.weight_cluster);
         req.seed = seed;
         req.tag = layer.name;
         requests.push_back(std::move(req));
@@ -74,8 +73,7 @@ runConvPanel(const DnnModel &model)
                 layer.act_sparsity);
             req.method = method;
             req.lowering = lowering;
-            req.b_cluster = layer.weight_cluster;
-            req.a_cluster = layer.act_cluster;
+            req.withClusters(layer.act_cluster, layer.weight_cluster);
             req.seed = seed;
             req.tag = layer.name;
             requests.push_back(std::move(req));

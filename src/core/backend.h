@@ -205,7 +205,9 @@ class Backend
     /** Stable backend name ("dual-sparse", "dense-cutlass", ...). */
     virtual const char *name() const = 0;
 
-    /** Whether this backend can execute @p request at all. */
+    /** Whether this backend can execute @p request at all, given
+     *  that its operand forms pair (operandsValid, which the
+     *  registry checks once for every backend). */
     virtual bool supports(const KernelRequest &request) const = 0;
 
     /**

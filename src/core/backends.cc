@@ -67,18 +67,21 @@ resolveConvEncoding(const KernelRequest &req, const PlanContext &ctx,
         .i32(req.shape.kernel)
         .i32(req.shape.stride)
         .i32(req.shape.pad);
-    key.f64(req.b_sparsity)
-        .f64(req.a_sparsity)
-        .f64(req.b_cluster)
-        .f64(req.a_cluster)
+    const Operand::Synthetic w = *req.b.synthetic();
+    const Operand::Synthetic x = *req.a.synthetic();
+    key.f64(w.sparsity)
+        .f64(x.sparsity)
+        .f64(w.cluster)
+        .f64(x.cluster)
         .u64(req.seed);
-    const KernelRequest r = req; // by-value for the builder
+    const ConvShape shape = req.shape;
+    const uint64_t seed = req.seed;
     return ctx.cache->getOrBuild<ConvOperandEncoding>(
         key.value(),
-        [r, cm] {
-            return encodeConvOperands(r.shape, cm, r.b_sparsity,
-                                      r.a_sparsity, r.seed,
-                                      r.b_cluster, r.a_cluster);
+        [=] {
+            return encodeConvOperands(shape, cm, w.sparsity,
+                                      x.sparsity, seed, w.cluster,
+                                      x.cluster);
         },
         hit);
 }
@@ -97,7 +100,7 @@ class DualGemmPlan : public ExecutionPlan
     run() override
     {
         KernelReport report;
-        if (!req_.a && !req_.a_encoded) {
+        if (!req_.functional()) {
             report.stats = profileStats();
             return report;
         }
@@ -105,14 +108,9 @@ class DualGemmPlan : public ExecutionPlan
         // encodings the kernel consumes (encode-once across repeated
         // requests); deferred to execution so a losing Auto
         // candidate never pays for the encode.
-        std::shared_ptr<const TwoLevelBitmapMatrix> a_enc, b_enc;
-        if (req_.a) {
-            a_enc = resolve(resolveTwoLevelA);
-            b_enc = resolve(resolveTwoLevelB);
-        }
         SpGemmResult r = SpGemmDevice(cfg()).multiplyEncoded(
-            a_enc ? *a_enc : *req_.a_encoded,
-            b_enc ? *b_enc : *req_.b_encoded, req_.gemm_options);
+            *resolve(resolveTwoLevel, false),
+            *resolve(resolveTwoLevel, true), req_.gemm_options);
         report.stats = r.stats;
         if (req_.gemm_options.functional)
             report.d =
@@ -129,7 +127,7 @@ class DualGemmPlan : public ExecutionPlan
         // it; the profile counts are exact, so the estimate equals
         // the executed stats. Timing-only requests share the
         // memoized run.
-        if (!req_.a && !req_.a_encoded)
+        if (!req_.functional())
             return ExecutionPlan::estimate();
         return profileStats().timeUs();
     }
@@ -143,8 +141,8 @@ class DualGemmPlan : public ExecutionPlan
         // Pre-encoded operands carry the authoritative datatype (the
         // run path reads it off their specs); keep the estimate's
         // compute/traffic scaling consistent with execution.
-        if (req_.a_encoded)
-            o.dtype = req_.a_encoded->spec().dtype;
+        if (const TwoLevelBitmapMatrix *a = req_.a.encoded())
+            o.dtype = a->spec().dtype;
         return SpGemmDevice(cfg()).timeFromProfiles(*p.a, *p.b, o);
     }
 
@@ -181,22 +179,21 @@ class DualSpmmPlan : public ExecutionPlan
     {
         const SpmmFormat format = chosenFormat();
         KernelReport report;
-        if (!req_.a) {
+        if (!req_.functional()) {
             report.stats = formatStats(format);
             return report;
         }
         // Encodes are deferred to execution so a losing Auto
         // candidate (and the unchosen format) never pays for them.
         SpmmDevice device(cfg());
-        const QuantSpec spec_b = specFor(req_.dataType(), *req_.b);
+        const Matrix<float> &b = *req_.b.matrix();
+        const QuantSpec spec_b = specFor(req_.dataType(), b);
         SpmmResult r =
             format == SpmmFormat::Narrow
-                ? device.multiplyNarrow(*resolve(resolveNarrowTileA),
-                                        *req_.b, spec_b,
-                                        req_.gemm_options)
-                : device.multiplyWide(*resolve(resolveTwoLevelA),
-                                      *req_.b, spec_b,
-                                      req_.gemm_options);
+                ? device.multiplyNarrow(*resolve(resolveNarrowTileA), b,
+                                        spec_b, req_.gemm_options)
+                : device.multiplyWide(*resolve(resolveTwoLevel, false),
+                                      b, spec_b, req_.gemm_options);
         report.stats = r.stats;
         if (req_.gemm_options.functional)
             report.d =
@@ -272,7 +269,8 @@ class ConvPlan : public ExecutionPlan
             // The conv pipeline partitions over the same compute
             // workers the session resolved into gemm_options.
             ConvResult r = executor.run(
-                *req_.input, *req_.b, req_.shape, conv_method_,
+                *req_.a.tensor(), *req_.b.matrix(), req_.shape,
+                conv_method_,
                 ConvOptions{req_.gemm_options.num_workers});
             report.stats = r.stats;
             report.output = std::make_shared<const Tensor4d>(
@@ -294,9 +292,9 @@ class ConvPlan : public ExecutionPlan
         if (!req_.functional())
             return ExecutionPlan::estimate();
         return ConvExecutor(cfg())
-            .timeOnly(req_.shape, conv_method_, req_.b->sparsity(),
-                      req_.input->sparsity(), req_.seed,
-                      req_.b_cluster, req_.a_cluster)
+            .timeOnly(req_.shape, conv_method_,
+                      req_.b.matrix()->sparsity(),
+                      req_.a.tensor()->sparsity(), req_.seed)
             .timeUs();
     }
 
@@ -316,14 +314,10 @@ class DualSparseBackend : public Backend
     {
         switch (req.kind) {
         case KernelRequest::Kind::Gemm:
-            // Pre-encoded operands must come as a pair (a
-            // half-specified pair has no consistent execution).
-            return !req.a_encoded == !req.b_encoded;
         case KernelRequest::Kind::Spmm:
-            // SpMM resolves its own A-side encodings (narrow or
-            // wide, chosen at plan stage); pre-encoded operands have
-            // no entry point.
-            return !req.a_encoded && !req.b_encoded;
+            // Every operand form (SpMM resolves its own A-side
+            // encodings, narrow or wide, chosen at plan stage).
+            return true;
         case KernelRequest::Kind::Conv:
             // The dual-side design is inherently implicit (the
             // bitmap im2col is part of the datapath, Sec. IV), and
@@ -360,20 +354,22 @@ class DenseGemmPlan : public ExecutionPlan
     run() override
     {
         KernelReport report;
-        if (!(req_.a && req_.gemm_options.functional)) {
+        const Matrix<float> *a = req_.a.matrix();
+        if (!(a && req_.gemm_options.functional)) {
             report.stats = analyticStats();
             return report;
         }
+        const Matrix<float> &b = *req_.b.matrix();
         const DataType dtype = req_.dataType();
         DenseGemmResult r = DenseGemmDevice(cfg()).multiply(
-            *req_.a, *req_.b, req_.outer_product,
-            specFor(dtype, *req_.a), specFor(dtype, *req_.b));
+            *a, b, req_.outer_product, specFor(dtype, *a),
+            specFor(dtype, b));
         report.stats = r.stats;
         report.d = std::make_shared<const Matrix<float>>(std::move(r.d));
         return report;
     }
 
-    /** Every flavor estimates analytically, so Auto never runs a
+    /** Every operand form estimates analytically, so Auto never runs a
      *  losing candidate's kernel; timing-only runs are this same
      *  analytic call. */
     double estimate() override { return analyticStats().timeUs(); }
@@ -404,7 +400,7 @@ class DenseBackend : public Backend
             // floor every sparse path must beat. Pre-encoded
             // two-level operands are only consumable by the
             // dual-sparse kernel.
-            return !req.a_encoded;
+            return !req.a.encoded();
         case KernelRequest::Kind::Conv:
             // Both conv lowerings, FP16-only conv pipeline.
             return convDataTypeOk(req);
@@ -447,13 +443,15 @@ class PrunedGemmPlan : public ExecutionPlan
     {
         KernelReport report;
         report.stats = analyticStats();
-        if (req_.a && req_.gemm_options.functional) {
+        const Matrix<float> *a = req_.a.matrix();
+        if (a && req_.gemm_options.functional) {
+            const Matrix<float> &b = *req_.b.matrix();
             const DataType dtype = req_.dataType();
-            const QuantSpec sa = specFor(dtype, *req_.a);
-            const QuantSpec sb = specFor(dtype, *req_.b);
+            const QuantSpec sa = specFor(dtype, *a);
+            const QuantSpec sb = specFor(dtype, b);
             report.d = std::make_shared<const Matrix<float>>(
-                zhu() ? zhuGemmFunctional(*req_.a, *req_.b, 16, sa, sb)
-                      : ampereGemmFunctional(*req_.a, *req_.b, sa, sb));
+                zhu() ? zhuGemmFunctional(*a, b, 16, sa, sb)
+                      : ampereGemmFunctional(*a, b, sa, sb));
         }
         return report;
     }
@@ -468,7 +466,7 @@ class PrunedGemmPlan : public ExecutionPlan
     {
         if (!stats_)
             stats_ = (zhu() ? zhuGemm : ampereGemm)(
-                cfg(), req_.m, req_.n, req_.k, weightSparsity(req_),
+                cfg(), req_.m, req_.n, req_.k, 1.0 - req_.b.density(),
                 req_.dataType());
         return *stats_;
     }
@@ -497,7 +495,7 @@ class ZhuSparseBackend : public Backend
     {
         switch (req.kind) {
         case KernelRequest::Kind::Gemm:
-            return !req.a_encoded; // no two-level consumption path
+            return !req.a.encoded(); // no two-level consumption path
         case KernelRequest::Kind::Spmm:
             // The vector-wise format prunes B; SpMM's B side is
             // dense by definition, so the design has nothing to
@@ -544,7 +542,7 @@ class AmpereSparseBackend : public Backend
         // in the Fig. 22 comparison, and its 2:4 prune has no handle
         // on SpMM's dense B side.
         return req.kind == KernelRequest::Kind::Gemm &&
-               !req.a_encoded;
+               !req.a.encoded();
     }
 
     std::unique_ptr<ExecutionPlan>
@@ -569,7 +567,7 @@ class CusparseGemmPlan : public ExecutionPlan
     run() override
     {
         KernelReport report;
-        if (!req_.a) {
+        if (!req_.functional()) {
             report.stats = expectedStats();
             return report;
         }
@@ -585,8 +583,8 @@ class CusparseGemmPlan : public ExecutionPlan
         if (req_.gemm_options.functional) {
             const DataType dtype = req_.dataType();
             report.d = std::make_shared<const Matrix<float>>(
-                csrGemm(*a_csr, *b_csr, specFor(dtype, *req_.a),
-                        specFor(dtype, *req_.b))
+                csrGemm(*a_csr, *b_csr, specFor(dtype, *req_.a.matrix()),
+                        specFor(dtype, *req_.b.matrix()))
                     .decode());
         }
         return report;
@@ -596,22 +594,21 @@ class CusparseGemmPlan : public ExecutionPlan
     estimate() override
     {
         // Concrete operands estimate from the expected-value model at
-        // their measured densities (operandDensities reads the
+        // their measured densities (Operand::density reads the
         // matrices directly) instead of paying the CSR encode; every
-        // other flavor's run is that same model, so it shares the
+        // other form's run is that same model, so it shares the
         // memoized run.
-        return req_.a ? expectedStats().timeUs()
-                      : ExecutionPlan::estimate();
+        return req_.functional() ? expectedStats().timeUs()
+                                 : ExecutionPlan::estimate();
     }
 
   private:
     KernelStats
     expectedStats() const
     {
-        double da, db;
-        operandDensities(req_, &da, &db);
         return cusparseGemmTimeExpected(cfg(), req_.m, req_.n, req_.k,
-                                        da, db);
+                                        req_.a.density(),
+                                        req_.b.density());
     }
 };
 
@@ -632,17 +629,18 @@ class CusparseSpmmPlan : public ExecutionPlan
     run() override
     {
         KernelReport report;
-        if (!req_.a) {
+        if (!req_.functional()) {
             report.stats = statsAt(nnzA());
             return report;
         }
         const auto a_csr = resolve(resolveCsr, false);
         report.stats = statsAt(a_csr->nnz());
         if (req_.gemm_options.functional) {
+            const Matrix<float> &b = *req_.b.matrix();
             const DataType dtype = req_.dataType();
-            report.d = std::make_shared<const Matrix<float>>(
-                csrSpmm(*a_csr, *req_.b, specFor(dtype, *req_.a),
-                        specFor(dtype, *req_.b)));
+            report.d = std::make_shared<const Matrix<float>>(csrSpmm(
+                *a_csr, b, specFor(dtype, *req_.a.matrix()),
+                specFor(dtype, b)));
         }
         return report;
     }
@@ -668,13 +666,10 @@ class CusparseSpmmPlan : public ExecutionPlan
     int64_t
     nnzA() const
     {
-        if (req_.a)
-            return wordNnz(req_.a->data().data(), req_.a->size());
-        const double da = req_.a_profile
-                              ? profileDensity(*req_.a_profile)
-                              : 1.0 - req_.a_sparsity;
+        if (const Matrix<float> *a = req_.a.matrix())
+            return wordNnz(a->data().data(), a->size());
         return static_cast<int64_t>(
-            da * static_cast<double>(req_.m) * req_.k);
+            req_.a.density() * static_cast<double>(req_.m) * req_.k);
     }
 };
 
@@ -689,7 +684,7 @@ class CusparseLikeBackend : public Backend
     {
         return (req.kind == KernelRequest::Kind::Gemm ||
                 req.kind == KernelRequest::Kind::Spmm) &&
-               !req.a_encoded;
+               !req.a.encoded();
     }
 
     std::unique_ptr<ExecutionPlan>

@@ -102,8 +102,23 @@ ClusterScheduler::load(size_t device) const
 
 namespace {
 
+/** Operating-point fields of one side: a synthetic point's own, the
+ *  defaults (sparsity 0, cluster 1) for every other form. */
+Operand::Synthetic
+syntheticOrDefault(const Operand &side)
+{
+    const Operand::Synthetic *point = side.synthetic();
+    return point ? *point : Operand::Synthetic{};
+}
+
+/** Flag bit of one operand form, per side, in variant order
+ *  (Synthetic, Matrix, Tensor4d, profile, pre-encoded). A B-side
+ *  tensor pairs with no request kind. */
+constexpr int kFormBitsA[] = {0, 1, 4, 8, 16};
+constexpr int kFormBitsB[] = {0, 2, 128, 32, 64};
+
 /** Everything that determines a request's simulated outcome except
- *  the operand contents. */
+ *  the operand contents, the datatype and the SpMM format. */
 CacheKey
 structuralKey(const KernelRequest &r)
 {
@@ -113,8 +128,10 @@ structuralKey(const KernelRequest &r)
     key.i32(static_cast<int32_t>(r.lowering));
     key.u64(r.seed);
     key.i64(r.m).i64(r.n).i64(r.k);
-    key.f64(r.a_sparsity).f64(r.b_sparsity);
-    key.f64(r.a_cluster).f64(r.b_cluster);
+    const Operand::Synthetic a = syntheticOrDefault(r.a);
+    const Operand::Synthetic b = syntheticOrDefault(r.b);
+    key.f64(a.sparsity).f64(b.sparsity);
+    key.f64(a.cluster).f64(b.cluster);
     key.i32(r.outer_product ? 1 : 0);
     const SpGemmOptions &g = r.gemm_options;
     // Two 32s where the retired tile_m/tile_n knobs sat, so the
@@ -137,11 +154,9 @@ structuralKey(const KernelRequest &r)
         .i32(s.kernel)
         .i32(s.stride)
         .i32(s.pad);
-    // Operand flavor: a synthetic point and a functional request of
+    // Operand forms: a synthetic point and a functional request of
     // the same geometry are different work.
-    key.i32((r.a ? 1 : 0) | (r.b ? 2 : 0) | (r.input ? 4 : 0) |
-            (r.a_profile ? 8 : 0) | (r.a_encoded ? 16 : 0) |
-            (r.b_profile ? 32 : 0) | (r.b_encoded ? 64 : 0));
+    key.i32(kFormBitsA[r.a.form.index()] | kFormBitsB[r.b.form.index()]);
     return key;
 }
 
@@ -156,22 +171,25 @@ requestShardKey(const KernelRequest &request)
 std::optional<uint64_t>
 requestContentDigest(const KernelRequest &request)
 {
+    const Operand &a = request.a, &b = request.b;
     // Caller-owned pointer encodings are opaque here: hashing the
     // pointer would alias recycled addresses, so those requests are
     // never estimate-cached.
-    if (request.a_profile || request.b_profile ||
-        request.a_encoded || request.b_encoded)
+    if (a.profile() || b.profile() || a.encoded() || b.encoded())
         return std::nullopt;
     CacheKey key = structuralKey(request);
-    if (request.a)
-        key.matrix(*request.a);
-    if (request.b)
-        key.matrix(*request.b);
-    if (request.input) {
-        const Tensor4d &t = *request.input;
-        key.i32(t.n()).i32(t.c()).i32(t.h()).i32(t.w());
-        key.bytes(t.data().data(),
-                  t.data().size() * sizeof(float));
+    // The datatype and the SpMM format change the modeled time (and
+    // the encodings a batch could share) at identical operands.
+    key.i32(static_cast<int32_t>(request.dataType()));
+    key.i32(static_cast<int32_t>(request.spmm_format));
+    if (a.matrix())
+        key.matrix(*a.matrix());
+    if (b.matrix())
+        key.matrix(*b.matrix());
+    if (const Tensor4d *t = a.tensor()) {
+        key.i32(t->n()).i32(t->c()).i32(t->h()).i32(t->w());
+        key.bytes(t->data().data(),
+                  t->data().size() * sizeof(float));
     }
     return key.value();
 }

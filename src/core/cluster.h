@@ -131,17 +131,20 @@ class ClusterScheduler
 
 /**
  * Stable structural digest of a request: geometry, method, operating
- * point and options — never operand contents (cheap, and available
- * for every request shape). StaticShard keys on it.
+ * point, operand forms and options — never operand contents (cheap,
+ * and available for every request shape). StaticShard keys on it.
+ * The datatype and the SpMM format are not folded (placement keys
+ * predate both axes); the content digest folds them.
  */
 uint64_t requestShardKey(const KernelRequest &request);
 
 /**
- * Full content digest of a request: the shard key plus the concrete
- * operands' bytes. Empty when the request carries caller-owned
- * pointer encodings (profiles / pre-encoded two-level operands)
- * whose contents are not hashable here — estimate caching is skipped
- * for those.
+ * Full content digest of a request: the shard key plus the datatype,
+ * the SpMM format and the concrete operands' bytes. Keys the
+ * cluster's estimate cache and the serving micro-batch. Empty when
+ * the request carries caller-owned pointer encodings (profiles /
+ * pre-encoded two-level operands) whose contents are not hashable
+ * here — estimate caching is skipped for those.
  */
 std::optional<uint64_t>
 requestContentDigest(const KernelRequest &request);

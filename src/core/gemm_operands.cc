@@ -9,17 +9,15 @@ GemmProfilesView
 resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
                     OperandDigests &digests, bool *hit)
 {
-    if (req.a_profile && req.b_profile) {
+    // KernelRegistry::plan admitted only same-form pairs.
+    if (req.a.profile())
         // Caller-owned encodings: reference them in place (the
-        // caller already holds the encode-once artifact, and request
-        // operands must outlive the plan by contract).
-        return GemmProfilesView::borrowed(req.a_profile,
-                                          req.b_profile);
-    }
-    if (req.a && req.b) {
+        // caller already holds the encode-once artifact).
+        return {borrowed(req.a.profile()), borrowed(req.b.profile())};
+    if (const Matrix<float> *a = req.a.matrix()) {
+        const Matrix<float> *b = req.b.matrix();
         CacheKey key("gemm-profiles-from-matrices");
-        key.u64(digests.a(*req.a)).u64(digests.b(*req.b));
-        const Matrix<float> *a = req.a, *b = req.b;
+        key.u64(digests.a(*a)).u64(digests.b(*b));
         return GemmProfilesView::owned(
             ctx.cache->getOrBuild<GemmProfilePair>(
                 key.value(),
@@ -34,84 +32,72 @@ resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
                 },
                 hit));
     }
-    if (req.a_encoded && req.b_encoded) {
+    if (const TwoLevelBitmapMatrix *a = req.a.encoded()) {
         // Profiles read off the encodings' packing offsets
         // (KernelRegistry::plan asserted the pair's tiling).
         return {std::make_shared<const SparsityProfile>(
-                    SparsityProfile::fromEncodedA(*req.a_encoded)),
+                    SparsityProfile::fromEncodedA(*a)),
                 std::make_shared<const SparsityProfile>(
-                    SparsityProfile::fromEncodedB(*req.b_encoded))};
+                    SparsityProfile::fromEncodedB(*req.b.encoded()))};
     }
 
+    const Operand::Synthetic sa = *req.a.synthetic();
+    const Operand::Synthetic sb = *req.b.synthetic();
     CacheKey key("gemm-profiles-synthetic");
     key.i64(req.m).i64(req.n).i64(req.k);
-    key.f64(req.a_sparsity)
-        .f64(req.b_sparsity)
-        .f64(req.a_cluster)
-        .f64(req.b_cluster)
+    key.f64(sa.sparsity)
+        .f64(sb.sparsity)
+        .f64(sa.cluster)
+        .f64(sb.cluster)
         .u64(req.seed);
-    const KernelRequest r = req; // by-value for the builder
+    const int64_t m = req.m, n = req.n, k = req.k;
+    const uint64_t seed = req.seed;
     return GemmProfilesView::owned(
         ctx.cache->getOrBuild<GemmProfilePair>(
             key.value(),
-            [r] {
-                Rng rng(r.seed);
+            [=] {
+                Rng rng(seed);
                 SparsityProfile a = SparsityProfile::randomA(
-                    r.m, r.k, kWarpTile, 1.0 - r.a_sparsity,
-                    r.a_cluster, rng);
+                    m, k, kWarpTile, 1.0 - sa.sparsity, sa.cluster,
+                    rng);
                 SparsityProfile b = SparsityProfile::randomA(
-                    r.n, r.k, kWarpTile, 1.0 - r.b_sparsity,
-                    r.b_cluster, rng);
+                    n, k, kWarpTile, 1.0 - sb.sparsity, sb.cluster,
+                    rng);
                 return GemmProfilePair{std::move(a), std::move(b)};
             },
             hit));
 }
 
 std::shared_ptr<const TwoLevelBitmapMatrix>
-resolveTwoLevelA(const KernelRequest &req, const PlanContext &ctx,
-                 OperandDigests &digests, bool *hit)
+resolveTwoLevel(const KernelRequest &req, const PlanContext &ctx,
+                OperandDigests &digests, bool *hit, bool b_side)
 {
+    const Operand &side = b_side ? req.b : req.a;
+    if (side.encoded())
+        return borrowed(side.encoded());
     const SpGemmOptions &o = req.gemm_options;
+    const Matrix<float> *m = side.matrix();
     // The encoding's value lane is quantized at the request datatype,
     // so the key folds the dtype: two requests sharing a content
     // digest but differing in datatype must never collide.
-    CacheKey key("two-level-a");
-    key.u64(digests.a(*req.a))
+    CacheKey key(b_side ? "two-level-b" : "two-level-a");
+    key.u64(b_side ? digests.b(*m) : digests.a(*m))
         .i32(o.tile_k)
         .i32(static_cast<int32_t>(o.dtype));
-    const Matrix<float> *a = req.a;
     const int workers = ctx.encode_workers;
     return ctx.cache->getOrBuild<TwoLevelBitmapMatrix>(
         key.value(),
-        [a, &o, workers] {
+        [m, &o, workers, b_side] {
             // Integer scales are matrix-global (serial fabs-max, so
             // the spec is independent of the worker partitioning).
             const QuantSpec spec = QuantSpec::forValues(
-                o.dtype, a->data().data(), a->data().size());
-            return wordEncodeTwoLevel(*a, kWarpTile, o.tile_k,
-                                      Major::Col, workers, spec);
-        },
-        hit);
-}
-
-std::shared_ptr<const TwoLevelBitmapMatrix>
-resolveTwoLevelB(const KernelRequest &req, const PlanContext &ctx,
-                 OperandDigests &digests, bool *hit)
-{
-    const SpGemmOptions &o = req.gemm_options;
-    CacheKey key("two-level-b");
-    key.u64(digests.b(*req.b))
-        .i32(o.tile_k)
-        .i32(static_cast<int32_t>(o.dtype));
-    const Matrix<float> *b = req.b;
-    const int workers = ctx.encode_workers;
-    return ctx.cache->getOrBuild<TwoLevelBitmapMatrix>(
-        key.value(),
-        [b, &o, workers] {
-            const QuantSpec spec = QuantSpec::forValues(
-                o.dtype, b->data().data(), b->data().size());
-            return wordEncodeTwoLevel(*b, o.tile_k, kWarpTile,
-                                      Major::Row, workers, spec);
+                o.dtype, m->data().data(), m->data().size());
+            // A is column-major kWarpTile x tile_k tiles, B row-major
+            // tile_k x kWarpTile tiles.
+            return b_side ? wordEncodeTwoLevel(*m, o.tile_k, kWarpTile,
+                                               Major::Row, workers, spec)
+                          : wordEncodeTwoLevel(*m, kWarpTile, o.tile_k,
+                                               Major::Col, workers, spec);
         },
         hit);
 }
@@ -120,7 +106,7 @@ std::shared_ptr<const CsrMatrix>
 resolveCsr(const KernelRequest &req, const PlanContext &ctx,
            OperandDigests &digests, bool *hit, bool b_side)
 {
-    const Matrix<float> *m = b_side ? req.b : req.a;
+    const Matrix<float> *m = (b_side ? req.b : req.a).matrix();
     CacheKey key(b_side ? "csr-b" : "csr-a");
     key.u64(b_side ? digests.b(*m) : digests.a(*m));
     return ctx.cache->getOrBuild<CsrMatrix>(
@@ -153,24 +139,16 @@ SpmmProfilesView
 resolveSpmmProfiles(const KernelRequest &req, const PlanContext &ctx,
                     OperandDigests &digests, bool *hit)
 {
-    if (req.a_profile) {
-        DSTC_ASSERT(req.a_profile->tile() == 8,
-                    "SpMM profile requests carry strip (tile = 8) "
-                    "profiles");
+    if (const SparsityProfile *a8 = req.a.profile()) {
         // Borrowed strip profile; its aggregation has no digestable
         // identity to cache by, and it is one cheap counts pass.
-        SpmmProfilesView v;
-        v.a8 = std::shared_ptr<const SparsityProfile>(
-            std::shared_ptr<const void>(), req.a_profile);
-        v.a32 = std::make_shared<const SparsityProfile>(
-            aggregateSpmmProfile(*req.a_profile));
-        return v;
+        return {borrowed(a8), std::make_shared<const SparsityProfile>(
+                                  aggregateSpmmProfile(*a8))};
     }
     std::shared_ptr<const SpmmProfilePair> pair;
-    if (req.a) {
+    if (const Matrix<float> *a = req.a.matrix()) {
         CacheKey key("spmm-profiles-from-matrix");
-        key.u64(digests.a(*req.a));
-        const Matrix<float> *a = req.a;
+        key.u64(digests.a(*a));
         pair = ctx.cache->getOrBuild<SpmmProfilePair>(
             key.value(),
             [a] {
@@ -182,27 +160,26 @@ resolveSpmmProfiles(const KernelRequest &req, const PlanContext &ctx,
             },
             hit);
     } else {
+        const Operand::Synthetic sa = *req.a.synthetic();
         CacheKey key("spmm-profiles-synthetic");
         key.i64(req.m).i64(req.k);
-        key.f64(req.a_sparsity).f64(req.a_cluster).u64(req.seed);
-        const KernelRequest r = req;
+        key.f64(sa.sparsity).f64(sa.cluster).u64(req.seed);
+        const int64_t m = req.m, k = req.k;
+        const uint64_t seed = req.seed;
         pair = ctx.cache->getOrBuild<SpmmProfilePair>(
             key.value(),
-            [r] {
-                Rng rng(r.seed);
+            [=] {
+                Rng rng(seed);
                 SparsityProfile a8 = SparsityProfile::randomA(
-                    r.m, r.k, 8, 1.0 - r.a_sparsity, r.a_cluster,
-                    rng);
+                    m, k, 8, 1.0 - sa.sparsity, sa.cluster, rng);
                 SparsityProfile a32 = aggregateSpmmProfile(a8);
                 return SpmmProfilePair{std::move(a8),
                                        std::move(a32)};
             },
             hit);
     }
-    SpmmProfilesView v;
-    v.a8 = std::shared_ptr<const SparsityProfile>(pair, &pair->a8);
-    v.a32 = std::shared_ptr<const SparsityProfile>(pair, &pair->a32);
-    return v;
+    return {std::shared_ptr<const SparsityProfile>(pair, &pair->a8),
+            std::shared_ptr<const SparsityProfile>(pair, &pair->a32)};
 }
 
 std::shared_ptr<const NarrowTileMatrix>
@@ -210,9 +187,9 @@ resolveNarrowTileA(const KernelRequest &req, const PlanContext &ctx,
                    OperandDigests &digests, bool *hit)
 {
     const SpGemmOptions &o = req.gemm_options;
+    const Matrix<float> *a = req.a.matrix();
     CacheKey key("narrow-tile-a");
-    key.u64(digests.a(*req.a)).i32(static_cast<int32_t>(o.dtype));
-    const Matrix<float> *a = req.a;
+    key.u64(digests.a(*a)).i32(static_cast<int32_t>(o.dtype));
     const int workers = ctx.encode_workers;
     return ctx.cache->getOrBuild<NarrowTileMatrix>(
         key.value(),
@@ -222,35 +199,6 @@ resolveNarrowTileA(const KernelRequest &req, const PlanContext &ctx,
             return wordEncodeNarrowTile(*a, workers, spec);
         },
         hit);
-}
-
-double
-profileDensity(const SparsityProfile &p)
-{
-    const double elems = static_cast<double>(p.extent()) *
-                         static_cast<double>(p.k());
-    return elems > 0 ? p.totalNnz() / elems : 0.0;
-}
-
-double
-weightSparsity(const KernelRequest &req)
-{
-    if (req.b)
-        return wordSparsity(*req.b);
-    if (req.b_profile)
-        return 1.0 - profileDensity(*req.b_profile);
-    return req.b_sparsity;
-}
-
-void
-operandDensities(const KernelRequest &req, double *da, double *db)
-{
-    *da = req.a          ? 1.0 - wordSparsity(*req.a)
-          : req.a_profile ? profileDensity(*req.a_profile)
-                          : 1.0 - req.a_sparsity;
-    *db = req.b          ? 1.0 - wordSparsity(*req.b)
-          : req.b_profile ? profileDensity(*req.b_profile)
-                          : 1.0 - req.b_sparsity;
 }
 
 } // namespace dstc

@@ -43,6 +43,15 @@ struct GemmProfilePair
     }
 };
 
+/** A non-owning handle on a caller-owned operand (request operands
+ *  outlive the plan by contract), in the shape the resolvers return. */
+template <class T>
+std::shared_ptr<const T>
+borrowed(const T *p)
+{
+    return std::shared_ptr<const T>(std::shared_ptr<const void>(), p);
+}
+
 /**
  * Non-owning view of a GEMM request's profile pair. Caller-provided
  * profiles are referenced in place (no per-plan copy on the
@@ -53,15 +62,6 @@ struct GemmProfilesView
 {
     std::shared_ptr<const SparsityProfile> a;
     std::shared_ptr<const SparsityProfile> b;
-
-    static GemmProfilesView
-    borrowed(const SparsityProfile *a, const SparsityProfile *b)
-    {
-        return {std::shared_ptr<const SparsityProfile>(
-                    std::shared_ptr<const void>(), a),
-                std::shared_ptr<const SparsityProfile>(
-                    std::shared_ptr<const void>(), b)};
-    }
 
     static GemmProfilesView
     owned(std::shared_ptr<const GemmProfilePair> pair)
@@ -85,22 +85,19 @@ resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
                     OperandDigests &digests, bool *hit);
 
 /**
- * Cache-backed two-level encoding of a request's concrete A operand
- * (requires req.a), built by the word-parallel encoder at the
- * request's tile_k (bitwise identical to the element-wise encode for
- * every ctx.encode_workers setting, so the key carries only the
- * operand digest, tile_k and datatype). Keyed here, in one place, so a hybrid
- * class slice and a dual-sparse plan of the same operand share one
- * cache entry.
+ * Two-level encoding of a request's A operand, or of its B operand
+ * when @p b_side. A pre-encoded operand is referenced in place; a
+ * concrete matrix is encoded through the cache by the word-parallel
+ * encoder at the request's tile_k (bitwise identical to the
+ * element-wise encode for every ctx.encode_workers setting, so the
+ * key — family "two-level-a" / "two-level-b" — carries only the
+ * operand digest, tile_k and datatype). Keyed here, in one place, so
+ * a hybrid class slice and a dual-sparse plan of the same operand
+ * share one cache entry.
  */
 std::shared_ptr<const TwoLevelBitmapMatrix>
-resolveTwoLevelA(const KernelRequest &req, const PlanContext &ctx,
-                 OperandDigests &digests, bool *hit);
-
-/** B-operand counterpart of resolveTwoLevelA (requires req.b). */
-std::shared_ptr<const TwoLevelBitmapMatrix>
-resolveTwoLevelB(const KernelRequest &req, const PlanContext &ctx,
-                 OperandDigests &digests, bool *hit);
+resolveTwoLevel(const KernelRequest &req, const PlanContext &ctx,
+                OperandDigests &digests, bool *hit, bool b_side);
 
 /**
  * Cache-backed CSR encoding of a request's concrete A operand (key
@@ -164,28 +161,13 @@ resolveSpmmProfiles(const KernelRequest &req, const PlanContext &ctx,
 
 /**
  * Cache-backed narrow-tile encoding of an SpMM request's concrete A
- * operand (requires req.a), built by the word-parallel encoder
+ * operand (a matrix), built by the word-parallel encoder
  * (bitwise identical to the scalar NarrowTileMatrix::encode for
  * every ctx.encode_workers setting).
  */
 std::shared_ptr<const NarrowTileMatrix>
 resolveNarrowTileA(const KernelRequest &req, const PlanContext &ctx,
                    OperandDigests &digests, bool *hit);
-
-/** Non-zero fraction of a profile over its true extent — the same
- *  geometry KernelRequest::gemm(profile, profile) reports as m/n, so
- *  density * m * k recovers the exact nnz for ragged shapes too. */
-double profileDensity(const SparsityProfile &p);
-
-/** Effective B-side (weight) sparsity of a GEMM request. Concrete
- *  operands are probed by the branchless word count (the zhu /
- *  ampere plan calls this once and shares it between estimate and
- *  run). */
-double weightSparsity(const KernelRequest &req);
-
-/** Operand densities of a GEMM request (cuSPARSE GEMM baseline). */
-void operandDensities(const KernelRequest &req, double *da,
-                      double *db);
 
 } // namespace dstc
 

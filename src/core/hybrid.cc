@@ -77,11 +77,11 @@ candidateMethods(const KernelRequest &req)
         // definition, so neither has anything to exploit.
         return {Method::DualSparse, Method::Dense,
                 Method::CusparseLike};
-    if (req.a_encoded && req.b_encoded)
+    if (req.a.encoded())
         return {Method::DualSparse};
     std::vector<Method> methods = {Method::DualSparse, Method::Dense,
                                    Method::CusparseLike};
-    if (req.a && req.b && conformant2of4(*req.b))
+    if (req.b.matrix() && conformant2of4(*req.b.matrix()))
         methods.push_back(Method::AmpereSparse);
     return methods;
 }
@@ -102,7 +102,7 @@ classSubRequest(const KernelRequest &req, KernelRequest sub,
 }
 
 /** Plan-stage stats of one class under one method, through the
- *  registry's plan() on a profile-flavor sub-request (exact
+ *  registry's plan() on a profile-form sub-request (exact
  *  densities, no values computed). Full stats, not a scalar: the
  *  split objective must merge class components the same way
  *  execution does. */
@@ -415,16 +415,17 @@ class HybridPlan : public ExecutionPlan
             return sub;
         }
         KernelRequest sub;
+        const Matrix<float> *a = req_.a.matrix();
         if (req_.kind == KernelRequest::Kind::Spmm) {
             // SpMM classes carry matrix or strip-profile slices; the
             // dual-sparse backend re-chooses its A format per class,
             // so a split can run its dense stripes wide and its
             // ultra-sparse stripes narrow.
-            if (req_.a) {
-                matrix_slices_.push_back(gatherGroupRows(
-                    *req_.a, cls.groups, partitionTile()));
+            if (a) {
+                matrix_slices_.push_back(
+                    gatherGroupRows(*a, cls.groups, partitionTile()));
                 sub = KernelRequest::spmm(matrix_slices_.back(),
-                                          *req_.b);
+                                          *req_.b.matrix());
             } else {
                 profile_slices_.push_back(
                     view_.a->selectGroups(cls.groups));
@@ -432,30 +433,29 @@ class HybridPlan : public ExecutionPlan
                                           req_.n);
             }
         } else if (cls.method == Method::DualSparse &&
-                   (req_.a_encoded || req_.a)) {
+                   req_.functional()) {
             // Concrete operands slice their full two-level
             // encodings — the same cache entries a plain dual-sparse
             // plan of this request builds or reuses.
-            if (req_.a && !a_enc_) {
-                a_enc_ = resolve(resolveTwoLevelA);
-                b_enc_ = resolve(resolveTwoLevelB);
+            if (!a_enc_) {
+                a_enc_ = resolve(resolveTwoLevel, false);
+                b_enc_ = resolve(resolveTwoLevel, true);
             }
             encoded_slices_.push_back(
-                (req_.a ? *a_enc_ : *req_.a_encoded)
-                    .selectTileRows(cls.groups));
+                a_enc_->selectTileRows(cls.groups));
             const TwoLevelBitmapMatrix &slice =
                 encoded_slices_.back();
             sub.kind = KernelRequest::Kind::Gemm;
             sub.m = slice.rows();
             sub.n = req_.n;
             sub.k = req_.k;
-            sub.a_encoded = &slice;
-            sub.b_encoded = req_.a ? b_enc_.get() : req_.b_encoded;
-        } else if (req_.a) {
-            matrix_slices_.push_back(gatherGroupRows(
-                *req_.a, cls.groups, partitionTile()));
+            sub.a = slice;
+            sub.b = *b_enc_;
+        } else if (a) {
+            matrix_slices_.push_back(
+                gatherGroupRows(*a, cls.groups, partitionTile()));
             sub = KernelRequest::gemm(matrix_slices_.back(),
-                                      *req_.b);
+                                      *req_.b.matrix());
         } else {
             profile_slices_.push_back(
                 view_.a->selectGroups(cls.groups));
@@ -484,17 +484,13 @@ class HybridBackend : public Backend
     supports(const KernelRequest &req) const override
     {
         // GEMM and SpMM (the conv paths pick their lowering, not a
-        // per-tile backend); pre-encoded operands must come as a
-        // pair, like the dual-sparse backend they route to.
-        // Integer datatypes are excluded: each density class would
-        // quantize its operand slice with a per-class scale, so the
-        // stitched output would not match any single-backend result.
-        if (dataTypeIsInteger(req.gemm_options.dtype))
-            return false;
-        if (req.kind == KernelRequest::Kind::Spmm)
-            return !req.a_encoded && !req.b_encoded;
-        return req.kind == KernelRequest::Kind::Gemm &&
-               !req.a_encoded == !req.b_encoded;
+        // per-tile backend), in every operand form the registry
+        // admits. Integer datatypes are excluded: each density class
+        // would quantize its operand slice with a per-class scale, so
+        // the stitched output would not match any single-backend
+        // result.
+        return req.kind != KernelRequest::Kind::Conv &&
+               !dataTypeIsInteger(req.gemm_options.dtype);
     }
 
     // exact() stays true: every class routes to a backend that is

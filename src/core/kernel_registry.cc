@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "gemm/sparsity_profile.h"
 
 namespace dstc {
 
@@ -48,6 +47,8 @@ KernelRegistry::find(Method method) const
 bool
 KernelRegistry::supports(const KernelRequest &request) const
 {
+    if (!operandsValid(request))
+        return false;
     if (request.method == Method::Auto)
         return !candidates(request).empty();
     const Backend *backend = find(request.method);
@@ -82,42 +83,20 @@ KernelRegistry::plan(const KernelRequest &request,
     // the registry that planned them.
     PlanContext routed = ctx;
     routed.registry = this;
-    // Operands come in pairs; a half-specified pair would silently
-    // fall through to the synthetic-profile path (or null-deref).
-    if (request.kind == KernelRequest::Kind::Gemm) {
-        DSTC_ASSERT(!request.a == !request.b,
-                    "give both GEMM operands or neither");
-        DSTC_ASSERT(!request.a_profile == !request.b_profile,
-                    "give both operand profiles or neither");
-        DSTC_ASSERT(!request.a_encoded == !request.b_encoded,
-                    "give both pre-encoded operands or neither");
-        // The kernel multiplies kWarpTile x tile_k A tiles by
-        // tile_k x kWarpTile B tiles, at the request's tile_k.
-        const int tile_k = request.gemm_options.tile_k;
-        DSTC_ASSERT(!request.a_encoded ||
-                        (request.a_encoded->tileRows() == kWarpTile &&
-                         request.a_encoded->tileCols() == tile_k &&
-                         request.b_encoded->tileRows() == tile_k &&
-                         request.b_encoded->tileCols() == kWarpTile),
-                    "pre-encoded operands must be tiled ", kWarpTile,
-                    "x", tile_k, " (A) and ", tile_k, "x", kWarpTile,
-                    " (B) to match gemm_options.tile_k");
-    } else if (request.kind == KernelRequest::Kind::Spmm) {
-        DSTC_ASSERT(!request.a == !request.b,
-                    "give both SpMM operands or neither");
-        DSTC_ASSERT(!request.b_profile,
-                    "SpMM's B side is dense — it has no B profile");
-        DSTC_ASSERT(!request.a_profile ||
-                        request.a_profile->tile() == 8,
-                    "SpMM profile requests carry strip (tile = 8) "
-                    "profiles");
-        DSTC_ASSERT(!request.a_encoded && !request.b_encoded,
-                    "SpMM resolves its own A-side encodings");
-    } else {
-        DSTC_ASSERT(!request.input == !request.b,
-                    "functional conv needs input and weights "
-                    "together");
-    }
+    DSTC_ASSERT(operandsValid(request),
+                "operand forms do not pair for this request kind");
+    // The kernel multiplies kWarpTile x tile_k A tiles by
+    // tile_k x kWarpTile B tiles, at the request's tile_k.
+    const int tile_k = request.gemm_options.tile_k;
+    const TwoLevelBitmapMatrix *a_enc = request.a.encoded();
+    const TwoLevelBitmapMatrix *b_enc = request.b.encoded();
+    DSTC_ASSERT(!a_enc || (a_enc->tileRows() == kWarpTile &&
+                           a_enc->tileCols() == tile_k &&
+                           b_enc->tileRows() == tile_k &&
+                           b_enc->tileCols() == kWarpTile),
+                "pre-encoded operands must be tiled ", kWarpTile, "x",
+                tile_k, " (A) and ", tile_k, "x", kWarpTile,
+                " (B) to match gemm_options.tile_k");
     if (request.method != Method::Auto) {
         const Backend *backend = find(request.method);
         DSTC_ASSERT(backend, "no backend registered for method ",

@@ -45,7 +45,8 @@ class KernelRegistry
     /** Backend implementing @p method, or null. */
     const Backend *find(Method method) const;
 
-    /** Whether some backend can execute @p request (Auto included). */
+    /** Whether some backend can execute @p request (Auto included);
+     *  false whenever operandsValid(request) is. */
     bool supports(const KernelRequest &request) const;
 
     /**
@@ -58,8 +59,10 @@ class KernelRegistry
     candidates(const KernelRequest &request) const;
 
     /**
-     * Plan @p request. Non-Auto methods route to their backend
-     * (panics if the backend is missing or rejects the request);
+     * Plan @p request; panics unless operandsValid(request) and a
+     * pre-encoded pair is tiled at the request's tile_k. Non-Auto
+     * methods route to their backend (panics if the backend is
+     * missing or rejects the request);
      * Method::Auto plans every candidate and returns the plan with
      * the fastest estimate.
      */

@@ -1,6 +1,7 @@
 #include "core/kernel_request.h"
 
 #include "common/logging.h"
+#include "sparse/word_encode.h"
 
 namespace dstc {
 
@@ -85,6 +86,49 @@ parseMethod(const std::string &token, Method *out)
             *out = m;
             return true;
         }
+    }
+    return false;
+}
+
+double
+Operand::density() const
+{
+    if (const Synthetic *point = synthetic())
+        return 1.0 - point->sparsity;
+    if (const Matrix<float> *m = matrix())
+        return 1.0 - wordSparsity(*m);
+    if (const Tensor4d *t = tensor())
+        return 1.0 - t->sparsity();
+    // Exact counts, over a profile's true extent.
+    const SparsityProfile *p = profile();
+    const TwoLevelBitmapMatrix *e = encoded();
+    const double elems = p ? static_cast<double>(p->extent()) *
+                                 static_cast<double>(p->k())
+                           : static_cast<double>(e->rows()) *
+                                 static_cast<double>(e->cols());
+    const int64_t nnz = p ? p->totalNnz() : e->nnz();
+    return elems > 0 ? static_cast<double>(nnz) / elems : 0.0;
+}
+
+bool
+operandsValid(const KernelRequest &request)
+{
+    const Operand &a = request.a, &b = request.b;
+    switch (request.kind) {
+      case KernelRequest::Kind::Gemm:
+        // Both sides in one form: synthetic, concrete, profiled or
+        // pre-encoded (a conv input tensor has no GEMM meaning).
+        return a.form.index() == b.form.index() && !a.tensor();
+      case KernelRequest::Kind::Spmm:
+        // B streams through dense: concrete beside a concrete A,
+        // else synthetic. A profile comes at strip granularity.
+        if (a.matrix())
+            return b.matrix() != nullptr;
+        return b.synthetic() &&
+               (a.synthetic() || (a.profile() && a.profile()->tile() == 8));
+      case KernelRequest::Kind::Conv:
+        return (a.tensor() && b.matrix()) ||
+               (a.synthetic() && b.synthetic());
     }
     return false;
 }

@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "common/datatype.h"
 #include "conv/spconv.h"
@@ -125,21 +126,87 @@ struct ExecutionResources
 };
 
 /**
- * One unit of work for the registry: a GEMM or a convolution at a
- * sparsity operating point, under a chosen (or Auto) method.
+ * One side of a request's outer product — the left (activation) or
+ * the right (weight) operand — in exactly one of five forms:
+ *  - Synthetic{sparsity, cluster} (the default): a timing-only
+ *    operating point whose pattern is drawn from the request's seed
+ *    (deterministic per seed);
+ *  - a concrete Matrix<float>: functional execution with values,
+ *    timed from the data's actual sparsity;
+ *  - a concrete Tensor4d: the activations of a functional conv;
+ *  - a SparsityProfile: timing-only, from pre-extracted popcounts;
+ *  - a pre-encoded TwoLevelBitmapMatrix: the encode-once /
+ *    multiply-many path of the dual-sparse GEMM.
  *
- * Operands come in three flavors, checked in this order by the
- * backends:
- *  - pre-encoded (`a_encoded`/`b_encoded`, dual-sparse GEMM only):
- *    the encode-once / multiply-many path;
- *  - concrete (`a`/`b` matrices, `input` tensor): functional
- *    execution with values, timed from the data's actual sparsity;
- *  - synthetic (none of the above): the timing-only path used by the
- *    sweeps; profiles are synthesized from the `*_sparsity`,
- *    `*_cluster` and `seed` fields (deterministic per seed).
- *
- * All operand pointers are non-owning and must outlive plan and
- * execution (batched runs included).
+ * Which pairs each request kind accepts is one rule, operandsValid().
+ * Every pointer form is non-owning: the referenced object must
+ * outlive plan and execution (batched runs included).
+ */
+struct Operand
+{
+    /** A synthetic operating point: non-zero fraction 1 - sparsity,
+     *  non-zeros clustered by the factor `cluster` (1 = uniform). */
+    struct Synthetic
+    {
+        double sparsity = 0.0;
+        double cluster = 1.0;
+    };
+
+    std::variant<Synthetic, const Matrix<float> *, const Tensor4d *,
+                 const SparsityProfile *, const TwoLevelBitmapMatrix *>
+        form;
+
+    Operand() : form(Synthetic{}) {}
+    Operand(Synthetic point) : form(point) {}
+    Operand(const Matrix<float> &m) : form(&m) {}
+    Operand(const Tensor4d &t) : form(&t) {}
+    Operand(const SparsityProfile &p) : form(&p) {}
+    Operand(const TwoLevelBitmapMatrix &e) : form(&e) {}
+
+    // The form's payload, or null when the operand has another form.
+    const Synthetic *
+    synthetic() const
+    {
+        return std::get_if<Synthetic>(&form);
+    }
+    const Matrix<float> *matrix() const { return get<Matrix<float>>(); }
+    const Tensor4d *tensor() const { return get<Tensor4d>(); }
+    const SparsityProfile *profile() const { return get<SparsityProfile>(); }
+    const TwoLevelBitmapMatrix *
+    encoded() const
+    {
+        return get<TwoLevelBitmapMatrix>();
+    }
+
+    /**
+     * Non-zero fraction of the operand: 1 - sparsity at a synthetic
+     * point, the branchless word count of a matrix, the exact count
+     * of a profile over its true extent (so density * m * k recovers
+     * the nnz for ragged shapes too) or of an encoding.
+     */
+    double density() const;
+
+  private:
+    template <class T>
+    const T *
+    get() const
+    {
+        const T *const *p = std::get_if<const T *>(&form);
+        return p ? *p : nullptr;
+    }
+};
+
+/**
+ * One unit of work for the registry: a GEMM, an SpMM or a convolution
+ * under a chosen (or Auto) method. The left operand `a` and the right
+ * operand `b` each take one Operand form; the pair must match the
+ * kind (operandsValid):
+ *  - GEMM: both synthetic, both matrices, both profiles or both
+ *    pre-encoded;
+ *  - SpMM: a synthetic or strip-profile (tile = 8) A beside a
+ *    synthetic (dense) B, or two matrices;
+ *  - conv: a synthetic pair (activation, weight sparsity), or the
+ *    input Tensor4d in `a` with the weight Matrix in `b`.
  */
 struct KernelRequest
 {
@@ -149,7 +216,7 @@ struct KernelRequest
         Conv,
         /** Sparse A x dense B (the real-matrix workload): only A is
          *  encoded; B streams through dense. Geometry reuses the
-         *  GEMM fields (m, n, k, a_sparsity/a_cluster). */
+         *  GEMM fields (m, n, k). */
         Spmm,
     };
 
@@ -166,17 +233,6 @@ struct KernelRequest
     int64_t m = 0;
     int64_t n = 0;
     int64_t k = 0;
-
-    /**
-     * Operand sparsity operating point. For GEMM, `a` is the left
-     * (activation) operand and `b` the right (weight) operand; for
-     * convolution, `a_*` describes the activations and `b_*` the
-     * weights.
-     */
-    double a_sparsity = 0.0;
-    double b_sparsity = 0.0;
-    double a_cluster = 1.0;
-    double b_cluster = 1.0;
 
     /** Dense GEMM only: use the outer-product datapath. */
     bool outer_product = false;
@@ -203,14 +259,10 @@ struct KernelRequest
     ConvShape shape;
     Lowering lowering = Lowering::Implicit;
 
-    // -- optional concrete operands (non-owning) ----------------------
-    const Matrix<float> *a = nullptr; ///< GEMM left operand
-    const Matrix<float> *b = nullptr; ///< GEMM right operand / weights
-    const SparsityProfile *a_profile = nullptr;
-    const SparsityProfile *b_profile = nullptr;
-    const TwoLevelBitmapMatrix *a_encoded = nullptr;
-    const TwoLevelBitmapMatrix *b_encoded = nullptr;
-    const Tensor4d *input = nullptr;  ///< conv activations
+    /** Left operand: GEMM/SpMM A, conv activations. */
+    Operand a;
+    /** Right operand: GEMM B, SpMM's dense B, conv weights. */
+    Operand b;
 
     // -- factories ----------------------------------------------------
 
@@ -219,28 +271,15 @@ struct KernelRequest
     gemm(int64_t m, int64_t n, int64_t k, double a_sparsity = 0.0,
          double b_sparsity = 0.0)
     {
-        KernelRequest r;
-        r.kind = Kind::Gemm;
-        r.m = m;
-        r.n = n;
-        r.k = k;
-        r.a_sparsity = a_sparsity;
-        r.b_sparsity = b_sparsity;
-        return r;
+        return make(Kind::Gemm, m, n, k, Operand::Synthetic{a_sparsity},
+                    Operand::Synthetic{b_sparsity});
     }
 
     /** Functional GEMM over concrete operands. */
     static KernelRequest
     gemm(const Matrix<float> &a, const Matrix<float> &b)
     {
-        KernelRequest r;
-        r.kind = Kind::Gemm;
-        r.m = a.rows();
-        r.n = b.cols();
-        r.k = a.cols();
-        r.a = &a;
-        r.b = &b;
-        return r;
+        return make(Kind::Gemm, a.rows(), b.cols(), a.cols(), a, b);
     }
 
     /** Timing-only GEMM from pre-extracted popcount profiles. The
@@ -250,28 +289,14 @@ struct KernelRequest
     static KernelRequest
     gemm(const SparsityProfile &a, const SparsityProfile &b)
     {
-        KernelRequest r;
-        r.kind = Kind::Gemm;
-        r.m = a.extent();
-        r.n = b.extent();
-        r.k = a.k();
-        r.a_profile = &a;
-        r.b_profile = &b;
-        return r;
+        return make(Kind::Gemm, a.extent(), b.extent(), a.k(), a, b);
     }
 
     /** Functional SpMM: sparse A (concrete values) times dense B. */
     static KernelRequest
     spmm(const Matrix<float> &a, const Matrix<float> &b)
     {
-        KernelRequest r;
-        r.kind = Kind::Spmm;
-        r.m = a.rows();
-        r.n = b.cols();
-        r.k = a.cols();
-        r.a = &a;
-        r.b = &b;
-        return r;
+        return make(Kind::Spmm, a.rows(), b.cols(), a.cols(), a, b);
     }
 
     /** Timing-only SpMM from a pre-extracted A-side popcount profile
@@ -280,26 +305,15 @@ struct KernelRequest
     static KernelRequest
     spmm(const SparsityProfile &a, int64_t n)
     {
-        KernelRequest r;
-        r.kind = Kind::Spmm;
-        r.m = a.extent();
-        r.n = n;
-        r.k = a.k();
-        r.a_profile = &a;
-        return r;
+        return make(Kind::Spmm, a.extent(), n, a.k(), a, Operand());
     }
 
     /** Timing-only SpMM at a synthetic A-sparsity operating point. */
     static KernelRequest
     spmm(int64_t m, int64_t n, int64_t k, double a_sparsity)
     {
-        KernelRequest r;
-        r.kind = Kind::Spmm;
-        r.m = m;
-        r.n = n;
-        r.k = k;
-        r.a_sparsity = a_sparsity;
-        return r;
+        return make(Kind::Spmm, m, n, k, Operand::Synthetic{a_sparsity},
+                    Operand());
     }
 
     /** Timing-only convolution at a synthetic operating point. */
@@ -307,11 +321,10 @@ struct KernelRequest
     conv(const ConvShape &shape, double weight_sparsity = 0.0,
          double act_sparsity = 0.0)
     {
-        KernelRequest r;
-        r.kind = Kind::Conv;
+        KernelRequest r =
+            make(Kind::Conv, 0, 0, 0, Operand::Synthetic{act_sparsity},
+                 Operand::Synthetic{weight_sparsity});
         r.shape = shape;
-        r.b_sparsity = weight_sparsity;
-        r.a_sparsity = act_sparsity;
         return r;
     }
 
@@ -320,22 +333,17 @@ struct KernelRequest
     conv(const Tensor4d &input, const Matrix<float> &weights,
          const ConvShape &shape)
     {
-        KernelRequest r;
-        r.kind = Kind::Conv;
+        KernelRequest r = make(Kind::Conv, 0, 0, 0, input, weights);
         r.shape = shape;
-        r.input = &input;
-        r.b = &weights;
         return r;
     }
 
-    /** True when the request carries concrete operand values. */
+    /** True when a valid request carries concrete operand values
+     *  (matrices, a conv input tensor, or pre-encoded operands). */
     bool
     functional() const
     {
-        return (kind == Kind::Gemm &&
-                ((a && b) || (a_encoded && b_encoded))) ||
-               (kind == Kind::Spmm && a && b) ||
-               (kind == Kind::Conv && input && b);
+        return a.matrix() || a.tensor() || a.encoded();
     }
 
     /**
@@ -385,12 +393,15 @@ struct KernelRequest
         return *this;
     }
 
-    /** Synthetic operating point: (A, B) cluster factors. */
+    /** Synthetic operating point: (A, B) cluster factors. A side
+     *  in another form has its own pattern and keeps it. */
     KernelRequest &
     withClusters(double a_value, double b_value)
     {
-        a_cluster = a_value;
-        b_cluster = b_value;
+        if (auto *point = std::get_if<Operand::Synthetic>(&a.form))
+            point->cluster = a_value;
+        if (auto *point = std::get_if<Operand::Synthetic>(&b.form))
+            point->cluster = b_value;
         return *this;
     }
 
@@ -431,7 +442,30 @@ struct KernelRequest
         resources = value;
         return *this;
     }
+
+  private:
+    static KernelRequest
+    make(Kind kind, int64_t m, int64_t n, int64_t k, Operand a,
+         Operand b)
+    {
+        KernelRequest r;
+        r.kind = kind;
+        r.m = m;
+        r.n = n;
+        r.k = k;
+        r.a = a;
+        r.b = b;
+        return r;
+    }
 };
+
+/**
+ * The one rule on operand form pairs (see KernelRequest): true when
+ * @p request's `a` and `b` forms are a pair its kind accepts.
+ * KernelRegistry::supports answers false and KernelRegistry::plan
+ * panics on any other pair.
+ */
+bool operandsValid(const KernelRequest &request);
 
 /** Outcome of executing one KernelRequest. */
 struct KernelReport

@@ -83,8 +83,7 @@ ModelRunner::layerRequests(const DnnModel &model, ModelMethod method,
             layer.shape, layer.weight_sparsity, layer.act_sparsity);
         req.method = registry_method;
         req.lowering = lowering;
-        req.b_cluster = layer.weight_cluster;
-        req.a_cluster = layer.act_cluster;
+        req.withClusters(layer.act_cluster, layer.weight_cluster);
         req.seed = seed++;
         req.tag = layer.name;
         requests.push_back(std::move(req));
@@ -94,8 +93,7 @@ ModelRunner::layerRequests(const DnnModel &model, ModelMethod method,
             layer.m, layer.n, layer.k, layer.act_sparsity,
             layer.weight_sparsity);
         req.method = registry_method;
-        req.a_cluster = layer.act_cluster;
-        req.b_cluster = layer.weight_cluster;
+        req.withClusters(layer.act_cluster, layer.weight_cluster);
         req.seed = seed++;
         req.tag = layer.name;
         // Conv layers above stay on the FP16 datapath; the datatype

@@ -39,8 +39,8 @@ spgemmEncoded(Session &session, const TwoLevelBitmapMatrix &a,
     req.m = a.rows();
     req.n = b.cols();
     req.k = a.cols();
-    req.a_encoded = &a;
-    req.b_encoded = &b;
+    req.a = a;
+    req.b = b;
     req.gemm_options = options;
     return session.run(req);
 }

@@ -136,8 +136,8 @@ TEST(AutoEstimateTest, PreEncodedEstimateIsExactWithoutRunning)
     req.m = a_enc.rows();
     req.n = b_enc.cols();
     req.k = a_enc.cols();
-    req.a_encoded = &a_enc;
-    req.b_encoded = &b_enc;
+    req.a = a_enc;
+    req.b = b_enc;
     req.gemm_options = opts;
     auto plan = session.plan(req);
     const double estimate = plan->estimatedTimeUs();
@@ -171,8 +171,8 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
         TwoLevelBitmapMatrix::encode(b, 32, 32, Major::Row);
     KernelRequest encoded = KernelRequest::gemm(a_enc.rows(),
                                                 b_enc.cols(), a.cols());
-    encoded.a_encoded = &a_enc;
-    encoded.b_encoded = &b_enc;
+    encoded.a = a_enc;
+    encoded.b = b_enc;
     // tile_k is the one tiling knob: a pair encoded at tile_k 16 runs
     // under a request at tile_k 16.
     const TwoLevelBitmapMatrix a_enc16 =
@@ -180,8 +180,8 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
     const TwoLevelBitmapMatrix b_enc16 =
         TwoLevelBitmapMatrix::encode(b, 16, 32, Major::Row);
     KernelRequest encoded16 = encoded;
-    encoded16.a_encoded = &a_enc16;
-    encoded16.b_encoded = &b_enc16;
+    encoded16.a = a_enc16;
+    encoded16.b = b_enc16;
     encoded16.gemm_options.tile_k = 16;
 
     Rng spmm_rng(506);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -62,7 +63,7 @@ mixedRequests()
     KernelRequest hybrid =
         KernelRequest::gemm(512, 256, 256, 0.55, 0.5);
     hybrid.method = Method::Hybrid;
-    hybrid.a_cluster = 8.0;
+    hybrid.withClusters(8.0, 1.0);
     hybrid.seed = seed++;
     requests.push_back(hybrid);
     ConvShape shape;
@@ -387,6 +388,102 @@ TEST(ClusterTest, SubmitBatchFuturesAreIndexAligned)
         EXPECT_LT(maxAbsDiff(*reports[i].d, refGemmFp16(as[i], bs[i])),
                   1e-5)
             << i;
+    }
+}
+
+TEST(ClusterTest, EstimateCacheSeparatesDatatypesAndSpmmFormats)
+{
+    // Two requests that differ only in datatype, or only in a pinned
+    // SpMM format, are different work. The estimate cache (and the
+    // serving micro-batch, which keys on the same content digest)
+    // must not hand one the other's value; the shard key stays
+    // structural and keeps them together.
+    const KernelRequest fp16 =
+        KernelRequest::gemm(512, 512, 512, 0.7, 0.8)
+            .withMethod(Method::DualSparse);
+    const KernelRequest int8 =
+        KernelRequest(fp16).withDataType(DataType::Int8);
+    const KernelRequest wide =
+        KernelRequest::spmm(4096, 64, 4096, 0.999)
+            .withMethod(Method::DualSparse)
+            .withSpmmFormat(SpmmFormat::Wide);
+    const KernelRequest narrow =
+        KernelRequest(wide).withSpmmFormat(SpmmFormat::Narrow);
+    Cluster cluster;
+    for (const auto &[first, twin] :
+         {std::pair(fp16, int8), std::pair(wide, narrow)}) {
+        const double first_us = cluster.estimateOn(0, first);
+        Session fresh;
+        const double twin_us = fresh.plan(twin)->estimatedTimeUs();
+        EXPECT_NE(first_us, twin_us);
+        EXPECT_DOUBLE_EQ(cluster.estimateOn(0, twin), twin_us);
+        EXPECT_NE(requestContentDigest(first),
+                  requestContentDigest(twin));
+        EXPECT_EQ(requestShardKey(first), requestShardKey(twin));
+    }
+}
+
+TEST(ClusterTest, ShardKeysArePinnedForEveryOperandForm)
+{
+    // StaticShard placement keys on requestShardKey, so its layout is
+    // a contract: these values may only change on purpose. The key
+    // covers operand forms and synthetic operating points, never
+    // operand contents, so caller-owned profiles and encodings (which
+    // the content digest cannot hash) still shard.
+    Rng rng(7);
+    const Matrix<float> a = randomSparseMatrix(64, 96, 0.7, rng);
+    const Matrix<float> b = randomSparseMatrix(96, 32, 0.6, rng);
+    const SparsityProfile pa = SparsityProfile::fromMatrixAWord(a, 32);
+    const SparsityProfile pb = SparsityProfile::fromMatrixBWord(b, 32);
+    const SparsityProfile pa8 = SparsityProfile::fromMatrixAWord(a, 8);
+    const TwoLevelBitmapMatrix ea =
+        TwoLevelBitmapMatrix::encode(a, 32, 32, Major::Col);
+    const TwoLevelBitmapMatrix eb =
+        TwoLevelBitmapMatrix::encode(b, 32, 32, Major::Row);
+    ConvShape shape;
+    shape.in_c = 8;
+    shape.in_h = shape.in_w = 8;
+    shape.out_c = 16;
+    const Tensor4d input(1, 8, 8, 8);
+    const Matrix<float> weights = randomSparseMatrix(16, 72, 0.5, rng);
+    KernelRequest encoded = KernelRequest::gemm(64, 32, 96);
+    encoded.a = ea;
+    encoded.b = eb;
+
+    const struct
+    {
+        const char *form;
+        KernelRequest request;
+        uint64_t shard_key;
+        bool hashable;
+    } cases[] = {
+        {"gemm synthetic",
+         KernelRequest::gemm(512, 256, 128, 0.7, 0.8)
+             .withClusters(2.0, 4.0)
+             .withMethod(Method::DualSparse),
+         0x11efc218d035af5eull, true},
+        {"gemm profile", KernelRequest::gemm(pa, pb),
+         0x20d440999f937a70ull, false},
+        {"gemm functional", KernelRequest::gemm(a, b),
+         0x014423ea8d2b028bull, true},
+        {"gemm pre-encoded", encoded, 0x22fe5d3699bedf88ull, false},
+        {"spmm strip profile", KernelRequest::spmm(pa8, 32),
+         0x0e885effd8191fb6ull, false},
+        {"spmm synthetic", KernelRequest::spmm(1024, 32, 1024, 0.99),
+         0x1f02d5d2dc06badaull, true},
+        {"spmm functional", KernelRequest::spmm(a, b),
+         0x6e63133a339147adull, true},
+        {"conv synthetic",
+         KernelRequest::conv(shape, 0.5, 0.3).withClusters(2.0, 4.0),
+         0xfe3d395879a140b4ull, true},
+        {"conv functional", KernelRequest::conv(input, weights, shape),
+         0xdcfe6960d9e5c6c7ull, true},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(requestShardKey(c.request), c.shard_key) << c.form;
+        EXPECT_EQ(requestContentDigest(c.request).has_value(),
+                  c.hashable)
+            << c.form;
     }
 }
 

@@ -214,7 +214,7 @@ TEST(EncodingCacheTest, DifferentOperatingPointsMissCache)
     other.seed = 2;
     EXPECT_FALSE(session.run(other).encode_cache_hit);
     other = req;
-    other.b_sparsity = 0.9;
+    other.b = Operand::Synthetic{0.9};
     EXPECT_FALSE(session.run(other).encode_cache_hit);
 }
 

@@ -314,7 +314,7 @@ TEST(HybridTest, SyntheticClusteredRequestSplitsDeterministically)
 {
     KernelRequest req = KernelRequest::gemm(1024, 512, 512, 0.6, 0.5);
     req.method = Method::Hybrid;
-    req.a_cluster = 8.0;
+    req.withClusters(8.0, 1.0);
     req.seed = 33;
 
     Session s1, s2;
@@ -358,8 +358,8 @@ TEST(HybridTest, PreEncodedPairDelegatesToDualSparse)
     req.m = a.rows();
     req.n = b.cols();
     req.k = a.cols();
-    req.a_encoded = &enc_a;
-    req.b_encoded = &enc_b;
+    req.a = enc_a;
+    req.b = enc_b;
     KernelReport hyb = hybrid_session.run(req);
     EXPECT_EQ(hyb.method, Method::Hybrid);
 
@@ -375,7 +375,8 @@ TEST(HybridTest, PreEncodedPairDelegatesToDualSparse)
 TEST(HybridTest, HybridSupportsFloatGemmAndSpmm)
 {
     // Pins what HybridBackend::supports declares: floating-point
-    // GEMM and SpMM, with pre-encoded operands only as a GEMM pair.
+    // GEMM and SpMM. Which operand form pairs are admitted is the
+    // registry's rule (KernelRegistryDeathTest covers the rejects).
     Session session;
     const Backend *hybrid = session.registry().find(Method::Hybrid);
     ASSERT_NE(hybrid, nullptr);
@@ -408,16 +409,12 @@ TEST(HybridTest, HybridSupportsFloatGemmAndSpmm)
         TwoLevelBitmapMatrix::encode(m, 32, 32, Major::Col);
     const TwoLevelBitmapMatrix b_enc =
         TwoLevelBitmapMatrix::encode(m, 32, 32, Major::Row);
-    KernelRequest half = KernelRequest::gemm(64, 64, 64);
-    half.a_encoded = &a_enc;
-    EXPECT_FALSE(hybrid->supports(half));
-    KernelRequest pair = half;
-    pair.b_encoded = &b_enc;
+    KernelRequest pair = KernelRequest::gemm(64, 64, 64);
+    pair.a = a_enc;
+    pair.b = b_enc;
     EXPECT_TRUE(hybrid->supports(pair));
-    KernelRequest spmm_encoded = KernelRequest::spmm(64, 32, 64, 0.8);
-    spmm_encoded.a_encoded = &a_enc;
-    spmm_encoded.b_encoded = &b_enc;
-    EXPECT_FALSE(hybrid->supports(spmm_encoded));
+    EXPECT_TRUE(session.registry().supports(
+        KernelRequest(pair).withMethod(Method::Hybrid)));
 }
 
 } // namespace

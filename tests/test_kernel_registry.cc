@@ -112,8 +112,8 @@ TEST_F(KernelRegistryTest, PreEncodedOperandsOnlyRouteToDualSparse)
     KernelRequest req;
     req.kind = KernelRequest::Kind::Gemm;
     req.m = req.n = req.k = 64;
-    req.a_encoded = &enc;
-    req.b_encoded = &enc_b;
+    req.a = enc;
+    req.b = enc_b;
     for (const auto &backend : session_.registry().backends()) {
         // The hybrid composer also accepts the pair — it routes every
         // class of such a request to the dual-sparse kernel.
@@ -138,8 +138,8 @@ TEST(KernelRegistryDeathTest, MismatchedPreEncodedTilingPanicsAtPlan)
     const TwoLevelBitmapMatrix b_enc =
         TwoLevelBitmapMatrix::encode(dense, 16, 32, Major::Row);
     KernelRequest req = KernelRequest::gemm(64, 64, 64);
-    req.a_encoded = &a_enc;
-    req.b_encoded = &b_enc;
+    req.a = a_enc;
+    req.b = b_enc;
     for (Method method :
          {Method::DualSparse, Method::Auto, Method::Hybrid}) {
         req.method = method;
@@ -151,6 +151,63 @@ TEST(KernelRegistryDeathTest, MismatchedPreEncodedTilingPanicsAtPlan)
             "must be tiled 32x32 \\(A\\) and 32x32 \\(B\\).*"
             "kernel_registry\\.cc")
             << methodName(method);
+    }
+}
+
+TEST(KernelRegistryDeathTest, RejectedOperandFormPairsPanicAtPlan)
+{
+    // operandsValid is the one rule on operand form pairs: every pair
+    // it rejects makes the registry answer "unsupported" and panics
+    // at plan, for Auto and for an explicit backend alike, before any
+    // backend is planned.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Rng rng(5);
+    const Matrix<float> a = randomSparseMatrix(64, 64, 0.7, rng);
+    const Matrix<float> b = randomSparseMatrix(64, 64, 0.6, rng);
+    const SparsityProfile pa = SparsityProfile::fromMatrixAWord(a, 32);
+    const SparsityProfile pb = SparsityProfile::fromMatrixBWord(b, 32);
+    const TwoLevelBitmapMatrix ea =
+        TwoLevelBitmapMatrix::encode(a, 32, 32, Major::Col);
+    const TwoLevelBitmapMatrix eb =
+        TwoLevelBitmapMatrix::encode(b, 32, 32, Major::Row);
+    ConvShape shape;
+    shape.in_c = 8;
+    shape.in_h = shape.in_w = 8;
+    shape.out_c = 64;
+    const auto with = [](KernelRequest req, Operand left, Operand right) {
+        req.a = left;
+        req.b = right;
+        return req;
+    };
+    const KernelRequest gemm = KernelRequest::gemm(64, 64, 64);
+    const KernelRequest spmm = KernelRequest::spmm(64, 64, 64, 0.9);
+    const KernelRequest conv = KernelRequest::conv(shape);
+    const struct
+    {
+        const char *pair;
+        KernelRequest request;
+    } cases[] = {
+        {"gemm: concrete A, profiled B", with(gemm, a, pb)},
+        {"gemm: pre-encoded A, synthetic B", with(gemm, ea, Operand())},
+        {"gemm: profiled A, pre-encoded B", with(gemm, pa, eb)},
+        {"spmm: profiled B", with(spmm, Operand(), pb)},
+        {"spmm: pre-encoded A", with(spmm, ea, Operand())},
+        {"spmm: tile-32 A profile", KernelRequest::spmm(pa, 64)},
+        {"conv: matrix where the tensor belongs", with(conv, a, b)},
+        {"conv: profile where the tensor belongs", with(conv, pa, b)},
+    };
+    for (const auto &c : cases) {
+        for (Method method : {Method::Auto, Method::DualSparse}) {
+            const KernelRequest req =
+                KernelRequest(c.request).withMethod(method);
+            Session session;
+            EXPECT_FALSE(session.registry().supports(req))
+                << c.pair << " / " << methodToken(method);
+            EXPECT_DEATH(session.plan(req),
+                         "operandsValid\\(request\\).*"
+                         "kernel_registry\\.cc")
+                << c.pair << " / " << methodToken(method);
+        }
     }
 }
 

@@ -39,7 +39,7 @@ testPool()
     KernelRequest hybrid =
         KernelRequest::gemm(256, 128, 128, 0.6, 0.5);
     hybrid.method = Method::Hybrid;
-    hybrid.a_cluster = 8.0;
+    hybrid.withClusters(8.0, 1.0);
     hybrid.seed = 21;
     pool.push_back(hybrid);
     ConvShape shape;

@@ -235,7 +235,7 @@ TEST(SessionTest, NonDefaultTileKFlowsThroughRequests)
     Session session;
     KernelRequest req = KernelRequest::gemm(256, 256, 256, 0.9, 0.9);
     req.method = Method::DualSparse;
-    req.a_cluster = req.b_cluster = 8.0;
+    req.withClusters(8.0, 8.0);
     req.gemm_options.functional = false;
     KernelReport shallow, deep;
     req.gemm_options.tile_k = 8;

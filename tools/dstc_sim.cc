@@ -210,8 +210,9 @@ runGemm(const CliArgs &args, Session &session)
                 "%.3f (%s, %s)\n",
                 static_cast<long long>(req.m),
                 static_cast<long long>(req.n),
-                static_cast<long long>(req.k), req.a_sparsity,
-                req.b_sparsity, methodToken(req.method),
+                static_cast<long long>(req.k),
+                req.a.synthetic()->sparsity,
+                req.b.synthetic()->sparsity, methodToken(req.method),
                 dataTypeToken(req.dataType()));
     printReport(report, session.config(), req.dataType());
     return 0;
@@ -235,8 +236,8 @@ runSpmm(const CliArgs &args, Session &session)
         const int64_t m = dimArg(args, 1), n = dimArg(args, 2),
                       k = dimArg(args, 3);
         const double sa = args.flagD("a-sparsity", 0.99);
-        req = KernelRequest::spmm(m, n, k, sa);
-        req.a_cluster = args.flagD("cluster", 1.0);
+        req = KernelRequest::spmm(m, n, k, sa)
+                  .withClusters(args.flagD("cluster", 1.0), 1.0);
         std::printf("SpMM %lld x %lld x %lld, A sparsity %.4f "
                     "(synthetic)\n",
                     static_cast<long long>(m), static_cast<long long>(n),
@@ -305,8 +306,8 @@ runConv(const CliArgs &args, Session &session)
     req.lowering = explicit_lowering ? Lowering::Explicit
                                      : Lowering::Implicit;
     req.seed = args.flagU64("seed", 1);
-    req.b_cluster = args.flagD("cluster", 4.0);
-    req.a_cluster = args.flagD("act-cluster", 2.0);
+    req.withClusters(args.flagD("act-cluster", 2.0),
+                     args.flagD("cluster", 4.0));
 
     KernelReport report = session.run(req);
     std::printf("CONV %s (%s)\n", shape.str().c_str(),
@@ -753,7 +754,8 @@ runBackends(const CliArgs &args, Session &session)
                     static_cast<long long>(gemm_probe.m),
                     static_cast<long long>(gemm_probe.n),
                     static_cast<long long>(gemm_probe.k),
-                    gemm_probe.a_sparsity, gemm_probe.b_sparsity);
+                    gemm_probe.a.synthetic()->sparsity,
+                    gemm_probe.b.synthetic()->sparsity);
 
     KernelRequest conv_probe;
     conv_probe.kind = KernelRequest::Kind::Conv;
