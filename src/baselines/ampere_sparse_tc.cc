@@ -9,10 +9,8 @@ namespace dstc {
 
 KernelStats
 ampereGemm(const GpuConfig &cfg, int64_t m, int64_t n, int64_t k,
-           double weight_sparsity, DataType dtype)
+           DataType dtype)
 {
-    (void)weight_sparsity; // fixed-rate format, like the vector-wise
-                           // design: extra sparsity is not exploitable
     DenseGemmDevice device(cfg);
     KernelStats stats = device.timeOnly(m, n, k, dtype);
     stats.name = "ampere_sparse_tc";

@@ -39,11 +39,11 @@ constexpr double kAmpereEffectiveSpeedup = 1.75;
  * the fixed effective speedup; the weight operand moves condensed at
  * 50% of the datatype's lane width plus 2-bit-per-value lane
  * metadata (the A100 format keeps the 2-bit indices at every
- * precision).
+ * precision). The weights' actual sparsity is not an input: the
+ * fixed-rate format cannot exploit sparsity beyond 50%.
  */
 KernelStats ampereGemm(const GpuConfig &cfg, int64_t m, int64_t n,
-                       int64_t k, double weight_sparsity,
-                       DataType dtype = DataType::Fp16);
+                       int64_t k, DataType dtype = DataType::Fp16);
 
 /**
  * Functional counterpart: 2:4-prune B (keep the two largest of every

@@ -8,10 +8,8 @@ namespace dstc {
 
 KernelStats
 zhuGemm(const GpuConfig &cfg, int64_t m, int64_t n, int64_t k,
-        double weight_sparsity, DataType dtype)
+        DataType dtype)
 {
-    (void)weight_sparsity; // fixed-ratio design: actual sparsity is
-                           // clamped to the 75% format either way
     DenseGemmDevice device(cfg);
     KernelStats stats = device.timeOnly(m, n, k, dtype);
     stats.name = "zhu_sparse_tc";

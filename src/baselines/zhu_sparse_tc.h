@@ -32,15 +32,12 @@ constexpr double kZhuEffectiveSpeedup = 1.86;
 /**
  * Timing of the vector-wise sparse GEMM: the dense tensor-core time
  * compressed by the fixed effective speedup on the compute side; the
- * weight operand moves at 25% plus index metadata.
- *
- * @param weight_sparsity actual sparsity of B; only min(s, 0.75) is
- *        exploitable, and anything below 0.75 must be *padded up* by
- *        the pruning scheme (so the speedup stays fixed).
+ * weight operand moves at 25% plus index metadata. The weights'
+ * actual sparsity is not an input: the pruning scheme pads or clamps
+ * every B to the fixed 75% format, so the speedup stays fixed.
  */
 KernelStats zhuGemm(const GpuConfig &cfg, int64_t m, int64_t n,
-                    int64_t k, double weight_sparsity,
-                    DataType dtype = DataType::Fp16);
+                    int64_t k, DataType dtype = DataType::Fp16);
 
 /**
  * Functional counterpart: vector-wise prune B to the fixed ratio and

@@ -115,7 +115,7 @@ struct CliArgs
 /**
  * Split argv into positionals and flags. Flags in @p boolean_flags
  * are presence-only and never consume a following token (else
- * "--batched bogus" would silently eat the stray argument).
+ * "--explicit bogus" would silently eat the stray argument).
  * Value-bearing flags keep an empty value when none follows, which
  * validateFlags then rejects instead of silently defaulting.
  */

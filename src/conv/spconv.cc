@@ -73,7 +73,7 @@ ConvExecutor::timeGemmPhase(const ConvShape &shape, ConvMethod method,
       case ConvMethod::SingleSparseExplicit: {
         // The fixed-rate vector-wise design: weights are pruned to
         // the 75% format whatever their natural sparsity.
-        stats = zhuGemm(cfg_, m, n, k, kZhuPruneRatio);
+        stats = zhuGemm(cfg_, m, n, k);
         break;
       }
       case ConvMethod::SingleSparseImplicit:

@@ -144,7 +144,6 @@ class ExecutionPlan
     }
 
     Method method() const { return method_; }
-    const char *backendName() const { return backend_name_; }
 
   protected:
     /** Perform the actual (timing or functional) execution. */

@@ -427,10 +427,10 @@ class DenseBackend : public Backend
 // ===================================================================
 
 /**
- * GEMM plan of both pruning baselines. Their timing is analytic at
- * the weights' effective sparsity (probed once, shared by estimate
- * and run); concrete functional requests also compute the pruned
- * product.
+ * GEMM plan of both pruning baselines. Their timing is analytic in
+ * the shape and datatype alone (the fixed-rate formats cannot use
+ * the weights' actual sparsity); concrete functional requests also
+ * compute the pruned product.
  */
 class PrunedGemmPlan : public ExecutionPlan
 {
@@ -461,17 +461,12 @@ class PrunedGemmPlan : public ExecutionPlan
   private:
     bool zhu() const { return method() == Method::ZhuSparse; }
 
-    const KernelStats &
-    analyticStats()
+    KernelStats
+    analyticStats() const
     {
-        if (!stats_)
-            stats_ = (zhu() ? zhuGemm : ampereGemm)(
-                cfg(), req_.m, req_.n, req_.k, 1.0 - req_.b.density(),
-                req_.dataType());
-        return *stats_;
+        return (zhu() ? zhuGemm : ampereGemm)(cfg(), req_.m, req_.n,
+                                              req_.k, req_.dataType());
     }
-
-    std::optional<KernelStats> stats_;
 };
 
 class ZhuSparseBackend : public Backend

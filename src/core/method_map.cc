@@ -6,6 +6,14 @@ namespace dstc {
 
 namespace {
 
+/** One row of the strategy table. */
+struct ConvMethodEntry
+{
+    ConvMethod conv;
+    Method method;
+    Lowering lowering;
+};
+
 constexpr ConvMethodEntry kTable[] = {
     {ConvMethod::DenseExplicit, Method::Dense, Lowering::Explicit},
     {ConvMethod::DenseImplicit, Method::Dense, Lowering::Implicit},
@@ -18,12 +26,6 @@ constexpr ConvMethodEntry kTable[] = {
 };
 
 } // namespace
-
-std::span<const ConvMethodEntry>
-convMethodTable()
-{
-    return kTable;
-}
 
 ConvMethod
 toConvMethod(Method method, Lowering lowering)

@@ -10,22 +10,9 @@
 #ifndef DSTC_CORE_METHOD_MAP_H
 #define DSTC_CORE_METHOD_MAP_H
 
-#include <span>
-
 #include "core/kernel_request.h"
 
 namespace dstc {
-
-/** One row of the strategy table. */
-struct ConvMethodEntry
-{
-    ConvMethod conv;
-    Method method;
-    Lowering lowering;
-};
-
-/** All convolution strategies, in ConvMethod declaration order. */
-std::span<const ConvMethodEntry> convMethodTable();
 
 /**
  * Conv strategy of a (registry method, lowering) pair. Panics for

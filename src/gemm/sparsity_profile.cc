@@ -62,18 +62,6 @@ SparsityProfile::groupDensity(int g) const
     return elems > 0 ? groupNnz(g) / elems : 0.0;
 }
 
-std::vector<int>
-SparsityProfile::densityHistogram(int bins) const
-{
-    DSTC_ASSERT(bins > 0);
-    std::vector<int> histogram(bins, 0);
-    for (int g = 0; g < groups_; ++g) {
-        int b = static_cast<int>(groupDensity(g) * bins);
-        histogram[std::min(b, bins - 1)] += 1;
-    }
-    return histogram;
-}
-
 SparsityProfile
 SparsityProfile::selectGroups(const std::vector<int> &groups) const
 {

@@ -94,14 +94,6 @@ class SparsityProfile
     double groupDensity(int g) const;
 
     /**
-     * Per-tile density histogram: bucket b counts the groups with
-     * density in [b/bins, (b+1)/bins) (density 1.0 lands in the last
-     * bucket). The request-level view of how non-uniform an operand
-     * is — a one-bucket histogram means splitting cannot help.
-     */
-    std::vector<int> densityHistogram(int bins) const;
-
-    /**
      * Slice: the profile restricted to @p groups (ascending group
      * indices). Because only the last group of a profile may be
      * clipped, a clipped group is only selectable in the last

@@ -111,43 +111,10 @@ ModelRunner::run(const DnnModel &model, ModelMethod method,
     ModelRunResult result;
     result.model = model.name;
     result.method = method;
-    for (const KernelRequest &req :
-         layerRequests(model, method, seed, dtype)) {
-        KernelReport report = session_.run(req);
-        result.layers.push_back(
-            {report.tag, report.stats, report.backend});
-    }
-    return result;
-}
-
-ModelRunResult
-ModelRunner::runBatched(const DnnModel &model, ModelMethod method,
-                        uint64_t seed, DataType dtype) const
-{
-    ModelRunResult result;
-    result.model = model.name;
-    result.method = method;
     for (KernelReport &report : session_.runBatch(
              layerRequests(model, method, seed, dtype))) {
         result.layers.push_back({std::move(report.tag), report.stats,
                                  std::move(report.backend)});
-    }
-    return result;
-}
-
-ModelRunResult
-ModelRunner::runSharded(Cluster &cluster, const DnnModel &model,
-                        ModelMethod method, uint64_t seed,
-                        DataType dtype)
-{
-    ModelRunResult result;
-    result.model = model.name;
-    result.method = method;
-    for (KernelReport &report : cluster.runBatch(
-             layerRequests(model, method, seed, dtype))) {
-        result.layers.push_back({std::move(report.tag), report.stats,
-                                 std::move(report.backend),
-                                 report.device});
     }
     return result;
 }

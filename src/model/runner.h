@@ -6,10 +6,10 @@
  * thin printers over it.
  *
  * A model run is a batch of KernelRequests — one per layer — built
- * by layerRequests() and executed on a Session either serially
- * (run()), on the worker pool (runBatched()), or data-parallel
- * across the devices of a Cluster (runSharded()). All paths produce
- * bitwise-identical statistics for the device each layer ran on.
+ * by layerRequests() and executed as one Session::runBatch() on the
+ * session's worker pool; the statistics are bitwise identical to
+ * running the layers serially. A Cluster runs the same batch
+ * data-parallel through its own runBatch().
  */
 #ifndef DSTC_MODEL_RUNNER_H
 #define DSTC_MODEL_RUNNER_H
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cluster.h"
 #include "core/session.h"
 #include "model/zoo.h"
 
@@ -45,10 +44,6 @@ struct LayerResult
     /** The backend that executed the layer (informative under
      *  ModelMethod::Auto). */
     std::string backend;
-
-    /** Cluster device the layer was placed on (-1 for single-device
-     *  Session runs). */
-    int device = -1;
 };
 
 /** Aggregated outcome of a model run. */
@@ -80,32 +75,13 @@ class ModelRunner
                   uint64_t seed = 1,
                   DataType dtype = DataType::Fp16);
 
-    /** Time every layer of @p model under @p method, serially. */
+    /**
+     * Time every layer of @p model under @p method as one batch on
+     * the session's worker pool; layers are reported in order.
+     */
     ModelRunResult run(const DnnModel &model, ModelMethod method,
                        uint64_t seed = 1,
                        DataType dtype = DataType::Fp16) const;
-
-    /**
-     * Same as run(), executed as one submitBatch() on the session's
-     * worker pool. Statistics are bitwise identical to run().
-     */
-    ModelRunResult runBatched(const DnnModel &model, ModelMethod method,
-                              uint64_t seed = 1,
-                              DataType dtype = DataType::Fp16) const;
-
-    /**
-     * Data-parallel layer execution over a Cluster: the layer batch
-     * is placed across the cluster's devices by its scheduler and
-     * executed concurrently. Each LayerResult records its placed
-     * device, and its stats are bitwise identical to running that
-     * layer serially on a single Session with that device's config
-     * (on a homogeneous cluster, identical to run()).
-     */
-    static ModelRunResult runSharded(Cluster &cluster,
-                                     const DnnModel &model,
-                                     ModelMethod method,
-                                     uint64_t seed = 1,
-                                     DataType dtype = DataType::Fp16);
 
   private:
     Session &session_;

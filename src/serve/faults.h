@@ -107,8 +107,6 @@ class FaultInjector
      *  construction (scripts are fleet-size agnostic). */
     const std::vector<FaultEvent> &events() const { return events_; }
 
-    double transientProb() const { return spec_.transient_prob; }
-
     /**
      * Whether attempt @p attempt of request @p id fails transiently
      * on @p device — a seeded hash draw, identical in every run.

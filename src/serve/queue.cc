@@ -7,18 +7,6 @@
 
 namespace dstc {
 
-const char *
-admissionPolicyToken(AdmissionPolicy policy)
-{
-    switch (policy) {
-    case AdmissionPolicy::Reject:
-        return "reject";
-    case AdmissionPolicy::ShedOldest:
-        return "shed";
-    }
-    return "?";
-}
-
 bool
 parseAdmissionPolicy(const std::string &token, AdmissionPolicy *out)
 {

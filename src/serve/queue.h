@@ -38,9 +38,6 @@ enum class AdmissionPolicy
     ShedOldest ///< drop the oldest queued request, admit the newcomer
 };
 
-/** Stable CLI/parse token of a policy ("reject", "shed"). */
-const char *admissionPolicyToken(AdmissionPolicy policy);
-
 /** Parse a CLI token into a policy; false on unknown token. */
 bool parseAdmissionPolicy(const std::string &token,
                           AdmissionPolicy *out);

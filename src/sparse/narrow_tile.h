@@ -75,15 +75,6 @@ class NarrowTileMatrix
     /** Level-1 words per strip: ceil(cols / 64). */
     int wordsPerStrip() const { return words_per_strip_; }
 
-    /** Rows actually present in strip @p s (8 except a clipped last
-     *  strip). */
-    int
-    stripSpan(int s) const
-    {
-        const int lo = s * kStripRows;
-        return rows_ - lo < kStripRows ? rows_ - lo : kStripRows;
-    }
-
     /** Level-1 vector-bitmap word @p w of strip @p s: bit c set iff
      *  the 8x1 vector at column s_word_base + c is non-empty. */
     uint64_t
@@ -91,15 +82,6 @@ class NarrowTileMatrix
     {
         return vector_bits_[static_cast<size_t>(s) * words_per_strip_ +
                             w];
-    }
-
-    /** All level-1 words of strip @p s. */
-    std::span<const uint64_t>
-    stripWords(int s) const
-    {
-        return {vector_bits_.data() +
-                    static_cast<size_t>(s) * words_per_strip_,
-                static_cast<size_t>(words_per_strip_)};
     }
 
     /** Index of strip @p s's first vector in the vector arrays. */

@@ -2,8 +2,7 @@
  * @file
  * Session-request one-liners shared by the test suites: each helper
  * builds the KernelRequest a test point needs and runs it through
- * the plan-execute API (the test-side sibling of
- * bench/session_util.h). Functional helpers return the full
+ * the plan-execute API. Functional helpers return the full
  * KernelReport so call sites can read values (`*report.d`,
  * `*report.output`) and stats from one run.
  */

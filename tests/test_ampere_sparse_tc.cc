@@ -5,6 +5,7 @@
 #include "baselines/cutlass_like.h"
 #include "baselines/zhu_sparse_tc.h"
 #include "common/rng.h"
+#include "core/session.h"
 #include "model/pruning.h"
 #include "tensor/reference.h"
 
@@ -15,16 +16,21 @@ TEST(AmpereSparseTc, FixedSpeedupOverDense)
 {
     GpuConfig cfg = GpuConfig::v100();
     const double dense = cutlassGemm(cfg, 4096, 4096, 4096).timeUs();
-    const double ampere =
-        ampereGemm(cfg, 4096, 4096, 4096, 0.5).timeUs();
+    const double ampere = ampereGemm(cfg, 4096, 4096, 4096).timeUs();
     EXPECT_NEAR(dense / ampere, kAmpereEffectiveSpeedup, 0.25);
 }
 
 TEST(AmpereSparseTc, CannotExploitExtraSparsity)
 {
-    GpuConfig cfg = GpuConfig::v100();
-    EXPECT_DOUBLE_EQ(ampereGemm(cfg, 2048, 2048, 2048, 0.5).timeUs(),
-                     ampereGemm(cfg, 2048, 2048, 2048, 0.9).timeUs());
+    Session session;
+    auto timeAt = [&](double weight_sparsity) {
+        return session
+            .run(KernelRequest::gemm(2048, 2048, 2048, 0.0,
+                                     weight_sparsity)
+                     .withMethod(Method::AmpereSparse))
+            .timeUs();
+    };
+    EXPECT_DOUBLE_EQ(timeAt(0.5), timeAt(0.9));
 }
 
 TEST(AmpereSparseTc, FunctionalEqualsDenseOnPrunedWeights)
@@ -46,9 +52,8 @@ TEST(AmpereSparseTc, MidwayBetweenDenseAndVectorWise)
     // bound shapes.
     GpuConfig cfg = GpuConfig::v100();
     const double dense = cutlassGemm(cfg, 4096, 4096, 4096).timeUs();
-    const double ampere =
-        ampereGemm(cfg, 4096, 4096, 4096, 0.5).timeUs();
-    const double zhu = zhuGemm(cfg, 4096, 4096, 4096, 0.75).timeUs();
+    const double ampere = ampereGemm(cfg, 4096, 4096, 4096).timeUs();
+    const double zhu = zhuGemm(cfg, 4096, 4096, 4096).timeUs();
     EXPECT_LT(ampere, dense);
     EXPECT_GT(ampere, zhu);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cluster.h"
+
 namespace dstc {
 namespace {
 
@@ -124,24 +126,27 @@ TEST_F(RunnerTest, AutoMethodRunsAndBeatsOrMatchesDual)
 
 TEST_F(RunnerTest, ShardedModelMatchesSerialRunner)
 {
-    // runSharded over a homogeneous cluster must reproduce the
-    // serial single-Session run layer for layer.
+    // The layer batch placed over a homogeneous cluster must
+    // reproduce the single-Session run layer for layer.
     ClusterOptions opts;
     opts.devices = {GpuConfig::v100(), GpuConfig::v100()};
     Cluster cluster(opts);
     ModelRunResult serial =
         runner_.run(makeRnnLM(), ModelMethod::DualSparseImplicit, 9);
-    ModelRunResult sharded = ModelRunner::runSharded(
-        cluster, makeRnnLM(), ModelMethod::DualSparseImplicit, 9);
-    ASSERT_EQ(serial.layers.size(), sharded.layers.size());
+    std::vector<KernelReport> sharded =
+        cluster.runBatch(ModelRunner::layerRequests(
+            makeRnnLM(), ModelMethod::DualSparseImplicit, 9));
+    ASSERT_EQ(serial.layers.size(), sharded.size());
+    double sharded_total = 0.0;
     for (size_t i = 0; i < serial.layers.size(); ++i) {
-        EXPECT_EQ(serial.layers[i].name, sharded.layers[i].name);
+        EXPECT_EQ(serial.layers[i].name, sharded[i].tag);
         EXPECT_DOUBLE_EQ(serial.layers[i].stats.timeUs(),
-                         sharded.layers[i].stats.timeUs());
-        EXPECT_GE(sharded.layers[i].device, 0);
-        EXPECT_LT(sharded.layers[i].device, 2);
+                         sharded[i].timeUs());
+        EXPECT_GE(sharded[i].device, 0);
+        EXPECT_LT(sharded[i].device, 2);
+        sharded_total += sharded[i].timeUs();
     }
-    EXPECT_DOUBLE_EQ(serial.totalTimeUs(), sharded.totalTimeUs());
+    EXPECT_DOUBLE_EQ(serial.totalTimeUs(), sharded_total);
 }
 
 } // namespace

@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "gemm/spgemm_device.h"
 #include "hwmodel/area_power.h"
-#include "model/runner.h"
 #include "session_test_util.h"
 #include "tensor/reference.h"
 
@@ -186,30 +185,6 @@ TEST(SessionTest, FunctionalBatchKeepsOperandsStraight)
         EXPECT_LT(maxAbsDiff(*reports[i].d, refGemmFp16(as[i], bs[i])),
                   1e-5)
             << i;
-    }
-}
-
-TEST(SessionTest, BatchedModelMatchesSerialRunner)
-{
-    // Acceptance: a batched full-model run produces stats identical
-    // to the serial ModelRunner run.
-    for (const DnnModel &model : {makeResnet18(), makeBertBase()}) {
-        Session session;
-        ModelRunner runner(session);
-        ModelRunResult serial =
-            runner.run(model, ModelMethod::DualSparseImplicit, 3);
-        ModelRunResult batched =
-            runner.runBatched(model, ModelMethod::DualSparseImplicit,
-                              3);
-        ASSERT_EQ(serial.layers.size(), batched.layers.size());
-        for (size_t i = 0; i < serial.layers.size(); ++i) {
-            EXPECT_EQ(serial.layers[i].name, batched.layers[i].name);
-            expectStatsBitwiseEqual(serial.layers[i].stats,
-                                    batched.layers[i].stats,
-                                    model.name + "/" +
-                                        serial.layers[i].name);
-        }
-        EXPECT_DOUBLE_EQ(serial.totalTimeUs(), batched.totalTimeUs());
     }
 }
 

@@ -326,10 +326,7 @@ runModel(const CliArgs &args, Session &session)
     DataType dtype;
     parseDataType(args.flag("dtype", "fp16"), &dtype);
     ModelRunner runner(session);
-    ModelRunResult result =
-        args.hasFlag("batched")
-            ? runner.runBatched(model, method, seed, dtype)
-            : runner.run(model, method, seed, dtype);
+    ModelRunResult result = runner.run(model, method, seed, dtype);
     // The comparison baseline runs at the same datatype, so the
     // speedup column isolates sparsity, not quantization.
     ModelRunResult dense =
@@ -358,9 +355,8 @@ runModel(const CliArgs &args, Session &session)
     if (show_backend)
         total_row.push_back("");
     table.addRow(total_row);
-    std::printf("%s under %s (%s)%s:\n", model.name.c_str(),
-                modelMethodName(method), dataTypeToken(dtype),
-                args.hasFlag("batched") ? " (batched)" : "");
+    std::printf("%s under %s (%s):\n", model.name.c_str(),
+                modelMethodName(method), dataTypeToken(dtype));
     table.print();
     return 0;
 }
@@ -878,8 +874,7 @@ const std::vector<Command> kCommands = {
      .run = runConv},
     {.name = "model",
      .positionals = {kModel},
-     .flags = {kModelMethod, kSeed, {"batched", ArgKind::Presence},
-               kDtype},
+     .flags = {kModelMethod, kSeed, kDtype},
      .run = runModel},
     {.name = "cluster",
      .positionals = {kModel},
@@ -980,7 +975,7 @@ int
 main(int argc, char **argv)
 {
     // Presence-only flags never consume a following token (else
-    // `--batched bogus` would silently eat the stray argument and
+    // `--explicit bogus` would silently eat the stray argument and
     // `--a100 model ...` would eat the command).
     std::set<std::string> presence;
     for (const Command &command : kCommands)

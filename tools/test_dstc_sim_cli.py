@@ -41,7 +41,7 @@ POSITIVE = [
     "model resnet18 --dtype int8",
     "conv --in-c 64 --hw 28 --out-c 64 --wsp 0.9 --asp 0.8 --method dual",
     "conv --in-c 32 --hw 14 --out-c 32 --method auto --explicit",
-    "model resnet18 --method auto --batched",
+    "model resnet18 --method auto",
     "cluster resnet18 --devices v100,a100,future --policy cost"
     " --method auto",
     "serve mix --devices v100,future --policy deadline --admission shed"
@@ -60,7 +60,7 @@ POSITIVE = [
     "gemm 4096 4096 4096 --a-sparsity 0.9 --b-sparsity 0.9 --method auto",
     "gemm 4096 4096 4096 --a-sparsity 0.9 --b-sparsity 0.9 --dtype int8"
     " --method dual",
-    "model vgg16 --method auto --batched",
+    "model vgg16 --method auto",
     "cluster resnet18 --devices v100,future --policy cost --replicate 4",
     "serve mix --devices v100,future --pattern bursty --rate 800",
     ["serve", "mix", "--devices", "v100,future", "--rate", "800",
@@ -82,7 +82,7 @@ POSITIVE = [
     "backends 256 256 256 --a-sparsity 0.8 --b-sparsity 0.3 --cluster 2"
     " --seed 9 --hybrid-threshold 0.5 --a100",
     "backends --a100",
-    "--a100 model resnet18 --seed 4 --batched --dtype bf16",
+    "--a100 model resnet18 --seed 4 --dtype bf16",
     "cluster rnn --devices future,v100 --replicate 2 --seed 5",
     "serve mix --rate 800 --duration 1.5 --depth 64 --policy deadline"
     " --faults crash@500:d1 --retry --retry-budget 4 --backoff 12.5"
@@ -181,7 +181,8 @@ NEGATIVE = [
     "conv --in-c 8 --hw 8",
     "gemm 64 64",
     "model resnet18 extra",
-    "model resnet18 --batched bogus",
+    "model resnet18 --batched",
+    CONV + " --explicit bogus",
     "model resnet19",
     "cluster mix",
     "cluster resnet18 --devices v100,tpu",
