@@ -33,16 +33,31 @@ nowMs()
         .count();
 }
 
-/** Best-of-@p reps wall time of @p fn, in milliseconds. */
+/** Shortest span one timed rep covers: a single sub-millisecond call
+ *  is one raw sample of scheduler and pool wake-up noise. */
+constexpr double kMinRepMs = 1.0;
+
+/**
+ * Best-of-@p reps wall time of one @p fn call, in milliseconds. Each
+ * rep runs @p fn back to back until at least kMinRepMs has passed
+ * and divides by the call count; a call that alone fills the span
+ * runs once per rep.
+ */
 template <typename Fn>
 double
 timeMs(int reps, Fn &&fn)
 {
     double best = 1e30;
     for (int r = 0; r < reps; ++r) {
+        int calls = 0;
+        double elapsed = 0.0;
         const double t0 = nowMs();
-        fn();
-        best = std::min(best, nowMs() - t0);
+        do {
+            fn();
+            ++calls;
+            elapsed = nowMs() - t0;
+        } while (elapsed < kMinRepMs);
+        best = std::min(best, elapsed / calls);
     }
     return best;
 }

@@ -17,6 +17,7 @@
 #ifndef DSTC_CORE_BACKEND_H
 #define DSTC_CORE_BACKEND_H
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -28,6 +29,7 @@ namespace dstc {
 
 class Backend;
 class KernelRegistry;
+class OperandDigests;
 
 /** Everything a backend needs besides the request itself. */
 struct PlanContext
@@ -49,52 +51,71 @@ struct PlanContext
      * is set; primitive backends ignore it.
      */
     const KernelRegistry *registry = nullptr;
+
+    /** The request's operand memo, fresh per KernelRegistry::plan
+     *  call and shared by every candidate it plans. Like registry,
+     *  set by the registry and asserted by every plan. */
+    std::shared_ptr<OperandDigests> digests;
+};
+
+/** One operand's memoized pass: its content digest and non-zeros. */
+struct OperandDigest
+{
+    uint64_t digest = 0; ///< CacheKey("operand-bytes").matrix value
+    int64_t nnz = 0;     ///< wordNnz of the payload
 };
 
 /**
- * Lazily-computed content digests of a request's concrete operands.
- * Hashing a large matrix is a full pass over its bytes, and a plan
- * needs the same operand under several encoding families (profiles,
- * two-level, CSR) — so each operand is digested once and the 64-bit
- * digest is folded into every family key.
+ * Lazily-computed content digests and non-zero counts of a request's
+ * concrete operands. KernelRegistry::plan builds one per plan() call
+ * and shares it with every candidate through PlanContext, so each
+ * operand is read once per plan: one CacheKey::payload pass yields
+ * the 64-bit digest folded into every encoding family key (profiles,
+ * two-level, narrow, CSR) and the non-zero count the cuSPARSE-like
+ * estimates price.
  */
 class OperandDigests
 {
   public:
-    uint64_t
+    const OperandDigest &
     a(const Matrix<float> &m)
     {
-        return digest(&m, &a_src_, &a_);
+        return memo(m, a_);
     }
 
-    uint64_t
+    const OperandDigest &
     b(const Matrix<float> &m)
     {
-        return digest(&m, &b_src_, &b_);
+        return memo(m, b_);
     }
 
   private:
+    struct Slot
+    {
+        const Matrix<float> *src = nullptr;
+        OperandDigest value;
+    };
+
     /** Each slot memoizes exactly one matrix: a later call with a
      *  different object would silently reuse the wrong digest, so
      *  the identity is checked, not assumed. */
-    static uint64_t
-    digest(const Matrix<float> *m, const Matrix<float> **src,
-           std::optional<uint64_t> *slot)
+    static const OperandDigest &
+    memo(const Matrix<float> &m, Slot &slot)
     {
-        if (!*slot) {
-            *src = m;
-            *slot = CacheKey("operand-bytes").matrix(*m).value();
+        if (!slot.src) {
+            slot.src = &m;
+            slot.value.digest = CacheKey("operand-bytes")
+                                    .matrix(m, &slot.value.nnz)
+                                    .value();
         }
-        DSTC_ASSERT(*src == m,
+        DSTC_ASSERT(slot.src == &m,
                     "OperandDigests slot reused for a different "
                     "matrix");
-        return **slot;
+        return slot.value;
     }
 
-    const Matrix<float> *a_src_ = nullptr;
-    const Matrix<float> *b_src_ = nullptr;
-    std::optional<uint64_t> a_;
-    std::optional<uint64_t> b_;
+    Slot a_;
+    Slot b_;
 };
 
 /**
@@ -103,9 +124,10 @@ class OperandDigests
  * underlying run, so Auto dispatch never pays twice.
  *
  * This is the skeleton every backend's plan builds on: it holds the
- * request (copied once) and the PlanContext (borrowed pointers: the
- * Session must outlive the plan), one OperandDigests, and one
- * cache-hit accumulator that resolve() feeds and execute() reports.
+ * request (copied once), the PlanContext (borrowed pointers: the
+ * Session must outlive the plan; the OperandDigests memo it shares
+ * with the other candidates of its plan() call), and one cache-hit
+ * accumulator that resolve() feeds and execute() reports.
  */
 class ExecutionPlan
 {
@@ -173,10 +195,12 @@ class ExecutionPlan
     resolve(Resolver resolver, Args... args)
     {
         bool hit = false;
-        auto resolved = resolver(req_, ctx_, digests_, &hit, args...);
+        auto resolved = resolver(req_, ctx_, digests(), &hit, args...);
         cache_hit_ = cache_hit_ || hit;
         return resolved;
     }
+
+    OperandDigests &digests() const { return *ctx_.digests; }
 
     const GpuConfig &cfg() const { return *ctx_.cfg; }
 
@@ -186,7 +210,6 @@ class ExecutionPlan
   private:
     const char *backend_name_;
     Method method_;
-    OperandDigests digests_;
     bool cache_hit_ = false;
     std::optional<double> estimated_;
     std::optional<KernelReport> result_;
@@ -248,6 +271,7 @@ inline ExecutionPlan::ExecutionPlan(const Backend &backend,
     : req_(request), ctx_(ctx), backend_name_(backend.name()),
       method_(backend.method())
 {
+    DSTC_ASSERT(ctx.digests, "plans are issued by KernelRegistry::plan");
 }
 
 } // namespace dstc

@@ -28,7 +28,6 @@
 #include "gemm/dense_gemm.h"
 #include "gemm/spgemm_device.h"
 #include "gemm/spmm_device.h"
-#include "sparse/word_encode.h"
 
 namespace dstc {
 
@@ -589,10 +588,9 @@ class CusparseGemmPlan : public ExecutionPlan
     estimate() override
     {
         // Concrete operands estimate from the expected-value model at
-        // their measured densities (Operand::density reads the
-        // matrices directly) instead of paying the CSR encode; every
-        // other form's run is that same model, so it shares the
-        // memoized run.
+        // their measured densities (the plan's operand memo counts
+        // them) instead of paying the CSR encode; every other form's
+        // run is that same model, so it shares the memoized run.
         return req_.functional() ? expectedStats().timeUs()
                                  : ExecutionPlan::estimate();
     }
@@ -602,8 +600,27 @@ class CusparseGemmPlan : public ExecutionPlan
     expectedStats() const
     {
         return cusparseGemmTimeExpected(cfg(), req_.m, req_.n, req_.k,
-                                        req_.a.density(),
-                                        req_.b.density());
+                                        density(false), density(true));
+    }
+
+    /** Operand::density, with a concrete matrix's non-zero count read
+     *  from the operand memo instead of a second scan (the same
+     *  arithmetic as wordSparsity, so the estimate is unchanged). */
+    double
+    density(bool b_side) const
+    {
+        const Operand &side = b_side ? req_.b : req_.a;
+        const Matrix<float> *m = side.matrix();
+        if (!m)
+            return side.density();
+        const int64_t nnz =
+            (b_side ? digests().b(*m) : digests().a(*m)).nnz;
+        const size_t total = m->size();
+        const double sparsity =
+            total == 0 ? 0.0
+                       : 1.0 - static_cast<double>(nnz) /
+                                   static_cast<double>(total);
+        return 1.0 - sparsity;
     }
 };
 
@@ -654,15 +671,15 @@ class CusparseSpmmPlan : public ExecutionPlan
     }
 
     /**
-     * A's non-zero count: the word popcount for a concrete A (the
-     * count its CSR encode finds), else the density round trip
+     * A's non-zero count: the operand memo's count for a concrete A
+     * (the count its CSR encode finds), else the density round trip
      * density * m * k the profile and synthetic runs price too.
      */
     int64_t
     nnzA() const
     {
         if (const Matrix<float> *a = req_.a.matrix())
-            return wordNnz(a->data().data(), a->size());
+            return digests().a(*a).nnz;
         return static_cast<int64_t>(
             req_.a.density() * static_cast<double>(req_.m) * req_.k);
     }

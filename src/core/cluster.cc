@@ -188,8 +188,7 @@ requestContentDigest(const KernelRequest &request)
         key.matrix(*b.matrix());
     if (const Tensor4d *t = a.tensor()) {
         key.i32(t->n()).i32(t->c()).i32(t->h()).i32(t->w());
-        key.bytes(t->data().data(),
-                  t->data().size() * sizeof(float));
+        key.payload(t->data().data(), t->data().size());
     }
     return key.value();
 }

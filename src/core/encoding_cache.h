@@ -9,15 +9,19 @@
  * repeated layers and repeated requests over the same operands skip
  * re-encoding entirely, across serial and batched execution alike.
  *
- * Keys are 64-bit FNV-1a digests built by the call sites from the
- * operand contents / generation parameters plus a kind tag (see
- * CacheKey). Values are immutable and shared: concurrent lookups of
- * the same key build once and everyone holds the same object.
+ * Keys are 64-bit digests built by the call sites from a kind tag,
+ * the generation parameters and the operand contents (see CacheKey).
+ * Scalar fields go through byte-wise FNV-1a; a matrix or tensor
+ * payload goes through one word-wide pass whose lanes are then
+ * folded in as scalars (CacheKey::payload). Values are immutable and
+ * shared: concurrent lookups of the same key build once and everyone
+ * holds the same object.
  */
 #ifndef DSTC_CORE_ENCODING_CACHE_H
 #define DSTC_CORE_ENCODING_CACHE_H
 
 #include <cstdint>
+#include <cstring>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -30,24 +34,19 @@
 
 namespace dstc {
 
-/** Incremental FNV-1a digest used for cache keys. */
+/**
+ * Incremental cache-key digest. Scalar fields (kind tag, strings,
+ * integers, doubles, machine parameters) are folded byte by byte
+ * with FNV-1a, so every structural key keeps one stable value.
+ * Payloads (matrix and tensor contents) take one word-wide pass,
+ * whose length and lanes are then folded in as scalars.
+ */
 class CacheKey
 {
   public:
     /** @param kind a distinct tag per encoding family, folded into
      *         the digest so families never collide. */
     explicit CacheKey(const char *kind) { str(kind); }
-
-    CacheKey &
-    bytes(const void *data, size_t len)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (size_t i = 0; i < len; ++i) {
-            hash_ ^= p[i];
-            hash_ *= 0x100000001b3ull;
-        }
-        return *this;
-    }
 
     CacheKey &
     str(const char *s)
@@ -64,13 +63,67 @@ class CacheKey
     CacheKey &i32(int32_t v) { return bytes(&v, sizeof(v)); }
     CacheKey &f64(double v) { return bytes(&v, sizeof(v)); }
 
+    /**
+     * Fold in a float payload of @p n elements in one word-wide pass,
+     * which also counts its non-zeros into @p nnz when given.
+     *
+     * Four independent 64-bit hash lanes run over 32-byte steps, each
+     * lane taking one 8-byte word per step as h = (h ^ w) * odd,
+     * h ^= h >> 29; a partial last step is zero-padded. The element
+     * count and the four lanes are then folded in as scalars. Each
+     * lane step is a bijection of h for a fixed word and of w for a
+     * fixed h, so two payloads of one length that differ in a single
+     * element always leave different lanes. Non-zeros follow wordNnz's
+     * rule, (bits & 0x7fffffff) != 0: -0.0 is a zero; NaN, Inf and
+     * denormals are not.
+     */
+    CacheKey &
+    payload(const float *data, size_t n, int64_t *nnz = nullptr)
+    {
+        constexpr uint64_t kMul = 0x9e3779b97f4a7c15ull;
+        constexpr uint64_t kMagnitude = 0x7fffffff7fffffffull;
+        uint64_t h0 = 0x243f6a8885a308d3ull, h1 = 0x13198a2e03707344ull;
+        uint64_t h2 = 0xa4093822299f31d0ull, h3 = 0x082efa98ec4e6c89ull;
+        int64_t count = 0;
+        const auto lane = [&count](uint64_t h, uint64_t w) {
+            // Each 31-bit magnitude plus 0x7fffffff carries into its
+            // half's top bit iff it is non-zero, never across halves.
+            const uint64_t t = (w & kMagnitude) + kMagnitude;
+            count += static_cast<int64_t>(((t >> 31) & 1) + (t >> 63));
+            h = (h ^ w) * kMul;
+            return h ^ (h >> 29);
+        };
+        const auto step = [&](const char *p) {
+            uint64_t w[4];
+            std::memcpy(w, p, sizeof(w));
+            h0 = lane(h0, w[0]);
+            h1 = lane(h1, w[1]);
+            h2 = lane(h2, w[2]);
+            h3 = lane(h3, w[3]);
+        };
+        const char *p = reinterpret_cast<const char *>(data);
+        const size_t len = n * sizeof(float);
+        size_t i = 0;
+        for (; i + 32 <= len; i += 32)
+            step(p + i);
+        if (i < len) {
+            char tail[32] = {};
+            std::memcpy(tail, p + i, len - i);
+            step(tail);
+        }
+        u64(n).u64(h0).u64(h1).u64(h2).u64(h3);
+        if (nnz)
+            *nnz = count;
+        return *this;
+    }
+
     /** Fold in a matrix's dimensions and full contents. */
     CacheKey &
-    matrix(const Matrix<float> &m)
+    matrix(const Matrix<float> &m, int64_t *nnz = nullptr)
     {
         i32(m.rows());
         i32(m.cols());
-        return bytes(m.data().data(), m.data().size() * sizeof(float));
+        return payload(m.data().data(), m.data().size(), nnz);
     }
 
     /**
@@ -102,6 +155,17 @@ class CacheKey
     uint64_t value() const { return hash_; }
 
   private:
+    CacheKey &
+    bytes(const void *data, size_t len)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (size_t i = 0; i < len; ++i) {
+            hash_ ^= p[i];
+            hash_ *= 0x100000001b3ull;
+        }
+        return *this;
+    }
+
     uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 

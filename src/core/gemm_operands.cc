@@ -17,7 +17,7 @@ resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
     if (const Matrix<float> *a = req.a.matrix()) {
         const Matrix<float> *b = req.b.matrix();
         CacheKey key("gemm-profiles-from-matrices");
-        key.u64(digests.a(*a)).u64(digests.b(*b));
+        key.u64(digests.a(*a).digest).u64(digests.b(*b).digest);
         return GemmProfilesView::owned(
             ctx.cache->getOrBuild<GemmProfilePair>(
                 key.value(),
@@ -81,7 +81,7 @@ resolveTwoLevel(const KernelRequest &req, const PlanContext &ctx,
     // so the key folds the dtype: two requests sharing a content
     // digest but differing in datatype must never collide.
     CacheKey key(b_side ? "two-level-b" : "two-level-a");
-    key.u64(b_side ? digests.b(*m) : digests.a(*m))
+    key.u64((b_side ? digests.b(*m) : digests.a(*m)).digest)
         .i32(o.tile_k)
         .i32(static_cast<int32_t>(o.dtype));
     const int workers = ctx.encode_workers;
@@ -108,7 +108,7 @@ resolveCsr(const KernelRequest &req, const PlanContext &ctx,
 {
     const Matrix<float> *m = (b_side ? req.b : req.a).matrix();
     CacheKey key(b_side ? "csr-b" : "csr-a");
-    key.u64(b_side ? digests.b(*m) : digests.a(*m));
+    key.u64((b_side ? digests.b(*m) : digests.a(*m)).digest);
     return ctx.cache->getOrBuild<CsrMatrix>(
         key.value(), [m] { return CsrMatrix::encode(*m); }, hit);
 }
@@ -148,7 +148,7 @@ resolveSpmmProfiles(const KernelRequest &req, const PlanContext &ctx,
     std::shared_ptr<const SpmmProfilePair> pair;
     if (const Matrix<float> *a = req.a.matrix()) {
         CacheKey key("spmm-profiles-from-matrix");
-        key.u64(digests.a(*a));
+        key.u64(digests.a(*a).digest);
         pair = ctx.cache->getOrBuild<SpmmProfilePair>(
             key.value(),
             [a] {
@@ -189,7 +189,7 @@ resolveNarrowTileA(const KernelRequest &req, const PlanContext &ctx,
     const SpGemmOptions &o = req.gemm_options;
     const Matrix<float> *a = req.a.matrix();
     CacheKey key("narrow-tile-a");
-    key.u64(digests.a(*a)).i32(static_cast<int32_t>(o.dtype));
+    key.u64(digests.a(*a).digest).i32(static_cast<int32_t>(o.dtype));
     const int workers = ctx.encode_workers;
     return ctx.cache->getOrBuild<NarrowTileMatrix>(
         key.value(),

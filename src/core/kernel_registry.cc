@@ -83,6 +83,10 @@ KernelRegistry::plan(const KernelRequest &request,
     // the registry that planned them.
     PlanContext routed = ctx;
     routed.registry = this;
+    // One digest-and-count pass per operand, shared by every Auto
+    // candidate. Fresh per call: a composer's sub-requests carry
+    // other matrices.
+    routed.digests = std::make_shared<OperandDigests>();
     DSTC_ASSERT(operandsValid(request),
                 "operand forms do not pair for this request kind");
     // The kernel multiplies kWarpTile x tile_k A tiles by

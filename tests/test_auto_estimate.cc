@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/cusparse_like.h"
 #include "common/rng.h"
 #include "core/session.h"
 #include "gemm/sparsity_profile.h"
@@ -275,6 +276,69 @@ TEST(AutoEstimateTest, NoMisrankingAtBackendCrossovers)
                 << chosen_actual << " us) but best actual is "
                 << best_actual << " us";
         }
+    }
+}
+
+TEST(AutoEstimateTest, AutoOverMatricesMatchesItsWinnerBitwise)
+{
+    // Auto plans every candidate against one shared operand memo
+    // (digest and non-zero count per matrix). The plan it executes
+    // must report exactly what planning its winner alone reports.
+    Rng rng(808);
+    std::vector<Matrix<float>> operands;
+    operands.reserve(8);
+    const auto matrix = [&](int rows, int cols,
+                            double sparsity) -> const Matrix<float> & {
+        operands.push_back(
+            randomSparseMatrix(rows, cols, sparsity, rng));
+        return operands.back();
+    };
+    std::vector<KernelRequest> requests;
+    for (double sparsity : {0.5, 0.995}) {
+        const Matrix<float> &a = matrix(160, 192, sparsity);
+        const Matrix<float> &b = matrix(192, 128, sparsity);
+        requests.push_back(KernelRequest::gemm(a, b));
+    }
+    for (double sparsity : {0.9, 0.999}) {
+        const Matrix<float> &a = matrix(256, 256, sparsity);
+        const Matrix<float> &b = matrix(256, 32, 0.0);
+        requests.push_back(KernelRequest::spmm(a, b));
+    }
+    for (const KernelRequest &request : requests) {
+        const bool spmm = request.kind == KernelRequest::Kind::Spmm;
+        Session auto_session, explicit_session;
+        const KernelReport got = auto_session.run(
+            KernelRequest(request).withMethod(Method::Auto));
+        auto plan = explicit_session.plan(
+            KernelRequest(request).withMethod(got.method));
+        plan->estimatedTimeUs();
+        const KernelReport want = plan->execute();
+        const std::string context = std::string(spmm ? "spmm" : "gemm") +
+                                    " won by " + methodName(got.method);
+        EXPECT_EQ(got.stats, want.stats) << context;
+        EXPECT_EQ(got.planned_us, want.planned_us) << context;
+        ASSERT_TRUE(got.d && want.d) << context;
+        EXPECT_TRUE(*got.d == *want.d) << context;
+
+        // The cuSPARSE-like estimate reads the memo's non-zero count;
+        // it must price exactly what the word scans price.
+        const Matrix<float> &a = *request.a.matrix();
+        const Matrix<float> &b = *request.b.matrix();
+        const KernelStats expect =
+            spmm ? cusparseSpmmTime(
+                       GpuConfig::v100(), request.m,
+                       wordNnz(a.data().data(), a.size()) * request.n,
+                       request.m * request.n)
+                 : cusparseGemmTimeExpected(
+                       GpuConfig::v100(), request.m, request.n,
+                       request.k, 1.0 - wordSparsity(a),
+                       1.0 - wordSparsity(b));
+        EXPECT_EQ(explicit_session
+                      .plan(KernelRequest(request).withMethod(
+                          Method::CusparseLike))
+                      ->estimatedTimeUs(),
+                  expect.timeUs())
+            << context;
     }
 }
 

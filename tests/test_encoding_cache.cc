@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/backend.h"
 #include "core/session.h"
 #include "sparse/csr.h"
+#include "sparse/word_encode.h"
 #include "tensor/reference.h"
 
 namespace dstc {
@@ -31,6 +36,96 @@ TEST(CacheKeyTest, DistinctInputsDistinctKeys)
               CacheKey("m").matrix(m2).value());
     EXPECT_EQ(CacheKey("m").matrix(m1).value(),
               CacheKey("m").matrix(m1).value());
+}
+
+TEST(CacheKeyTest, PayloadDigestSeesEveryElement)
+{
+    // 37 x 41 = 1517 floats: 189 full 32-byte steps run every lane,
+    // and the one-float remainder runs the zero-padded tail step.
+    Rng rng(4242);
+    Matrix<float> m = randomSparseMatrix(37, 41, 0.5, rng);
+    const uint64_t base = CacheKey("m").matrix(m).value();
+    std::set<uint64_t> keys = {base};
+    for (int r = 0; r < m.rows(); ++r)
+        for (int c = 0; c < m.cols(); ++c) {
+            // A sign flip: x -> -x, and 0.0 -> -0.0 on the zeros.
+            const float x = m.at(r, c);
+            m.at(r, c) = -x;
+            keys.insert(CacheKey("m").matrix(m).value());
+            m.at(r, c) = x;
+        }
+    EXPECT_EQ(keys.size(), m.size() + 1);
+    EXPECT_EQ(CacheKey("m").matrix(m).value(), base);
+
+    // +0.0 and -0.0 are both zeros to the encoders, but distinct
+    // payloads to the digest.
+    Matrix<float> pos(37, 41), neg(37, 41);
+    neg.at(36, 40) = -0.0f;
+    EXPECT_NE(CacheKey("m").matrix(pos).value(),
+              CacheKey("m").matrix(neg).value());
+
+    // The same bytes under the transposed shape.
+    Matrix<float> t(41, 37);
+    t.data() = m.data();
+    EXPECT_NE(CacheKey("m").matrix(t).value(), base);
+
+    // A trailing zero is not the tail step's padding.
+    const float v[4] = {1.0f, 2.0f, 3.0f, 0.0f};
+    EXPECT_NE(CacheKey("p").payload(v, 3).value(),
+              CacheKey("p").payload(v, 4).value());
+}
+
+/** @p n floats drawn from zeros of both signs, NaN, infinities,
+ *  denormals and ordinary values. */
+std::vector<float>
+specialValues(size_t n, Rng &rng)
+{
+    const float specials[] = {
+        0.0f,
+        -0.0f,
+        std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        1.5f,
+        -0.25f};
+    std::vector<float> v(n);
+    for (float &x : v)
+        x = specials[rng.uniformInt(std::size(specials))];
+    return v;
+}
+
+TEST(OperandDigestsTest, NnzMatchesWordNnz)
+{
+    Rng rng(2468);
+    const auto check = [](const Matrix<float> &m) {
+        const int64_t want = wordNnz(m.data().data(), m.size());
+        OperandDigests memo;
+        EXPECT_EQ(memo.a(m).nnz, want) << m.rows() << "x" << m.cols();
+        EXPECT_EQ(memo.b(m).nnz, want) << m.rows() << "x" << m.cols();
+        EXPECT_EQ(memo.a(m).digest,
+                  CacheKey("operand-bytes").matrix(m).value());
+    };
+    // Every length through two full steps and into a third, so each
+    // remainder the tail step can see is covered.
+    for (int n = 0; n <= 67; ++n) {
+        Matrix<float> m(1, n);
+        m.data() = specialValues(static_cast<size_t>(n), rng);
+        check(m);
+    }
+    Matrix<float> big(301, 317);
+    big.data() = specialValues(big.size(), rng);
+    check(big);
+}
+
+TEST(OperandDigestsDeathTest, SlotReusedForAnotherMatrixPanics)
+{
+    Matrix<float> m1(4, 4), m2(4, 4);
+    OperandDigests memo;
+    memo.a(m1);
+    memo.b(m2);
+    EXPECT_DEATH(memo.a(m2), "slot reused for a different matrix");
 }
 
 TEST(EncodingCacheTest, BuildsOnceThenHits)

@@ -188,6 +188,46 @@ TEST(SessionTest, FunctionalBatchKeepsOperandsStraight)
     }
 }
 
+TEST(SessionTest, AutoBatchOverSharedOperandsMatchesSerialBitwise)
+{
+    // Auto SpMM and GEMM requests over one shared adjacency and one
+    // shared weight matrix, planned and run concurrently on the pool:
+    // every plan keeps its own operand memo while their encodings
+    // meet in one cache, and each report equals the serial run's.
+    Rng rng(404);
+    const Matrix<float> adjacency = randomSparseMatrix(192, 192, 0.99, rng);
+    const Matrix<float> weights = randomSparseMatrix(128, 96, 0.8, rng);
+    std::vector<Matrix<float>> features, activations;
+    for (int i = 0; i < 4; ++i) {
+        features.push_back(randomSparseMatrix(192, 32, 0.0, rng));
+        activations.push_back(randomSparseMatrix(64, 128, 0.5, rng));
+    }
+    std::vector<KernelRequest> requests;
+    for (int repeat = 0; repeat < 2; ++repeat)
+        for (int i = 0; i < 4; ++i) {
+            requests.push_back(KernelRequest::spmm(adjacency, features[i])
+                                   .withMethod(Method::Auto));
+            requests.push_back(KernelRequest::gemm(activations[i], weights)
+                                   .withMethod(Method::Auto));
+        }
+
+    Session serial;
+    std::vector<KernelReport> want;
+    for (const KernelRequest &request : requests)
+        want.push_back(serial.run(request));
+    Session pooled;
+    const std::vector<KernelReport> got = pooled.runBatch(requests);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].method, want[i].method) << i;
+        EXPECT_EQ(got[i].stats, want[i].stats) << i;
+        EXPECT_EQ(got[i].planned_us, want[i].planned_us) << i;
+        ASSERT_TRUE(got[i].d && want[i].d) << i;
+        EXPECT_TRUE(*got[i].d == *want[i].d) << i;
+    }
+}
+
 TEST(SessionTest, ConfigPropagatesToBackends)
 {
     GpuConfig tiny = GpuConfig::v100();
