@@ -3,8 +3,8 @@
  * BERT-base encoder layer on the dual-side sparse Tensor Core: all
  * four GEMMs of one transformer block with movement-pruned weights,
  * comparing Dense / Single Sparse / Dual Sparse execution — the
- * Fig. 22 BERT workflow at full layer scale, submitted as one
- * batched Session workload (12 kernels, one submitBatch call).
+ * Fig. 22 BERT workflow at full layer scale, run as one batched
+ * Session workload (12 kernels, one runBatch call).
  *
  * Build & run:  ./build/examples/bert_encoder
  */
@@ -27,7 +27,7 @@ main()
                 "dense(us)", "single(x)", "dual(x)");
 
     // One request per (layer, method); the whole block runs as a
-    // single batch on the session's worker pool.
+    // single batch on the process-shared pool.
     const std::vector<Method> methods = {Method::Dense,
                                          Method::ZhuSparse,
                                          Method::DualSparse};
@@ -51,7 +51,7 @@ main()
         ++seed;
     }
     std::vector<KernelReport> reports =
-        session.runBatch(std::move(requests));
+        session.runBatch(requests);
 
     double dense_total = 0.0, single_total = 0.0, dual_total = 0.0;
     size_t idx = 0;

@@ -19,8 +19,7 @@ main()
     using namespace dstc;
 
     // 1. A session over the V100 machine model. It owns the kernel
-    //    registry (the five backends), the encoding cache and the
-    //    worker pool.
+    //    registry (the five backends) and the encoding cache.
     Session session;
 
     // 2. Two sparse operands: 70%-sparse activations x 80%-sparse

@@ -227,21 +227,28 @@ class DualSpmmPlan : public ExecutionPlan
         return format_;
     }
 
-    KernelStats
+    /** One format's profile timing, memoized: the format choice, the
+     *  estimate and a timing-only run() all read the same stats. */
+    const KernelStats &
     formatStats(SpmmFormat format)
     {
+        const bool narrow = format == SpmmFormat::Narrow;
+        std::optional<KernelStats> &stats = stats_[narrow ? 0 : 1];
+        if (stats)
+            return *stats;
         if (!profiles_)
             profiles_ = resolve(resolveSpmmProfiles);
         SpmmDevice device(cfg());
-        return format == SpmmFormat::Narrow
-                   ? device.timeNarrowFromProfile(*profiles_.a8, req_.n,
-                                                  req_.gemm_options)
-                   : device.timeWideFromProfile(*profiles_.a32, req_.n,
-                                                req_.gemm_options);
+        stats = narrow ? device.timeNarrowFromProfile(
+                             *profiles_.a8, req_.n, req_.gemm_options)
+                       : device.timeWideFromProfile(
+                             *profiles_.a32, req_.n, req_.gemm_options);
+        return *stats;
     }
 
     SpmmFormat format_ = SpmmFormat::Auto; ///< Auto = not chosen yet
     SpmmProfilesView profiles_;
+    std::optional<KernelStats> stats_[2]; ///< Narrow, Wide
 };
 
 // -- shared conv plan (dual / dense / zhu) --------------------------

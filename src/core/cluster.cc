@@ -1,6 +1,5 @@
 #include "core/cluster.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -208,29 +207,17 @@ Cluster::Cluster(ClusterOptions options)
 {
     if (options_.devices.empty())
         options_.devices.push_back(GpuConfig::v100());
-    int threads = options_.num_threads;
-    if (threads <= 0)
-        threads = std::max(1u, std::thread::hardware_concurrency());
-    // The pool exists before the Sessions: they hold its pointer.
-    pool_ = std::make_unique<ThreadPool>(threads);
     sessions_.reserve(options_.devices.size());
     for (const GpuConfig &cfg : options_.devices) {
         SessionOptions so;
         so.config = cfg;
         so.resources = options_.resources;
-        so.shared_pool = pool_.get();
         so.shared_cache = &cache_;
         sessions_.push_back(std::make_unique<Session>(so));
     }
 }
 
 Cluster::~Cluster() = default;
-
-ThreadPool &
-Cluster::pool()
-{
-    return *pool_;
-}
 
 double
 Cluster::estimateOn(size_t i, const KernelRequest &request)
@@ -277,51 +264,34 @@ Cluster::place(const KernelRequest &request)
 KernelReport
 Cluster::run(const KernelRequest &request)
 {
-    const size_t d = place(request);
+    return runOn(place(request), request);
+}
+
+KernelReport
+Cluster::runOn(size_t d, const KernelRequest &request)
+{
     KernelReport report = sessions_[d]->run(request);
     report.device = static_cast<int>(d);
     scheduler_.completed(d);
     return report;
 }
 
-std::future<KernelReport>
-Cluster::submit(KernelRequest request)
-{
-    const size_t d = place(request);
-    auto task = std::make_shared<std::packaged_task<KernelReport()>>(
-        [this, d, request = std::move(request)] {
-            KernelReport report = sessions_[d]->run(request);
-            report.device = static_cast<int>(d);
-            scheduler_.completed(d);
-            return report;
-        });
-    std::future<KernelReport> future = task->get_future();
-    pool().enqueue([task] { (*task)(); });
-    return future;
-}
-
-std::vector<std::future<KernelReport>>
-Cluster::submitBatch(std::vector<KernelRequest> requests)
-{
-    // Placement happens in the caller, in index order; execution may
-    // already overlap it on the pool, but the scheduler never reads
-    // execution state, so the schedule stays a pure function of the
-    // submission sequence.
-    std::vector<std::future<KernelReport>> futures;
-    futures.reserve(requests.size());
-    for (KernelRequest &request : requests)
-        futures.push_back(submit(std::move(request)));
-    return futures;
-}
-
 std::vector<KernelReport>
-Cluster::runBatch(std::vector<KernelRequest> requests)
+Cluster::runBatch(const std::vector<KernelRequest> &requests)
 {
-    auto futures = submitBatch(std::move(requests));
-    std::vector<KernelReport> reports;
-    reports.reserve(futures.size());
-    for (auto &future : futures)
-        reports.push_back(future.get());
+    // Placement happens first, in index order, so the schedule is a
+    // pure function of the submission sequence; the scheduler never
+    // reads execution state.
+    std::vector<size_t> devices;
+    devices.reserve(requests.size());
+    for (const KernelRequest &request : requests)
+        devices.push_back(place(request));
+    std::vector<KernelReport> reports(requests.size());
+    ThreadPool &pool = sharedThreadPool();
+    parallelFor(&pool, static_cast<int64_t>(requests.size()),
+                pool.numThreads(), [&](int64_t i) {
+                    reports[i] = runOn(devices[i], requests[i]);
+                });
     return reports;
 }
 

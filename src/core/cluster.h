@@ -4,9 +4,8 @@
  *
  * A Cluster owns N Sessions, one per device GpuConfig (heterogeneous
  * mixes allowed: V100s next to A100-class or future-GPU machines),
- * behind the same submit/submitBatch/runBatch surface a single
- * Session exposes. A ClusterScheduler places every KernelRequest on
- * one device:
+ * behind the same run/runBatch surface a single Session exposes. A
+ * ClusterScheduler places every KernelRequest on one device:
  *
  *  - PlacementPolicy::CostModel (default): each request is estimated
  *    on every device by the plan-stage time estimate — the same
@@ -20,8 +19,9 @@
  *    the same device (encoding affinity), independent of submission
  *    order.
  *
- * All devices share one worker pool (the host cannot be
- * oversubscribed by N per-device pools) and one EncodingCache:
+ * Batches run on the process-shared pool, like a Session's (the host
+ * cannot be oversubscribed by N per-device pools), and all devices
+ * share one EncodingCache:
  * operand encodings are pure in the operand contents, so a layer
  * encoded for device 0 is a cache hit on device 1 even when their
  * configs differ. Config-dependent cache families — the scheduler's
@@ -33,13 +33,12 @@
  * execution timing, thread count or policy racing — and every report
  * is bitwise identical to running the same request serially on a
  * fresh single Session with the placed device's GpuConfig. The
- * futures of submitBatch are index-aligned with the requests.
+ * reports of runBatch are index-aligned with the requests.
  */
 #ifndef DSTC_CORE_CLUSTER_H
 #define DSTC_CORE_CLUSTER_H
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -73,10 +72,6 @@ struct ClusterOptions
 
     PlacementPolicy policy = PlacementPolicy::CostModel;
 
-    /** Worker threads of the shared pool; 0 = hardware concurrency.
-     *  Reports are bitwise identical for every setting. */
-    int num_threads = 0;
-
     /** Per-device execution resources (SessionOptions semantics). */
     ExecutionResources resources;
 
@@ -100,7 +95,7 @@ struct DeviceLoad
  * Deterministic placement engine of a Cluster. place() mutates the
  * per-device accounting under a mutex, so concurrent submitters are
  * safe — but placement is only reproducible for a deterministic
- * submission sequence (submitBatch places in index order).
+ * submission sequence (runBatch places in index order).
  */
 class ClusterScheduler
 {
@@ -187,7 +182,7 @@ class Cluster
 
     /**
      * Place one request (mutating the scheduler accounting) and
-     * return the chosen device index. submit()/run() call this; it
+     * return the chosen device index. run()/runBatch() call this; it
      * is public so callers can audit placement decisions.
      */
     size_t place(const KernelRequest &request);
@@ -196,24 +191,18 @@ class Cluster
      *  `device` field records the placement. */
     KernelReport run(const KernelRequest &request);
 
-    /** Place @p request, then enqueue it on the shared pool. */
-    std::future<KernelReport> submit(KernelRequest request);
-
     /**
-     * Place every request in index order, then enqueue them all;
-     * futures are index-aligned with @p requests. Reports are
-     * bitwise identical to running each request serially on a
-     * single Session with the placed device's config.
+     * Place every request in index order, then run them all on the
+     * process-shared pool; reports are index-aligned with
+     * @p requests and bitwise identical to running each request
+     * serially on a single Session with the placed device's config.
      */
-    std::vector<std::future<KernelReport>>
-    submitBatch(std::vector<KernelRequest> requests);
-
-    /** submitBatch and gather, preserving order. */
     std::vector<KernelReport>
-    runBatch(std::vector<KernelRequest> requests);
+    runBatch(const std::vector<KernelRequest> &requests);
 
   private:
-    ThreadPool &pool();
+    /** Execute @p request on device @p d, already placed there. */
+    KernelReport runOn(size_t d, const KernelRequest &request);
 
     /** estimateOn with the request's content digest precomputed (one
      *  hash per request, shared across the per-device loop). */
@@ -224,10 +213,6 @@ class Cluster
     EncodingCache cache_;
     std::vector<std::unique_ptr<Session>> sessions_;
     ClusterScheduler scheduler_;
-    // Declared last so it is destroyed first: ~ThreadPool drains any
-    // still-queued submit() tasks, which touch the sessions and the
-    // scheduler — those must outlive the drain.
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 } // namespace dstc

@@ -109,7 +109,7 @@ enum class Lowering
  *     -> defaults (compute 0 = shared pool, encode 1 = serial).
  *
  * Encode defaults to serial because requests batched through
- * submitBatch already saturate the pool. Every worker partitioning in
+ * runBatch already saturate the pool. Every worker partitioning in
  * the library is bitwise deterministic, so any setting changes
  * wall-clock only, never results.
  */

@@ -1,7 +1,5 @@
 #include "core/session.h"
 
-#include <algorithm>
-
 #include "core/thread_pool.h"
 
 namespace dstc {
@@ -77,49 +75,14 @@ Session::run(const KernelRequest &request)
     return report;
 }
 
-ThreadPool &
-Session::pool()
-{
-    if (options_.shared_pool)
-        return *options_.shared_pool;
-    std::call_once(pool_once_, [this] {
-        int threads = options_.num_threads;
-        if (threads <= 0)
-            threads = std::max(
-                1u, std::thread::hardware_concurrency());
-        pool_ = std::make_unique<ThreadPool>(threads);
-    });
-    return *pool_;
-}
-
-std::future<KernelReport>
-Session::submit(KernelRequest request)
-{
-    auto task = std::make_shared<std::packaged_task<KernelReport()>>(
-        [this, request = std::move(request)] { return run(request); });
-    std::future<KernelReport> future = task->get_future();
-    pool().enqueue([task] { (*task)(); });
-    return future;
-}
-
-std::vector<std::future<KernelReport>>
-Session::submitBatch(std::vector<KernelRequest> requests)
-{
-    std::vector<std::future<KernelReport>> futures;
-    futures.reserve(requests.size());
-    for (KernelRequest &request : requests)
-        futures.push_back(submit(std::move(request)));
-    return futures;
-}
-
 std::vector<KernelReport>
-Session::runBatch(std::vector<KernelRequest> requests)
+Session::runBatch(const std::vector<KernelRequest> &requests)
 {
-    auto futures = submitBatch(std::move(requests));
-    std::vector<KernelReport> reports;
-    reports.reserve(futures.size());
-    for (auto &future : futures)
-        reports.push_back(future.get());
+    std::vector<KernelReport> reports(requests.size());
+    ThreadPool &pool = sharedThreadPool();
+    parallelFor(&pool, static_cast<int64_t>(requests.size()),
+                pool.numThreads(),
+                [&](int64_t i) { reports[i] = run(requests[i]); });
     return reports;
 }
 

@@ -3,9 +3,9 @@
  * Session — the library's public entry point.
  *
  * A Session owns the machine description, the KernelRegistry of
- * execution backends, the EncodingCache of encoded operands and a
- * worker pool. It answers KernelRequests through the uniform
- * plan/execute protocol, serially or batched:
+ * execution backends and the EncodingCache of encoded operands. It
+ * answers KernelRequests through the uniform plan/execute protocol,
+ * serially or batched on the process-shared pool:
  *
  * @code
  *   dstc::Session session;                        // V100 model
@@ -13,8 +13,7 @@
  *       dstc::KernelRequest::gemm(4096, 4096, 4096, 0.7, 0.8));
  *
  *   // Batched: many layers concurrently, deterministic stats.
- *   auto futures = session.submitBatch(requests);
- *   for (auto &f : futures) use(f.get());
+ *   for (const auto &r : session.runBatch(requests)) use(r);
  * @endcode
  *
  * Results are bitwise deterministic: every request is a pure
@@ -27,9 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/encoding_cache.h"
@@ -38,15 +35,10 @@
 
 namespace dstc {
 
-class ThreadPool;
-
 /** Construction knobs of a Session. */
 struct SessionOptions
 {
     GpuConfig config = GpuConfig::v100();
-
-    /** Worker threads for submitBatch; 0 = hardware concurrency. */
-    int num_threads = 0;
 
     /**
      * Session-level worker budget (see ExecutionResources in
@@ -65,15 +57,6 @@ struct SessionOptions
      * encodings may occupy.
      */
     size_t cache_capacity_bytes = 0;
-
-    /**
-     * Non-owning shared worker pool. When set, submit/submitBatch
-     * enqueue here instead of a session-private pool (num_threads is
-     * ignored) — a Cluster hands every per-device Session the same
-     * pool so N devices cannot oversubscribe the host. The pool must
-     * outlive the Session.
-     */
-    ThreadPool *shared_pool = nullptr;
 
     /**
      * Non-owning shared encoding cache. When set, plans resolve
@@ -109,20 +92,15 @@ class Session
     /** Plan and execute @p request synchronously. */
     KernelReport run(const KernelRequest &request);
 
-    /** Enqueue one request on the worker pool. The request is
-     *  copied; operands it points to must outlive the future. */
-    std::future<KernelReport> submit(KernelRequest request);
-
     /**
-     * Enqueue a batch; futures are index-aligned with @p requests.
-     * Stats are identical to running the same requests serially.
+     * Run a batch on the process-shared pool (the caller joins in)
+     * and return once every request finished; reports are
+     * index-aligned with @p requests and identical to running the
+     * same requests serially. Safe to call concurrently and from
+     * inside a pool job.
      */
-    std::vector<std::future<KernelReport>>
-    submitBatch(std::vector<KernelRequest> requests);
-
-    /** submitBatch and gather, preserving order. */
     std::vector<KernelReport>
-    runBatch(std::vector<KernelRequest> requests);
+    runBatch(const std::vector<KernelRequest> &requests);
 
     /** Requests this Session ran, and how many of them were served
      *  at least one encoded operand from the cache. With a shared
@@ -160,13 +138,9 @@ class Session
     const GpuConfig &config() const { return options_.config; }
 
   private:
-    ThreadPool &pool();
-
     SessionOptions options_;
     KernelRegistry registry_;
     EncodingCache cache_;
-    std::once_flag pool_once_;
-    std::unique_ptr<ThreadPool> pool_; // created on first submit
     std::atomic<int64_t> requests_{0};
     std::atomic<int64_t> encode_cache_hits_{0};
 };

@@ -1,16 +1,19 @@
 /**
  * @file
- * Fixed-size worker pool behind Session::submitBatch and the
- * device-level SpGEMM tile loop. Deliberately minimal: a locked
- * queue of type-erased jobs. Determinism of the simulation results
- * does not depend on scheduling — every request is a pure function
- * of its own inputs — so no ordering guarantees are needed beyond
- * future completion.
+ * Fixed-size worker pool behind every parallel loop of the library.
+ * Deliberately minimal: a locked queue of type-erased jobs. Nothing
+ * but parallelFor enqueues on the process-shared pool, and
+ * determinism of the simulation results does not depend on
+ * scheduling — every request is a pure function of its own inputs —
+ * so no ordering guarantees are needed.
  *
  * parallelFor layers a work-stealing index loop on top: the calling
  * thread always participates, so a parallelFor issued from inside a
- * pool job (e.g. a batched Session request whose kernel parallelizes
- * its own tile loop) makes progress even when every worker is busy.
+ * pool job (e.g. a Session::runBatch request whose kernel
+ * parallelizes its own tile loop) makes progress even when every
+ * worker is busy. Batch-level and kernel-level loops therefore share
+ * one pool, and every job finishes before the loop that issued it
+ * returns.
  */
 #ifndef DSTC_CORE_THREAD_POOL_H
 #define DSTC_CORE_THREAD_POOL_H
@@ -52,9 +55,9 @@ class ThreadPool
 
 /**
  * The lazily-created process-wide pool (hardware_concurrency
- * workers) shared by the compute kernels. Kernel-internal
- * parallelism routes here rather than spawning per-kernel pools, so
- * a batch of concurrent requests cannot oversubscribe the machine.
+ * workers). Session/Cluster batches and the kernel-internal loops
+ * all route here rather than spawning pools of their own, so a batch
+ * of concurrent requests cannot oversubscribe the machine.
  */
 ThreadPool &sharedThreadPool();
 

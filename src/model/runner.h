@@ -7,9 +7,10 @@
  *
  * A model run is a batch of KernelRequests — one per layer — built
  * by layerRequests() and executed as one Session::runBatch() on the
- * session's worker pool; the statistics are bitwise identical to
- * running the layers serially. A Cluster runs the same batch
- * data-parallel through its own runBatch().
+ * process-shared pool, whose workers also run the layers' own tile
+ * loops; the statistics are bitwise identical to running the layers
+ * serially. A Cluster runs the same batch data-parallel through its
+ * own runBatch().
  */
 #ifndef DSTC_MODEL_RUNNER_H
 #define DSTC_MODEL_RUNNER_H
@@ -77,7 +78,7 @@ class ModelRunner
 
     /**
      * Time every layer of @p model under @p method as one batch on
-     * the session's worker pool; layers are reported in order.
+     * the process-shared pool; layers are reported in order.
      */
     ModelRunResult run(const DnnModel &model, ModelMethod method,
                        uint64_t seed = 1,

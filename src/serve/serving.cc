@@ -54,10 +54,8 @@ ServingEngine::ServingEngine(ServingOptions options,
     ClusterOptions copts;
     copts.devices = options_.devices;
     // The engine places by its own policy and executes on the device
-    // Sessions directly, so the Cluster's placement policy is unused
-    // and its submit pool never runs a task: one thread suffices.
+    // Sessions directly, so the Cluster's placement policy is unused.
     copts.policy = PlacementPolicy::RoundRobin;
-    copts.num_threads = 1;
     copts.resources = options_.resources;
     cluster_ = std::make_unique<Cluster>(std::move(copts));
 }

@@ -87,8 +87,9 @@ constexpr PlacementPolicy kAllPolicies[] = {
 TEST(ClusterTest, EveryPolicyDeviceCountAndWorkerCountIsBitwise)
 {
     // The acceptance grid: device counts {1, 2, 4} x all three
-    // policies x worker counts {1, 4}, every report bitwise
-    // identical to serial single-Session execution.
+    // policies x execution resources serial {1, 1} and pooled
+    // {4, 4}, every report bitwise identical to serial
+    // single-Session execution.
     Session serial_session;
     std::vector<KernelReport> serial;
     for (const KernelRequest &req : mixedRequests())
@@ -100,7 +101,7 @@ TEST(ClusterTest, EveryPolicyDeviceCountAndWorkerCountIsBitwise)
                 ClusterOptions opts;
                 opts.devices.assign(devices, GpuConfig::v100());
                 opts.policy = policy;
-                opts.num_threads = workers;
+                opts.resources = {workers, workers};
                 Cluster cluster(opts);
                 std::vector<KernelReport> reports =
                     cluster.runBatch(mixedRequests());
@@ -159,8 +160,8 @@ TEST(ClusterTest, HeterogeneousReportsMatchPlacedDeviceSerially)
 TEST(ClusterTest, PlacementIsDeterministic)
 {
     // Placement is a pure function of the submission sequence: the
-    // worker count, repeated runs and a fresh cluster all see the
-    // same schedule.
+    // execution resources, repeated runs and a fresh cluster all see
+    // the same schedule.
     for (PlacementPolicy policy : kAllPolicies) {
         std::vector<std::vector<int>> schedules;
         for (int workers : {1, 4, 1}) {
@@ -168,7 +169,7 @@ TEST(ClusterTest, PlacementIsDeterministic)
             opts.devices = {GpuConfig::v100(), GpuConfig::futureGpu(),
                             GpuConfig::a100Like()};
             opts.policy = policy;
-            opts.num_threads = workers;
+            opts.resources = {workers, workers};
             Cluster cluster(opts);
             std::vector<int> schedule;
             for (const KernelReport &report :
@@ -324,36 +325,11 @@ TEST(ClusterTest, SharedCacheDeduplicatesEncodingsAcrossDevices)
                 reports[1].encode_cache_hit);
 }
 
-TEST(ClusterTest, DestructionDrainsOutstandingSubmits)
-{
-    // Destroying a Cluster with un-consumed futures must drain the
-    // queued work while the sessions and scheduler are still alive
-    // (the pool is declared last for exactly this), and the futures
-    // must stay valid afterwards.
-    std::vector<std::future<KernelReport>> orphans;
-    {
-        ClusterOptions opts;
-        opts.devices = {GpuConfig::v100(), GpuConfig::v100()};
-        opts.num_threads = 2;
-        Cluster cluster(opts);
-        for (uint64_t seed = 1; seed <= 4; ++seed) {
-            KernelRequest req =
-                KernelRequest::gemm(256, 256, 256, 0.6, 0.8);
-            req.method = Method::DualSparse;
-            req.seed = seed;
-            orphans.push_back(cluster.submit(req));
-        }
-    } // ~Cluster with work possibly still queued
-    for (auto &future : orphans)
-        EXPECT_GT(future.get().timeUs(), 0.0);
-}
-
 TEST(ClusterTest, EmptyBatchIsANoOp)
 {
     ClusterOptions opts;
     opts.devices = {GpuConfig::v100(), GpuConfig::v100()};
     Cluster cluster(opts);
-    EXPECT_TRUE(cluster.submitBatch({}).empty());
     EXPECT_TRUE(cluster.runBatch({}).empty());
     for (size_t d = 0; d < cluster.numDevices(); ++d) {
         EXPECT_EQ(cluster.load(d).placed, 0);
@@ -361,10 +337,10 @@ TEST(ClusterTest, EmptyBatchIsANoOp)
     }
 }
 
-TEST(ClusterTest, SubmitBatchFuturesAreIndexAligned)
+TEST(ClusterTest, RunBatchReportsAreIndexAligned)
 {
-    // Functional requests with distinct operands: each future must
-    // return its own product (the test_session.cc guarantee, lifted
+    // Functional requests with distinct operands: each report must
+    // carry its own product (the test_session.cc guarantee, lifted
     // to the cluster).
     Rng rng(402);
     std::vector<Matrix<float>> as, bs;

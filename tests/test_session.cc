@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "baselines/cutlass_like.h"
 #include "common/rng.h"
+#include "core/thread_pool.h"
 #include "gemm/spgemm_device.h"
 #include "hwmodel/area_power.h"
 #include "session_test_util.h"
@@ -88,20 +90,9 @@ TEST(SessionTest, RunMatchesDeviceModels)
                             "cutlassGemm");
 }
 
-TEST(SessionTest, SubmitReturnsFuture)
+TEST(SessionTest, RunBatchMatchesSerialBitwise)
 {
-    Session session;
-    KernelRequest req = KernelRequest::gemm(512, 512, 512, 0.5, 0.5);
-    req.method = Method::DualSparse;
-    std::future<KernelReport> future = session.submit(req);
-    KernelReport report = future.get();
-    EXPECT_GT(report.timeUs(), 0.0);
-    EXPECT_EQ(report.method, Method::DualSparse);
-}
-
-TEST(SessionTest, SubmitBatchMatchesSerialBitwise)
-{
-    // The core batching guarantee: submitBatch over N requests is
+    // The core batching guarantee: runBatch over N requests is
     // statistically indistinguishable from running them serially.
     Session serial_session;
     std::vector<KernelReport> serial;
@@ -109,11 +100,11 @@ TEST(SessionTest, SubmitBatchMatchesSerialBitwise)
         serial.push_back(serial_session.run(req));
 
     Session batch_session;
-    std::vector<std::future<KernelReport>> futures =
-        batch_session.submitBatch(mixedRequests());
-    ASSERT_EQ(futures.size(), serial.size());
-    for (size_t i = 0; i < futures.size(); ++i) {
-        KernelReport batched = futures[i].get();
+    const std::vector<KernelReport> reports =
+        batch_session.runBatch(mixedRequests());
+    ASSERT_EQ(reports.size(), serial.size());
+    for (size_t i = 0; i < reports.size(); ++i) {
+        const KernelReport &batched = reports[i];
         expectStatsBitwiseEqual(batched.stats, serial[i].stats,
                                 "request " + std::to_string(i));
         EXPECT_EQ(batched.method, serial[i].method);
@@ -136,10 +127,15 @@ TEST(SessionTest, RepeatedBatchesAreDeterministic)
 
 TEST(SessionTest, SingleThreadedSessionMatchesParallel)
 {
+    // Serial kernels and encoders against pooled ones (every thread
+    // of the shared pool, and a cap of 4): the worker budget changes
+    // wall-clock only.
     SessionOptions one_thread;
-    one_thread.num_threads = 1;
+    one_thread.resources = {1, 1};
+    SessionOptions pooled;
+    pooled.resources = {0, 4};
     Session single(one_thread);
-    Session parallel;
+    Session parallel(pooled);
     std::vector<KernelReport> a = single.runBatch(mixedRequests());
     std::vector<KernelReport> b = parallel.runBatch(mixedRequests());
     ASSERT_EQ(a.size(), b.size());
@@ -163,7 +159,7 @@ TEST(SessionTest, FunctionalGemmThroughSession)
 
 TEST(SessionTest, FunctionalBatchKeepsOperandsStraight)
 {
-    // Functional requests in one batch: each future must return its
+    // Functional requests in one batch: each report must carry its
     // own product, not a neighbor's.
     Session session;
     Rng rng(303);
@@ -226,6 +222,64 @@ TEST(SessionTest, AutoBatchOverSharedOperandsMatchesSerialBitwise)
         ASSERT_TRUE(got[i].d && want[i].d) << i;
         EXPECT_TRUE(*got[i].d == *want[i].d) << i;
     }
+}
+
+TEST(SessionTest, RunBatchNestsInSharedPool)
+{
+    // runBatch is a parallelFor on the process-shared pool, and the
+    // functional kernels' tile loops are parallelFors on the same
+    // pool. Batches issued from inside jobs of that pool (more jobs
+    // than workers, so every worker blocks inside a batch) and from
+    // two threads at once on one Session must each finish, and each
+    // report must equal the serial run's bitwise.
+    Rng rng(405);
+    const Matrix<float> a = randomSparseMatrix(160, 128, 0.6, rng);
+    const Matrix<float> b = randomSparseMatrix(128, 96, 0.7, rng);
+    const Matrix<float> adjacency = randomSparseMatrix(128, 128, 0.95, rng);
+    std::vector<KernelRequest> requests = mixedRequests();
+    requests.push_back(KernelRequest::gemm(a, b).withMethod(Method::Auto));
+    requests.push_back(
+        KernelRequest::gemm(a, b).withMethod(Method::DualSparse));
+    requests.push_back(
+        KernelRequest::spmm(adjacency, b).withMethod(Method::Auto));
+
+    Session serial;
+    std::vector<KernelReport> want;
+    for (const KernelRequest &req : requests)
+        want.push_back(serial.run(req));
+    auto expectSerial = [&](const std::vector<KernelReport> &got,
+                            const std::string &context) {
+        ASSERT_EQ(got.size(), want.size()) << context;
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].stats, want[i].stats) << context << i;
+            EXPECT_EQ(got[i].planned_us, want[i].planned_us)
+                << context << i;
+            EXPECT_EQ(got[i].backend, want[i].backend) << context << i;
+            ASSERT_EQ(got[i].d == nullptr, want[i].d == nullptr)
+                << context << i;
+            if (got[i].d)
+                EXPECT_TRUE(*got[i].d == *want[i].d) << context << i;
+        }
+    };
+
+    SessionOptions options;
+    options.resources = {0, 0}; // kernels and encoders on the pool
+    Session session(options);
+    ThreadPool &pool = sharedThreadPool();
+    const int64_t jobs = pool.numThreads() + 1;
+    std::vector<std::vector<KernelReport>> nested(jobs);
+    parallelFor(&pool, jobs, pool.numThreads() + 1, [&](int64_t j) {
+        nested[j] = session.runBatch(requests);
+    });
+    for (int64_t j = 0; j < jobs; ++j)
+        expectSerial(nested[j], "pool job " + std::to_string(j) + ", req ");
+
+    std::vector<KernelReport> first, second;
+    std::thread other([&] { second = session.runBatch(requests); });
+    first = session.runBatch(requests);
+    other.join();
+    expectSerial(first, "caller thread, req ");
+    expectSerial(second, "second thread, req ");
 }
 
 TEST(SessionTest, ConfigPropagatesToBackends)

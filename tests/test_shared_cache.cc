@@ -1,20 +1,20 @@
 /**
  * @file
  * Shared-cache Session tests: multiple Sessions over different
- * GpuConfigs sharing one EncodingCache (and one worker pool) — the
- * mode a Cluster builds its per-device Sessions in. Encodings must
- * dedup across devices, config-dependent keys must never collide
- * across configs, the LRU/byte bounds must hold under concurrent
- * submission, and each Session must count its own hit rate.
+ * GpuConfigs sharing one EncodingCache — the mode a Cluster builds
+ * its per-device Sessions in. Encodings must dedup across devices,
+ * config-dependent keys must never collide across configs, the
+ * LRU/byte bounds must hold under concurrent batches, and each
+ * Session must count its own hit rate.
  */
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "core/session.h"
-#include "core/thread_pool.h"
 #include "tensor/reference.h"
 
 namespace dstc {
@@ -39,33 +39,36 @@ repeatedPoints()
 
 TEST(SharedCacheTest, ConcurrentSessionsShareEncodingsAndStayExact)
 {
-    // Two Sessions, two configs, one cache and one pool; both batch
-    // the same requests concurrently. Results must be bitwise
-    // identical to private-cache solo Sessions of the same configs,
-    // and the shared cache must have built each encoding once.
+    // Two Sessions, two configs, one cache; both batch the same
+    // requests concurrently, from two threads on the shared pool.
+    // Results must be bitwise identical to private-cache solo
+    // Sessions of the same configs, and the shared cache must have
+    // built each encoding once.
     EncodingCache cache;
-    ThreadPool pool(4);
     SessionOptions v100_opts;
     v100_opts.shared_cache = &cache;
-    v100_opts.shared_pool = &pool;
     SessionOptions future_opts = v100_opts;
     future_opts.config = GpuConfig::futureGpu();
     Session v100(v100_opts);
     Session future(future_opts);
 
-    auto v100_futures = v100.submitBatch(repeatedPoints());
-    auto future_futures = future.submitBatch(repeatedPoints());
+    std::vector<KernelReport> future_reports;
+    std::thread other(
+        [&] { future_reports = future.runBatch(repeatedPoints()); });
+    const std::vector<KernelReport> v100_reports =
+        v100.runBatch(repeatedPoints());
+    other.join();
 
     Session v100_solo;
     Session future_solo(GpuConfig::futureGpu());
     std::vector<KernelRequest> requests = repeatedPoints();
     for (size_t i = 0; i < requests.size(); ++i) {
-        KernelReport shared_report = v100_futures[i].get();
+        KernelReport shared_report = v100_reports[i];
         KernelReport solo_report = v100_solo.run(requests[i]);
         EXPECT_DOUBLE_EQ(shared_report.stats.timeUs(),
                          solo_report.stats.timeUs())
             << "v100 req " << i;
-        shared_report = future_futures[i].get();
+        shared_report = future_reports[i];
         solo_report = future_solo.run(requests[i]);
         EXPECT_DOUBLE_EQ(shared_report.stats.timeUs(),
                          solo_report.stats.timeUs())
@@ -150,10 +153,8 @@ TEST(SharedCacheTest, LruAndByteBoundsHoldUnderConcurrentBatches)
     // the entry bound and byte bound must hold once the batches
     // drain, and evictions must be counted.
     EncodingCache cache(4, 64 * 1024);
-    ThreadPool pool(4);
     SessionOptions opts;
     opts.shared_cache = &cache;
-    opts.shared_pool = &pool;
     Session a(opts);
     opts.config = GpuConfig::a100Like();
     Session b(opts);
@@ -166,42 +167,15 @@ TEST(SharedCacheTest, LruAndByteBoundsHoldUnderConcurrentBatches)
         req.seed = seed;
         requests.push_back(req);
     }
-    auto a_futures = a.submitBatch(requests);
-    auto b_futures = b.submitBatch(requests);
-    for (auto &f : a_futures)
-        f.get();
-    for (auto &f : b_futures)
-        f.get();
+    std::thread other([&] { b.runBatch(requests); });
+    a.runBatch(requests);
+    other.join();
 
     EXPECT_LE(cache.entries(), 4u);
     EXPECT_LE(cache.totalBytes(), 64u * 1024u);
     EXPECT_GT(cache.counters().evictions, 0);
     EXPECT_EQ(a.requestCounters().requests, 12);
     EXPECT_EQ(b.requestCounters().requests, 12);
-}
-
-TEST(SharedCacheTest, SharedPoolIsReusedNotOwned)
-{
-    // Sessions in shared-pool mode must enqueue on the caller's pool
-    // (no private pool spawn) and survive interleaved submits.
-    EncodingCache cache;
-    ThreadPool pool(2);
-    SessionOptions opts;
-    opts.shared_pool = &pool;
-    opts.shared_cache = &cache;
-    opts.num_threads = 99; // must be ignored in shared-pool mode
-    Session first(opts);
-    Session second(opts);
-    std::vector<std::future<KernelReport>> futures;
-    for (int i = 0; i < 6; ++i) {
-        KernelRequest req = KernelRequest::gemm(128, 128, 128, 0.5,
-                                                0.5);
-        req.method = Method::DualSparse;
-        req.seed = static_cast<uint64_t>(i);
-        futures.push_back((i % 2 ? second : first).submit(req));
-    }
-    for (auto &f : futures)
-        EXPECT_GT(f.get().timeUs(), 0.0);
 }
 
 } // namespace

@@ -441,8 +441,7 @@ runCluster(const CliArgs &args)
     for (int rep = 0; rep < replicate; ++rep)
         requests.insert(requests.end(), pool.requests.begin(),
                         pool.requests.end());
-    std::vector<KernelReport> reports =
-        cluster.runBatch(std::move(requests));
+    std::vector<KernelReport> reports = cluster.runBatch(requests);
 
     std::printf("%s x %d under %s on %zu devices, policy %s:\n",
                 pool.model.c_str(), replicate,
