@@ -162,18 +162,18 @@ runPoint(Session &session, const std::string &path, int reps)
                       sameMatrix(*csr.d, ref);
 
     // Worker-count stability: the word-parallel encoder and the
-    // strip-partitioned kernel must be bitwise deterministic.
+    // strip-partitioned kernel must be bitwise deterministic. One
+    // fresh Session per worker count, so each one encodes too.
     p.workers_bitwise_equal = narrow.d != nullptr;
     for (int w : kWorkerCounts) {
-        ExecutionResources res;
-        res.compute_workers = w;
-        res.encode_workers = w;
+        SessionOptions opts;
+        opts.resources = {.compute_workers = w, .encode_workers = w};
+        Session workers(opts);
         KernelReport r;
         p.wall_ms += timeMs(1, [&] {
-            r = session.run(request()
+            r = workers.run(request()
                                 .withMethod(Method::DualSparse)
                                 .withSpmmFormat(SpmmFormat::Narrow)
-                                .withResources(res)
                                 .withSeed(static_cast<uint64_t>(w)));
         });
         if (!r.d || !sameMatrix(*r.d, ref))

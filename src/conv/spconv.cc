@@ -127,7 +127,6 @@ ConvExecutor::run(const Tensor4d &input, const Matrix<float> &weights,
     // matrix, no per-pixel decode/re-encode — then the pooled
     // output-tile loop accumulating into D.
     SpGemmOptions gemm_opts;
-    gemm_opts.functional = true;
     gemm_opts.num_workers = options.num_workers;
 
     BitmapFeatureMap fmap = BitmapFeatureMap::encode(input);
@@ -141,9 +140,8 @@ ConvExecutor::run(const Tensor4d &input, const Matrix<float> &weights,
     TwoLevelBitmapMatrix b_enc =
         wordEncodeTwoLevel(wt, gemm_opts.tile_k, kWarpTile,
                            Major::Row, options.num_workers);
-    SpGemmDevice spgemm(cfg_);
     Matrix<float> d =
-        spgemm.multiplyEncoded(a_enc, b_enc, gemm_opts).d;
+        SpGemmDevice(cfg_).multiplyValues(a_enc, b_enc, gemm_opts);
 
     // Timing from the actual data's sparsity: the A profile reads
     // the lowered column bitmaps directly (word popcounts), matching

@@ -102,9 +102,12 @@ class ConvExecutor
      * The implicit-sparse methods run the word-parallel pipeline:
      * the bitmap lowering is re-tiled straight into the two-level
      * SpGEMM operand (no dense lowered matrix, no per-pixel decode)
-     * and the output-tile loop partitions over
-     * ConvOptions::num_workers. Output values and stats are
-     * bit-for-bit identical to runScalar for every worker count.
+     * and the values-only output-tile loop
+     * (SpGemmDevice::multiplyValues) partitions over
+     * ConvOptions::num_workers. The stats are the conv timing model
+     * over the lowered operands' popcount profiles. Output values
+     * and stats are bit-for-bit identical to runScalar for every
+     * worker count.
      */
     ConvResult run(const Tensor4d &input, const Matrix<float> &weights,
                    const ConvShape &shape, ConvMethod method,

@@ -99,64 +99,60 @@ class DualGemmPlan : public ExecutionPlan
     run() override
     {
         KernelReport report;
-        if (!req_.functional()) {
-            report.stats = profileStats();
-            return report;
+        if (req_.functional() &&
+            (!stats_ || req_.gemm_options.functional)) {
+            // Concrete operands resolve the two-level encodings the
+            // values need (encode-once across repeated requests);
+            // deferred to execution so a losing Auto candidate never
+            // pays for the encode.
+            const auto a = resolve(resolveTwoLevel, false);
+            const auto b = resolve(resolveTwoLevel, true);
+            SpGemmDevice device(cfg());
+            if (!stats_) {
+                // Never estimated: time the encodings in hand rather
+                // than resolve (and cache) their profiles too.
+                SpGemmOptions timing = req_.gemm_options;
+                timing.functional = false;
+                stats_ = device.multiplyEncoded(*a, *b, timing).stats;
+            }
+            if (req_.gemm_options.functional)
+                report.d = std::make_shared<const Matrix<float>>(
+                    device.multiplyValues(*a, *b, req_.gemm_options));
         }
-        // Functional path. Concrete operands resolve the two-level
-        // encodings the kernel consumes (encode-once across repeated
-        // requests); deferred to execution so a losing Auto
-        // candidate never pays for the encode.
-        SpGemmResult r = SpGemmDevice(cfg()).multiplyEncoded(
-            *resolve(resolveTwoLevel, false),
-            *resolve(resolveTwoLevel, true), req_.gemm_options);
-        report.stats = r.stats;
-        if (req_.gemm_options.functional)
-            report.d =
-                std::make_shared<const Matrix<float>>(std::move(r.d));
+        report.stats = stats();
         return report;
     }
 
     double
     estimate() override
     {
-        // Functional and pre-encoded requests estimate from their
-        // profile view, so Auto dispatch (and cluster cost-model
-        // placement) never runs a candidate's kernel just to rank
-        // it; the profile counts are exact, so the estimate equals
-        // the executed stats. Timing-only requests share the
-        // memoized run.
-        if (!req_.functional())
-            return ExecutionPlan::estimate();
-        return profileStats().timeUs();
+        // Every operand form estimates from its profile view, so Auto
+        // dispatch (and cluster cost-model placement) never runs a
+        // candidate's kernel just to rank it. The profile model is
+        // the one SpGEMM timing model, so run() reports these very
+        // stats.
+        return stats().timeUs();
     }
 
   private:
-    KernelStats
-    profileStats()
+    /** The plan's one KernelStats, memoized: the estimate and run()
+     *  both report it. */
+    const KernelStats &
+    stats()
     {
-        const GemmProfilesView &p = profiles();
+        if (stats_)
+            return *stats_;
+        const GemmProfilesView p = resolve(resolveGemmProfiles);
         SpGemmOptions o = req_.gemm_options;
-        // Pre-encoded operands carry the authoritative datatype (the
-        // run path reads it off their specs); keep the estimate's
-        // compute/traffic scaling consistent with execution.
+        // Pre-encoded operands carry the authoritative datatype, as
+        // multiplyEncoded reads it off their specs.
         if (const TwoLevelBitmapMatrix *a = req_.a.encoded())
             o.dtype = a->spec().dtype;
-        return SpGemmDevice(cfg()).timeFromProfiles(*p.a, *p.b, o);
+        stats_ = SpGemmDevice(cfg()).timeFromProfiles(*p.a, *p.b, o);
+        return *stats_;
     }
 
-    /** The popcount-profile view, resolved on first use: the timing
-     *  path consumes it in run(), while functional plans only need
-     *  it when Auto dispatch asks for an estimate. */
-    const GemmProfilesView &
-    profiles()
-    {
-        if (!profiles_)
-            profiles_ = resolve(resolveGemmProfiles);
-        return *profiles_;
-    }
-
-    std::optional<GemmProfilesView> profiles_;
+    std::optional<KernelStats> stats_;
 };
 
 /**

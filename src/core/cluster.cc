@@ -137,9 +137,11 @@ structuralKey(const KernelRequest &r)
     // fixed warp tile leaves every shard placement and serving
     // batch key where it was.
     key.i32(32).i32(32).i32(g.tile_k);
+    // A literal 0 where the retired detailed_merge knob sat, for the
+    // same reason.
     key.i32(g.two_level ? 1 : 0)
         .i32(g.functional ? 1 : 0)
-        .i32(g.detailed_merge ? 1 : 0)
+        .i32(0)
         .i32(g.sparse_output ? 1 : 0);
     // A pinned hybrid cut changes the partition (and so the stats)
     // even at identical geometry.

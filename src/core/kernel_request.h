@@ -101,31 +101,6 @@ enum class Lowering
 };
 
 /**
- * Worker-thread budget of a request or session. -1 inherits the next
- * level down, so the resolution order per request is
- *
- *   KernelRequest::resources
- *     -> SessionOptions::resources
- *     -> defaults (compute 0 = shared pool, encode 1 = serial).
- *
- * Encode defaults to serial because requests batched through
- * runBatch already saturate the pool. Every worker partitioning in
- * the library is bitwise deterministic, so any setting changes
- * wall-clock only, never results.
- */
-struct ExecutionResources
-{
-    /** Workers of the kernel-internal tile loops (SpGEMM output
-     *  tiles, conv lowered columns): 0 = shared pool, 1 = serial,
-     *  N = cap, -1 = inherit. */
-    int compute_workers = -1;
-
-    /** Workers of the word-parallel operand encoders: same contract,
-     *  -1 = inherit. */
-    int encode_workers = -1;
-};
-
-/**
  * One side of a request's outer product — the left (activation) or
  * the right (weight) operand — in exactly one of five forms:
  *  - Synthetic{sparsity, cluster} (the default): a timing-only
@@ -251,9 +226,6 @@ struct KernelRequest
 
     /** SpMM only: A-operand storage format (Auto = cost model). */
     SpmmFormat spmm_format = SpmmFormat::Auto;
-
-    /** Per-request worker override (see ExecutionResources). */
-    ExecutionResources resources;
 
     // -- convolution geometry (kind == Conv) --------------------------
     ConvShape shape;
@@ -433,13 +405,6 @@ struct KernelRequest
     withSpmmFormat(SpmmFormat value)
     {
         spmm_format = value;
-        return *this;
-    }
-
-    KernelRequest &
-    withResources(ExecutionResources value)
-    {
-        resources = value;
         return *this;
     }
 

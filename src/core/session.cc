@@ -20,46 +20,17 @@ Session::Session(SessionOptions options)
 
 Session::~Session() = default;
 
-namespace {
-
-/** Resolve the encode-worker axis (see ExecutionResources). */
-int
-resolveEncodeWorkers(const KernelRequest &request,
-                     const SessionOptions &options)
-{
-    if (request.resources.encode_workers >= 0)
-        return request.resources.encode_workers;
-    if (options.resources.encode_workers >= 0)
-        return options.resources.encode_workers;
-    return 1;
-}
-
-/**
- * Resolve the compute-worker axis (see ExecutionResources); -1 =
- * nothing to apply, the request's options keep their default.
- */
-int
-resolveComputeWorkers(const KernelRequest &request,
-                      const SessionOptions &options)
-{
-    if (request.resources.compute_workers >= 0)
-        return request.resources.compute_workers;
-    return options.resources.compute_workers;
-}
-
-} // namespace
-
 std::unique_ptr<ExecutionPlan>
 Session::plan(const KernelRequest &request)
 {
     PlanContext ctx;
     ctx.cfg = &options_.config;
     ctx.cache = &encodingCache();
-    ctx.encode_workers = resolveEncodeWorkers(request, options_);
-    const int compute = resolveComputeWorkers(request, options_);
-    if (compute >= 0) {
+    const ExecutionResources &res = options_.resources;
+    ctx.encode_workers = res.encode_workers >= 0 ? res.encode_workers : 1;
+    if (res.compute_workers >= 0) {
         KernelRequest resolved = request;
-        resolved.gemm_options.num_workers = compute;
+        resolved.gemm_options.num_workers = res.compute_workers;
         return registry_.plan(resolved, ctx);
     }
     return registry_.plan(request, ctx);

@@ -35,16 +35,33 @@
 
 namespace dstc {
 
+/**
+ * Worker-thread budget of a session (and of the sessions a cluster or
+ * serving engine builds). -1 falls through to the defaults: compute
+ * 0 = shared pool, encode 1 = serial. Encode defaults to serial
+ * because requests batched through runBatch already saturate the
+ * pool. Every worker partitioning in the library is bitwise
+ * deterministic, so any setting changes wall-clock only, never
+ * results; to compare settings, run one Session per setting.
+ */
+struct ExecutionResources
+{
+    /** Workers of the kernel-internal tile loops (SpGEMM output
+     *  tiles, conv lowered columns): 0 = shared pool, 1 = serial,
+     *  N = cap, -1 = default. */
+    int compute_workers = -1;
+
+    /** Workers of the word-parallel operand encoders: same contract,
+     *  -1 = default. */
+    int encode_workers = -1;
+};
+
 /** Construction knobs of a Session. */
 struct SessionOptions
 {
     GpuConfig config = GpuConfig::v100();
 
-    /**
-     * Session-level worker budget (see ExecutionResources in
-     * kernel_request.h). A request's own resources field overrides
-     * these; -1 axes fall through to the defaults.
-     */
+    /** Worker budget of every request this session runs. */
     ExecutionResources resources;
 
     /** Encoded-operand cache capacity (entries, LRU eviction). */

@@ -4,6 +4,7 @@
 
 #include "common/bitutil.h"
 #include "core/thread_pool.h"
+#include "gemm/lane_step.h"
 #include "timing/scheduler.h"
 
 namespace dstc {
@@ -36,7 +37,6 @@ struct TileOutcome
     int64_t warp_tiles_skipped = 0;
     std::vector<int64_t> work; ///< per surviving k-chunk, in tk order
     double p_cell_zero = 1.0;
-    int rows = 0, cols = 0; ///< actual (clipped) tile dimensions
 };
 
 } // namespace
@@ -72,6 +72,29 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
                               const TwoLevelBitmapMatrix &b_enc,
                               const SpGemmOptions &options) const
 {
+    // The encodings carry the authoritative datatype: their quantized
+    // value lanes were filled at encode time, so options.dtype is
+    // only advisory here.
+    DSTC_ASSERT(a_enc.spec().dtype == b_enc.spec().dtype,
+                "operand datatypes must match: ",
+                dataTypeToken(a_enc.spec().dtype), " vs ",
+                dataTypeToken(b_enc.spec().dtype));
+    SpGemmResult result;
+    if (options.functional)
+        result.d = multiplyValues(a_enc, b_enc, options);
+    SpGemmOptions timing = options;
+    timing.dtype = a_enc.spec().dtype;
+    result.stats = timeFromProfiles(SparsityProfile::fromEncodedA(a_enc),
+                                    SparsityProfile::fromEncodedB(b_enc),
+                                    timing);
+    return result;
+}
+
+Matrix<float>
+SpGemmDevice::multiplyValues(const TwoLevelBitmapMatrix &a_enc,
+                             const TwoLevelBitmapMatrix &b_enc,
+                             const SpGemmOptions &options) const
+{
     DSTC_ASSERT(a_enc.cols() == b_enc.rows(),
                 "SpGEMM dims: ", a_enc.rows(), "x", a_enc.cols(), " * ",
                 b_enc.rows(), "x", b_enc.cols());
@@ -81,175 +104,55 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
                     b_enc.tileCols() == kWarpTile,
                 "operand tiling must match the SpGEMM options");
     const int m = a_enc.rows(), n = b_enc.cols();
-
-    // The encodings carry the authoritative datatype: their quantized
-    // value lanes were filled at encode time, so options.dtype is
-    // only advisory here.
-    const QuantSpec &spec_a = a_enc.spec();
-    const QuantSpec &spec_b = b_enc.spec();
-    DSTC_ASSERT(spec_a.dtype == spec_b.dtype,
-                "operand datatypes must match: ",
-                dataTypeToken(spec_a.dtype), " vs ",
-                dataTypeToken(spec_b.dtype));
-    const DataType dtype = spec_a.dtype;
-
-    const int tiles_m = a_enc.numTileRows();
     const int tiles_k = a_enc.numTileCols();
     const int tiles_n = b_enc.numTileCols();
     DSTC_ASSERT(tiles_k == b_enc.numTileRows());
 
-    SpGemmResult result;
-    result.stats.name = "dstc_spgemm";
-    if (options.functional)
-        result.d = Matrix<float>(m, n);
-    float *d_base =
-        options.functional ? result.d.data().data() : nullptr;
+    Matrix<float> d(m, n);
+    float *d_base = d.data().data();
+    const LaneStepFn step = laneStep();
 
     // Each (ti, tj) output tile is independent: its accumulator is a
-    // disjoint region of D and its stats contribution is a pure
-    // function of the operand tiles. The loop is partitioned over
-    // the worker pool; outcomes reduce serially in tile order below.
-    const int64_t total_tiles =
-        static_cast<int64_t>(tiles_m) * tiles_n;
-    std::vector<TileOutcome> outcomes(
-        static_cast<size_t>(total_tiles));
-
+    // disjoint region of D, so the loop is partitioned over the
+    // worker pool with no reduction.
     auto run_tile = [&](int64_t t) {
         const int ti = static_cast<int>(t / tiles_n);
         const int tj = static_cast<int>(t % tiles_n);
-        TileOutcome &out = outcomes[static_cast<size_t>(t)];
-        out.work.reserve(static_cast<size_t>(tiles_k));
-        out.rows = std::min(kWarpTile, m - ti * kWarpTile);
-        out.cols = std::min(kWarpTile, n - tj * kWarpTile);
+        const int rows = std::min(kWarpTile, m - ti * kWarpTile);
+        const int cols = std::min(kWarpTile, n - tj * kWarpTile);
         // The warp tile accumulates across its k-chunks in a staged
         // lane tile (row stride 32, so the lane loop needs no stride
         // or alias checks); the clipped region is copied to D once.
         thread_local LaneTile stage;
-        LaneTile *tile = d_base ? &stage : nullptr;
-        if (tile)
-            std::fill_n(stage.v, out.rows * LaneTile::kDim, 0.0f);
-        thread_local WarpScratch scratch;
-        thread_local std::vector<std::pair<int, int>> popcs;
-
+        std::fill_n(stage.v, rows * LaneTile::kDim, 0.0f);
         for (int tk = 0; tk < tiles_k; ++tk) {
-            const bool a_empty = !a_enc.tileNonEmpty(ti, tk);
-            const bool b_empty = !b_enc.tileNonEmpty(tk, tj);
-            if (options.two_level && (a_empty || b_empty)) {
-                // Warp-bit is 0 for one input: skip the chunk
-                // without issuing anything (Sec. III-C).
-                ++out.warp_tiles_skipped;
-                continue;
-            }
-            ++out.warp_tiles;
-            const BitmapMatrix &a_tile = a_enc.tile(ti, tk);
-            const BitmapMatrix &b_tile = b_enc.tile(tk, tj);
-
-            WarpTileResult wr;
-            if (options.functional) {
-                wr = warp_engine_.computeTile(a_tile, b_tile, tile,
-                                              options.detailed_merge,
-                                              scratch);
-            } else {
-                const int kk = a_tile.cols();
-                popcs.clear();
-                for (int s = 0; s < kk; ++s)
-                    popcs.emplace_back(a_tile.lineNnz(s),
-                                       b_tile.lineNnz(s));
-                wr = warp_engine_.timeTile(popcs);
-            }
-            out.mix += wr.mix;
-            out.merge_cycles += wr.merge_cycles;
-            out.work.push_back(wr.cycles() + kTileOverheadCycles);
-
-            // Track the expected output density for the sparse
-            // write-back estimate — only needed when the write-back
-            // may actually be bitmap-encoded.
-            if (options.sparse_output) {
-                const int kk = a_tile.cols();
-                for (int s = 0; s < kk; ++s) {
-                    double pa =
-                        static_cast<double>(a_tile.lineNnz(s)) /
-                        out.rows;
-                    double pb =
-                        static_cast<double>(b_tile.lineNnz(s)) /
-                        out.cols;
-                    out.p_cell_zero *= 1.0 - pa * pb;
-                }
-            }
+            // Warp-bit 0 on either side: the chunk adds nothing.
+            if (a_enc.tileNonEmpty(ti, tk) && b_enc.tileNonEmpty(tk, tj))
+                accumulateTile(a_enc.tile(ti, tk), b_enc.tile(tk, tj),
+                               stage.v, step);
         }
-        if (tile) {
-            float *d_tile =
-                d_base + static_cast<size_t>(ti) * kWarpTile * n +
-                static_cast<size_t>(tj) * kWarpTile;
-            for (int r = 0; r < out.rows; ++r)
-                std::copy_n(stage.v + r * LaneTile::kDim, out.cols,
-                            d_tile + static_cast<size_t>(r) * n);
-        }
+        float *d_tile = d_base +
+                        static_cast<size_t>(ti) * kWarpTile * n +
+                        static_cast<size_t>(tj) * kWarpTile;
+        for (int r = 0; r < rows; ++r)
+            std::copy_n(stage.v + r * LaneTile::kDim, cols,
+                        d_tile + static_cast<size_t>(r) * n);
     };
     int max_workers = 1;
     ThreadPool *pool = resolveTilePool(options.num_workers, &max_workers);
-    parallelFor(pool, total_tiles, max_workers, run_tile);
-
-    // Deterministic reduction: tile order, independent of which
-    // worker computed what.
-    std::vector<int64_t> work;
-    work.reserve(static_cast<size_t>(total_tiles));
-    double output_nnz_estimate = 0.0;
-    for (const TileOutcome &out : outcomes) {
-        result.stats.mix += out.mix;
-        result.stats.merge_cycles += out.merge_cycles;
-        result.stats.warp_tiles += out.warp_tiles;
-        result.stats.warp_tiles_skipped += out.warp_tiles_skipped;
-        work.insert(work.end(), out.work.begin(), out.work.end());
-        output_nnz_estimate +=
-            (1.0 - out.p_cell_zero) * out.rows * out.cols;
-    }
+    parallelFor(pool, static_cast<int64_t>(a_enc.numTileRows()) * tiles_n,
+                max_workers, run_tile);
 
     // Integer datatypes accumulate integer codes (exact in FP32 below
     // 2^24); the physical scale sa * sb is applied once per output
-    // element here, after all accumulation, so the scaling cost and
-    // the determinism guarantee are both independent of tile/worker
-    // partitioning.
-    const float out_scale = QuantSpec::outputScale(spec_a, spec_b);
-    if (options.functional && out_scale != 1.0f) {
-        float *dd = result.d.data().data();
-        const size_t cells = static_cast<size_t>(m) * n;
-        for (size_t i = 0; i < cells; ++i)
-            dd[i] *= out_scale;
-    }
-
-    // Compute time: LPT makespan of output-tile work over sub-cores,
-    // derated by the kernel's achievable issue efficiency. The int8 /
-    // int4 pipes retire 2x / 4x the MACs per OHMMA slot.
-    int64_t makespan = lptMakespan(work, cfg_.totalSubcores());
-    result.stats.compute_us =
-        static_cast<double>(makespan) /
-        (cfg_.clock_ghz * 1e3 * cfg_.sparse_issue_efficiency *
-         dataTypeComputeScale(dtype));
-
-    // Memory time: the sparse encodings are the operands' footprint
-    // (their packed value lanes already reflect the datatype width);
-    // D is written bitmap-encoded when smaller (gather-scatter
-    // write-back, Fig. 7) and dense at the output lane width
-    // otherwise.
-    double bytes_a = static_cast<double>(a_enc.encodedBytes());
-    double bytes_b = static_cast<double>(b_enc.encodedBytes());
-    double d_dense =
-        static_cast<double>(m) * n * dataTypeOutputBytes(dtype);
-    double d_sparse = static_cast<double>(m) * n / 8.0 +
-                      output_nnz_estimate * dataTypeOutputBytes(dtype);
-    double bytes_d = options.sparse_output
-                         ? std::min(d_dense, d_sparse)
-                         : d_dense;
-    result.stats.dram_bytes = memory_model_.gemmTrafficBytes(
-        m, n, bytes_a, bytes_b, bytes_d);
-    result.stats.memory_us =
-        memory_model_.dramTimeUs(result.stats.dram_bytes);
-    result.stats.launch_us = cfg_.kernel_launch_us;
-    result.stats.bound = result.stats.compute_us > result.stats.memory_us
-                             ? Bound::Compute
-                             : Bound::Memory;
-    return result;
+    // element here, after all accumulation, so the result is
+    // independent of tile/worker partitioning.
+    const float out_scale =
+        QuantSpec::outputScale(a_enc.spec(), b_enc.spec());
+    if (out_scale != 1.0f)
+        for (float &v : d.data())
+            v *= out_scale;
+    return d;
 }
 
 KernelStats
@@ -375,10 +278,9 @@ SpGemmDevice::timeFromProfiles(const SparsityProfile &a,
     const double bytes_d = options.sparse_output
                                ? std::min(d_dense, d_sparse)
                                : d_dense;
-    MemoryModel memory_model(cfg_);
     stats.dram_bytes =
-        memory_model.gemmTrafficBytes(m, n, bytes_a, bytes_b, bytes_d);
-    stats.memory_us = memory_model.dramTimeUs(stats.dram_bytes);
+        memory_model_.gemmTrafficBytes(m, n, bytes_a, bytes_b, bytes_d);
+    stats.memory_us = memory_model_.dramTimeUs(stats.dram_bytes);
     stats.launch_us = cfg_.kernel_launch_us;
     stats.bound = stats.compute_us > stats.memory_us ? Bound::Compute
                                                      : Bound::Memory;

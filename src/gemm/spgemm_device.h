@@ -1,9 +1,11 @@
 /**
  * @file
  * Device-level bitmap SpGEMM (Sec. III-C): tiles the M x N output
- * into warp tiles, iterates K in chunks, skips empty tiles via the
- * two-level warp-bitmap, and folds per-warp cycles into a kernel
- * time through the SM scheduler and the memory model.
+ * into warp tiles, iterates K in chunks and skips empty tiles via
+ * the two-level warp-bitmap. Values come from the lane-predicated
+ * tile loop; time comes from one model, timeFromProfiles, which
+ * folds the operands' per-line popcounts into per-warp cycles, the
+ * SM scheduler's makespan and the memory model.
  */
 #ifndef DSTC_GEMM_SPGEMM_DEVICE_H
 #define DSTC_GEMM_SPGEMM_DEVICE_H
@@ -28,10 +30,10 @@ struct SpGemmOptions
     bool two_level = true;
 
     /**
-     * Operand datatype of the modeled datapath. The functional paths
-     * take the authoritative QuantSpec off the encodings (multiply()
-     * builds it from this field; multiplyEncoded trusts the operands
-     * it is given); the profile-only timing path uses this field
+     * Operand datatype of the modeled datapath. The encoded entry
+     * points take the authoritative QuantSpec off the encodings
+     * (multiply() builds it from this field; multiplyEncoded trusts
+     * the operands it is given); timeFromProfiles uses this field
      * directly — narrower lanes shrink the encoded operand traffic
      * and the int8/int4 pipes double/quadruple the MAC rate.
      */
@@ -40,15 +42,12 @@ struct SpGemmOptions
     /** Compute values (tests/examples) or only time (big sweeps). */
     bool functional = true;
 
-    /** Use the cycle-accurate accumulation-buffer simulator. */
-    bool detailed_merge = false;
-
     /**
      * Worker threads of the (ti, tj) output-tile loop: 0 uses the
      * process-shared pool (all hardware threads), 1 runs serially in
      * the caller, N caps the parallelism at N threads. Results and
-     * stats are bitwise identical for every setting — per-tile
-     * outcomes are reduced in tile order.
+     * stats are bitwise identical for every setting — output tiles
+     * are disjoint and per-tile timing outcomes reduce in tile order.
      */
     int num_workers = 0;
 
@@ -89,18 +88,32 @@ class SpGemmDevice
      * (A tiled kWarpTile x tile_k column-major, B tiled
      * tile_k x kWarpTile row-major, tile_k = options.tile_k). This
      * is the encode-once / multiply-many entry point: weights are
-     * encoded once and reused across inferences.
+     * encoded once and reused across inferences. D is multiplyValues
+     * (when options.functional); the stats are timeFromProfiles of
+     * the encodings' profiles (SparsityProfile::fromEncodedA/B) at
+     * their datatype.
      */
     SpGemmResult multiplyEncoded(const TwoLevelBitmapMatrix &a,
                                  const TwoLevelBitmapMatrix &b,
                                  const SpGemmOptions &options = {}) const;
 
     /**
-     * Timing-only execution from popcount profiles (see
-     * gemm/sparsity_profile.h): the path used by the large sweeps
-     * and the model benchmarks, where operand values are irrelevant.
-     * Both profiles must share the K dimension; @p a groups tile the
-     * M dimension and @p b groups tile N.
+     * The values of multiplyEncoded alone: accumulates every
+     * non-empty tile pair into D through the lane-predicated tile
+     * kernel and applies the deferred integer output scale. Reads
+     * only tile_k and num_workers off @p options.
+     */
+    Matrix<float> multiplyValues(const TwoLevelBitmapMatrix &a,
+                                 const TwoLevelBitmapMatrix &b,
+                                 const SpGemmOptions &options = {}) const;
+
+    /**
+     * The SpGEMM timing model, from popcount profiles (see
+     * gemm/sparsity_profile.h): per live k-step two POPCs, one
+     * BOHMMA and the predicated OHMMAs (Fig. 15), empty warp tiles
+     * skipped (Sec. III-C). The output traffic counts whole (padded)
+     * warp tiles. Both profiles must share the K dimension; @p a
+     * groups tile the M dimension and @p b groups tile N.
      */
     KernelStats timeFromProfiles(const SparsityProfile &a,
                                  const SparsityProfile &b,

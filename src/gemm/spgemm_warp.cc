@@ -37,16 +37,27 @@ SpGemmWarpEngine::SpGemmWarpEngine(const GpuConfig &cfg)
 
 WarpTileResult
 SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
-                              const BitmapMatrix &b_tile, LaneTile *tile,
-                              bool detailed_merge,
+                              const BitmapMatrix &b_tile, float *accum,
+                              int ld, bool detailed_merge,
                               WarpScratch &scratch) const
 {
     checkTilePair(a_tile, b_tile, shape_);
     const int m = a_tile.rows();
     const int n = b_tile.cols();
 
-    if (tile)
-        accumulateTile(a_tile, b_tile, tile->v, laneStep());
+    if (accum) {
+        // Stage the (m x n) region in the lane tile (row stride 32)
+        // so the lane loop runs on a fixed stride.
+        const size_t row_bytes = sizeof(float) * n;
+        float *stage = scratch.stage.v;
+        for (int r = 0; r < m; ++r)
+            std::memcpy(stage + r * LaneTile::kDim,
+                        accum + static_cast<size_t>(r) * ld, row_bytes);
+        accumulateTile(a_tile, b_tile, stage, laneStep());
+        for (int r = 0; r < m; ++r)
+            std::memcpy(accum + static_cast<size_t>(r) * ld,
+                        stage + r * LaneTile::kDim, row_bytes);
+    }
 
     WarpTileResult result;
     if (detailed_merge) {
@@ -113,30 +124,6 @@ SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
 
 WarpTileResult
 SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
-                              const BitmapMatrix &b_tile, float *accum,
-                              int ld, bool detailed_merge,
-                              WarpScratch &scratch) const
-{
-    if (!accum)
-        return computeTile(a_tile, b_tile, nullptr, detailed_merge,
-                           scratch);
-    checkTilePair(a_tile, b_tile, shape_);
-    const int m = a_tile.rows();
-    const size_t row_bytes = sizeof(float) * b_tile.cols();
-    float *stage = scratch.stage.v;
-    for (int r = 0; r < m; ++r)
-        std::memcpy(stage + r * LaneTile::kDim,
-                    accum + static_cast<size_t>(r) * ld, row_bytes);
-    WarpTileResult result = computeTile(a_tile, b_tile, &scratch.stage,
-                                        detailed_merge, scratch);
-    for (int r = 0; r < m; ++r)
-        std::memcpy(accum + static_cast<size_t>(r) * ld,
-                    stage + r * LaneTile::kDim, row_bytes);
-    return result;
-}
-
-WarpTileResult
-SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
                               const BitmapMatrix &b_tile,
                               Matrix<float> *accum,
                               bool detailed_merge) const
@@ -150,29 +137,6 @@ SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
     const int ld = accum ? accum->cols() : 0;
     return computeTile(a_tile, b_tile, base, ld, detailed_merge,
                        scratch);
-}
-
-WarpTileResult
-SpGemmWarpEngine::timeTile(
-    const std::vector<std::pair<int, int>> &popcs) const
-{
-    WarpTileResult result;
-    for (const auto &[popc_a, popc_b] : popcs) {
-        if (popc_a == 0 || popc_b == 0)
-            continue;
-        result.mix.popc += 2;
-        ++result.mix.bohmma;
-        const int enabled = enabledOhmmas(popc_a, popc_b, shape_);
-        result.mix.ohmma_issued += enabled;
-        result.mix.ohmma_skipped += shape_.ohmmasPerSet() - enabled;
-        result.macs += static_cast<int64_t>(popc_a) * popc_b;
-        result.merge_accesses += static_cast<int64_t>(popc_a) * popc_b;
-    }
-    result.issue_cycles = result.mix.tensorCycles();
-    result.scalar_cycles = result.mix.bohmma + 2;
-    result.merge_cycles = static_cast<int64_t>(merge_model_.tileCycles(
-        result.merge_accesses, result.mix.ohmma_issued));
-    return result;
 }
 
 } // namespace dstc

@@ -4,6 +4,10 @@
  * tile's outer-product multiply on the OTC model, both functionally
  * (producing the exact partial-sum values) and in time (building the
  * predicated SpWMMA instruction stream and charging the merge step).
+ * These per-tile stats are the warp-level model of the paper's
+ * figures (Fig. 5, Fig. 19) and of the scalar-reference pins; the
+ * device-level SpGEMM times whole kernels from popcount profiles
+ * (SpGemmDevice::timeFromProfiles) instead.
  *
  * The functional path works on lanes (gemm/lane_step.h): the B line
  * of a k-step is the 32-lane predicate of the OHMMAs, each A
@@ -17,7 +21,6 @@
 #define DSTC_GEMM_SPGEMM_WARP_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "isa/program_builder.h"
@@ -112,31 +115,23 @@ class SpGemmWarpEngine
      *
      * The timing walks the live k-steps (both lines non-empty) and
      * charges each one's predicated SpWMMA set and merge. When
-     * @p tile is non-null the partial sums accumulate into it: every
-     * live k-step expands its B line into 32 lanes, and each A
-     * non-zero, in position order, adds its 32-lane product
-     * predicated by the B line's bitmap word (Fig. 15). Each on-lane
-     * cell gets one multiply and one add per k-step, in k order, so
-     * the result is bitwise that of computeTileScalar.
+     * @p accum is non-null the partial sums accumulate into it:
+     * element (r, c) of the tile lands at accum[r * ld + c], staged
+     * through @p scratch's lane tile. Every live k-step expands its
+     * B line into 32 lanes, and each A non-zero, in position order,
+     * adds its 32-lane product predicated by the B line's bitmap
+     * word (Fig. 15). Each on-lane cell gets one multiply and one
+     * add per k-step, in k order, so the result is bitwise that of
+     * computeTileScalar. Nothing outside the (m x n) region is read
+     * or written.
      *
      * @param a_tile column-major bitmap of the (m x k) A tile
      * @param b_tile row-major bitmap of the (k x n) B tile
-     * @param tile   if non-null, the accumulator; only rows < m are
-     *               touched and lanes >= n only ever gain -0.0f
+     * @param accum  if non-null, the accumulator's (0, 0) element
+     * @param ld     the accumulator's row stride
      * @param detailed_merge use the cycle-accurate bank simulator
      *               instead of the analytic merge model
      * @param scratch caller-owned scratch arena, reused across calls
-     */
-    WarpTileResult computeTile(const BitmapMatrix &a_tile,
-                               const BitmapMatrix &b_tile,
-                               LaneTile *tile, bool detailed_merge,
-                               WarpScratch &scratch) const;
-
-    /**
-     * The same over a strided row-major accumulator: element (r, c)
-     * of the tile lands at accum[r * ld + c]. The (m x n) region is
-     * staged through @p scratch's lane tile and copied back; nothing
-     * outside it is read or written.
      */
     WarpTileResult computeTile(const BitmapMatrix &a_tile,
                                const BitmapMatrix &b_tile, float *accum,
@@ -175,14 +170,6 @@ class SpGemmWarpEngine
                                      bool detailed_merge = false,
                                      const QuantSpec &spec_a = {},
                                      const QuantSpec &spec_b = {}) const;
-
-    /**
-     * Timing-only execution from POPC results: @p popcs holds one
-     * (popc_a, popc_b) pair per k-step. Used by the device-level
-     * sweeps where values are irrelevant.
-     */
-    WarpTileResult timeTile(
-        const std::vector<std::pair<int, int>> &popcs) const;
 
     const SpWmmaShape &shape() const { return shape_; }
 

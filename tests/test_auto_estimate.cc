@@ -1,25 +1,28 @@
 /**
  * @file
  * Method::Auto estimate-vs-actual tests. Auto ranks candidate
- * backends by plan-stage estimates; for functional dual-sparse
- * requests the estimate is profile-based (statistical intersection
- * counts) while execution walks the real bitmap intersections — so
- * there is a genuine gap to quantify. These tests pin its magnitude
- * across the sparsity grid and assert it never misranks the
+ * backends by plan-stage estimates. A dual-sparse plan reports the
+ * profile stats it was ranked by, so its gap is zero by
+ * construction; the cuSPARSE-like baseline prices an expected-value
+ * model but executes real CSR products. These tests pin the gaps
+ * across the sparsity grid and assert they never misrank the
  * candidates at the current backend crossovers.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/cusparse_like.h"
 #include "common/rng.h"
 #include "core/session.h"
 #include "gemm/sparsity_profile.h"
+#include "sparse/mtx_io.h"
 #include "sparse/word_encode.h"
 #include "tensor/reference.h"
 
@@ -236,6 +239,61 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
     }
     // No backend may drop out of the table unnoticed.
     EXPECT_EQ(checked.size(), session.registry().backends().size());
+}
+
+TEST(AutoEstimateTest, FunctionalDualPlansReportTheirEstimate)
+{
+    // A functional dual-sparse plan reports the stats it was ranked
+    // by, bit for bit, and a plan executed without an estimate
+    // reports those same stats. The GEMMs include ragged shapes (M or
+    // N not a multiple of the 32-wide warp tile), where the one
+    // SpGEMM timing model sizes the output by whole warp tiles.
+    Rng rng(510);
+    std::deque<Matrix<float>> operands;
+    std::vector<std::pair<std::string, KernelRequest>> requests;
+    for (auto [m, k, n] :
+         {std::tuple{128, 96, 128}, std::tuple{100, 200, 70},
+          std::tuple{196, 1152, 256}, std::tuple{784, 576, 64}}) {
+        for (double sparsity : {0.5, 0.9}) {
+            const Matrix<float> &a = operands.emplace_back(
+                randomSparseMatrix(m, k, sparsity, rng));
+            const Matrix<float> &b = operands.emplace_back(
+                randomSparseMatrix(k, n, sparsity, rng));
+            requests.emplace_back(
+                "gemm " + std::to_string(m) + "x" + std::to_string(k) +
+                    "x" + std::to_string(n) + " at sparsity " +
+                    std::to_string(sparsity),
+                KernelRequest::gemm(a, b));
+        }
+    }
+    for (const char *name : {"cora_like", "ppi_like"}) {
+        Matrix<float> &a = operands.emplace_back();
+        std::string error;
+        ASSERT_TRUE(loadMatrixMarket(std::string(DSTC_CORPUS_DIR) + "/" +
+                                         name + ".mtx",
+                                     &a, &error))
+            << error;
+        const Matrix<float> &b = operands.emplace_back(
+            randomSparseMatrix(a.cols(), 32, 0.0, rng));
+        requests.emplace_back(std::string("spmm ") + name,
+                              KernelRequest::spmm(a, b));
+    }
+
+    for (const auto &[label, request] : requests) {
+        const KernelRequest req =
+            KernelRequest(request).withMethod(Method::DualSparse);
+        Session estimated_session, fresh_session;
+        auto plan = estimated_session.plan(req);
+        const double estimate = plan->estimatedTimeUs();
+        const KernelReport report = plan->execute();
+        EXPECT_EQ(report.stats.timeUs(), estimate) << label;
+        EXPECT_EQ(report.planned_us, estimate) << label;
+
+        const KernelReport unestimated = fresh_session.run(req);
+        EXPECT_EQ(unestimated.stats, report.stats) << label;
+        ASSERT_TRUE(report.d && unestimated.d) << label;
+        EXPECT_TRUE(*unestimated.d == *report.d) << label;
+    }
 }
 
 TEST(AutoEstimateTest, NoMisrankingAtBackendCrossovers)

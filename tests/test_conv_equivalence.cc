@@ -241,13 +241,15 @@ TEST_F(ConvEquivalenceTest, SessionConvRequestHonorsWorkerKnob)
     Tensor4d input = reluActivationTensor(1, 4, 14, 14, 0.6, rng);
     Matrix<float> weights = randomSparseMatrix(8, 36, 0.8, rng);
 
-    Session session(cfg_);
-    KernelRequest req = KernelRequest::conv(input, weights, s)
-                            .withMethod(Method::DualSparse);
-    req.withResources({.compute_workers = 1});
-    KernelReport serial = session.run(req);
-    req.withResources({.compute_workers = 4});
-    KernelReport pooled = session.run(req);
+    const KernelRequest req = KernelRequest::conv(input, weights, s)
+                                  .withMethod(Method::DualSparse);
+    const auto run = [&](int compute_workers) {
+        SessionOptions opts{cfg_};
+        opts.resources.compute_workers = compute_workers;
+        return Session(opts).run(req);
+    };
+    KernelReport serial = run(1);
+    KernelReport pooled = run(4);
     ASSERT_TRUE(serial.output && pooled.output);
     expectOutputIdentical(*serial.output, *pooled.output, "session");
     expectStatsIdentical(serial.stats, pooled.stats, "session");

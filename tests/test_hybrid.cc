@@ -292,17 +292,15 @@ TEST(HybridTest, WorkerCountInvariance)
     Matrix<float> a = stripedA(256, 128, 0.85, 0.05, rng);
     Matrix<float> b = randomSparseMatrix(128, 96, 0.5, rng);
 
-    Session serial_session;
-    KernelRequest serial_req = hybridRequest(a, b, 0.5);
-    serial_req.withResources({.compute_workers = 1});
-    KernelReport serial = serial_session.run(serial_req);
+    SessionOptions serial_opts;
+    serial_opts.resources.compute_workers = 1;
+    Session serial_session(serial_opts);
+    KernelReport serial = serial_session.run(hybridRequest(a, b, 0.5));
 
-    SessionOptions opts;
-    opts.resources.encode_workers = 4;
-    Session pooled_session(opts);
-    KernelRequest pooled_req = hybridRequest(a, b, 0.5);
-    pooled_req.withResources({.compute_workers = 4});
-    KernelReport pooled = pooled_session.run(pooled_req);
+    SessionOptions pooled_opts;
+    pooled_opts.resources = {.compute_workers = 4, .encode_workers = 4};
+    Session pooled_session(pooled_opts);
+    KernelReport pooled = pooled_session.run(hybridRequest(a, b, 0.5));
 
     expectStatsBitwiseEqual(serial.stats, pooled.stats, "workers");
     ASSERT_NE(serial.d, nullptr);

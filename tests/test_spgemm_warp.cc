@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.h"
 #include "gemm/lane_step.h"
@@ -73,29 +74,6 @@ TEST_F(SpGemmWarpTest, InstructionCountsMatchPopcountFormula)
     EXPECT_EQ(r.mix.popc, 2 * expected_bohmma);
     EXPECT_EQ(r.issue_cycles, expected_issued + expected_bohmma);
     EXPECT_EQ(r.scalar_cycles, expected_bohmma + 2);
-}
-
-TEST_F(SpGemmWarpTest, TimeTileAgreesWithComputeTile)
-{
-    Rng rng(114);
-    Matrix<float> a = randomSparseMatrix(32, 32, 0.8, rng);
-    Matrix<float> b = randomSparseMatrix(32, 32, 0.3, rng);
-    BitmapMatrix a_bm = BitmapMatrix::encode(a, Major::Col);
-    BitmapMatrix b_bm = BitmapMatrix::encode(b, Major::Row);
-    WarpTileResult full = engine_.computeTile(a_bm, b_bm, nullptr);
-
-    std::vector<std::pair<int, int>> popcs;
-    for (int k = 0; k < 32; ++k)
-        popcs.emplace_back(a_bm.lineNnz(k), b_bm.lineNnz(k));
-    WarpTileResult timed = engine_.timeTile(popcs);
-
-    EXPECT_EQ(full.mix.ohmma_issued, timed.mix.ohmma_issued);
-    EXPECT_EQ(full.mix.ohmma_skipped, timed.mix.ohmma_skipped);
-    EXPECT_EQ(full.mix.bohmma, timed.mix.bohmma);
-    EXPECT_EQ(full.issue_cycles, timed.issue_cycles);
-    EXPECT_EQ(full.scalar_cycles, timed.scalar_cycles);
-    EXPECT_EQ(full.merge_accesses, timed.merge_accesses);
-    EXPECT_EQ(full.merge_cycles, timed.merge_cycles);
 }
 
 TEST_F(SpGemmWarpTest, DenseTileIssuesEverything)

@@ -211,20 +211,18 @@ TEST(Spmm, IntegerDatatypesStayBitwise)
 
 TEST(Spmm, NarrowKernelBitwiseStableAcrossWorkers)
 {
-    Session session;
     Rng rng(0xab);
     const Matrix<float> a = randomSparseMatrix(96, 160, 0.98, rng);
     const Matrix<float> b = randomSparseMatrix(160, 16, 0.0, rng);
     const Matrix<float> ref = refSpmmNarrow(a, b, DataType::Fp16);
     for (int w : {1, 2, 4, 7}) {
-        ExecutionResources res;
-        res.compute_workers = w;
-        res.encode_workers = w;
+        SessionOptions opts;
+        opts.resources = {.compute_workers = w, .encode_workers = w};
+        Session session(opts);
         const KernelReport r =
             session.run(KernelRequest::spmm(a, b)
                             .withMethod(Method::DualSparse)
-                            .withSpmmFormat(SpmmFormat::Narrow)
-                            .withResources(res));
+                            .withSpmmFormat(SpmmFormat::Narrow));
         ASSERT_TRUE(r.d) << "workers " << w;
         expectMatricesEqual(ref, *r.d, "worker sweep");
     }
