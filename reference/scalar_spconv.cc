@@ -5,8 +5,8 @@
  * bench/micro_spconv link this target to keep the bitwise pin:
  * ConvExecutor::run == runScalar (outputs and stats) for every
  * method, shape and worker count. Non-implicit-sparse methods
- * delegate to the lowered baseline path in the shipped library —
- * production and reference share that one definition.
+ * delegate to ConvExecutor::run in the shipped library: production
+ * and reference share that one definition.
  */
 #include "conv/spconv.h"
 
@@ -17,27 +17,16 @@
 
 namespace dstc {
 
-namespace {
-
-bool
-isImplicitSparse(ConvMethod method)
-{
-    return method == ConvMethod::SingleSparseImplicit ||
-           method == ConvMethod::DualSparseImplicit;
-}
-
-} // namespace
-
 ConvResult
 ConvExecutor::runScalar(const Tensor4d &input,
                         const Matrix<float> &weights,
                         const ConvShape &shape, ConvMethod method,
                         const ConvOptions &options) const
 {
-    // The explicit / dense-implicit baselines ARE the scalar path;
-    // the library executes them through runLowered.
+    // The explicit / dense-implicit baselines ARE the scalar path:
+    // analytic timing and the dense lowering the library runs.
     if (!isImplicitSparse(method))
-        return runLowered(input, weights, shape, method, options);
+        return run(input, weights, shape, method, options);
 
     DSTC_ASSERT(weights.rows() == shape.out_c &&
                 weights.cols() == shape.loweredCols(),
@@ -52,8 +41,6 @@ ConvExecutor::runScalar(const Tensor4d &input,
     LoweredFeatureMap lfm =
         im2colFromBitmap(fmap, shape, true, 1, false);
     Matrix<float> lowered = lfm.decode();
-    const double input_bytes =
-        static_cast<double>(fmap.encodedBytes());
 
     // Functional GEMM through the dense-operand entry (per-element
     // profile + re-encode inside), matching run()'s direct re-tile.
@@ -63,19 +50,18 @@ ConvExecutor::runScalar(const Tensor4d &input,
     opts.num_workers = options.num_workers;
     Matrix<float> d = spgemm.multiply(lowered, wt, opts).d;
 
-    // Timing from the actual data's sparsity.
-    SparsityProfile a_profile =
-        method == ConvMethod::DualSparseImplicit
-            ? SparsityProfile::fromMatrixA(lowered, 32)
-            : SparsityProfile::denseA(shape.loweredRows(),
-                                      shape.loweredCols(), 32);
-    SparsityProfile b_profile = SparsityProfile::fromMatrixB(wt, 32);
-    const double weight_bytes =
-        static_cast<double>(b_profile.encodedBytes(32));
+    // Timing from the actual data's sparsity, profiled element-wise.
+    ConvOperandEncoding enc;
+    enc.a = method == ConvMethod::DualSparseImplicit
+                ? SparsityProfile::fromMatrixA(lowered, 32)
+                : SparsityProfile::denseA(shape.loweredRows(),
+                                          shape.loweredCols(), 32);
+    enc.b = SparsityProfile::fromMatrixB(wt, 32);
+    enc.input_bytes = static_cast<double>(fmap.encodedBytes());
+    enc.weight_bytes = static_cast<double>(enc.b->encodedBytes(32));
 
     ConvResult result;
-    result.stats = timeGemmPhase(shape, method, &a_profile, &b_profile,
-                                 input_bytes, weight_bytes);
+    result.stats = timeEncoded(shape, method, enc);
     result.output = foldLoweredOutput(d, shape);
     return result;
 }

@@ -1,6 +1,7 @@
 #include "conv/spconv.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "baselines/zhu_sparse_tc.h"
 #include "common/logging.h"
@@ -40,11 +41,32 @@ isExplicit(ConvMethod method)
            method == ConvMethod::SingleSparseExplicit;
 }
 
-bool
-isImplicitSparse(ConvMethod method)
+/**
+ * The encoding of the three methods that time analytically from the
+ * shape: no profiles, the feature map as raw FP16, and the weights as
+ * raw FP16 or, under the vector-wise format, its fixed 25% of values
+ * at 2.5 bytes each (FP16 value plus index metadata).
+ */
+ConvOperandEncoding
+analyticEncoding(const ConvShape &shape, ConvMethod method)
 {
-    return method == ConvMethod::SingleSparseImplicit ||
-           method == ConvMethod::DualSparseImplicit;
+    const double weight_elems =
+        static_cast<double>(shape.loweredCols()) * shape.out_c;
+    ConvOperandEncoding enc;
+    enc.input_bytes = static_cast<double>(shape.inputElems()) * 2.0;
+    enc.weight_bytes =
+        method == ConvMethod::SingleSparseExplicit
+            ? weight_elems * (1.0 - kZhuPruneRatio) * 2.5
+            : weight_elems * 2.0;
+    return enc;
+}
+
+void
+checkWeights(const Matrix<float> &weights, const ConvShape &shape)
+{
+    DSTC_ASSERT(weights.rows() == shape.out_c &&
+                weights.cols() == shape.loweredCols(),
+                "weights must be out_c x (in_c*k*k)");
 }
 
 } // namespace
@@ -52,37 +74,28 @@ isImplicitSparse(ConvMethod method)
 ConvExecutor::ConvExecutor(const GpuConfig &cfg) : cfg_(cfg) {}
 
 KernelStats
-ConvExecutor::timeGemmPhase(const ConvShape &shape, ConvMethod method,
-                            const SparsityProfile *a_profile,
-                            const SparsityProfile *b_profile,
-                            double input_bytes,
-                            double weight_bytes) const
+ConvExecutor::timeEncoded(const ConvShape &shape, ConvMethod method,
+                          const ConvOperandEncoding &enc) const
 {
-    const int64_t m = shape.loweredRows();
-    const int64_t k = shape.loweredCols();
-    const int64_t n = shape.out_c;
-
     KernelStats stats;
     switch (method) {
       case ConvMethod::DenseExplicit:
-      case ConvMethod::DenseImplicit: {
-        DenseGemmDevice dense(cfg_);
-        stats = dense.timeOnly(m, n, k);
+      case ConvMethod::DenseImplicit:
+        stats = DenseGemmDevice(cfg_).timeOnly(
+            shape.loweredRows(), shape.out_c, shape.loweredCols());
         break;
-      }
-      case ConvMethod::SingleSparseExplicit: {
+      case ConvMethod::SingleSparseExplicit:
         // The fixed-rate vector-wise design: weights are pruned to
         // the 75% format whatever their natural sparsity.
-        stats = zhuGemm(cfg_, m, n, k);
+        stats = zhuGemm(cfg_, shape.loweredRows(), shape.out_c,
+                        shape.loweredCols());
         break;
-      }
       case ConvMethod::SingleSparseImplicit:
-      case ConvMethod::DualSparseImplicit: {
-        DSTC_ASSERT(a_profile && b_profile);
-        SpGemmDevice spgemm(cfg_);
-        stats = spgemm.timeFromProfiles(*a_profile, *b_profile);
+      case ConvMethod::DualSparseImplicit:
+        DSTC_ASSERT(enc.a && enc.b,
+                    "implicit-sparse conv timing needs both profiles");
+        stats = SpGemmDevice(cfg_).timeFromProfiles(*enc.a, *enc.b);
         break;
-      }
     }
     stats.name = convMethodName(method);
 
@@ -94,7 +107,7 @@ ConvExecutor::timeGemmPhase(const ConvShape &shape, ConvMethod method,
         static_cast<double>(shape.outputElems()) * 2.0;
     const double inflation = std::max(1.0, shape.inflation());
     stats.dram_bytes = mem.convTrafficBytes(
-        input_bytes, weight_bytes, output_bytes, inflation,
+        enc.input_bytes, enc.weight_bytes, output_bytes, inflation,
         isExplicit(method));
     stats.memory_us = mem.dramTimeUs(stats.dram_bytes);
 
@@ -111,115 +124,83 @@ ConvExecutor::run(const Tensor4d &input, const Matrix<float> &weights,
                   const ConvShape &shape, ConvMethod method,
                   const ConvOptions &options) const
 {
-    DSTC_ASSERT(weights.rows() == shape.out_c &&
-                weights.cols() == shape.loweredCols(),
-                "weights must be out_c x (in_c*k*k)");
-
-    // The explicit / dense-implicit baselines are untouched by the
-    // word-parallel rebuild — the lowered scalar path IS their path.
-    if (!isImplicitSparse(method))
-        return runLowered(input, weights, shape, method, options);
-
-    const Matrix<float> wt = flattenWeightsTransposed(weights);
-
-    // The word-parallel implicit pipeline: bitmap lowering re-tiled
-    // straight into the two-level SpGEMM operand — no dense lowered
-    // matrix, no per-pixel decode/re-encode — then the pooled
-    // output-tile loop accumulating into D.
-    SpGemmOptions gemm_opts;
-    gemm_opts.num_workers = options.num_workers;
-
-    BitmapFeatureMap fmap = BitmapFeatureMap::encode(input);
-    LoweredFeatureMap lfm =
-        im2colFromBitmap(fmap, shape, true, options.num_workers);
-    const double input_bytes =
-        static_cast<double>(fmap.encodedBytes());
-
-    TwoLevelBitmapMatrix a_enc = lfm.toTwoLevel(
-        kWarpTile, gemm_opts.tile_k, options.num_workers);
-    TwoLevelBitmapMatrix b_enc =
-        wordEncodeTwoLevel(wt, gemm_opts.tile_k, kWarpTile,
-                           Major::Row, options.num_workers);
-    Matrix<float> d =
-        SpGemmDevice(cfg_).multiplyValues(a_enc, b_enc, gemm_opts);
-
-    // Timing from the actual data's sparsity: the A profile reads
-    // the lowered column bitmaps directly (word popcounts), matching
-    // the dense extraction of the scalar path bit for bit.
-    SparsityProfile a_profile =
-        method == ConvMethod::DualSparseImplicit
-            ? SparsityProfile::fromLowered(lfm, 32)
-            : SparsityProfile::denseA(shape.loweredRows(),
-                                      shape.loweredCols(), 32);
-    SparsityProfile b_profile =
-        SparsityProfile::fromMatrixBWord(wt, 32);
-    const double weight_bytes =
-        static_cast<double>(b_profile.encodedBytes(32));
-
+    std::optional<LoweredFeatureMap> lowered;
     ConvResult result;
-    result.stats = timeGemmPhase(shape, method, &a_profile, &b_profile,
-                                 input_bytes, weight_bytes);
-    result.output = foldLoweredOutput(d, shape);
+    result.stats = timeEncoded(
+        shape, method,
+        encode(input, weights, shape, method, options, &lowered));
+    result.output = values(input, weights, shape, method, options,
+                           std::move(lowered));
     return result;
 }
 
-ConvResult
-ConvExecutor::runLowered(const Tensor4d &input,
-                         const Matrix<float> &weights,
-                         const ConvShape &shape, ConvMethod method,
-                         const ConvOptions &options) const
+ConvOperandEncoding
+ConvExecutor::encode(const Tensor4d &input, const Matrix<float> &weights,
+                     const ConvShape &shape, ConvMethod method,
+                     const ConvOptions &options,
+                     std::optional<LoweredFeatureMap> *lowered) const
 {
-    DSTC_ASSERT(!isImplicitSparse(method),
-                "runLowered serves the explicit / dense-implicit "
-                "baselines");
-    DSTC_ASSERT(weights.rows() == shape.out_c &&
-                weights.cols() == shape.loweredCols(),
-                "weights must be out_c x (in_c*k*k)");
-    (void)options; // the baselines have no parallel tile loop
+    checkWeights(weights, shape);
+    if (!isImplicitSparse(method))
+        return analyticEncoding(shape, method);
 
+    const BitmapFeatureMap fmap = BitmapFeatureMap::encode(input);
+    ConvOperandEncoding enc;
+    if (method == ConvMethod::DualSparseImplicit) {
+        lowered->emplace(im2colFromBitmap(fmap, shape, true,
+                                          options.num_workers));
+        enc.a = SparsityProfile::fromLowered(**lowered, 32);
+    } else {
+        enc.a = SparsityProfile::denseA(shape.loweredRows(),
+                                        shape.loweredCols(), 32);
+    }
+    // The flattened weights' 32-wide row slices are the stored
+    // weights' 32-tall column slices: the B profile reads them in
+    // place, without the transpose.
+    enc.b = SparsityProfile::fromMatrixAWord(weights, 32);
+    enc.input_bytes = static_cast<double>(fmap.encodedBytes());
+    enc.weight_bytes = static_cast<double>(enc.b->encodedBytes(32));
+    return enc;
+}
+
+Tensor4d
+ConvExecutor::values(const Tensor4d &input, const Matrix<float> &weights,
+                     const ConvShape &shape, ConvMethod method,
+                     const ConvOptions &options,
+                     std::optional<LoweredFeatureMap> lowered) const
+{
+    checkWeights(weights, shape);
     const Matrix<float> wt = flattenWeightsTransposed(weights);
-
-    Matrix<float> lowered = im2colExplicit(input, shape);
-    double input_bytes =
-        static_cast<double>(shape.inputElems()) * 2.0;
-    if (method == ConvMethod::DenseImplicit) {
-        // Validate the outer-friendly generation order against the
-        // row-major one on the real data.
-        DSTC_ASSERT(maxAbsDiff(lowered, im2colOuterFriendly(
-                                            input, shape)) == 0.0,
-                    "outer-friendly im2col diverged");
+    if (!isImplicitSparse(method)) {
+        // The explicit / dense-implicit baselines: dense im2col and
+        // the FP16 reference GEMM (no parallel tile loop).
+        const Matrix<float> dense = im2colExplicit(input, shape);
+        if (method == ConvMethod::DenseImplicit) {
+            // Validate the outer-friendly generation order against
+            // the row-major one on the real data.
+            DSTC_ASSERT(maxAbsDiff(dense, im2colOuterFriendly(
+                                              input, shape)) == 0.0,
+                        "outer-friendly im2col diverged");
+        }
+        return foldLoweredOutput(refGemmFp16(dense, wt), shape);
     }
 
-    Matrix<float> d = refGemmFp16(lowered, wt);
-
-    // Timing from the actual data's sparsity.
-    SparsityProfile a_profile = SparsityProfile::denseA(
-        shape.loweredRows(), shape.loweredCols(), 32);
-    SparsityProfile b_profile = SparsityProfile::fromMatrixB(wt, 32);
-
-    double weight_bytes;
-    switch (method) {
-      case ConvMethod::DenseExplicit:
-      case ConvMethod::DenseImplicit:
-        weight_bytes = static_cast<double>(wt.rows()) * wt.cols() * 2.0;
-        break;
-      case ConvMethod::SingleSparseExplicit:
-        weight_bytes = static_cast<double>(wt.rows()) * wt.cols() *
-                       (1.0 - kZhuPruneRatio) * 2.5;
-        break;
-      default:
-        weight_bytes = static_cast<double>(b_profile.encodedBytes(32));
-    }
-    if (!isExplicit(method)) {
-        // Dense implicit reads the raw FP16 layout, not a bitmap.
-        input_bytes = static_cast<double>(shape.inputElems()) * 2.0;
-    }
-
-    ConvResult result;
-    result.stats = timeGemmPhase(shape, method, &a_profile, &b_profile,
-                                 input_bytes, weight_bytes);
-    result.output = foldLoweredOutput(d, shape);
-    return result;
+    // The word-parallel implicit pipeline: the bitmap lowering is
+    // re-tiled straight into the two-level SpGEMM operand, then the
+    // pooled output-tile loop computes D.
+    if (!lowered)
+        lowered = im2colFromBitmap(BitmapFeatureMap::encode(input),
+                                   shape, true, options.num_workers);
+    SpGemmOptions gemm_opts;
+    gemm_opts.num_workers = options.num_workers;
+    const TwoLevelBitmapMatrix a_enc = lowered->toTwoLevel(
+        kWarpTile, gemm_opts.tile_k, options.num_workers);
+    const TwoLevelBitmapMatrix b_enc =
+        wordEncodeTwoLevel(wt, gemm_opts.tile_k, kWarpTile, Major::Row,
+                           options.num_workers);
+    return foldLoweredOutput(
+        SpGemmDevice(cfg_).multiplyValues(a_enc, b_enc, gemm_opts),
+        shape);
 }
 
 ConvOperandEncoding
@@ -228,67 +209,37 @@ encodeConvOperands(const ConvShape &shape, ConvMethod method,
                    uint64_t seed, double weight_cluster,
                    double act_cluster)
 {
+    if (!isImplicitSparse(method))
+        return analyticEncoding(shape, method);
+
     Rng rng(seed);
     const int64_t m = shape.loweredRows();
     const int64_t k = shape.loweredCols();
-    const int64_t n = shape.out_c;
+    const bool dual = method == ConvMethod::DualSparseImplicit;
 
-    // Activation-side profile. The lowered matrix replicates each
-    // input pixel across kernel^2 columns, so its density equals the
-    // feature map's; a (possibly clustered) random profile is a good
-    // surrogate for the timing (validated against real lowering in
-    // the tests).
-    SparsityProfile a_profile =
-        method == ConvMethod::DualSparseImplicit
-            ? SparsityProfile::randomA(m, k, 32, 1.0 - act_sparsity,
-                                       act_cluster, rng)
-            : SparsityProfile::denseA(m, k, 32);
-    SparsityProfile b_profile = SparsityProfile::randomA(
-        n, k, 32, 1.0 - weight_sparsity, weight_cluster, rng);
+    // The lowered matrix replicates each input pixel across kernel^2
+    // columns, so its density equals the feature map's: a (possibly
+    // clustered) random profile at that density stands in for it.
+    ConvOperandEncoding enc;
+    enc.a = dual ? SparsityProfile::randomA(m, k, 32, 1.0 - act_sparsity,
+                                            act_cluster, rng)
+                 : SparsityProfile::denseA(m, k, 32);
+    enc.b = SparsityProfile::randomA(shape.out_c, k, 32,
+                                     1.0 - weight_sparsity,
+                                     weight_cluster, rng);
 
-    double input_bytes;
+    // Bitmap-encoded feature map: 1 bit per element + FP16 non-zeros
+    // + per-row offsets. Single Sparse Implicit counts every element
+    // as a value.
     const double input_elems =
         static_cast<double>(shape.inputElems());
-    if (isImplicitSparse(method)) {
-        // Bitmap-encoded feature map: 1 bit per element + FP16
-        // non-zeros + per-row offsets.
-        const double act_density =
-            method == ConvMethod::DualSparseImplicit
-                ? 1.0 - act_sparsity
-                : 1.0;
-        input_bytes = input_elems * (1.0 / 8.0) +
+    const double act_density = dual ? 1.0 - act_sparsity : 1.0;
+    enc.input_bytes = input_elems * (1.0 / 8.0) +
                       input_elems * act_density * 2.0 +
                       static_cast<double>(shape.batch) * shape.in_c *
                           shape.in_h * 4.0;
-    } else {
-        input_bytes = input_elems * 2.0;
-    }
-
-    double weight_bytes;
-    switch (method) {
-      case ConvMethod::DenseExplicit:
-      case ConvMethod::DenseImplicit:
-        weight_bytes = static_cast<double>(k) * n * 2.0;
-        break;
-      case ConvMethod::SingleSparseExplicit:
-        weight_bytes = static_cast<double>(k) * n *
-                       (1.0 - kZhuPruneRatio) * 2.5;
-        break;
-      default:
-        weight_bytes = static_cast<double>(b_profile.encodedBytes(32));
-    }
-
-    return ConvOperandEncoding{std::move(a_profile),
-                               std::move(b_profile), input_bytes,
-                               weight_bytes};
-}
-
-KernelStats
-ConvExecutor::timeEncoded(const ConvShape &shape, ConvMethod method,
-                          const ConvOperandEncoding &enc) const
-{
-    return timeGemmPhase(shape, method, &enc.a, &enc.b,
-                         enc.input_bytes, enc.weight_bytes);
+    enc.weight_bytes = static_cast<double>(enc.b->encodedBytes(32));
+    return enc;
 }
 
 KernelStats

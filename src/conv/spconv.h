@@ -18,6 +18,8 @@
 #ifndef DSTC_CONV_SPCONV_H
 #define DSTC_CONV_SPCONV_H
 
+#include <optional>
+
 #include "gemm/sparsity_profile.h"
 #include "im2col/bitmap_im2col.h"
 #include "im2col/conv_shape.h"
@@ -41,6 +43,16 @@ enum class ConvMethod
 /** Printable name matching the paper's legend. */
 const char *convMethodName(ConvMethod method);
 
+/** Whether @p method runs the bitmap implicit im2col and times its
+ *  compute side from popcount profiles (Single / Dual Sparse
+ *  Implicit). The other three methods time analytically. */
+inline bool
+isImplicitSparse(ConvMethod method)
+{
+    return method == ConvMethod::SingleSparseImplicit ||
+           method == ConvMethod::DualSparseImplicit;
+}
+
 /** Knobs of the functional convolution execution. */
 struct ConvOptions
 {
@@ -49,9 +61,10 @@ struct ConvOptions
      * column loop, the A-operand tiling and the SpGEMM output-tile
      * loop), mirroring SpGemmOptions::num_workers: 0 uses the
      * process-shared pool (all hardware threads), 1 runs serially in
-     * the caller, N caps the parallelism at N threads. Results and
-     * stats are bitwise identical for every setting — per-tile
-     * outcomes are reduced in tile order.
+     * the caller, N caps the parallelism at N threads. Outputs and
+     * stats are bitwise identical for every setting: each lowered
+     * column and output tile is computed whole by one worker, and
+     * the stats come from worker-independent popcount profiles.
      */
     int num_workers = 0;
 };
@@ -64,24 +77,30 @@ struct ConvResult
 };
 
 /**
- * Encoded operands of a timing-only convolution: the activation /
- * weight popcount profiles plus each side's DRAM footprint under the
- * method's encoding. Building this is the encode stage of a conv
- * ExecutionPlan; it is pure in (shape, method, sparsities, clusters,
- * seed), which makes it cacheable across repeated layers.
+ * A convolution's operands as the timing model reads them: each
+ * side's DRAM footprint under the method's encoding and, for the two
+ * implicit-sparse methods only, the popcount profiles of the lowered
+ * activations (A) and the flattened weights (B). The other three
+ * methods time analytically from the shape and carry no profiles.
+ * encodeConvOperands synthesizes it at a sparsity operating point
+ * (cacheable: pure in shape, method, sparsities, clusters and seed);
+ * ConvExecutor::encode reads it off real operands. Either way
+ * ConvExecutor::timeEncoded is the one conv clock.
  */
 struct ConvOperandEncoding
 {
-    SparsityProfile a; ///< lowered activations (A side)
-    SparsityProfile b; ///< flattened weights (B side)
+    std::optional<SparsityProfile> a; ///< lowered activations (A side)
+    std::optional<SparsityProfile> b; ///< flattened weights (B side)
     double input_bytes = 0.0;
     double weight_bytes = 0.0;
 };
 
 /**
  * Synthesize the operand encoding of (shape, method) at a sparsity
- * operating point. Deterministic per @p seed; exactly the encoding
- * ConvExecutor::timeOnly uses internally.
+ * operating point: random profiles drawn from @p seed stand in for
+ * the lowered operands (the timing-only sweeps have no values).
+ * Deterministic per @p seed; exactly the encoding
+ * ConvExecutor::timeOnly times.
  */
 ConvOperandEncoding
 encodeConvOperands(const ConvShape &shape, ConvMethod method,
@@ -99,19 +118,46 @@ class ConvExecutor
      * Execute a convolution functionally and return its simulated
      * time. @p weights is (out_c) x (in_c * kernel * kernel).
      *
-     * The implicit-sparse methods run the word-parallel pipeline:
-     * the bitmap lowering is re-tiled straight into the two-level
-     * SpGEMM operand (no dense lowered matrix, no per-pixel decode)
-     * and the values-only output-tile loop
-     * (SpGemmDevice::multiplyValues) partitions over
-     * ConvOptions::num_workers. The stats are the conv timing model
-     * over the lowered operands' popcount profiles. Output values
-     * and stats are bit-for-bit identical to runScalar for every
-     * worker count.
+     * This is encode + timeEncoded + values: the stats are the one
+     * conv timing model over the real operands' encoding, and the
+     * implicit-sparse values come from the word-parallel pipeline.
+     * Output values and stats are bit-for-bit identical to runScalar
+     * for every worker count.
      */
     ConvResult run(const Tensor4d &input, const Matrix<float> &weights,
                    const ConvShape &shape, ConvMethod method,
                    const ConvOptions &options = {}) const;
+
+    /**
+     * Encode real operands as far as the timing model needs and no
+     * further. Single Sparse Implicit reads the bitmap feature map's
+     * footprint and the weights' profile. Dual Sparse also lowers the
+     * feature map through the bitmap im2col for its A profile (read
+     * off the column bitmaps by popcount) and stores that lowering
+     * in @p lowered for values(). The other methods are analytic and
+     * read neither operand.
+     */
+    ConvOperandEncoding encode(const Tensor4d &input,
+                               const Matrix<float> &weights,
+                               const ConvShape &shape, ConvMethod method,
+                               const ConvOptions &options,
+                               std::optional<LoweredFeatureMap> *lowered)
+        const;
+
+    /**
+     * The values half of run(): the output tensor alone. The
+     * implicit-sparse methods re-tile the bitmap lowering straight
+     * into the two-level SpGEMM operand (no dense lowered matrix, no
+     * per-pixel decode) and run the values-only output-tile loop
+     * (SpGemmDevice::multiplyValues) over ConvOptions::num_workers;
+     * they take encode()'s lowering of @p input in @p lowered, or
+     * lower it here when that is empty. The explicit / dense-implicit
+     * baselines lower densely and run the FP16 reference GEMM.
+     */
+    Tensor4d values(const Tensor4d &input, const Matrix<float> &weights,
+                    const ConvShape &shape, ConvMethod method,
+                    const ConvOptions &options,
+                    std::optional<LoweredFeatureMap> lowered = {}) const;
 
     /**
      * The pre-word-parallel path, kept verbatim as the reference
@@ -145,8 +191,11 @@ class ConvExecutor
                          double act_cluster = 1.0) const;
 
     /**
-     * Execute the timing model over a pre-built operand encoding
-     * (see encodeConvOperands). timeOnly == encode + timeEncoded.
+     * The conv timing model over an operand encoding: compute side
+     * per method (the implicit-sparse ones from the profiles), memory
+     * side from the convolution traffic model over the encoding's
+     * footprints. timeOnly == encodeConvOperands + timeEncoded, and
+     * run()'s stats == encode + timeEncoded.
      */
     KernelStats timeEncoded(const ConvShape &shape, ConvMethod method,
                             const ConvOperandEncoding &enc) const;
@@ -154,29 +203,6 @@ class ConvExecutor
     const GpuConfig &config() const { return cfg_; }
 
   private:
-    /**
-     * Shared composition: compute side per method, memory side from
-     * the convolution traffic model. @p a_profile / @p b_profile are
-     * only consulted by the implicit-sparse methods; @p input_bytes
-     * and @p weight_bytes already reflect each method's encoding.
-     */
-    KernelStats timeGemmPhase(const ConvShape &shape, ConvMethod method,
-                              const SparsityProfile *a_profile,
-                              const SparsityProfile *b_profile,
-                              double input_bytes,
-                              double weight_bytes) const;
-
-    /**
-     * The lowered baseline path the explicit / dense-implicit
-     * strategies execute (dense im2col + FP16 reference GEMM). Also
-     * the non-implicit-sparse half of runScalar, so the production
-     * delegation and the reference pin share one definition.
-     */
-    ConvResult runLowered(const Tensor4d &input,
-                          const Matrix<float> &weights,
-                          const ConvShape &shape, ConvMethod method,
-                          const ConvOptions &options) const;
-
     GpuConfig cfg_;
 };
 

@@ -12,9 +12,9 @@
  * encodings through the EncodingCache with ExecutionPlan::resolve():
  * two-level bitmap construction for functional dual-sparse GEMM,
  * popcount-profile synthesis for the timing sweeps, CSR encoding for
- * the cuSPARSE baseline and the conv operand encodings of the im2col
- * paths. execute() then runs the timing (or functional) model over
- * the resolved operands.
+ * the cuSPARSE baseline and the synthetic implicit-sparse conv
+ * encodings. execute() then runs the timing (or functional) model
+ * over the resolved operands.
  */
 #include "core/backend.h"
 
@@ -50,39 +50,41 @@ convDataTypeOk(const KernelRequest &req)
     return req.dataType() == DataType::Fp16;
 }
 
-/** Cache-backed timing-path conv operand encoding, in the resolver
- *  shape of gemm_operands.h (conv operands carry no digest). */
+/** Timing-path conv operand encoding, in the resolver shape of
+ *  gemm_operands.h (conv operands carry no digest). Only the
+ *  implicit-sparse encodings synthesize profiles, so only they go
+ *  through the cache; the others are analytic in the shape. */
 std::shared_ptr<const ConvOperandEncoding>
 resolveConvEncoding(const KernelRequest &req, const PlanContext &ctx,
                     OperandDigests &, bool *hit, ConvMethod cm)
 {
-    CacheKey key("conv-encoding");
-    key.i32(static_cast<int32_t>(cm));
-    key.i32(req.shape.batch)
-        .i32(req.shape.in_c)
-        .i32(req.shape.in_h)
-        .i32(req.shape.in_w)
-        .i32(req.shape.out_c)
-        .i32(req.shape.kernel)
-        .i32(req.shape.stride)
-        .i32(req.shape.pad);
+    const ConvShape shape = req.shape;
     const Operand::Synthetic w = *req.b.synthetic();
     const Operand::Synthetic x = *req.a.synthetic();
+    const uint64_t seed = req.seed;
+    const auto build = [=] {
+        return encodeConvOperands(shape, cm, w.sparsity, x.sparsity,
+                                  seed, w.cluster, x.cluster);
+    };
+    if (!isImplicitSparse(cm))
+        return std::make_shared<const ConvOperandEncoding>(build());
+    CacheKey key("conv-encoding");
+    key.i32(static_cast<int32_t>(cm));
+    key.i32(shape.batch)
+        .i32(shape.in_c)
+        .i32(shape.in_h)
+        .i32(shape.in_w)
+        .i32(shape.out_c)
+        .i32(shape.kernel)
+        .i32(shape.stride)
+        .i32(shape.pad);
     key.f64(w.sparsity)
         .f64(x.sparsity)
         .f64(w.cluster)
         .f64(x.cluster)
-        .u64(req.seed);
-    const ConvShape shape = req.shape;
-    const uint64_t seed = req.seed;
-    return ctx.cache->getOrBuild<ConvOperandEncoding>(
-        key.value(),
-        [=] {
-            return encodeConvOperands(shape, cm, w.sparsity,
-                                      x.sparsity, seed, w.cluster,
-                                      x.cluster);
-        },
-        hit);
+        .u64(seed);
+    return ctx.cache->getOrBuild<ConvOperandEncoding>(key.value(), build,
+                                                      hit);
 }
 
 // ===================================================================
@@ -249,6 +251,16 @@ class DualSpmmPlan : public ExecutionPlan
 
 // -- shared conv plan (dual / dense / zhu) --------------------------
 
+/**
+ * The conv plan of the dual, dense and Zhu backends. Like
+ * DualGemmPlan it memoizes one KernelStats, the one conv timing model
+ * (ConvExecutor::timeEncoded) over one operand encoding: estimate()
+ * returns it for both operand forms and run() reports it. A
+ * synthetic request's encoding is resolved through the cache; a
+ * functional one encodes its real operands only as far as the timing
+ * needs (ConvExecutor::encode) and keeps the Dual Sparse lowering,
+ * so run() adds only the values.
+ */
 class ConvPlan : public ExecutionPlan
 {
   public:
@@ -257,52 +269,55 @@ class ConvPlan : public ExecutionPlan
         : ExecutionPlan(backend, req, ctx),
           conv_method_(toConvMethod(method(), req.lowering))
     {
-        if (!req.functional())
-            encoding_ = resolve(resolveConvEncoding, conv_method_);
     }
 
   protected:
     KernelReport
     run() override
     {
-        ConvExecutor executor(cfg());
         KernelReport report;
-        if (req_.functional()) {
-            // The conv pipeline partitions over the same compute
-            // workers the session resolved into gemm_options.
-            ConvResult r = executor.run(
-                *req_.a.tensor(), *req_.b.matrix(), req_.shape,
-                conv_method_,
-                ConvOptions{req_.gemm_options.num_workers});
-            report.stats = r.stats;
+        report.stats = stats();
+        if (req_.functional())
             report.output = std::make_shared<const Tensor4d>(
-                std::move(r.output));
-        } else {
-            report.stats = executor.timeEncoded(req_.shape,
-                                                conv_method_,
-                                                *encoding_);
-        }
+                ConvExecutor(cfg()).values(
+                    *req_.a.tensor(), *req_.b.matrix(), req_.shape,
+                    conv_method_, options(), std::move(lowered_)));
         return report;
     }
 
-    double
-    estimate() override
-    {
-        // Functional plans estimate from the operands' measured
-        // sparsities instead of executing the convolution — Auto
-        // dispatch must not run every candidate's functional path.
-        if (!req_.functional())
-            return ExecutionPlan::estimate();
-        return ConvExecutor(cfg())
-            .timeOnly(req_.shape, conv_method_,
-                      req_.b.matrix()->sparsity(),
-                      req_.a.tensor()->sparsity(), req_.seed)
-            .timeUs();
-    }
+    double estimate() override { return stats().timeUs(); }
 
   private:
+    /** The conv pipeline partitions over the same compute workers
+     *  the session resolved into gemm_options. */
+    ConvOptions
+    options() const
+    {
+        return ConvOptions{req_.gemm_options.num_workers};
+    }
+
+    const KernelStats &
+    stats()
+    {
+        if (stats_)
+            return *stats_;
+        const ConvExecutor executor(cfg());
+        if (req_.functional())
+            stats_ = executor.timeEncoded(
+                req_.shape, conv_method_,
+                executor.encode(*req_.a.tensor(), *req_.b.matrix(),
+                                req_.shape, conv_method_, options(),
+                                &lowered_));
+        else
+            stats_ = executor.timeEncoded(
+                req_.shape, conv_method_,
+                *resolve(resolveConvEncoding, conv_method_));
+        return *stats_;
+    }
+
     ConvMethod conv_method_;
-    std::shared_ptr<const ConvOperandEncoding> encoding_;
+    std::optional<KernelStats> stats_;
+    std::optional<LoweredFeatureMap> lowered_; ///< Dual Sparse only
 };
 
 class DualSparseBackend : public Backend

@@ -117,18 +117,30 @@ operandsValid(const KernelRequest &request)
     switch (request.kind) {
       case KernelRequest::Kind::Gemm:
         // Both sides in one form: synthetic, concrete, profiled or
-        // pre-encoded (a conv input tensor has no GEMM meaning).
-        return a.form.index() == b.form.index() && !a.tensor();
+        // pre-encoded (a conv input tensor has no GEMM meaning), and
+        // concrete sides share their K extent.
+        return a.form.index() == b.form.index() && !a.tensor() &&
+               (!a.matrix() || a.matrix()->cols() == b.matrix()->rows());
       case KernelRequest::Kind::Spmm:
-        // B streams through dense: concrete beside a concrete A,
-        // else synthetic. A profile comes at strip granularity.
+        // B streams through dense: concrete beside a concrete A (of
+        // the same K extent), else synthetic. A profile comes at
+        // strip granularity.
         if (a.matrix())
-            return b.matrix() != nullptr;
+            return b.matrix() && a.matrix()->cols() == b.matrix()->rows();
         return b.synthetic() &&
                (a.synthetic() || (a.profile() && a.profile()->tile() == 8));
-      case KernelRequest::Kind::Conv:
-        return (a.tensor() && b.matrix()) ||
-               (a.synthetic() && b.synthetic());
+      case KernelRequest::Kind::Conv: {
+        if (a.synthetic() && b.synthetic())
+            return true;
+        // A functional conv's tensor and weights (out_c x in_c*k*k)
+        // must both match its shape.
+        const Tensor4d *x = a.tensor();
+        const Matrix<float> *w = b.matrix();
+        const ConvShape &s = request.shape;
+        return x && w && x->n() == s.batch && x->c() == s.in_c &&
+               x->h() == s.in_h && x->w() == s.in_w &&
+               w->rows() == s.out_c && w->cols() == s.loweredCols();
+      }
     }
     return false;
 }

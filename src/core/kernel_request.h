@@ -182,6 +182,9 @@ struct Operand
  *    synthetic (dense) B, or two matrices;
  *  - conv: a synthetic pair (activation, weight sparsity), or the
  *    input Tensor4d in `a` with the weight Matrix in `b`.
+ * Concrete operands must also agree in extent: GEMM/SpMM matrices on
+ * K, and a conv's tensor and out_c x (in_c * k * k) weights on its
+ * shape.
  */
 struct KernelRequest
 {
@@ -426,7 +429,8 @@ struct KernelRequest
 
 /**
  * The one rule on operand form pairs (see KernelRequest): true when
- * @p request's `a` and `b` forms are a pair its kind accepts.
+ * @p request's `a` and `b` forms are a pair its kind accepts and any
+ * concrete operands agree in extent.
  * KernelRegistry::supports answers false and KernelRegistry::plan
  * panics on any other pair.
  */

@@ -1,8 +1,9 @@
 /**
  * @file
  * Method::Auto estimate-vs-actual tests. Auto ranks candidate
- * backends by plan-stage estimates. A dual-sparse plan reports the
- * profile stats it was ranked by, so its gap is zero by
+ * backends by plan-stage estimates. A dual-sparse GEMM plan reports
+ * the profile stats it was ranked by, and a conv plan the stats of
+ * the real operands' encoding, so their gap is zero by
  * construction; the cuSPARSE-like baseline prices an expected-value
  * model but executes real CSR products. These tests pin the gaps
  * across the sparsity grid and assert they never misrank the
@@ -22,6 +23,8 @@
 #include "common/rng.h"
 #include "core/session.h"
 #include "gemm/sparsity_profile.h"
+#include "model/pruning.h"
+#include "model/sparsity_gen.h"
 #include "sparse/mtx_io.h"
 #include "sparse/word_encode.h"
 #include "tensor/reference.h"
@@ -38,6 +41,45 @@ pointRequest(const Matrix<float> &a, const Matrix<float> &b,
     req.method = method;
     req.gemm_options.functional = false; // stats are what we compare
     return req;
+}
+
+/** The two functional 3x3 convs of the estimate tests, stride 1 and
+ *  stride 2: a ReLU'd input and magnitude-pruned weights at
+ *  ResNet-like sparsities. */
+struct FunctionalConv
+{
+    std::string label;
+    ConvShape shape;
+    Tensor4d input;
+    Matrix<float> weights;
+
+    KernelRequest
+    request() const
+    {
+        return KernelRequest::conv(input, weights, shape);
+    }
+};
+
+std::vector<FunctionalConv>
+functionalConvs(Rng &rng)
+{
+    std::vector<FunctionalConv> convs;
+    for (int stride : {1, 2}) {
+        FunctionalConv &c = convs.emplace_back();
+        c.label = "functional conv, stride " + std::to_string(stride);
+        c.shape.in_c = 32;
+        c.shape.in_h = c.shape.in_w = 14 * stride;
+        c.shape.out_c = 64;
+        c.shape.stride = stride;
+        c.input = reluActivationTensor(1, c.shape.in_c, c.shape.in_h,
+                                       c.shape.in_w, 0.5, rng);
+        c.weights = magnitudePrune(
+            randomSparseMatrix(c.shape.out_c,
+                               static_cast<int>(c.shape.loweredCols()),
+                               0.0, rng),
+            0.8);
+    }
+    return convs;
 }
 
 TEST(AutoEstimateTest, EstimateIsRecordedInTheReport)
@@ -156,13 +198,11 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
     // Auto ranks candidates, and cluster placement prices requests,
     // by plan-stage estimates. Every default backend, on every
     // request flavor it supports, must estimate exactly the time it
-    // then executes. Two flavors are left out on purpose:
-    //  - cuSPARSE-like concrete GEMM: the estimate is the
-    //    expected-value model at the operands' densities, while
-    //    execution counts the real CSR products. The gap is by
-    //    design; NoMisrankingAtBackendCrossovers bounds its effect.
-    //  - functional conv: the estimate times the operands' measured
-    //    sparsities, while execution runs the convolution itself.
+    // then executes. One flavor is left out on purpose: on a
+    // cuSPARSE-like concrete GEMM the estimate is the expected-value
+    // model at the operands' densities, while execution counts the
+    // real CSR products. The gap is by design;
+    // NoMisrankingAtBackendCrossovers bounds its effect.
     Session session;
     Rng rng(505);
     const Matrix<float> a = randomSparseMatrix(96, 80, 0.85, rng);
@@ -204,8 +244,10 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
     shape.in_c = 32;
     shape.in_h = shape.in_w = 14;
     shape.out_c = 32;
+    Rng conv_rng(507);
+    const std::vector<FunctionalConv> convs = functionalConvs(conv_rng);
 
-    const std::vector<std::pair<std::string, KernelRequest>> flavors = {
+    std::vector<std::pair<std::string, KernelRequest>> flavors = {
         {"synthetic gemm", KernelRequest::gemm(256, 192, 160, 0.8, 0.6)},
         {"profile gemm", KernelRequest::gemm(pa, pb)},
         {"concrete gemm", KernelRequest::gemm(a, b)},
@@ -216,6 +258,8 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
         {"concrete spmm", KernelRequest::spmm(sa, sb)},
         {"synthetic conv", KernelRequest::conv(shape, 0.8, 0.6)},
     };
+    for (const FunctionalConv &c : convs)
+        flavors.emplace_back(c.label, c.request());
     std::set<std::string> checked;
     for (const auto &[flavor, request] : flavors) {
         for (const auto &backend : session.registry().backends()) {
@@ -244,10 +288,12 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
 TEST(AutoEstimateTest, FunctionalDualPlansReportTheirEstimate)
 {
     // A functional dual-sparse plan reports the stats it was ranked
-    // by, bit for bit, and a plan executed without an estimate
-    // reports those same stats. The GEMMs include ragged shapes (M or
-    // N not a multiple of the 32-wide warp tile), where the one
-    // SpGEMM timing model sizes the output by whole warp tiles.
+    // by, bit for bit, and a plan of its method executed without an
+    // estimate reports those same stats and values. The GEMMs include
+    // ragged shapes (M or N not a multiple of the 32-wide warp tile),
+    // where the one SpGEMM timing model sizes the output by whole
+    // warp tiles. The convs run under DualSparse and under Auto, whose
+    // estimates lower the real operands.
     Rng rng(510);
     std::deque<Matrix<float>> operands;
     std::vector<std::pair<std::string, KernelRequest>> requests;
@@ -263,7 +309,8 @@ TEST(AutoEstimateTest, FunctionalDualPlansReportTheirEstimate)
                 "gemm " + std::to_string(m) + "x" + std::to_string(k) +
                     "x" + std::to_string(n) + " at sparsity " +
                     std::to_string(sparsity),
-                KernelRequest::gemm(a, b));
+                KernelRequest::gemm(a, b).withMethod(
+                    Method::DualSparse));
         }
     }
     for (const char *name : {"cora_like", "ppi_like"}) {
@@ -275,13 +322,18 @@ TEST(AutoEstimateTest, FunctionalDualPlansReportTheirEstimate)
             << error;
         const Matrix<float> &b = operands.emplace_back(
             randomSparseMatrix(a.cols(), 32, 0.0, rng));
-        requests.emplace_back(std::string("spmm ") + name,
-                              KernelRequest::spmm(a, b));
+        requests.emplace_back(
+            std::string("spmm ") + name,
+            KernelRequest::spmm(a, b).withMethod(Method::DualSparse));
     }
+    const std::vector<FunctionalConv> convs = functionalConvs(rng);
+    for (const FunctionalConv &c : convs)
+        for (Method method : {Method::DualSparse, Method::Auto})
+            requests.emplace_back(
+                c.label + " / " + methodToken(method),
+                c.request().withMethod(method));
 
-    for (const auto &[label, request] : requests) {
-        const KernelRequest req =
-            KernelRequest(request).withMethod(Method::DualSparse);
+    for (const auto &[label, req] : requests) {
         Session estimated_session, fresh_session;
         auto plan = estimated_session.plan(req);
         const double estimate = plan->estimatedTimeUs();
@@ -289,10 +341,18 @@ TEST(AutoEstimateTest, FunctionalDualPlansReportTheirEstimate)
         EXPECT_EQ(report.stats.timeUs(), estimate) << label;
         EXPECT_EQ(report.planned_us, estimate) << label;
 
-        const KernelReport unestimated = fresh_session.run(req);
+        const KernelReport unestimated = fresh_session.run(
+            KernelRequest(req).withMethod(report.method));
         EXPECT_EQ(unestimated.stats, report.stats) << label;
-        ASSERT_TRUE(report.d && unestimated.d) << label;
-        EXPECT_TRUE(*unestimated.d == *report.d) << label;
+        if (req.kind == KernelRequest::Kind::Conv) {
+            ASSERT_TRUE(report.output && unestimated.output) << label;
+            EXPECT_TRUE(unestimated.output->data() ==
+                        report.output->data())
+                << label;
+        } else {
+            ASSERT_TRUE(report.d && unestimated.d) << label;
+            EXPECT_TRUE(*unestimated.d == *report.d) << label;
+        }
     }
 }
 

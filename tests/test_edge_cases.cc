@@ -2,10 +2,14 @@
  * @file
  * Cross-cutting edge cases: configurations the main suites do not
  * reach — rectangular feature maps, non-default tiling options,
- * FP16 extreme values flowing through the kernels, and degenerate
- * shapes.
+ * FP16 extreme values flowing through the kernels, degenerate
+ * shapes, and operands whose extents disagree.
  */
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/fp16.h"
 #include "common/rng.h"
@@ -190,6 +194,65 @@ TEST(EdgeCases, OneByOneConvIsPureGemm)
                          static_cast<double>(std::fabs(
                              r.output->data()[i] - golden.data()[i])));
     EXPECT_LT(worst, 2e-2);
+}
+
+TEST(EdgeCases, OperandExtentMismatchesAreUnsupported)
+{
+    // Concrete operands that disagree in extent are refused up front
+    // (operandsValid), never handed to a kernel that indexes past
+    // them. Each case is one extent off from a supported request.
+    Rng rng(308);
+    const Matrix<float> a = randomSparseMatrix(64, 48, 0.5, rng);
+    const Matrix<float> b = randomSparseMatrix(48, 32, 0.5, rng);
+    const Matrix<float> b_short = randomSparseMatrix(40, 32, 0.5, rng);
+    ConvShape shape;
+    shape.in_c = 4;
+    shape.in_h = shape.in_w = 8;
+    shape.out_c = 8;
+    const Tensor4d input = randomSparseTensor(1, 4, 8, 8, 0.5, rng);
+    const Matrix<float> weights = randomSparseMatrix(8, 36, 0.5, rng);
+    const Tensor4d wrong_inputs[] = {
+        randomSparseTensor(2, 4, 8, 8, 0.5, rng),
+        randomSparseTensor(1, 5, 8, 8, 0.5, rng),
+        randomSparseTensor(1, 4, 9, 8, 0.5, rng),
+        randomSparseTensor(1, 4, 8, 7, 0.5, rng),
+    };
+    const Matrix<float> wrong_weights[] = {
+        randomSparseMatrix(7, 36, 0.5, rng),
+        randomSparseMatrix(8, 35, 0.5, rng),
+    };
+
+    std::vector<std::pair<std::string, KernelRequest>> mismatched = {
+        {"gemm K", KernelRequest::gemm(a, b_short)},
+        {"spmm K", KernelRequest::spmm(a, b_short)},
+    };
+    const char *tensor_dims[] = {"batch", "in_c", "in_h", "in_w"};
+    for (int i = 0; i < 4; ++i)
+        mismatched.emplace_back(
+            std::string("conv input ") + tensor_dims[i],
+            KernelRequest::conv(wrong_inputs[i], weights, shape));
+    mismatched.emplace_back(
+        "conv weight rows",
+        KernelRequest::conv(input, wrong_weights[0], shape));
+    mismatched.emplace_back(
+        "conv weight cols",
+        KernelRequest::conv(input, wrong_weights[1], shape));
+
+    Session session;
+    for (Method method : {Method::Auto, Method::DualSparse,
+                          Method::Dense}) {
+        for (KernelRequest req : {KernelRequest::gemm(a, b),
+                                  KernelRequest::spmm(a, b),
+                                  KernelRequest::conv(input, weights,
+                                                      shape)})
+            EXPECT_TRUE(session.registry().supports(
+                req.withMethod(method)))
+                << methodToken(method);
+        for (auto [label, req] : mismatched)
+            EXPECT_FALSE(session.registry().supports(
+                req.withMethod(method)))
+                << label << " / " << methodToken(method);
+    }
 }
 
 } // namespace

@@ -236,12 +236,21 @@ TEST(SessionTest, RunBatchNestsInSharedPool)
     const Matrix<float> a = randomSparseMatrix(160, 128, 0.6, rng);
     const Matrix<float> b = randomSparseMatrix(128, 96, 0.7, rng);
     const Matrix<float> adjacency = randomSparseMatrix(128, 128, 0.95, rng);
+    ConvShape shape;
+    shape.in_c = 16;
+    shape.in_h = shape.in_w = 14;
+    shape.out_c = 32;
+    const Tensor4d input = randomSparseTensor(1, 16, 14, 14, 0.5, rng);
+    const Matrix<float> weights = randomSparseMatrix(32, 144, 0.8, rng);
     std::vector<KernelRequest> requests = mixedRequests();
     requests.push_back(KernelRequest::gemm(a, b).withMethod(Method::Auto));
     requests.push_back(
         KernelRequest::gemm(a, b).withMethod(Method::DualSparse));
     requests.push_back(
         KernelRequest::spmm(adjacency, b).withMethod(Method::Auto));
+    // Its estimates lower the real tensor on the pool inside plan().
+    requests.push_back(KernelRequest::conv(input, weights, shape)
+                           .withMethod(Method::Auto));
 
     Session serial;
     std::vector<KernelReport> want;
@@ -259,6 +268,13 @@ TEST(SessionTest, RunBatchNestsInSharedPool)
                 << context << i;
             if (got[i].d)
                 EXPECT_TRUE(*got[i].d == *want[i].d) << context << i;
+            ASSERT_EQ(got[i].output == nullptr,
+                      want[i].output == nullptr)
+                << context << i;
+            if (got[i].output)
+                EXPECT_TRUE(got[i].output->data() ==
+                            want[i].output->data())
+                    << context << i;
         }
     };
 
