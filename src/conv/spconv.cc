@@ -124,13 +124,13 @@ ConvExecutor::run(const Tensor4d &input, const Matrix<float> &weights,
                   const ConvShape &shape, ConvMethod method,
                   const ConvOptions &options) const
 {
-    std::optional<LoweredFeatureMap> lowered;
+    EncodedFeatureMap fmap;
     ConvResult result;
     result.stats = timeEncoded(
         shape, method,
-        encode(input, weights, shape, method, options, &lowered));
+        encode(input, weights, shape, method, options, &fmap));
     result.output = values(input, weights, shape, method, options,
-                           std::move(lowered));
+                           std::move(fmap));
     return result;
 }
 
@@ -138,28 +138,30 @@ ConvOperandEncoding
 ConvExecutor::encode(const Tensor4d &input, const Matrix<float> &weights,
                      const ConvShape &shape, ConvMethod method,
                      const ConvOptions &options,
-                     std::optional<LoweredFeatureMap> *lowered) const
+                     EncodedFeatureMap *fmap) const
 {
     checkWeights(weights, shape);
     if (!isImplicitSparse(method))
         return analyticEncoding(shape, method);
 
-    const BitmapFeatureMap fmap = BitmapFeatureMap::encode(input);
+    BitmapFeatureMap bitmap = BitmapFeatureMap::encode(input);
     ConvOperandEncoding enc;
-    if (method == ConvMethod::DualSparseImplicit) {
-        lowered->emplace(im2colFromBitmap(fmap, shape, true,
-                                          options.num_workers));
-        enc.a = SparsityProfile::fromLowered(**lowered, 32);
-    } else {
-        enc.a = SparsityProfile::denseA(shape.loweredRows(),
-                                        shape.loweredCols(), 32);
-    }
     // The flattened weights' 32-wide row slices are the stored
     // weights' 32-tall column slices: the B profile reads them in
     // place, without the transpose.
     enc.b = SparsityProfile::fromMatrixAWord(weights, 32);
-    enc.input_bytes = static_cast<double>(fmap.encodedBytes());
+    enc.input_bytes = static_cast<double>(bitmap.encodedBytes());
     enc.weight_bytes = static_cast<double>(enc.b->encodedBytes(32));
+    if (method == ConvMethod::DualSparseImplicit) {
+        const LoweredFeatureMap &lowered =
+            fmap->emplace<LoweredFeatureMap>(im2colFromBitmap(
+                bitmap, shape, true, options.num_workers));
+        enc.a = SparsityProfile::fromLowered(lowered, 32);
+    } else {
+        enc.a = SparsityProfile::denseA(shape.loweredRows(),
+                                        shape.loweredCols(), 32);
+        *fmap = std::move(bitmap);
+    }
     return enc;
 }
 
@@ -167,7 +169,7 @@ Tensor4d
 ConvExecutor::values(const Tensor4d &input, const Matrix<float> &weights,
                      const ConvShape &shape, ConvMethod method,
                      const ConvOptions &options,
-                     std::optional<LoweredFeatureMap> lowered) const
+                     EncodedFeatureMap fmap) const
 {
     checkWeights(weights, shape);
     const Matrix<float> wt = flattenWeightsTransposed(weights);
@@ -188,12 +190,15 @@ ConvExecutor::values(const Tensor4d &input, const Matrix<float> &weights,
     // The word-parallel implicit pipeline: the bitmap lowering is
     // re-tiled straight into the two-level SpGEMM operand, then the
     // pooled output-tile loop computes D.
-    if (!lowered)
-        lowered = im2colFromBitmap(BitmapFeatureMap::encode(input),
-                                   shape, true, options.num_workers);
+    if (std::holds_alternative<std::monostate>(fmap))
+        fmap = BitmapFeatureMap::encode(input);
+    if (const auto *bitmap = std::get_if<BitmapFeatureMap>(&fmap))
+        fmap = im2colFromBitmap(*bitmap, shape, true,
+                                options.num_workers);
+    const LoweredFeatureMap &lowered = std::get<LoweredFeatureMap>(fmap);
     SpGemmOptions gemm_opts;
     gemm_opts.num_workers = options.num_workers;
-    const TwoLevelBitmapMatrix a_enc = lowered->toTwoLevel(
+    const TwoLevelBitmapMatrix a_enc = lowered.toTwoLevel(
         kWarpTile, gemm_opts.tile_k, options.num_workers);
     const TwoLevelBitmapMatrix b_enc =
         wordEncodeTwoLevel(wt, gemm_opts.tile_k, kWarpTile, Major::Row,

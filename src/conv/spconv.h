@@ -19,6 +19,7 @@
 #define DSTC_CONV_SPCONV_H
 
 #include <optional>
+#include <variant>
 
 #include "gemm/sparsity_profile.h"
 #include "im2col/bitmap_im2col.h"
@@ -108,6 +109,16 @@ encodeConvOperands(const ConvShape &shape, ConvMethod method,
                    uint64_t seed = 1, double weight_cluster = 1.0,
                    double act_cluster = 1.0);
 
+/**
+ * What ConvExecutor::encode read of a real feature map, handed on to
+ * ConvExecutor::values so the map is not encoded twice: the bitmap
+ * feature map (Single Sparse Implicit) or its bitmap lowering (Dual
+ * Sparse). Empty for the analytic methods, and when values() runs
+ * without encode().
+ */
+using EncodedFeatureMap =
+    std::variant<std::monostate, BitmapFeatureMap, LoweredFeatureMap>;
+
 /** Runs convolution layers on the modeled device. */
 class ConvExecutor
 {
@@ -131,18 +142,17 @@ class ConvExecutor
     /**
      * Encode real operands as far as the timing model needs and no
      * further. Single Sparse Implicit reads the bitmap feature map's
-     * footprint and the weights' profile. Dual Sparse also lowers the
-     * feature map through the bitmap im2col for its A profile (read
-     * off the column bitmaps by popcount) and stores that lowering
-     * in @p lowered for values(). The other methods are analytic and
-     * read neither operand.
+     * footprint and the weights' profile, and stores the bitmap in
+     * @p fmap. Dual Sparse also lowers the feature map through the
+     * bitmap im2col for its A profile (read off the column bitmaps by
+     * popcount) and stores that lowering in @p fmap instead. The
+     * other methods are analytic and read neither operand.
      */
     ConvOperandEncoding encode(const Tensor4d &input,
                                const Matrix<float> &weights,
                                const ConvShape &shape, ConvMethod method,
                                const ConvOptions &options,
-                               std::optional<LoweredFeatureMap> *lowered)
-        const;
+                               EncodedFeatureMap *fmap) const;
 
     /**
      * The values half of run(): the output tensor alone. The
@@ -150,14 +160,15 @@ class ConvExecutor
      * into the two-level SpGEMM operand (no dense lowered matrix, no
      * per-pixel decode) and run the values-only output-tile loop
      * (SpGemmDevice::multiplyValues) over ConvOptions::num_workers;
-     * they take encode()'s lowering of @p input in @p lowered, or
-     * lower it here when that is empty. The explicit / dense-implicit
-     * baselines lower densely and run the FP16 reference GEMM.
+     * they start from what encode() kept of @p input in @p fmap, and
+     * encode and lower it here only as far as that is empty. The
+     * explicit / dense-implicit baselines lower densely and run the
+     * FP16 reference GEMM.
      */
     Tensor4d values(const Tensor4d &input, const Matrix<float> &weights,
                     const ConvShape &shape, ConvMethod method,
                     const ConvOptions &options,
-                    std::optional<LoweredFeatureMap> lowered = {}) const;
+                    EncodedFeatureMap fmap = {}) const;
 
     /**
      * The pre-word-parallel path, kept verbatim as the reference

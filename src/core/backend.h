@@ -3,16 +3,18 @@
  * The polymorphic backend protocol behind the KernelRegistry.
  *
  * A Backend answers KernelRequests for one execution method. The
- * two-phase protocol separates operand encoding from execution:
+ * two-phase protocol separates planning from execution:
  *
- *   backend->plan(request, ctx)   // resolve/encode operands
- *          ->execute()            // run, yielding a KernelReport
+ *   backend->plan(request, ctx)   // a plan over the request
+ *          ->execute()            // stats, plus values if functional
  *
- * plan() is where two-level bitmap construction, profile synthesis
- * and im2col lowering parameters are resolved — through the
- * EncodingCache, so repeated layers reuse their encodings. plans are
- * also the unit of Auto dispatch: estimatedTimeUs() lets the registry
- * compare candidate backends before committing to one.
+ * plan() itself is cheap: a plan resolves operand encodings (two-level
+ * bitmaps, popcount profiles, CSR, im2col lowerings) lazily, through
+ * the EncodingCache, so repeated layers reuse their encodings and a
+ * losing Auto candidate never pays for an encode its timing does not
+ * need. Plans are the unit of Auto dispatch: estimatedTimeUs() lets
+ * the registry compare candidate backends before committing to one,
+ * and it reads the same stats the plan then executes with.
  */
 #ifndef DSTC_CORE_BACKEND_H
 #define DSTC_CORE_BACKEND_H
@@ -119,9 +121,12 @@ class OperandDigests
 };
 
 /**
- * A planned kernel: operands resolved/encoded, ready to execute.
- * Execution is memoized — execute() and estimatedTimeUs() share one
- * underlying run, so Auto dispatch never pays twice.
+ * A planned kernel. Every plan has one shape: a pure timing hook that
+ * yields the plan's one KernelStats, memoized by stats(), and a values
+ * hook that computes the output of a functional request. The estimate
+ * Auto ranks by, the stats execute() reports and the stats a composer
+ * merges are that one memo, so a plan never times itself twice and
+ * never runs its kernel just to be ranked.
  *
  * This is the skeleton every backend's plan builds on: it holds the
  * request (copied once), the PlanContext (borrowed pointers: the
@@ -138,9 +143,8 @@ class ExecutionPlan
 
     /**
      * Predicted kernel time, used by Method::Auto to rank candidate
-     * backends. For the analytic timing paths this *is* the final
-     * time; functional plans may answer from the operands' profiles
-     * without computing values.
+     * backends and by cluster placement to price a request: the time
+     * of stats(), except where a plan overrides estimate().
      */
     double
     estimatedTimeUs()
@@ -150,12 +154,32 @@ class ExecutionPlan
         return *estimated_;
     }
 
-    /** Execute the plan (idempotent: repeated calls return the same
-     *  report). */
+    /** The plan's one KernelStats (memoized; computes no values). */
+    const KernelStats &
+    stats()
+    {
+        if (!stats_)
+            stats_ = timing();
+        return *stats_;
+    }
+
+    /**
+     * Execute the plan: stats() plus, for a functional request, the
+     * output values. Idempotent: the values are computed once, and
+     * repeated calls return the same report. Values come before
+     * stats(), so a plan executed without an estimate may time the
+     * encodings its values resolved.
+     */
     KernelReport
     execute()
     {
-        KernelReport r = result();
+        if (!executing_) {
+            executing_ = true;
+            if (wantsValues())
+                values(values_);
+        }
+        KernelReport r = values_;
+        r.stats = stats();
         r.method = method_;
         r.backend = backend_name_;
         r.tag = req_.tag;
@@ -168,21 +192,23 @@ class ExecutionPlan
     Method method() const { return method_; }
 
   protected:
-    /** Perform the actual (timing or functional) execution. */
-    virtual KernelReport run() = 0;
+    /** The plan's timing model over its (lazily resolved) operands. */
+    virtual KernelStats timing() = 0;
 
-    /** Default estimate: execute and read the clock. Analytic
-     *  backends inherit this; functional plans override it with a
-     *  profile-only path. */
-    virtual double estimate() { return result().stats.timeUs(); }
+    /** Fill @p report's d (GEMM, SpMM) or output (conv) and nothing
+     *  else. Called at most once, and only for a request that wants
+     *  values. */
+    virtual void values(KernelReport &report) = 0;
 
-    const KernelReport &
-    result()
-    {
-        if (!result_)
-            result_ = run();
-        return *result_;
-    }
+    /** The ranking number. Overridden only by the two plans whose
+     *  ranking deliberately differs from their stats (each documents
+     *  why). */
+    virtual double estimate() { return stats().timeUs(); }
+
+    /** Whether execute() has been called. A timing hook that runs
+     *  after that point (no estimate or stats() call came first) may
+     *  time operand encodings that execution resolves anyway. */
+    bool executing() const { return executing_; }
 
     /**
      * Resolve one operand encoding through a gemm_operands.h
@@ -208,11 +234,23 @@ class ExecutionPlan
     const PlanContext ctx_;
 
   private:
+    /** A functional request computes values: conv always, GEMM and
+     *  SpMM unless gemm_options.functional is off. */
+    bool
+    wantsValues() const
+    {
+        return req_.functional() &&
+               (req_.kind == KernelRequest::Kind::Conv ||
+                req_.gemm_options.functional);
+    }
+
     const char *backend_name_;
     Method method_;
     bool cache_hit_ = false;
+    bool executing_ = false;
     std::optional<double> estimated_;
-    std::optional<KernelReport> result_;
+    std::optional<KernelStats> stats_;
+    KernelReport values_; ///< d / output only
 };
 
 /** One execution method, as registered with the KernelRegistry. */

@@ -7,7 +7,7 @@
  * the composer never re-implements a kernel, it
  * only slices operand views (SparsityProfile::selectGroups,
  * TwoLevelBitmapMatrix::selectTileRows, a row gather for the dense
- * matrix classes) and merges the per-class reports. Because every
+ * matrix classes) and merges the per-class stats. Because every
  * backend computes an output row stripe from that stripe's A rows
  * plus the full B operand, a class's rows are bitwise identical to
  * the same backend's full-request rows — slicing never changes
@@ -101,11 +101,11 @@ classSubRequest(const KernelRequest &req, KernelRequest sub,
     return sub;
 }
 
-/** Plan-stage stats of one class under one method, through the
- *  registry's plan() on a profile-form sub-request (exact
+/** Plan-stage stats of one class under one method: the stats() of
+ *  the registry's plan of a profile-form sub-request (exact
  *  densities, no values computed). Full stats, not a scalar: the
- *  split objective must merge class components the same way
- *  execution does. */
+ *  split objective must merge class components the same way the
+ *  hybrid's own stats() does. */
 KernelStats
 classEstimate(const KernelRequest &req, const PlanContext &ctx,
               const SparsityProfile &a_slice,
@@ -118,14 +118,14 @@ classEstimate(const KernelRequest &req, const PlanContext &ctx,
             : KernelRequest::gemm(a_slice, *b_full),
         method);
     sub.gemm_options.functional = false;
-    return ctx.registry->plan(sub, ctx)->execute().stats;
+    return ctx.registry->plan(sub, ctx)->stats();
 }
 
-/** The executed hybrid's merged cost of a set of classes: component
- *  sums under the KernelStats rule (max of summed compute and memory
- *  plus every class's launch), NOT the sum of per-class times — a
+/** The hybrid's merged cost of a set of classes: component sums
+ *  under the KernelStats rule (max of summed compute and memory plus
+ *  every class's launch), NOT the sum of per-class times — a
  *  compute-bound class overlaps a memory-bound one, and the planner
- *  must price splits exactly as run() will report them. */
+ *  must price splits exactly as the plan's stats() merges them. */
 double
 mergedTimeUs(const std::vector<const KernelStats *> &classes)
 {
@@ -308,72 +308,64 @@ class HybridPlan : public ExecutionPlan
     using ExecutionPlan::ExecutionPlan;
 
   protected:
+    /** The merged split objective the split was chosen by. It stays
+     *  an override: its class estimates are profile-form
+     *  sub-requests, so a cuSPARSE-like class of a concrete request
+     *  inherits that backend's documented estimate gap. */
     double
     estimate() override
     {
         return split().total_estimated_us;
     }
 
-    KernelReport
-    run() override
+    /** The class plans' stats() merged under the KernelStats rule;
+     *  no values are computed. */
+    KernelStats
+    timing() override
+    {
+        const auto &plans = classPlans();
+        KernelStats merged = plans.front()->stats();
+        for (size_t i = 1; i < plans.size(); ++i)
+            merged += plans[i]->stats();
+        merged.name = hybridName(split());
+        merged.bound = merged.compute_us > merged.memory_us
+                           ? Bound::Compute
+                           : Bound::Memory;
+        return merged;
+    }
+
+    /** Executes the class plans sequentially in deterministic (low,
+     *  high) order and scatters their rows back to their global
+     *  stripes (group g's rows live at g * tile). Each class's kernel
+     *  partitions its own tile loop over the shared pool per
+     *  SpGemmOptions::num_workers, so the output is bitwise identical
+     *  for every worker count and submission path. */
+    void
+    values(KernelReport &report) override
     {
         const HybridSplit &s = split();
+        const auto &plans = classPlans();
+        if (!s.split()) {
+            report.d = plans.front()->execute().d; // share, don't copy
+            return;
+        }
         const int tile = partitionTile();
-        const bool want_d =
-            req_.functional() && req_.gemm_options.functional;
-
-        KernelReport merged;
-        Matrix<float> d;
-        if (want_d && s.split())
-            d = Matrix<float>(static_cast<int>(req_.m),
-                              static_cast<int>(req_.n));
-
-        // Classes execute sequentially in deterministic (low, high)
-        // order; each class's kernel partitions its own tile loop
-        // over the shared pool per SpGemmOptions::num_workers, so
-        // the merged report is bitwise identical for every worker
-        // count and submission path.
-        matrix_slices_.reserve(s.classes.size());
-        encoded_slices_.reserve(s.classes.size());
-        profile_slices_.reserve(s.classes.size());
-        bool first = true;
-        for (const HybridClass &cls : s.classes) {
-            KernelReport r =
-                ctx_.registry->plan(classRequest(cls), ctx_)->execute();
-            if (first) {
-                merged.stats = r.stats;
-                first = false;
-            } else {
-                merged.stats += r.stats;
-            }
-            if (want_d) {
-                if (!s.split()) {
-                    merged.d = r.d; // wholesale: share, don't copy
-                } else if (r.d) {
-                    // Scatter the class rows back to their global
-                    // stripes (group g's rows live at g * tile).
-                    int src = 0;
-                    for (int g : cls.groups) {
-                        const int r0 = g * tile;
-                        const int r1 =
-                            std::min(static_cast<int>(req_.m),
-                                     r0 + tile);
-                        for (int row = r0; row < r1; ++row, ++src)
-                            for (int c = 0; c < r.d->cols(); ++c)
-                                d.at(row, c) = r.d->at(src, c);
-                    }
-                }
+        Matrix<float> d(static_cast<int>(req_.m),
+                        static_cast<int>(req_.n));
+        for (size_t i = 0; i < plans.size(); ++i) {
+            const std::shared_ptr<const Matrix<float>> part =
+                plans[i]->execute().d;
+            int src = 0;
+            for (int g : s.classes[i].groups) {
+                const int r0 = g * tile;
+                const int r1 =
+                    std::min(static_cast<int>(req_.m), r0 + tile);
+                for (int row = r0; row < r1; ++row, ++src)
+                    for (int c = 0; c < part->cols(); ++c)
+                        d.at(row, c) = part->at(src, c);
             }
         }
-        merged.stats.name = hybridName(s);
-        merged.stats.bound =
-            merged.stats.compute_us > merged.stats.memory_us
-                ? Bound::Compute
-                : Bound::Memory;
-        if (want_d && s.split())
-            merged.d = std::make_shared<const Matrix<float>>(
-                std::move(d));
-        return merged;
+        report.d = std::make_shared<const Matrix<float>>(std::move(d));
     }
 
   private:
@@ -385,6 +377,23 @@ class HybridPlan : public ExecutionPlan
             split_ = planSplit(req_, ctx_, view_);
         }
         return *split_;
+    }
+
+    /** One registry plan per class of the split, planned once: the
+     *  stats merge and the values both read them. */
+    const std::vector<std::unique_ptr<ExecutionPlan>> &
+    classPlans()
+    {
+        if (class_plans_.empty()) {
+            const HybridSplit &s = split();
+            matrix_slices_.reserve(s.classes.size());
+            encoded_slices_.reserve(s.classes.size());
+            profile_slices_.reserve(s.classes.size());
+            for (const HybridClass &cls : s.classes)
+                class_plans_.push_back(
+                    ctx_.registry->plan(classRequest(cls), ctx_));
+        }
+        return class_plans_;
     }
 
     /** Tile-row group edge of the partition (the A-side warp-tile
@@ -399,8 +408,8 @@ class HybridPlan : public ExecutionPlan
     }
 
     /** The sub-request one class executes. Slices are stored on the
-     *  plan so the non-owning request pointers stay valid through
-     *  the sub-plan's execution. */
+     *  plan so the non-owning request pointers stay valid for the
+     *  class plans' lifetime. */
     KernelRequest
     classRequest(const HybridClass &cls)
     {
@@ -472,6 +481,7 @@ class HybridPlan : public ExecutionPlan
     std::vector<SparsityProfile> profile_slices_;
     std::shared_ptr<const TwoLevelBitmapMatrix> a_enc_;
     std::shared_ptr<const TwoLevelBitmapMatrix> b_enc_;
+    std::vector<std::unique_ptr<ExecutionPlan>> class_plans_;
 };
 
 class HybridBackend : public Backend

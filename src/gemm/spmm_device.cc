@@ -48,13 +48,141 @@ SpmmDevice::SpmmDevice(const GpuConfig &cfg)
 {
 }
 
-KernelStats
-SpmmDevice::narrowTimeFromCounts(
-    const std::vector<int64_t> &strip_vectors,
-    const std::vector<int64_t> &strip_nnz, int64_t m, int64_t n,
-    int64_t k, DataType dtype) const
+Matrix<float>
+SpmmDevice::multiplyNarrow(const NarrowTileMatrix &a,
+                           const Matrix<float> &b,
+                           const QuantSpec &spec_b,
+                           const SpGemmOptions &options) const
 {
-    const int n_strips = static_cast<int>(strip_vectors.size());
+    DSTC_ASSERT(a.cols() == b.rows(), "SpMM dims: ", a.rows(), "x",
+                a.cols(), " * ", b.rows(), "x", b.cols());
+    const QuantSpec &spec_a = a.spec();
+    DSTC_ASSERT(spec_a.dtype == spec_b.dtype,
+                "operand datatypes must match");
+    const int64_t m = a.rows(), n = b.cols();
+    const std::vector<float> bq =
+        quantizeB(b, spec_b, options.num_workers);
+    Matrix<float> d(static_cast<int>(m), static_cast<int>(n));
+    float *d_base = d.data().data();
+
+    // Each strip owns a disjoint 8-row region of D, so the strip loop
+    // partitions over workers with bitwise-identical results: within
+    // a strip, every output cell accumulates its products in
+    // ascending-column (= ascending-k) order.
+    auto run_strip = [&](int64_t sl) {
+        const int s = static_cast<int>(sl);
+        const int64_t r0 =
+            static_cast<int64_t>(s) * NarrowTileMatrix::kStripRows;
+        int64_t v = a.stripOffset(s);
+        const int wps = a.wordsPerStrip();
+        for (int w = 0; w < wps; ++w) {
+            uint64_t word = a.stripWord(s, w);
+            const int64_t c_base = static_cast<int64_t>(w) << 6;
+            while (word) {
+                const int64_t c = c_base + std::countr_zero(word);
+                word &= word - 1;
+                uint8_t mask = a.vectorMask(v);
+                const float *vals = a.vectorValuesQuant(v).data();
+                const float *brow =
+                    bq.data() + static_cast<size_t>(c) * n;
+                while (mask) {
+                    const int j =
+                        std::countr_zero(static_cast<uint32_t>(mask));
+                    mask = static_cast<uint8_t>(mask & (mask - 1));
+                    const float x = *vals++;
+                    float *drow =
+                        d_base + static_cast<size_t>(r0 + j) * n;
+                    for (int64_t cn = 0; cn < n; ++cn)
+                        drow[cn] += x * brow[cn];
+                }
+                ++v;
+            }
+        }
+    };
+    int max_workers = 1;
+    ThreadPool *pool = resolveTilePool(options.num_workers, &max_workers);
+    parallelFor(pool, a.numStrips(), max_workers, run_strip);
+
+    // Integer datatypes accumulate codes; one deferred physical scale
+    // per output element, after all accumulation.
+    const float out_scale = QuantSpec::outputScale(spec_a, spec_b);
+    if (out_scale != 1.0f)
+        for (float &x : d.data())
+            x *= out_scale;
+    return d;
+}
+
+Matrix<float>
+SpmmDevice::multiplyWide(const TwoLevelBitmapMatrix &a,
+                         const Matrix<float> &b,
+                         const QuantSpec &spec_b,
+                         const SpGemmOptions &options) const
+{
+    DSTC_ASSERT(a.cols() == b.rows(), "SpMM dims: ", a.rows(), "x",
+                a.cols(), " * ", b.rows(), "x", b.cols());
+    const QuantSpec &spec_a = a.spec();
+    DSTC_ASSERT(spec_a.dtype == spec_b.dtype,
+                "operand datatypes must match");
+    const int64_t m = a.rows(), n = b.cols();
+    const int tiles_k = a.numTileCols();
+    const std::vector<float> bq =
+        quantizeB(b, spec_b, options.num_workers);
+    Matrix<float> d(static_cast<int>(m), static_cast<int>(n));
+    float *d_base = d.data().data();
+
+    // Tile rows own disjoint 32-row regions of D. Within one, k runs
+    // ascending (tk-major, then the tile's column lines), and each
+    // line's values come ascending row — the exact accumulation order
+    // of the narrow path, hence bitwise-equal output.
+    auto run_tile_row = [&](int64_t til) {
+        const int ti = static_cast<int>(til);
+        const int64_t r0 = static_cast<int64_t>(ti) * a.tileRows();
+        int positions[64];
+        for (int tk = 0; tk < tiles_k; ++tk) {
+            if (!a.tileNonEmpty(ti, tk))
+                continue;
+            const BitmapMatrix &tile = a.tile(ti, tk);
+            const int64_t k0 = static_cast<int64_t>(tk) * a.tileCols();
+            const int span = tile.cols();
+            for (int line = 0; line < span; ++line) {
+                const int cnt = tile.linePositionsInto(
+                    line, 0, tile.rows(), positions);
+                if (cnt == 0)
+                    continue;
+                const float *vals = tile.lineValuesQuant(line).data();
+                const float *brow =
+                    bq.data() + static_cast<size_t>(k0 + line) * n;
+                for (int i = 0; i < cnt; ++i) {
+                    const float x = vals[i];
+                    float *drow =
+                        d_base +
+                        static_cast<size_t>(r0 + positions[i]) * n;
+                    for (int64_t cn = 0; cn < n; ++cn)
+                        drow[cn] += x * brow[cn];
+                }
+            }
+        }
+    };
+    int max_workers = 1;
+    ThreadPool *pool = resolveTilePool(options.num_workers, &max_workers);
+    parallelFor(pool, a.numTileRows(), max_workers, run_tile_row);
+
+    const float out_scale = QuantSpec::outputScale(spec_a, spec_b);
+    if (out_scale != 1.0f)
+        for (float &x : d.data())
+            x *= out_scale;
+    return d;
+}
+
+KernelStats
+SpmmDevice::timeNarrowFromProfile(const SparsityProfile &a, int64_t n,
+                                  const SpGemmOptions &options) const
+{
+    DSTC_ASSERT(a.tile() == NarrowTileMatrix::kStripRows,
+                "narrow SpMM profiles use strip (tile = 8) "
+                "granularity");
+    const int n_strips = a.groups();
+    const int64_t m = a.extent(), k = a.k();
     const int tiles_n = static_cast<int>(ceilDiv<int64_t>(n, 32));
     const int64_t wps = ceilDiv<int64_t>(k, 64);
     const SpWmmaShape shape;
@@ -74,8 +202,12 @@ SpmmDevice::narrowTimeFromCounts(
     work.reserve(static_cast<size_t>(n_strips) * tiles_n);
     int64_t total_vectors = 0, total_nnz = 0;
     for (int s = 0; s < n_strips; ++s) {
-        const int64_t nv = strip_vectors[static_cast<size_t>(s)];
-        const int64_t nnz = strip_nnz[static_cast<size_t>(s)];
+        int64_t nv = 0, nnz = 0;
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const int c = a.count(s, kk);
+            nv += c > 0;
+            nnz += c;
+        }
         total_vectors += nv;
         total_nnz += nnz;
         for (int tj = 0; tj < tiles_n; ++tj) {
@@ -108,15 +240,15 @@ SpmmDevice::narrowTimeFromCounts(
     stats.compute_us =
         static_cast<double>(makespan) /
         (cfg_.clock_ghz * 1e3 * cfg_.sparse_issue_efficiency *
-         dataTypeComputeScale(dtype));
+         dataTypeComputeScale(options.dtype));
 
     const double bytes_a =
         static_cast<double>(NarrowTileMatrix::narrowEncodedBytes(
-            m, k, total_vectors, total_nnz, dtype));
+            m, k, total_vectors, total_nnz, options.dtype));
     const double bytes_b =
-        static_cast<double>(k) * n * dataTypeValueBytes(dtype);
+        static_cast<double>(k) * n * dataTypeValueBytes(options.dtype);
     const double bytes_d =
-        static_cast<double>(m) * n * dataTypeOutputBytes(dtype);
+        static_cast<double>(m) * n * dataTypeOutputBytes(options.dtype);
     stats.dram_bytes = memory_model_.gemmTrafficBytes(
         m, n, bytes_a, bytes_b, bytes_d);
     stats.memory_us = memory_model_.dramTimeUs(stats.dram_bytes);
@@ -124,205 +256,6 @@ SpmmDevice::narrowTimeFromCounts(
     stats.bound = stats.compute_us > stats.memory_us ? Bound::Compute
                                                      : Bound::Memory;
     return stats;
-}
-
-SpmmResult
-SpmmDevice::multiplyNarrow(const NarrowTileMatrix &a,
-                           const Matrix<float> &b,
-                           const QuantSpec &spec_b,
-                           const SpGemmOptions &options) const
-{
-    DSTC_ASSERT(a.cols() == b.rows(), "SpMM dims: ", a.rows(), "x",
-                a.cols(), " * ", b.rows(), "x", b.cols());
-    const QuantSpec &spec_a = a.spec();
-    DSTC_ASSERT(spec_a.dtype == spec_b.dtype,
-                "operand datatypes must match");
-    const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-    const int n_strips = a.numStrips();
-
-    SpmmResult result;
-    if (options.functional) {
-        const std::vector<float> bq =
-            quantizeB(b, spec_b, options.num_workers);
-        result.d = Matrix<float>(static_cast<int>(m),
-                                 static_cast<int>(n));
-        float *d_base = result.d.data().data();
-
-        // Each strip owns a disjoint 8-row region of D, so the strip
-        // loop partitions over workers with bitwise-identical
-        // results: within a strip, every output cell accumulates its
-        // products in ascending-column (= ascending-k) order.
-        auto run_strip = [&](int64_t sl) {
-            const int s = static_cast<int>(sl);
-            const int64_t r0 =
-                static_cast<int64_t>(s) * NarrowTileMatrix::kStripRows;
-            int64_t v = a.stripOffset(s);
-            const int wps = a.wordsPerStrip();
-            for (int w = 0; w < wps; ++w) {
-                uint64_t word = a.stripWord(s, w);
-                const int64_t c_base = static_cast<int64_t>(w) << 6;
-                while (word) {
-                    const int64_t c =
-                        c_base + std::countr_zero(word);
-                    word &= word - 1;
-                    uint8_t mask = a.vectorMask(v);
-                    const float *vals =
-                        a.vectorValuesQuant(v).data();
-                    const float *brow =
-                        bq.data() + static_cast<size_t>(c) * n;
-                    while (mask) {
-                        const int j = std::countr_zero(
-                            static_cast<uint32_t>(mask));
-                        mask =
-                            static_cast<uint8_t>(mask & (mask - 1));
-                        const float x = *vals++;
-                        float *drow =
-                            d_base +
-                            static_cast<size_t>(r0 + j) * n;
-                        for (int64_t cn = 0; cn < n; ++cn)
-                            drow[cn] += x * brow[cn];
-                    }
-                    ++v;
-                }
-            }
-        };
-        int max_workers = 1;
-        ThreadPool *pool =
-            resolveTilePool(options.num_workers, &max_workers);
-        parallelFor(pool, n_strips, max_workers, run_strip);
-
-        // Integer datatypes accumulate codes; one deferred physical
-        // scale per output element, after all accumulation.
-        const float out_scale =
-            QuantSpec::outputScale(spec_a, spec_b);
-        if (out_scale != 1.0f) {
-            float *dd = result.d.data().data();
-            const size_t cells = static_cast<size_t>(m) * n;
-            for (size_t i = 0; i < cells; ++i)
-                dd[i] *= out_scale;
-        }
-    }
-
-    std::vector<int64_t> strip_vectors(
-        static_cast<size_t>(n_strips));
-    std::vector<int64_t> strip_nnz(static_cast<size_t>(n_strips));
-    for (int s = 0; s < n_strips; ++s) {
-        strip_vectors[static_cast<size_t>(s)] = a.stripVectors(s);
-        strip_nnz[static_cast<size_t>(s)] = a.stripNnz(s);
-    }
-    result.stats = narrowTimeFromCounts(strip_vectors, strip_nnz, m,
-                                        n, k, spec_a.dtype);
-    return result;
-}
-
-SpmmResult
-SpmmDevice::multiplyWide(const TwoLevelBitmapMatrix &a,
-                         const Matrix<float> &b,
-                         const QuantSpec &spec_b,
-                         const SpGemmOptions &options) const
-{
-    DSTC_ASSERT(a.cols() == b.rows(), "SpMM dims: ", a.rows(), "x",
-                a.cols(), " * ", b.rows(), "x", b.cols());
-    const QuantSpec &spec_a = a.spec();
-    DSTC_ASSERT(spec_a.dtype == spec_b.dtype,
-                "operand datatypes must match");
-    const int64_t m = a.rows(), n = b.cols();
-    const int tiles_m = a.numTileRows();
-    const int tiles_k = a.numTileCols();
-
-    SpmmResult result;
-    if (options.functional) {
-        const std::vector<float> bq =
-            quantizeB(b, spec_b, options.num_workers);
-        result.d = Matrix<float>(static_cast<int>(m),
-                                 static_cast<int>(n));
-        float *d_base = result.d.data().data();
-
-        // Tile rows own disjoint 32-row regions of D. Within one,
-        // k runs ascending (tk-major, then the tile's column lines),
-        // and each line's values come ascending row — the exact
-        // accumulation order of the narrow path, hence bitwise-equal
-        // output.
-        auto run_tile_row = [&](int64_t til) {
-            const int ti = static_cast<int>(til);
-            const int64_t r0 =
-                static_cast<int64_t>(ti) * a.tileRows();
-            int positions[64];
-            for (int tk = 0; tk < tiles_k; ++tk) {
-                if (!a.tileNonEmpty(ti, tk))
-                    continue;
-                const BitmapMatrix &tile = a.tile(ti, tk);
-                const int64_t k0 =
-                    static_cast<int64_t>(tk) * a.tileCols();
-                const int span = tile.cols();
-                for (int line = 0; line < span; ++line) {
-                    const int cnt = tile.linePositionsInto(
-                        line, 0, tile.rows(), positions);
-                    if (cnt == 0)
-                        continue;
-                    const float *vals =
-                        tile.lineValuesQuant(line).data();
-                    const float *brow =
-                        bq.data() +
-                        static_cast<size_t>(k0 + line) * n;
-                    for (int i = 0; i < cnt; ++i) {
-                        const float x = vals[i];
-                        float *drow =
-                            d_base + static_cast<size_t>(
-                                         r0 + positions[i]) *
-                                         n;
-                        for (int64_t cn = 0; cn < n; ++cn)
-                            drow[cn] += x * brow[cn];
-                    }
-                }
-            }
-        };
-        int max_workers = 1;
-        ThreadPool *pool =
-            resolveTilePool(options.num_workers, &max_workers);
-        parallelFor(pool, tiles_m, max_workers, run_tile_row);
-
-        const float out_scale =
-            QuantSpec::outputScale(spec_a, spec_b);
-        if (out_scale != 1.0f) {
-            float *dd = result.d.data().data();
-            const size_t cells = static_cast<size_t>(m) * n;
-            for (size_t i = 0; i < cells; ++i)
-                dd[i] *= out_scale;
-        }
-    }
-
-    SpGemmOptions wide_options = options;
-    wide_options.dtype = spec_a.dtype;
-    result.stats = timeWideFromProfile(SparsityProfile::fromEncodedA(a),
-                                       n, wide_options);
-    return result;
-}
-
-KernelStats
-SpmmDevice::timeNarrowFromProfile(const SparsityProfile &a, int64_t n,
-                                  const SpGemmOptions &options) const
-{
-    DSTC_ASSERT(a.tile() == NarrowTileMatrix::kStripRows,
-                "narrow SpMM profiles use strip (tile = 8) "
-                "granularity");
-    const int n_strips = a.groups();
-    const int64_t k = a.k();
-    std::vector<int64_t> strip_vectors(static_cast<size_t>(n_strips),
-                                       0);
-    std::vector<int64_t> strip_nnz(static_cast<size_t>(n_strips), 0);
-    for (int s = 0; s < n_strips; ++s) {
-        int64_t nv = 0, nnz = 0;
-        for (int64_t kk = 0; kk < k; ++kk) {
-            const int c = a.count(s, kk);
-            nv += c > 0;
-            nnz += c;
-        }
-        strip_vectors[static_cast<size_t>(s)] = nv;
-        strip_nnz[static_cast<size_t>(s)] = nnz;
-    }
-    return narrowTimeFromCounts(strip_vectors, strip_nnz, a.extent(),
-                                n, k, options.dtype);
 }
 
 KernelStats

@@ -13,10 +13,13 @@
  *    dense B side, which wins back at DNN-style densities where the
  *    32x32 tiles are well filled.
  *
- * Every functional path here (narrow, wide, and the scalar
- * reference) accumulates each output cell's products in ascending-k
- * order from identically quantized operands, so the results are
- * bitwise identical across formats and worker counts.
+ * The multiplies compute values only; the timing model reads
+ * popcount profiles (timeNarrowFromProfile / timeWideFromProfile),
+ * so a plan prices either format without encoding A. Every
+ * functional path here (narrow, wide, and the scalar reference)
+ * accumulates each output cell's products in ascending-k order from
+ * identically quantized operands, so the results are bitwise
+ * identical across formats and worker counts.
  */
 #ifndef DSTC_GEMM_SPMM_DEVICE_H
 #define DSTC_GEMM_SPMM_DEVICE_H
@@ -31,47 +34,40 @@
 
 namespace dstc {
 
-/** Output of a device-level SpMM run. */
-struct SpmmResult
-{
-    Matrix<float> d; ///< valid only when options.functional
-    KernelStats stats;
-};
-
 /**
  * The dual-side sparse Tensor Core SpMM kernel model. Reuses
- * SpGemmOptions (dtype, functional, num_workers, tile_k for the wide
- * format's K chunking); the narrow/wide format choice is the
- * caller's — the backend layer drives it off SpmmFormat and the
- * cost model.
+ * SpGemmOptions (dtype and tile_k for the timing, num_workers for the
+ * multiplies); the narrow/wide format choice is the caller's — the
+ * backend layer drives it off SpmmFormat and the cost model.
  */
 class SpmmDevice
 {
   public:
     explicit SpmmDevice(const GpuConfig &cfg);
 
-    /** D = A x B with A in the narrow-tile (8x1) encoding. */
-    SpmmResult multiplyNarrow(const NarrowTileMatrix &a,
-                              const Matrix<float> &b,
-                              const QuantSpec &spec_b,
-                              const SpGemmOptions &options = {}) const;
+    /** D = A x B with A in the narrow-tile (8x1) encoding. Reads
+     *  only num_workers off @p options. */
+    Matrix<float> multiplyNarrow(const NarrowTileMatrix &a,
+                                 const Matrix<float> &b,
+                                 const QuantSpec &spec_b,
+                                 const SpGemmOptions &options = {}) const;
 
     /**
      * D = A x B with A in the 32-wide two-level encoding
-     * (kWarpTile x tile_k, Major::Col) and B dense.
+     * (kWarpTile x tile_k, Major::Col) and B dense. Reads only
+     * num_workers off @p options.
      */
-    SpmmResult multiplyWide(const TwoLevelBitmapMatrix &a,
-                            const Matrix<float> &b,
-                            const QuantSpec &spec_b,
-                            const SpGemmOptions &options = {}) const;
+    Matrix<float> multiplyWide(const TwoLevelBitmapMatrix &a,
+                               const Matrix<float> &b,
+                               const QuantSpec &spec_b,
+                               const SpGemmOptions &options = {}) const;
 
     /**
      * Narrow-format timing from an A-side popcount profile at strip
-     * (tile = 8) granularity. The executed narrow kernel reports
-     * identical stats for the matrix the profile came from — both
-     * routes fold the same per-strip (vectors, nnz) counts through
-     * one shared routine, so plan-stage format selection sees
-     * exactly what execution would produce.
+     * (tile = 8) granularity: per strip, its non-empty 8x1 vectors
+     * (k-steps with a non-zero count) and its non-zeros, the counts
+     * the narrow encoding of the same matrix stores. This is the one
+     * narrow SpMM clock: format selection and execution both read it.
      */
     KernelStats timeNarrowFromProfile(const SparsityProfile &a,
                                       int64_t n,
@@ -92,12 +88,6 @@ class SpmmDevice
     const GpuConfig &config() const { return cfg_; }
 
   private:
-    KernelStats
-    narrowTimeFromCounts(const std::vector<int64_t> &strip_vectors,
-                         const std::vector<int64_t> &strip_nnz,
-                         int64_t m, int64_t n, int64_t k,
-                         DataType dtype) const;
-
     GpuConfig cfg_;
     MemoryModel memory_model_;
 };

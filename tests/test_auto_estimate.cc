@@ -1,19 +1,22 @@
 /**
  * @file
- * Method::Auto estimate-vs-actual tests. Auto ranks candidate
- * backends by plan-stage estimates. A dual-sparse GEMM plan reports
- * the profile stats it was ranked by, and a conv plan the stats of
- * the real operands' encoding, so their gap is zero by
- * construction; the cuSPARSE-like baseline prices an expected-value
- * model but executes real CSR products. These tests pin the gaps
- * across the sparsity grid and assert they never misrank the
- * candidates at the current backend crossovers.
+ * Method::Auto estimate-vs-actual tests. Every plan reports one
+ * KernelStats, memoized: Auto ranks candidates by its time and
+ * execute() reports it, so for every plan but two the estimate equals
+ * execution by construction. The two documented exceptions are the
+ * cuSPARSE-like concrete GEMM, which ranks by an expected-value model
+ * but executes real CSR products, and the hybrid, which ranks by its
+ * merged split objective. These tests pin the zero gaps across
+ * backends, operand forms and the sparsity grid, and assert the
+ * cuSPARSE-like gap never misranks the candidates at the current
+ * backend crossovers.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -41,6 +44,29 @@ pointRequest(const Matrix<float> &a, const Matrix<float> &b,
     req.method = method;
     req.gemm_options.functional = false; // stats are what we compare
     return req;
+}
+
+/** Field-by-field KernelStats equality, name included, so a
+ *  mismatch names the field. */
+void
+expectIdenticalStats(const KernelStats &got, const KernelStats &want,
+                     const std::string &context)
+{
+    EXPECT_EQ(got.name, want.name) << context;
+    EXPECT_EQ(got.mix.hmma, want.mix.hmma) << context;
+    EXPECT_EQ(got.mix.ohmma_issued, want.mix.ohmma_issued) << context;
+    EXPECT_EQ(got.mix.ohmma_skipped, want.mix.ohmma_skipped) << context;
+    EXPECT_EQ(got.mix.bohmma, want.mix.bohmma) << context;
+    EXPECT_EQ(got.mix.popc, want.mix.popc) << context;
+    EXPECT_EQ(got.warp_tiles, want.warp_tiles) << context;
+    EXPECT_EQ(got.warp_tiles_skipped, want.warp_tiles_skipped)
+        << context;
+    EXPECT_EQ(got.merge_cycles, want.merge_cycles) << context;
+    EXPECT_EQ(got.compute_us, want.compute_us) << context;
+    EXPECT_EQ(got.memory_us, want.memory_us) << context;
+    EXPECT_EQ(got.dram_bytes, want.dram_bytes) << context;
+    EXPECT_EQ(got.launch_us, want.launch_us) << context;
+    EXPECT_EQ(got.bound, want.bound) << context;
 }
 
 /** The two functional 3x3 convs of the estimate tests, stride 1 and
@@ -198,11 +224,13 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
     // Auto ranks candidates, and cluster placement prices requests,
     // by plan-stage estimates. Every default backend, on every
     // request flavor it supports, must estimate exactly the time it
-    // then executes. One flavor is left out on purpose: on a
-    // cuSPARSE-like concrete GEMM the estimate is the expected-value
-    // model at the operands' densities, while execution counts the
-    // real CSR products. The gap is by design;
-    // NoMisrankingAtBackendCrossovers bounds its effect.
+    // then executes, and must report the same full stats whether or
+    // not the run computes values and whether or not an estimate came
+    // first. One check is left out on purpose: on a cuSPARSE-like
+    // concrete GEMM the estimate is the expected-value model at the
+    // operands' densities, while execution counts the real CSR
+    // products. The gap is by design; NoMisrankingAtBackendCrossovers
+    // bounds its effect.
     Session session;
     Rng rng(505);
     const Matrix<float> a = randomSparseMatrix(96, 80, 0.85, rng);
@@ -265,19 +293,35 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
         for (const auto &backend : session.registry().backends()) {
             if (!backend->supports(request))
                 continue;
-            if (backend->method() == Method::CusparseLike &&
-                flavor == "concrete gemm")
-                continue;
+            const bool estimate_gap =
+                backend->method() == Method::CusparseLike &&
+                flavor == "concrete gemm";
             KernelRequest req = request;
             req.method = backend->method();
-            req.gemm_options.functional = false;
-            auto plan = session.plan(req);
-            const double estimate = plan->estimatedTimeUs();
-            const double actual = plan->execute().timeUs();
-            ASSERT_GT(actual, 0.0);
-            EXPECT_LT(std::fabs(estimate - actual) / actual, 1e-9)
-                << backend->name() << " on " << flavor
-                << ": estimate=" << estimate << " actual=" << actual;
+            std::optional<KernelStats> timing_only;
+            for (bool functional : {false, true}) {
+                req.gemm_options.functional = functional;
+                const std::string context =
+                    std::string(backend->name()) + " on " + flavor +
+                    (functional ? ", values computed" : ", timing only");
+                auto plan = session.plan(req);
+                const double estimate = plan->estimatedTimeUs();
+                const KernelReport report = plan->execute();
+                ASSERT_GT(report.timeUs(), 0.0) << context;
+                if (!estimate_gap)
+                    EXPECT_LT(std::fabs(estimate - report.timeUs()) /
+                                  report.timeUs(),
+                              1e-9)
+                        << context << ": estimate=" << estimate
+                        << " actual=" << report.timeUs();
+                if (!timing_only)
+                    timing_only = report.stats;
+                expectIdenticalStats(report.stats, *timing_only,
+                                     context);
+                expectIdenticalStats(
+                    Session().run(req).stats, *timing_only,
+                    context + ", executed without an estimate");
+            }
             checked.insert(backend->name());
         }
     }

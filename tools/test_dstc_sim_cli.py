@@ -9,8 +9,11 @@ drift apart. Every accepted `serve` and `cluster` invocation must also
 print byte-identical stdout when run twice.
 
 Run: python3 tools/test_dstc_sim_cli.py path/to/dstc_sim [REPO_ROOT]
+         [--dump DIR]
 (REPO_ROOT defaults to this script's parent directory; the corpus
-paths below are relative to it.)
+paths below are relative to it.) With --dump DIR, the stdout of the
+N-th accepted invocation is also written to DIR/NNN.txt (000, 001,
+...), so two builds' outputs compare with one `diff -r`.
 """
 
 import os
@@ -22,6 +25,7 @@ import unittest
 from concurrent.futures import ThreadPoolExecutor
 
 DSTC_SIM = None
+DUMP_DIR = None
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Accepted invocations: each must exit 0.
@@ -218,7 +222,14 @@ def readme_cli_block():
 
 class DstcSimCli(unittest.TestCase):
     def test_accepted_invocations_exit_zero(self):
-        for case, proc in zip(POSITIVE, run_all(POSITIVE)):
+        if DUMP_DIR:
+            os.makedirs(DUMP_DIR, exist_ok=True)
+        for i, (case, proc) in enumerate(zip(POSITIVE,
+                                             run_all(POSITIVE))):
+            if DUMP_DIR:
+                with open(os.path.join(DUMP_DIR, f"{i:03d}.txt"),
+                          "w") as f:
+                    f.write(proc.stdout)
             with self.subTest(case=case):
                 self.assertEqual(proc.returncode, 0, proc.stderr)
                 self.assertTrue(proc.stdout)
@@ -250,9 +261,16 @@ class DstcSimCli(unittest.TestCase):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
+    args = sys.argv[1:]
+    if "--dump" in args:
+        i = args.index("--dump")
+        if i + 1 == len(args):
+            sys.exit(__doc__)
+        DUMP_DIR = os.path.abspath(args[i + 1])
+        del args[i:i + 2]
+    if not args:
         sys.exit(__doc__)
-    DSTC_SIM = os.path.abspath(sys.argv[1])
-    if len(sys.argv) > 2:
-        REPO_ROOT = os.path.abspath(sys.argv[2])
+    DSTC_SIM = os.path.abspath(args[0])
+    if len(args) > 1:
+        REPO_ROOT = os.path.abspath(args[1])
     unittest.main(argv=sys.argv[:1])
