@@ -79,7 +79,7 @@ runPoint(const DeviceSet &set, PlacementPolicy policy,
 {
     Point p;
     p.devices = set.name;
-    p.policy = placementPolicyToken(policy);
+    p.policy = tokenOf(kPlacementPolicies, policy);
     p.num_devices = static_cast<int>(set.configs.size());
 
     ClusterOptions opts;

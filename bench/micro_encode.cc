@@ -382,7 +382,7 @@ main(int argc, char **argv)
             runEncodePrecisionPoint(psize, 0.9, dtype, reps);
         precision.push_back(p);
         std::printf("%6s %5d %5.2f | %9.3f %10.3f | %6s%s\n",
-                    dataTypeToken(p.dtype), p.m, p.sparsity,
+                    tokenOf(kDataTypes, p.dtype), p.m, p.sparsity,
                     p.word_ms, p.encoded_mb,
                     p.bitwise_equal ? "yes" : "NO",
                     p.bitwise_equal ? "" : "  [MISMATCH]");
@@ -390,7 +390,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "FATAL: %s word encode diverges from the "
                          "scalar encode\n",
-                         dataTypeToken(p.dtype));
+                         tokenOf(kDataTypes, p.dtype));
             std::exit(1);
         }
     }
@@ -417,7 +417,7 @@ main(int argc, char **argv)
                        .integer("m", p.m)
                        .integer("k", p.k)
                        .number("sparsity", p.sparsity, 2)
-                       .text("dtype", dataTypeToken(p.dtype))
+                       .text("dtype", tokenOf(kDataTypes, p.dtype))
                        .number("word_ms", p.word_ms, 3)
                        .number("encoded_mb", p.encoded_mb, 3)
                        .flag("bitwise_equal", p.bitwise_equal);

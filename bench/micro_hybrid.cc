@@ -166,7 +166,7 @@ runPoint(Session &session, int m, int n, int k, int quarters,
         const double us = report.timeUs();
         if (p.best_single.empty() || us < p.best_single_us) {
             p.best_single_us = us;
-            p.best_single = methodToken(method);
+            p.best_single = tokenOf(kMethods, method);
         }
     }
 

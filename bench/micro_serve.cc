@@ -104,7 +104,7 @@ runPoint(const DeviceSet &set, ServePolicy policy,
 {
     Point p;
     p.devices = set.name;
-    p.policy = servePolicyToken(policy);
+    p.policy = tokenOf(kServePolicies, policy);
     p.load = load_name;
     p.num_devices = static_cast<int>(set.configs.size());
 

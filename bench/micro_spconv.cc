@@ -156,7 +156,7 @@ main(int argc, char **argv)
         std::printf(
             "%14s %22s %5.2f %5.2f | %9.3f %9.3f %9.3f | %6.2fx "
             "%6.2fx%s\n",
-            name, convMethodName(method), wsp, asp, p.scalar_ms,
+            name, nameOf(kConvMethods, method), wsp, asp, p.scalar_ms,
             p.word_ms, p.parallel_ms, p.scalar_ms / p.word_ms,
             p.word_ms / p.parallel_ms,
             p.bitwise_equal ? "" : "  [MISMATCH]");
@@ -224,7 +224,7 @@ main(int argc, char **argv)
             .integer("out_c", p.shape.out_c)
             .integer("kernel", p.shape.kernel)
             .integer("stride", p.shape.stride)
-            .text("method", convMethodName(p.method))
+            .text("method", nameOf(kConvMethods, p.method))
             .number("wsp", p.wsp, 2)
             .number("asp", p.asp, 2)
             .flag("clustered", p.clustered)

@@ -300,7 +300,7 @@ main(int argc, char **argv)
             precision.push_back(p);
             std::printf("%5d %8.2f %6s | %11.3f %11.3f %9.3f | %6s "
                         "%6s%s\n",
-                        p.m, p.sparsity, dataTypeToken(p.dtype),
+                        p.m, p.sparsity, tokenOf(kDataTypes, p.dtype),
                         p.modeled_us, p.encoded_mb, p.word_ms,
                         p.memory_bound ? "mem" : "comp",
                         p.bitwise_equal ? "yes" : "NO",
@@ -309,7 +309,7 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "FATAL: %s path broke its in-domain "
                              "bitwise guarantee\n",
-                             dataTypeToken(p.dtype));
+                             tokenOf(kDataTypes, p.dtype));
                 std::exit(1);
             }
         }
@@ -342,7 +342,7 @@ main(int argc, char **argv)
                        .integer("n", p.n)
                        .integer("k", p.k)
                        .number("sparsity", p.sparsity, 2)
-                       .text("dtype", dataTypeToken(p.dtype))
+                       .text("dtype", tokenOf(kDataTypes, p.dtype))
                        .number("modeled_us", p.modeled_us, 3)
                        .number("encoded_mb", p.encoded_mb, 3)
                        .number("word_ms", p.word_ms, 3)

@@ -1,57 +1,6 @@
 #include "common/datatype.h"
 
-#include "common/logging.h"
-
 namespace dstc {
-
-const char *
-dataTypeToken(DataType dtype)
-{
-    switch (dtype) {
-      case DataType::Fp32:
-        return "fp32";
-      case DataType::Fp16:
-        return "fp16";
-      case DataType::Bf16:
-        return "bf16";
-      case DataType::Int8:
-        return "int8";
-      case DataType::Int4:
-        return "int4";
-    }
-    panic("unknown datatype");
-}
-
-const char *
-dataTypeName(DataType dtype)
-{
-    switch (dtype) {
-      case DataType::Fp32:
-        return "FP32";
-      case DataType::Fp16:
-        return "FP16";
-      case DataType::Bf16:
-        return "BF16";
-      case DataType::Int8:
-        return "INT8 (symmetric, int32 accumulate)";
-      case DataType::Int4:
-        return "INT4 (symmetric, int32 accumulate)";
-    }
-    panic("unknown datatype");
-}
-
-bool
-parseDataType(const std::string &token, DataType *out)
-{
-    for (DataType dt : {DataType::Fp32, DataType::Fp16, DataType::Bf16,
-                        DataType::Int8, DataType::Int4}) {
-        if (token == dataTypeToken(dt)) {
-            *out = dt;
-            return true;
-        }
-    }
-    return false;
-}
 
 QuantSpec
 QuantSpec::forValues(DataType dtype, const float *data, size_t n)

@@ -34,9 +34,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "common/fp16.h"
+#include "common/vocabulary.h"
 
 namespace dstc {
 
@@ -50,14 +50,15 @@ enum class DataType
     Int4, ///< symmetric per-matrix int4 codes, int32 accumulation
 };
 
-/** Stable CLI/parse token of a datatype ("fp32", "int8", ...). */
-const char *dataTypeToken(DataType dtype);
-
-/** Human-readable datatype name. */
-const char *dataTypeName(DataType dtype);
-
-/** Parse a CLI token into a DataType; false on unknown token. */
-bool parseDataType(const std::string &token, DataType *out);
+/** The datatypes, their CLI tokens and display names. */
+inline constexpr Term<DataType> kDataTypes[] = {
+    {DataType::Fp32, "fp32", "FP32"},
+    {DataType::Fp16, "fp16", "FP16"},
+    {DataType::Bf16, "bf16", "BF16"},
+    {DataType::Int8, "int8", "INT8 (symmetric, int32 accumulate)"},
+    {DataType::Int4, "int4", "INT4 (symmetric, int32 accumulate)"},
+};
+static_assert(listsEveryValue(kDataTypes, DataType::Int4));
 
 /** Storage bits of one encoded operand value. */
 constexpr int

@@ -14,24 +14,6 @@
 
 namespace dstc {
 
-const char *
-convMethodName(ConvMethod method)
-{
-    switch (method) {
-      case ConvMethod::DenseExplicit:
-        return "Dense Explicit";
-      case ConvMethod::DenseImplicit:
-        return "Dense Implicit";
-      case ConvMethod::SingleSparseExplicit:
-        return "Single Sparse Explicit";
-      case ConvMethod::SingleSparseImplicit:
-        return "Single Sparse Implicit";
-      case ConvMethod::DualSparseImplicit:
-        return "Dual Sparse Implicit";
-    }
-    panic("unknown conv method");
-}
-
 namespace {
 
 bool
@@ -97,7 +79,7 @@ ConvExecutor::timeEncoded(const ConvShape &shape, ConvMethod method,
         stats = SpGemmDevice(cfg_).timeFromProfiles(*enc.a, *enc.b);
         break;
     }
-    stats.name = convMethodName(method);
+    stats.name = nameOf(kConvMethods, method);
 
     // Memory side: convolution traffic replaces the generic GEMM
     // traffic. Explicit methods materialize the lowered matrix in

@@ -21,6 +21,7 @@
 #include <optional>
 #include <variant>
 
+#include "common/vocabulary.h"
 #include "gemm/sparsity_profile.h"
 #include "im2col/bitmap_im2col.h"
 #include "im2col/conv_shape.h"
@@ -41,8 +42,17 @@ enum class ConvMethod
     DualSparseImplicit,
 };
 
-/** Printable name matching the paper's legend. */
-const char *convMethodName(ConvMethod method);
+/** The conv strategies under the paper's legend names. No CLI reads
+ *  a ConvMethod, so the legend name is each row's only string. */
+inline constexpr Term<ConvMethod> kConvMethods[] = {
+    {ConvMethod::DenseExplicit, "Dense Explicit"},
+    {ConvMethod::DenseImplicit, "Dense Implicit"},
+    {ConvMethod::SingleSparseExplicit, "Single Sparse Explicit"},
+    {ConvMethod::SingleSparseImplicit, "Single Sparse Implicit"},
+    {ConvMethod::DualSparseImplicit, "Dual Sparse Implicit"},
+};
+static_assert(listsEveryValue(kConvMethods,
+                              ConvMethod::DualSparseImplicit));
 
 /** Whether @p method runs the bitmap implicit im2col and times its
  *  compute side from popcount profiles (Single / Dual Sparse

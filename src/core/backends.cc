@@ -332,10 +332,8 @@ class DenseGemmPlan : public ExecutionPlan
         const Matrix<float> &b = *req_.b.matrix();
         const DataType dtype = req_.dataType();
         report.d = std::make_shared<const Matrix<float>>(
-            DenseGemmDevice(cfg())
-                .multiply(a, b, req_.outer_product, specFor(dtype, a),
-                          specFor(dtype, b))
-                .d);
+            DenseGemmDevice(cfg()).multiply(a, b, false, specFor(dtype, a),
+                                            specFor(dtype, b)));
     }
 };
 

@@ -7,34 +7,6 @@
 
 namespace dstc {
 
-const char *
-placementPolicyToken(PlacementPolicy policy)
-{
-    switch (policy) {
-    case PlacementPolicy::CostModel:
-        return "cost";
-    case PlacementPolicy::RoundRobin:
-        return "rr";
-    case PlacementPolicy::StaticShard:
-        return "shard";
-    }
-    return "?";
-}
-
-bool
-parsePlacementPolicy(const std::string &token, PlacementPolicy *out)
-{
-    if (token == "cost")
-        *out = PlacementPolicy::CostModel;
-    else if (token == "rr")
-        *out = PlacementPolicy::RoundRobin;
-    else if (token == "shard")
-        *out = PlacementPolicy::StaticShard;
-    else
-        return false;
-    return true;
-}
-
 // ===================================================================
 // ClusterScheduler
 // ===================================================================
@@ -131,12 +103,11 @@ structuralKey(const KernelRequest &r)
     const Operand::Synthetic b = syntheticOrDefault(r.b);
     key.f64(a.sparsity).f64(b.sparsity);
     key.f64(a.cluster).f64(b.cluster);
-    key.i32(r.outer_product ? 1 : 0);
     const SpGemmOptions &g = r.gemm_options;
-    // Two 32s where the retired tile_m/tile_n knobs sat, so the
-    // fixed warp tile leaves every shard placement and serving
-    // batch key where it was.
-    key.i32(32).i32(32).i32(g.tile_k);
+    // A 0 where the retired outer_product knob sat and two 32s where
+    // the retired tile_m/tile_n knobs sat, so every shard placement
+    // and serving batch key stays where it was.
+    key.i32(0).i32(32).i32(32).i32(g.tile_k);
     // A literal 0 where the retired detailed_merge knob sat, for the
     // same reason.
     key.i32(g.two_level ? 1 : 0)

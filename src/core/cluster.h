@@ -42,7 +42,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/session.h"
@@ -57,12 +56,14 @@ enum class PlacementPolicy
     StaticShard ///< stable request digest modulo device count
 };
 
-/** Stable CLI/parse token of a policy ("cost", "rr", "shard"). */
-const char *placementPolicyToken(PlacementPolicy policy);
-
-/** Parse a CLI token into a policy; false on unknown token. */
-bool parsePlacementPolicy(const std::string &token,
-                          PlacementPolicy *out);
+/** The placement policies and their CLI tokens. */
+inline constexpr Term<PlacementPolicy> kPlacementPolicies[] = {
+    {PlacementPolicy::CostModel, "cost"},
+    {PlacementPolicy::RoundRobin, "rr"},
+    {PlacementPolicy::StaticShard, "shard"},
+};
+static_assert(listsEveryValue(kPlacementPolicies,
+                              PlacementPolicy::StaticShard));
 
 /** Construction knobs of a Cluster. */
 struct ClusterOptions

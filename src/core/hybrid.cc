@@ -95,7 +95,6 @@ classSubRequest(const KernelRequest &req, KernelRequest sub,
     sub.method = method;
     sub.seed = req.seed;
     sub.tag = req.tag;
-    sub.outer_product = req.outer_product;
     sub.gemm_options = req.gemm_options;
     sub.spmm_format = req.spmm_format;
     return sub;
@@ -273,7 +272,7 @@ hybridName(const HybridSplit &split)
     for (size_t i = 0; i < split.classes.size(); ++i) {
         if (i)
             name += '+';
-        name += methodToken(split.classes[i].method);
+        name += tokenOf(kMethods, split.classes[i].method);
         name += ':';
         name += std::to_string(split.classes[i].groups.size());
     }

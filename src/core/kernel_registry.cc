@@ -104,7 +104,7 @@ KernelRegistry::plan(const KernelRequest &request,
     if (request.method != Method::Auto) {
         const Backend *backend = find(request.method);
         DSTC_ASSERT(backend, "no backend registered for method ",
-                    methodName(request.method));
+                    nameOf(kMethods, request.method));
         DSTC_ASSERT(backend->supports(request), "backend ",
                     backend->name(), " cannot execute this request");
         return backend->plan(request, routed);

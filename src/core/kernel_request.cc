@@ -1,94 +1,8 @@
 #include "core/kernel_request.h"
 
-#include "common/logging.h"
 #include "sparse/word_encode.h"
 
 namespace dstc {
-
-const char *
-methodToken(Method method)
-{
-    switch (method) {
-      case Method::Auto:
-        return "auto";
-      case Method::DualSparse:
-        return "dual";
-      case Method::Dense:
-        return "dense";
-      case Method::ZhuSparse:
-        return "zhu";
-      case Method::AmpereSparse:
-        return "ampere";
-      case Method::CusparseLike:
-        return "cusparse";
-      case Method::Hybrid:
-        return "hybrid";
-    }
-    panic("unknown method");
-}
-
-const char *
-methodName(Method method)
-{
-    switch (method) {
-      case Method::Auto:
-        return "Auto";
-      case Method::DualSparse:
-        return "Dual-Side Sparse TC";
-      case Method::Dense:
-        return "Dense TC (CUTLASS-like)";
-      case Method::ZhuSparse:
-        return "Sparse TC (vector-wise 75%)";
-      case Method::AmpereSparse:
-        return "Ampere 2:4 Sparse TC";
-      case Method::CusparseLike:
-        return "cuSPARSE-like CSR SpGEMM";
-      case Method::Hybrid:
-        return "Hybrid (density-partitioned)";
-    }
-    panic("unknown method");
-}
-
-const char *
-spmmFormatToken(SpmmFormat format)
-{
-    switch (format) {
-      case SpmmFormat::Auto:
-        return "auto";
-      case SpmmFormat::Narrow:
-        return "narrow";
-      case SpmmFormat::Wide:
-        return "wide";
-    }
-    panic("unknown spmm format");
-}
-
-bool
-parseSpmmFormat(const std::string &token, SpmmFormat *out)
-{
-    for (SpmmFormat f :
-         {SpmmFormat::Auto, SpmmFormat::Narrow, SpmmFormat::Wide}) {
-        if (token == spmmFormatToken(f)) {
-            *out = f;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseMethod(const std::string &token, Method *out)
-{
-    for (Method m : {Method::Auto, Method::DualSparse, Method::Dense,
-                     Method::ZhuSparse, Method::AmpereSparse,
-                     Method::CusparseLike, Method::Hybrid}) {
-        if (token == methodToken(m)) {
-            *out = m;
-            return true;
-        }
-    }
-    return false;
-}
 
 double
 Operand::density() const

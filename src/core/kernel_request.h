@@ -43,14 +43,17 @@ enum class Method
     Hybrid,       ///< density-partitioned tile routing across backends
 };
 
-/** Stable CLI/parse token of a method ("auto", "dual", ...). */
-const char *methodToken(Method method);
-
-/** Human-readable method name. */
-const char *methodName(Method method);
-
-/** Parse a CLI token into a Method; false on unknown token. */
-bool parseMethod(const std::string &token, Method *out);
+/** The methods, their CLI tokens and display names. */
+inline constexpr Term<Method> kMethods[] = {
+    {Method::Auto, "auto", "Auto"},
+    {Method::DualSparse, "dual", "Dual-Side Sparse TC"},
+    {Method::Dense, "dense", "Dense TC (CUTLASS-like)"},
+    {Method::ZhuSparse, "zhu", "Sparse TC (vector-wise 75%)"},
+    {Method::AmpereSparse, "ampere", "Ampere 2:4 Sparse TC"},
+    {Method::CusparseLike, "cusparse", "cuSPARSE-like CSR SpGEMM"},
+    {Method::Hybrid, "hybrid", "Hybrid (density-partitioned)"},
+};
+static_assert(listsEveryValue(kMethods, Method::Hybrid));
 
 /**
  * Knobs of Method::Hybrid (GEMM and SpMM): partition the A-side row
@@ -85,12 +88,13 @@ enum class SpmmFormat
     Wide,   ///< 32-wide two-level encoding (DNN-style sparsity)
 };
 
-/** Stable CLI/parse token of an SpMM format ("auto", "narrow",
- *  "wide"). */
-const char *spmmFormatToken(SpmmFormat format);
-
-/** Parse a CLI token into an SpmmFormat; false on unknown token. */
-bool parseSpmmFormat(const std::string &token, SpmmFormat *out);
+/** The SpMM formats and their CLI tokens. */
+inline constexpr Term<SpmmFormat> kSpmmFormats[] = {
+    {SpmmFormat::Auto, "auto"},
+    {SpmmFormat::Narrow, "narrow"},
+    {SpmmFormat::Wide, "wide"},
+};
+static_assert(listsEveryValue(kSpmmFormats, SpmmFormat::Wide));
 
 /** Convolution lowering strategy (the Explicit/Implicit split of
  *  Fig. 22's legend). */
@@ -211,9 +215,6 @@ struct KernelRequest
     int64_t m = 0;
     int64_t n = 0;
     int64_t k = 0;
-
-    /** Dense GEMM only: use the outer-product datapath. */
-    bool outer_product = false;
 
     /**
      * Dual-sparse knobs (tiling, functional, merge model). tile_k

@@ -33,7 +33,8 @@ toConvMethod(Method method, Lowering lowering)
     for (const ConvMethodEntry &entry : kTable)
         if (entry.method == method && entry.lowering == lowering)
             return entry.conv;
-    panic("method has no convolution strategy: ", methodName(method));
+    panic("method has no convolution strategy: ",
+          nameOf(kMethods, method));
 }
 
 void

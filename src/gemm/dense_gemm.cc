@@ -12,7 +12,7 @@ DenseGemmDevice::DenseGemmDevice(const GpuConfig &cfg)
 {
 }
 
-DenseGemmResult
+Matrix<float>
 DenseGemmDevice::multiply(const Matrix<float> &a, const Matrix<float> &b,
                           bool outer_product, const QuantSpec &spec_a,
                           const QuantSpec &spec_b) const
@@ -22,8 +22,7 @@ DenseGemmDevice::multiply(const Matrix<float> &a, const Matrix<float> &b,
     DSTC_ASSERT(a.cols() == b.rows());
     const int m = a.rows(), k = a.cols(), n = b.cols();
 
-    DenseGemmResult result;
-    result.d = Matrix<float>(m, n);
+    Matrix<float> d(m, n);
 
     // Tile the problem into 16x16x16 WMMA fragments; K tiles run in
     // increasing order so accumulation order matches the references.
@@ -50,7 +49,7 @@ DenseGemmDevice::multiply(const Matrix<float> &a, const Matrix<float> &b,
             }
             for (int r = 0; r < mm; ++r)
                 for (int c = 0; c < nn; ++c)
-                    result.d.at(i0 + r, j0 + c) = acc.at(r, c);
+                    d.at(i0 + r, j0 + c) = acc.at(r, c);
         }
     }
 
@@ -59,12 +58,10 @@ DenseGemmDevice::multiply(const Matrix<float> &a, const Matrix<float> &b,
     // scale (bitwise equal to the dual-sparse engine's pass).
     const float out_scale = QuantSpec::outputScale(spec_a, spec_b);
     if (out_scale != 1.0f) {
-        for (float &v : result.d.data())
+        for (float &v : d.data())
             v *= out_scale;
     }
-
-    result.stats = timeOnly(m, n, k, spec_a.dtype);
-    return result;
+    return d;
 }
 
 KernelStats

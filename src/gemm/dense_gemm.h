@@ -1,7 +1,7 @@
 /**
  * @file
  * Dense tensor-core GEMM: the functional tiled-WMMA execution used
- * for validation plus the analytic device timing shared by the
+ * for validation and the analytic device timing shared by the
  * CUTLASS-like baseline.
  */
 #ifndef DSTC_GEMM_DENSE_GEMM_H
@@ -17,13 +17,6 @@
 
 namespace dstc {
 
-/** Output of a dense GEMM run. */
-struct DenseGemmResult
-{
-    Matrix<float> d;
-    KernelStats stats;
-};
-
 /** Dense GEMM on the (inner- or outer-product) Tensor Core model. */
 class DenseGemmDevice
 {
@@ -31,19 +24,20 @@ class DenseGemmDevice
     explicit DenseGemmDevice(const GpuConfig &cfg);
 
     /**
-     * Functional tiled execution (16x16x16 WMMA tiles) plus timing.
-     * @p outer_product selects the OWMMA order; results are bitwise
-     * identical either way (see gemm/wmma.h). Operands quantize
-     * through the specs (FP16 by default); both must share a
-     * datatype. Integer specs accumulate codes and apply the
-     * deferred sa * sb output scale once after the K loop — dense
-     * and dual-sparse integer results are bitwise equal.
+     * Functional tiled execution (16x16x16 WMMA tiles): the values
+     * of a * b (timeOnly is the clock). @p outer_product selects the
+     * OWMMA order; results are bitwise identical either way (see
+     * gemm/wmma.h). Operands quantize through the specs (FP16 by
+     * default); both must share a datatype. Integer specs accumulate
+     * codes and apply the deferred sa * sb output scale once after
+     * the K loop — dense and dual-sparse integer results are bitwise
+     * equal.
      */
-    DenseGemmResult multiply(const Matrix<float> &a,
-                             const Matrix<float> &b,
-                             bool outer_product = false,
-                             const QuantSpec &spec_a = {},
-                             const QuantSpec &spec_b = {}) const;
+    Matrix<float> multiply(const Matrix<float> &a,
+                           const Matrix<float> &b,
+                           bool outer_product = false,
+                           const QuantSpec &spec_a = {},
+                           const QuantSpec &spec_b = {}) const;
 
     /**
      * Timing-only estimate for an m x n x k dense GEMM at the

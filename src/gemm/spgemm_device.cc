@@ -77,8 +77,8 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
     // only advisory here.
     DSTC_ASSERT(a_enc.spec().dtype == b_enc.spec().dtype,
                 "operand datatypes must match: ",
-                dataTypeToken(a_enc.spec().dtype), " vs ",
-                dataTypeToken(b_enc.spec().dtype));
+                tokenOf(kDataTypes, a_enc.spec().dtype), " vs ",
+                tokenOf(kDataTypes, b_enc.spec().dtype));
     SpGemmResult result;
     if (options.functional)
         result.d = multiplyValues(a_enc, b_enc, options);

@@ -1,42 +1,16 @@
 #include "model/runner.h"
 
-#include "common/logging.h"
 #include "core/method_map.h"
 
 namespace dstc {
 
-namespace {
-
-// ModelMethod is ConvMethod plus Auto, declared in the same order so
-// the shared strategy table serves both vocabularies. These pin the
-// mirroring — reorder either enum and the build tells you.
-static_assert(static_cast<int>(ModelMethod::DenseExplicit) ==
-              static_cast<int>(ConvMethod::DenseExplicit));
-static_assert(static_cast<int>(ModelMethod::DenseImplicit) ==
-              static_cast<int>(ConvMethod::DenseImplicit));
-static_assert(static_cast<int>(ModelMethod::SingleSparseExplicit) ==
-              static_cast<int>(ConvMethod::SingleSparseExplicit));
-static_assert(static_cast<int>(ModelMethod::SingleSparseImplicit) ==
-              static_cast<int>(ConvMethod::SingleSparseImplicit));
-static_assert(static_cast<int>(ModelMethod::DualSparseImplicit) ==
-              static_cast<int>(ConvMethod::DualSparseImplicit));
-
-/** The conv strategy a non-Auto model method names. */
-ConvMethod
-modelConvMethod(ModelMethod method)
-{
-    DSTC_ASSERT(method != ModelMethod::Auto);
-    return static_cast<ConvMethod>(method);
-}
-
-} // namespace
-
 const char *
-modelMethodName(ModelMethod method)
+legendName(ModelMethod method)
 {
-    return method == ModelMethod::Auto
-               ? "Auto"
-               : convMethodName(modelConvMethod(method));
+    const ModelStrategy &s = rowOf(kModelMethods, method);
+    return s.method == Method::Auto
+               ? nameOf(kMethods, s.method)
+               : nameOf(kConvMethods, toConvMethod(s.method, s.lowering));
 }
 
 double
@@ -48,31 +22,11 @@ ModelRunResult::totalTimeUs() const
     return total;
 }
 
-namespace {
-
-/** Registry method + lowering of a model-level strategy. */
-void
-splitModelMethod(ModelMethod method, Method *out_method,
-                 Lowering *out_lowering)
-{
-    if (method == ModelMethod::Auto) {
-        *out_method = Method::Auto;
-        *out_lowering = Lowering::Implicit;
-        return;
-    }
-    splitConvMethod(modelConvMethod(method), out_method,
-                    out_lowering);
-}
-
-} // namespace
-
 std::vector<KernelRequest>
 ModelRunner::layerRequests(const DnnModel &model, ModelMethod method,
                            uint64_t seed, DataType dtype)
 {
-    Method registry_method;
-    Lowering lowering;
-    splitModelMethod(method, &registry_method, &lowering);
+    const ModelStrategy &strategy = rowOf(kModelMethods, method);
 
     std::vector<KernelRequest> requests;
     requests.reserve(model.conv_layers.size() +
@@ -81,8 +35,8 @@ ModelRunner::layerRequests(const DnnModel &model, ModelMethod method,
     for (const auto &layer : model.conv_layers) {
         KernelRequest req = KernelRequest::conv(
             layer.shape, layer.weight_sparsity, layer.act_sparsity);
-        req.method = registry_method;
-        req.lowering = lowering;
+        req.method = strategy.method;
+        req.lowering = strategy.lowering;
         req.withClusters(layer.act_cluster, layer.weight_cluster);
         req.seed = seed++;
         req.tag = layer.name;
@@ -92,7 +46,7 @@ ModelRunner::layerRequests(const DnnModel &model, ModelMethod method,
         KernelRequest req = KernelRequest::gemm(
             layer.m, layer.n, layer.k, layer.act_sparsity,
             layer.weight_sparsity);
-        req.method = registry_method;
+        req.method = strategy.method;
         req.withClusters(layer.act_cluster, layer.weight_cluster);
         req.seed = seed++;
         req.tag = layer.name;

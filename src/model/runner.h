@@ -34,7 +34,31 @@ enum class ModelMethod
     Auto,                 ///< per-layer registry dispatch
 };
 
-const char *modelMethodName(ModelMethod method);
+/** One row of the model strategy table: the registry method and
+ *  lowering every layer of a ModelMethod runs under. */
+struct ModelStrategy
+{
+    ModelMethod value;
+    Method method;
+    Lowering lowering;
+};
+
+inline constexpr ModelStrategy kModelMethods[] = {
+    {ModelMethod::DenseExplicit, Method::Dense, Lowering::Explicit},
+    {ModelMethod::DenseImplicit, Method::Dense, Lowering::Implicit},
+    {ModelMethod::SingleSparseExplicit, Method::ZhuSparse,
+     Lowering::Explicit},
+    {ModelMethod::SingleSparseImplicit, Method::ZhuSparse,
+     Lowering::Implicit},
+    {ModelMethod::DualSparseImplicit, Method::DualSparse,
+     Lowering::Implicit},
+    {ModelMethod::Auto, Method::Auto, Lowering::Implicit},
+};
+static_assert(listsEveryValue(kModelMethods, ModelMethod::Auto));
+
+/** The Fig. 22 legend name of a model strategy: its conv strategy's
+ *  name, or "Auto". */
+const char *legendName(ModelMethod method);
 
 /** Per-layer outcome of a model run. */
 struct LayerResult

@@ -7,44 +7,6 @@
 
 namespace dstc {
 
-const char *
-trafficPatternToken(TrafficPattern pattern)
-{
-    switch (pattern) {
-    case TrafficPattern::Poisson:
-        return "poisson";
-    case TrafficPattern::Bursty:
-        return "bursty";
-    }
-    return "?";
-}
-
-bool
-parseTrafficPattern(const std::string &token, TrafficPattern *out)
-{
-    if (token == "poisson")
-        *out = TrafficPattern::Poisson;
-    else if (token == "bursty")
-        *out = TrafficPattern::Bursty;
-    else
-        return false;
-    return true;
-}
-
-const char *
-deadlineClassName(DeadlineClass dclass)
-{
-    switch (dclass) {
-    case DeadlineClass::Interactive:
-        return "interactive";
-    case DeadlineClass::Standard:
-        return "standard";
-    case DeadlineClass::Batch:
-        return "batch";
-    }
-    return "?";
-}
-
 ArrivalGenerator::ArrivalGenerator(ArrivalOptions options)
     : options_(options)
 {

@@ -25,8 +25,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <iterator>
 #include <vector>
+
+#include "common/vocabulary.h"
 
 namespace dstc {
 
@@ -37,12 +39,12 @@ enum class TrafficPattern
     Bursty,  ///< two-state Markov-modulated Poisson
 };
 
-/** Stable CLI/parse token of a pattern ("poisson", "bursty"). */
-const char *trafficPatternToken(TrafficPattern pattern);
-
-/** Parse a CLI token into a pattern; false on unknown token. */
-bool parseTrafficPattern(const std::string &token,
-                         TrafficPattern *out);
+/** The traffic patterns and their CLI tokens. */
+inline constexpr Term<TrafficPattern> kTrafficPatterns[] = {
+    {TrafficPattern::Poisson, "poisson"},
+    {TrafficPattern::Bursty, "bursty"},
+};
+static_assert(listsEveryValue(kTrafficPatterns, TrafficPattern::Bursty));
 
 /**
  * Latency expectation attached to a request. The concrete deadline
@@ -58,10 +60,15 @@ enum class DeadlineClass
     Batch = 2,       ///< throughput-oriented, loose deadline
 };
 
-constexpr int kNumDeadlineClasses = 3;
+/** The deadline classes and their names. */
+inline constexpr Term<DeadlineClass> kDeadlineClasses[] = {
+    {DeadlineClass::Interactive, "interactive"},
+    {DeadlineClass::Standard, "standard"},
+    {DeadlineClass::Batch, "batch"},
+};
+static_assert(listsEveryValue(kDeadlineClasses, DeadlineClass::Batch));
 
-/** Human-readable class name ("interactive", ...). */
-const char *deadlineClassName(DeadlineClass dclass);
+constexpr int kNumDeadlineClasses = std::size(kDeadlineClasses);
 
 /** One request arrival of the open-loop stream. */
 struct Arrival

@@ -7,18 +7,6 @@
 
 namespace dstc {
 
-bool
-parseAdmissionPolicy(const std::string &token, AdmissionPolicy *out)
-{
-    if (token == "reject")
-        *out = AdmissionPolicy::Reject;
-    else if (token == "shed")
-        *out = AdmissionPolicy::ShedOldest;
-    else
-        return false;
-    return true;
-}
-
 ServingQueue::ServingQueue(size_t num_devices, size_t depth_bound,
                            AdmissionPolicy policy)
     : depth_bound_(depth_bound == 0 ? 1 : depth_bound),

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "serve/arrival.h"
@@ -38,9 +37,13 @@ enum class AdmissionPolicy
     ShedOldest ///< drop the oldest queued request, admit the newcomer
 };
 
-/** Parse a CLI token into a policy; false on unknown token. */
-bool parseAdmissionPolicy(const std::string &token,
-                          AdmissionPolicy *out);
+/** The admission policies and their CLI tokens. */
+inline constexpr Term<AdmissionPolicy> kAdmissionPolicies[] = {
+    {AdmissionPolicy::Reject, "reject"},
+    {AdmissionPolicy::ShedOldest, "shed"},
+};
+static_assert(listsEveryValue(kAdmissionPolicies,
+                              AdmissionPolicy::ShedOldest));
 
 /** One admitted request waiting on a device queue. */
 struct QueuedRequest

@@ -9,34 +9,6 @@
 
 namespace dstc {
 
-const char *
-servePolicyToken(ServePolicy policy)
-{
-    switch (policy) {
-    case ServePolicy::Deadline:
-        return "deadline";
-    case ServePolicy::CostModel:
-        return "cost";
-    case ServePolicy::RoundRobin:
-        return "rr";
-    }
-    return "?";
-}
-
-bool
-parseServePolicy(const std::string &token, ServePolicy *out)
-{
-    if (token == "deadline")
-        *out = ServePolicy::Deadline;
-    else if (token == "cost")
-        *out = ServePolicy::CostModel;
-    else if (token == "rr")
-        *out = ServePolicy::RoundRobin;
-    else
-        return false;
-    return true;
-}
-
 ServingEngine::ServingEngine(ServingOptions options,
                              std::vector<KernelRequest> pool)
     : options_(std::move(options)), pool_(std::move(pool))

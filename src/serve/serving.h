@@ -61,7 +61,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/cluster.h"
@@ -80,11 +79,13 @@ enum class ServePolicy
     RoundRobin, ///< FIFO drain + rotation
 };
 
-/** Stable CLI/parse token of a policy ("deadline", "cost", "rr"). */
-const char *servePolicyToken(ServePolicy policy);
-
-/** Parse a CLI token into a policy; false on unknown token. */
-bool parseServePolicy(const std::string &token, ServePolicy *out);
+/** The serving policies and their CLI tokens. */
+inline constexpr Term<ServePolicy> kServePolicies[] = {
+    {ServePolicy::Deadline, "deadline"},
+    {ServePolicy::CostModel, "cost"},
+    {ServePolicy::RoundRobin, "rr"},
+};
+static_assert(listsEveryValue(kServePolicies, ServePolicy::RoundRobin));
 
 /** Construction knobs of a ServingEngine. */
 struct ServingOptions

@@ -374,7 +374,7 @@ TEST(AutoEstimateTest, FunctionalDualPlansReportTheirEstimate)
     for (const FunctionalConv &c : convs)
         for (Method method : {Method::DualSparse, Method::Auto})
             requests.emplace_back(
-                c.label + " / " + methodToken(method),
+                c.label + " / " + tokenOf(kMethods, method),
                 c.request().withMethod(method));
 
     for (const auto &[label, req] : requests) {
@@ -434,7 +434,7 @@ TEST(AutoEstimateTest, NoMisrankingAtBackendCrossovers)
                 << "Auto picked a non-candidate backend";
             EXPECT_LE(chosen_actual, best_actual * 1.05)
                 << "a_sp=" << sa << " b_sp=" << sb << " picked "
-                << methodName(auto_report.method) << " ("
+                << nameOf(kMethods, auto_report.method) << " ("
                 << chosen_actual << " us) but best actual is "
                 << best_actual << " us";
         }
@@ -476,7 +476,7 @@ TEST(AutoEstimateTest, AutoOverMatricesMatchesItsWinnerBitwise)
         plan->estimatedTimeUs();
         const KernelReport want = plan->execute();
         const std::string context = std::string(spmm ? "spmm" : "gemm") +
-                                    " won by " + methodName(got.method);
+                                    " won by " + nameOf(kMethods, got.method);
         EXPECT_EQ(got.stats, want.stats) << context;
         EXPECT_EQ(got.planned_us, want.planned_us) << context;
         ASSERT_TRUE(got.d && want.d) << context;

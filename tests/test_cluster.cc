@@ -109,7 +109,7 @@ TEST(ClusterTest, EveryPolicyDeviceCountAndWorkerCountIsBitwise)
                 for (size_t i = 0; i < reports.size(); ++i) {
                     const std::string context =
                         std::to_string(devices) + " devices, " +
-                        placementPolicyToken(policy) + ", " +
+                        tokenOf(kPlacementPolicies, policy) + ", " +
                         std::to_string(workers) + " workers, req " +
                         std::to_string(i);
                     expectStatsBitwiseEqual(reports[i].stats,
@@ -150,7 +150,7 @@ TEST(ClusterTest, HeterogeneousReportsMatchPlacedDeviceSerially)
             KernelReport serial = reference.run(requests[i]);
             expectStatsBitwiseEqual(
                 reports[i].stats, serial.stats,
-                std::string(placementPolicyToken(policy)) +
+                std::string(tokenOf(kPlacementPolicies, policy)) +
                     ", req " + std::to_string(i));
             EXPECT_EQ(reports[i].backend, serial.backend);
         }
@@ -178,9 +178,9 @@ TEST(ClusterTest, PlacementIsDeterministic)
             schedules.push_back(std::move(schedule));
         }
         EXPECT_EQ(schedules[0], schedules[1])
-            << placementPolicyToken(policy);
+            << tokenOf(kPlacementPolicies, policy);
         EXPECT_EQ(schedules[0], schedules[2])
-            << placementPolicyToken(policy);
+            << tokenOf(kPlacementPolicies, policy);
     }
 }
 

@@ -114,7 +114,7 @@ TEST_F(ConvEquivalenceTest, WordPathMatchesScalarForAllMethods)
             ConvResult ref =
                 executor_.runScalar(input, weights, s, method, opts);
             const std::string label =
-                std::string(convMethodName(method)) + " workers=" +
+                std::string(nameOf(kConvMethods, method)) + " workers=" +
                 std::to_string(workers);
             expectOutputIdentical(fast.output, ref.output,
                                   label.c_str());
@@ -144,9 +144,9 @@ TEST_F(ConvEquivalenceTest, StridedPaddedBatchedShapesMatch)
             ConvResult ref =
                 executor_.runScalar(input, weights, s, method, opts);
             expectOutputIdentical(fast.output, ref.output,
-                                  convMethodName(method));
+                                  nameOf(kConvMethods, method));
             expectStatsIdentical(fast.stats, ref.stats,
-                                 convMethodName(method));
+                                 nameOf(kConvMethods, method));
         }
     }
 }
@@ -178,7 +178,7 @@ TEST_F(ConvEquivalenceTest, StrideByPadGridMatchesScalar)
                     ConvResult ref = executor_.runScalar(
                         input, weights, s, method, opts);
                     const std::string label =
-                        std::string(convMethodName(method)) +
+                        std::string(nameOf(kConvMethods, method)) +
                         " stride=" + std::to_string(stride) +
                         " pad=" + std::to_string(pad) +
                         " workers=" + std::to_string(workers);

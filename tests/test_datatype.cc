@@ -36,19 +36,6 @@ specOf(DataType dtype, const Matrix<float> &m)
 // QuantSpec / datatype unit semantics
 // ---------------------------------------------------------------
 
-TEST(DataTypeSpec, TokenRoundTrip)
-{
-    for (DataType dtype : kAllTypes) {
-        DataType parsed;
-        ASSERT_TRUE(parseDataType(dataTypeToken(dtype), &parsed))
-            << dataTypeToken(dtype);
-        EXPECT_EQ(parsed, dtype);
-    }
-    DataType parsed;
-    EXPECT_FALSE(parseDataType("fp64", &parsed));
-    EXPECT_FALSE(parseDataType("", &parsed));
-}
-
 TEST(DataTypeSpec, PackedBytes)
 {
     // int4 nibble-packs: 3 values round up to 2 bytes.
@@ -156,11 +143,13 @@ TEST(DataTypeAccuracy, ErrorBoundedAgainstFp32Reference)
         opts.dtype = dtype;
         const Matrix<float> d = spgemm.multiply(a, b, opts).d;
         EXPECT_LT(maxAbsDiff(d, ref), errorBound(dtype))
-            << dataTypeToken(dtype);
+            << tokenOf(kDataTypes, dtype);
         // The datapath must not be a silent FP32 passthrough: every
         // narrowed type shows *some* rounding on random data.
-        if (dtype != DataType::Fp32)
-            EXPECT_GT(maxAbsDiff(d, ref), 0.0) << dataTypeToken(dtype);
+        if (dtype != DataType::Fp32) {
+            EXPECT_GT(maxAbsDiff(d, ref), 0.0)
+                << tokenOf(kDataTypes, dtype);
+        }
     }
 }
 
@@ -187,7 +176,7 @@ TEST(DataTypeDeterminism, IntegerResultsInvariantToWorkerCount)
             opts.num_workers = workers;
             const Matrix<float> got = spgemm.multiply(a, b, opts).d;
             EXPECT_TRUE(got == want)
-                << dataTypeToken(dtype) << " diverged at num_workers="
+                << tokenOf(kDataTypes, dtype) << " diverged at num_workers="
                 << workers;
         }
     }
@@ -207,11 +196,9 @@ TEST(DataTypeDeterminism, DenseEqualsDualSparseForIntegers)
         opts.functional = true;
         opts.dtype = dtype;
         const Matrix<float> dual = spgemm.multiply(a, b, opts).d;
-        const Matrix<float> d =
-            dense.multiply(a, b, false, specOf(dtype, a),
-                           specOf(dtype, b))
-                .d;
-        EXPECT_TRUE(d == dual) << dataTypeToken(dtype);
+        const Matrix<float> d = dense.multiply(
+            a, b, false, specOf(dtype, a), specOf(dtype, b));
+        EXPECT_TRUE(d == dual) << tokenOf(kDataTypes, dtype);
     }
 }
 
@@ -233,7 +220,7 @@ TEST(DataTypeDeterminism, IntegerEngineMatchesGoldenModelBitwise)
         const Matrix<float> d = spgemm.multiply(a, b, opts).d;
         const Matrix<float> ref =
             refGemmQuant(a, b, specOf(dtype, a), specOf(dtype, b));
-        EXPECT_EQ(maxAbsDiff(d, ref), 0.0) << dataTypeToken(dtype);
+        EXPECT_EQ(maxAbsDiff(d, ref), 0.0) << tokenOf(kDataTypes, dtype);
     }
 }
 

@@ -47,7 +47,7 @@ TEST(EdgeCases, RectangularFeatureMapConv)
             worst = std::max(worst, static_cast<double>(std::fabs(
                                         r.output->data()[i] -
                                         golden.data()[i])));
-        EXPECT_LT(worst, 2e-2) << convMethodName(method);
+        EXPECT_LT(worst, 2e-2) << nameOf(kConvMethods, method);
     }
 }
 
@@ -247,11 +247,11 @@ TEST(EdgeCases, OperandExtentMismatchesAreUnsupported)
                                                       shape)})
             EXPECT_TRUE(session.registry().supports(
                 req.withMethod(method)))
-                << methodToken(method);
+                << tokenOf(kMethods, method);
         for (auto [label, req] : mismatched)
             EXPECT_FALSE(session.registry().supports(
                 req.withMethod(method)))
-                << label << " / " << methodToken(method);
+                << label << " / " << tokenOf(kMethods, method);
     }
 }
 

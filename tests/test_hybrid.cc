@@ -100,7 +100,7 @@ expectClassRowsMatch(const HybridClass &cls, const Matrix<float> &hyb,
             for (int c = 0; c < hyb.cols(); ++c)
                 ASSERT_EQ(hyb.at(r, c), pure.at(r, c))
                     << "group " << g << " row " << r << " col " << c
-                    << " (" << methodToken(cls.method) << ")";
+                    << " (" << tokenOf(kMethods, cls.method) << ")";
     }
 }
 
@@ -211,7 +211,7 @@ TEST(HybridTest, PinnedThresholdSplitMatchesPerClassReferences)
         KernelRequest pure = KernelRequest::gemm(a, b);
         pure.method = cls.method;
         KernelReport ref = pure_session.run(pure);
-        ASSERT_NE(ref.d, nullptr) << methodToken(cls.method);
+        ASSERT_NE(ref.d, nullptr) << tokenOf(kMethods, cls.method);
         expectClassRowsMatch(cls, *hyb.d, *ref.d);
     }
 }
@@ -330,7 +330,7 @@ TEST(HybridTest, SyntheticClusteredRequestSplitsDeterministically)
     for (size_t i = 0; i < split.classes.size(); ++i) {
         if (i)
             expected += '+';
-        expected += methodToken(split.classes[i].method);
+        expected += tokenOf(kMethods, split.classes[i].method);
         expected += ':';
         expected +=
             std::to_string(split.classes[i].groups.size());
@@ -395,10 +395,10 @@ TEST(HybridTest, HybridSupportsFloatGemmAndSpmm)
     for (DataType dtype : {DataType::Int8, DataType::Int4}) {
         KernelRequest gemm = KernelRequest::gemm(64, 64, 64);
         gemm.gemm_options.dtype = dtype;
-        EXPECT_FALSE(hybrid->supports(gemm)) << dataTypeName(dtype);
+        EXPECT_FALSE(hybrid->supports(gemm)) << nameOf(kDataTypes, dtype);
         KernelRequest spmm = KernelRequest::spmm(64, 32, 64, 0.9);
         spmm.gemm_options.dtype = dtype;
-        EXPECT_FALSE(hybrid->supports(spmm)) << dataTypeName(dtype);
+        EXPECT_FALSE(hybrid->supports(spmm)) << nameOf(kDataTypes, dtype);
     }
 
     Rng rng(79);

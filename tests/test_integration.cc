@@ -73,7 +73,7 @@ TEST(Integration, ConvLayerFromModelZoo)
             worst = std::max(worst, static_cast<double>(std::fabs(
                                         r.output->data()[i] -
                                         golden.data()[i])));
-        EXPECT_LT(worst, 2e-2) << convMethodName(method);
+        EXPECT_LT(worst, 2e-2) << nameOf(kConvMethods, method);
     }
 
     const double dense_time =

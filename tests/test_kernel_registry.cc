@@ -57,7 +57,7 @@ TEST_F(KernelRegistryTest, FindByMethod)
                      Method::ZhuSparse, Method::AmpereSparse,
                      Method::CusparseLike}) {
         const Backend *backend = registry.find(m);
-        ASSERT_NE(backend, nullptr) << methodName(m);
+        ASSERT_NE(backend, nullptr) << nameOf(kMethods, m);
         EXPECT_EQ(backend->method(), m);
     }
     EXPECT_EQ(registry.find(Method::Auto), nullptr);
@@ -150,7 +150,7 @@ TEST(KernelRegistryDeathTest, MismatchedPreEncodedTilingPanicsAtPlan)
             },
             "must be tiled 32x32 \\(A\\) and 32x32 \\(B\\).*"
             "kernel_registry\\.cc")
-            << methodName(method);
+            << nameOf(kMethods, method);
     }
 }
 
@@ -202,11 +202,11 @@ TEST(KernelRegistryDeathTest, RejectedOperandFormPairsPanicAtPlan)
                 KernelRequest(c.request).withMethod(method);
             Session session;
             EXPECT_FALSE(session.registry().supports(req))
-                << c.pair << " / " << methodToken(method);
+                << c.pair << " / " << tokenOf(kMethods, method);
             EXPECT_DEATH(session.plan(req),
                          "operandsValid\\(request\\).*"
                          "kernel_registry\\.cc")
-                << c.pair << " / " << methodToken(method);
+                << c.pair << " / " << tokenOf(kMethods, method);
         }
     }
 }

@@ -92,11 +92,24 @@ TEST_F(RunnerTest, GemmModelsUseThreeDistinctMethods)
 
 TEST(ModelMethodNames, MatchLegend)
 {
-    EXPECT_STREQ(modelMethodName(ModelMethod::DualSparseImplicit),
+    EXPECT_STREQ(legendName(ModelMethod::DualSparseImplicit),
                  "Dual Sparse Implicit");
-    EXPECT_STREQ(modelMethodName(ModelMethod::DenseExplicit),
+    EXPECT_STREQ(legendName(ModelMethod::DenseExplicit),
                  "Dense Explicit");
-    EXPECT_STREQ(modelMethodName(ModelMethod::Auto), "Auto");
+    EXPECT_STREQ(legendName(ModelMethod::Auto), "Auto");
+    const ModelStrategy &automatic = rowOf(kModelMethods, ModelMethod::Auto);
+    EXPECT_TRUE(automatic.method == Method::Auto);
+    EXPECT_TRUE(automatic.lowering == Lowering::Implicit);
+}
+
+TEST(ModelMethods, RunTheirNamesakeConvStrategies)
+{
+    // ModelMethod lists the conv strategies in ConvMethod's order,
+    // then Auto; each row's (method, lowering) pair is the one of its
+    // namesake conv strategy, so it shows that strategy's legend name.
+    for (const Term<ConvMethod> &conv : kConvMethods)
+        EXPECT_STREQ(legendName(static_cast<ModelMethod>(conv.value)),
+                     conv.name);
 }
 
 TEST_F(RunnerTest, LayerRequestsCoverEveryLayer)

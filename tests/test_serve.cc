@@ -137,7 +137,7 @@ TEST(ArrivalTest, MeanRateTracksRequestForBothPatterns)
         const size_t n = ArrivalGenerator(opts).generate().size();
         const double rate = n / opts.duration_ms;
         EXPECT_NEAR(rate, opts.rate_rpms, 0.15 * opts.rate_rpms)
-            << trafficPatternToken(pattern);
+            << tokenOf(kTrafficPatterns, pattern);
     }
 }
 
@@ -354,7 +354,7 @@ TEST(ServingEngineTest, SameSeedSameStats)
         const ServingStats sa = a.run().stats;
         const ServingStats sb = b.run().stats;
         EXPECT_GT(sa.offered, 0);
-        EXPECT_TRUE(sa == sb) << servePolicyToken(policy);
+        EXPECT_TRUE(sa == sb) << tokenOf(kServePolicies, policy);
     }
 }
 
@@ -376,9 +376,9 @@ TEST(ServingEngineTest, ReplayIsBitwiseAcrossPoliciesAndDevices)
             ServingEngine engine(opts, testPool());
             ServingResult result = engine.run();
             EXPECT_GT(result.stats.completed, 0)
-                << servePolicyToken(policy) << " x" << devices;
+                << tokenOf(kServePolicies, policy) << " x" << devices;
             EXPECT_TRUE(engine.replayMatchesSerial(result))
-                << servePolicyToken(policy) << " x" << devices;
+                << tokenOf(kServePolicies, policy) << " x" << devices;
         }
     }
 }
@@ -715,7 +715,7 @@ TEST(ServingGoldenTest, GridDigestIsPinned)
                     }
                     runGoldenCell(
                         opts,
-                        std::string(servePolicyToken(policy)) +
+                        std::string(tokenOf(kServePolicies, policy)) +
                             (admission == AdmissionPolicy::Reject
                                  ? "/reject"
                                  : "/shed") +

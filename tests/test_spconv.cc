@@ -50,7 +50,7 @@ TEST_F(SpConvTest, AllMethodsComputeTheSameConvolution)
             worst = std::max(worst, static_cast<double>(std::fabs(
                                         r.output.data()[i] -
                                         golden.data()[i])));
-        EXPECT_LT(worst, 2e-2) << convMethodName(method);
+        EXPECT_LT(worst, 2e-2) << nameOf(kConvMethods, method);
         EXPECT_GT(r.stats.timeUs(), 0.0);
     }
 }
@@ -143,9 +143,9 @@ TEST_F(SpConvTest, StridedAndPaddedConvRunsAllMethods)
 
 TEST_F(SpConvTest, MethodNamesMatchLegend)
 {
-    EXPECT_STREQ(convMethodName(ConvMethod::DenseImplicit),
+    EXPECT_STREQ(nameOf(kConvMethods, ConvMethod::DenseImplicit),
                  "Dense Implicit");
-    EXPECT_STREQ(convMethodName(ConvMethod::DualSparseImplicit),
+    EXPECT_STREQ(nameOf(kConvMethods, ConvMethod::DualSparseImplicit),
                  "Dual Sparse Implicit");
 }
 

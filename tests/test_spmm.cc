@@ -206,7 +206,7 @@ TEST(Spmm, IntegerDatatypesStayBitwise)
     for (DataType dtype :
          {DataType::Int8, DataType::Int4, DataType::Bf16})
         expectSpmmBitwiseSet(session, a, b, dtype,
-                             dataTypeToken(dtype));
+                             tokenOf(kDataTypes, dtype));
 }
 
 TEST(Spmm, NarrowKernelBitwiseStableAcrossWorkers)

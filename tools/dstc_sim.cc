@@ -41,31 +41,6 @@ using namespace dstc;
 
 namespace {
 
-/** A CLI vocabulary: each token and the value it selects. */
-template <typename T>
-using Tokens = std::vector<std::pair<std::string, T>>;
-
-template <typename T>
-std::vector<std::string>
-tokensOf(const Tokens<T> &table)
-{
-    std::vector<std::string> tokens;
-    for (const auto &[token, value] : table)
-        tokens.push_back(token);
-    return tokens;
-}
-
-/** The value @p token selects; null when it is not in @p table. */
-template <typename T>
-const T *
-findToken(const Tokens<T> &table, const std::string &token)
-{
-    for (const auto &[name, value] : table)
-        if (name == token)
-            return &value;
-    return nullptr;
-}
-
 std::string
 join(const std::vector<std::string> &words, const char *separator)
 {
@@ -75,22 +50,32 @@ join(const std::vector<std::string> &words, const char *separator)
     return text;
 }
 
-const Tokens<DnnModel (*)()> kZoo = {{"vgg16", makeVgg16},
-                                     {"resnet18", makeResnet18},
-                                     {"maskrcnn", makeMaskRcnn},
-                                     {"bert", makeBertBase},
-                                     {"rnn", makeRnnLM}};
+const Term<DnnModel (*)()> kZoo[] = {{makeVgg16, "vgg16"},
+                                     {makeResnet18, "resnet18"},
+                                     {makeMaskRcnn, "maskrcnn"},
+                                     {makeBertBase, "bert"},
+                                     {makeRnnLM, "rnn"}};
 
-const Tokens<ModelMethod> kModelMethods = {
-    {"auto", ModelMethod::Auto},
-    {"dual", ModelMethod::DualSparseImplicit},
-    {"dense", ModelMethod::DenseImplicit},
-    {"single", ModelMethod::SingleSparseImplicit}};
+/** The model strategies --method offers. */
+const Term<ModelMethod> kModelMethodChoices[] = {
+    {ModelMethod::Auto, "auto"},
+    {ModelMethod::DualSparseImplicit, "dual"},
+    {ModelMethod::DenseImplicit, "dense"},
+    {ModelMethod::SingleSparseImplicit, "single"}};
 
-const Tokens<GpuConfig (*)()> kDeviceModels = {
-    {"v100", GpuConfig::v100},
-    {"a100", GpuConfig::a100Like},
-    {"future", GpuConfig::futureGpu}};
+const Term<GpuConfig (*)()> kDeviceModels[] = {
+    {GpuConfig::v100, "v100"},
+    {GpuConfig::a100Like, "a100"},
+    {GpuConfig::futureGpu, "future"}};
+
+/** The value a Text flag's validated token names in @p table. */
+template <class T, size_t N>
+T
+flagValue(const CliArgs &args, const char *name, const char *fallback,
+          const Term<T> (&table)[N])
+{
+    return parseToken(table, args.flag(name, fallback)).value();
+}
 
 // -- declarations shared by several command forms --------------------
 
@@ -104,14 +89,14 @@ const ArgSpec kCluster = {"cluster", ArgKind::Number,
                           ArgRange::AtLeastOne};
 const ArgSpec kHybridThreshold = {"hybrid-threshold", ArgKind::Number};
 const ArgSpec kDtype = {"dtype", ArgKind::Text, ArgRange::Any,
-                        {"fp32", "fp16", "bf16", "int8", "int4"}};
+                        tokensOf(kDataTypes)};
 const ArgSpec kFormat = {"format", ArgKind::Text, ArgRange::Any,
-                         {"auto", "narrow", "wide"}};
+                         tokensOf(kSpmmFormats)};
 const ArgSpec kSpmmMethod = {"method", ArgKind::Text, ArgRange::Any,
                              {"auto", "dual", "dense", "cusparse",
                               "hybrid"}};
 const ArgSpec kModelMethod = {"method", ArgKind::Text, ArgRange::Any,
-                              tokensOf(kModelMethods)};
+                              tokensOf(kModelMethodChoices)};
 const ArgSpec kDevices = {"devices"};
 const ArgSpec kModel = {"model", ArgKind::Text, ArgRange::Any,
                         tokensOf(kZoo), true};
@@ -143,8 +128,8 @@ dimArg(const CliArgs &args, size_t i)
 bool
 parseMethodAndDtype(const CliArgs &args, Method *method, DataType *dtype)
 {
-    parseMethod(args.flag("method", "dual"), method);
-    parseDataType(args.flag("dtype", "fp16"), dtype);
+    *method = flagValue(args, "method", "dual", kMethods);
+    *dtype = flagValue(args, "dtype", "fp16", kDataTypes);
     if (*method != Method::Hybrid || !dataTypeIsInteger(*dtype))
         return true;
     std::fprintf(stderr,
@@ -174,7 +159,7 @@ printReport(const KernelReport &report, const GpuConfig &cfg,
 {
     const KernelStats &stats = report.stats;
     std::printf("backend          : %s (%s)\n", report.backend.c_str(),
-                methodName(report.method));
+                nameOf(kMethods, report.method));
     std::printf("kernel           : %s\n", stats.name.c_str());
     std::printf("time             : %.2f us (%s bound)\n",
                 stats.timeUs(),
@@ -212,8 +197,8 @@ runGemm(const CliArgs &args, Session &session)
                 static_cast<long long>(req.n),
                 static_cast<long long>(req.k),
                 req.a.synthetic()->sparsity,
-                req.b.synthetic()->sparsity, methodToken(req.method),
-                dataTypeToken(req.dataType()));
+                req.b.synthetic()->sparsity, tokenOf(kMethods, req.method),
+                tokenOf(kDataTypes, req.dataType()));
     printReport(report, session.config(), req.dataType());
     return 0;
 }
@@ -226,8 +211,8 @@ runSpmm(const CliArgs &args, Session &session)
     DataType dtype;
     if (!parseMethodAndDtype(args, &method, &dtype))
         return 2;
-    SpmmFormat format;
-    parseSpmmFormat(args.flag("format", "auto"), &format);
+    const SpmmFormat format =
+        flagValue(args, "format", "auto", kSpmmFormats);
     const uint64_t seed = args.flagU64("seed", 1);
 
     Matrix<float> a_mtx, b_dense;
@@ -291,8 +276,7 @@ runConv(const CliArgs &args, Session &session)
         return 2;
     }
 
-    Method method;
-    parseMethod(args.flag("method", "dual"), &method);
+    const Method method = flagValue(args, "method", "dual", kMethods);
     const bool explicit_lowering = args.hasFlag("explicit");
     if (explicit_lowering && method == Method::DualSparse) {
         std::fprintf(stderr, "error: the dual-side design has no "
@@ -311,7 +295,7 @@ runConv(const CliArgs &args, Session &session)
 
     KernelReport report = session.run(req);
     std::printf("CONV %s (%s)\n", shape.str().c_str(),
-                methodName(report.method));
+                nameOf(kMethods, report.method));
     printReport(report, session.config());
     return 0;
 }
@@ -319,12 +303,11 @@ runConv(const CliArgs &args, Session &session)
 int
 runModel(const CliArgs &args, Session &session)
 {
-    const DnnModel model = (*findToken(kZoo, args.positional[1]))();
+    const DnnModel model = parseToken(kZoo, args.positional[1]).value()();
     const ModelMethod method =
-        *findToken(kModelMethods, args.flag("method", "dual"));
+        flagValue(args, "method", "dual", kModelMethodChoices);
     const uint64_t seed = args.flagU64("seed", 1);
-    DataType dtype;
-    parseDataType(args.flag("dtype", "fp16"), &dtype);
+    const DataType dtype = flagValue(args, "dtype", "fp16", kDataTypes);
     ModelRunner runner(session);
     ModelRunResult result = runner.run(model, method, seed, dtype);
     // The comparison baseline runs at the same datatype, so the
@@ -356,7 +339,7 @@ runModel(const CliArgs &args, Session &session)
         total_row.push_back("");
     table.addRow(total_row);
     std::printf("%s under %s (%s):\n", model.name.c_str(),
-                modelMethodName(method), dataTypeToken(dtype));
+                legendName(method), tokenOf(kDataTypes, dtype));
     table.print();
     return 0;
 }
@@ -375,7 +358,7 @@ parseDevicesArg(const std::string &list,
         if (comma == std::string::npos)
             comma = list.size();
         const std::string token = list.substr(start, comma - start);
-        const auto make = findToken(kDeviceModels, token);
+        const auto make = parseToken(kDeviceModels, token);
         if (!make) {
             std::fprintf(stderr,
                          "error: unknown device '%s' (valid: %s)\n",
@@ -407,9 +390,9 @@ parseModelPool(const CliArgs &args)
     const std::vector<DnnModel> models =
         name == "mix"
             ? std::vector<DnnModel>{makeResnet18(), makeBertBase()}
-            : std::vector<DnnModel>{(*findToken(kZoo, name))()};
+            : std::vector<DnnModel>{parseToken(kZoo, name).value()()};
     ModelPool pool{models.size() == 1 ? models[0].name : name,
-                   *findToken(kModelMethods, args.flag("method", "dual")),
+                   flagValue(args, "method", "dual", kModelMethodChoices),
                    args.flagU64("seed", 1),
                    {}};
     for (const DnnModel &model : models) {
@@ -430,7 +413,7 @@ runCluster(const CliArgs &args)
     if (!parseDevicesArg(args.flag("devices", "v100,v100"),
                          &opts.devices, &device_names))
         return 2;
-    parsePlacementPolicy(args.flag("policy", "cost"), &opts.policy);
+    opts.policy = flagValue(args, "policy", "cost", kPlacementPolicies);
     const int replicate = args.flagI("replicate", 1);
 
     Cluster cluster(opts);
@@ -445,8 +428,8 @@ runCluster(const CliArgs &args)
 
     std::printf("%s x %d under %s on %zu devices, policy %s:\n",
                 pool.model.c_str(), replicate,
-                modelMethodName(pool.method), cluster.numDevices(),
-                placementPolicyToken(opts.policy));
+                legendName(pool.method), cluster.numDevices(),
+                tokenOf(kPlacementPolicies, opts.policy));
 
     const size_t layers = pool.requests.size();
     TextTable per_layer;
@@ -499,12 +482,11 @@ runServe(const CliArgs &args)
                          &opts.devices, &device_names))
         return 2;
 
-    const std::string policy = args.flag("policy", "deadline");
-    const std::string admission = args.flag("admission", "reject");
-    const std::string pattern = args.flag("pattern", "poisson");
-    parseServePolicy(policy, &opts.policy);
-    parseAdmissionPolicy(admission, &opts.admission);
-    parseTrafficPattern(pattern, &opts.arrivals.pattern);
+    opts.policy = flagValue(args, "policy", "deadline", kServePolicies);
+    opts.admission =
+        flagValue(args, "admission", "reject", kAdmissionPolicies);
+    opts.arrivals.pattern =
+        flagValue(args, "pattern", "poisson", kTrafficPatterns);
 
     opts.arrivals.rate_rpms = args.flagD("rate", 400.0);
     opts.arrivals.duration_ms = args.flagD("duration", 2.0);
@@ -540,7 +522,9 @@ runServe(const CliArgs &args)
     std::printf("serve %s on %zu devices, policy %s, admission %s, "
                 "%s @ %.0f req/ms for %.1f ms (seed %llu)\n",
                 args.positional[1].c_str(), engine.cluster().numDevices(),
-                policy.c_str(), admission.c_str(), pattern.c_str(),
+                tokenOf(kServePolicies, opts.policy),
+                tokenOf(kAdmissionPolicies, opts.admission),
+                tokenOf(kTrafficPatterns, opts.arrivals.pattern),
                 opts.arrivals.rate_rpms, opts.arrivals.duration_ms,
                 static_cast<unsigned long long>(pool.seed));
     std::printf("estimated capacity: %.0f req/ms (offered load "
@@ -553,7 +537,7 @@ runServe(const CliArgs &args)
     for (int c = 0; c < kNumDeadlineClasses; ++c) {
         const ClassStats &cls = stats.per_class[c];
         per_class.addRow(
-            {deadlineClassName(static_cast<DeadlineClass>(c)),
+            {nameOf(kDeadlineClasses, static_cast<DeadlineClass>(c)),
              std::to_string(cls.offered),
              std::to_string(cls.completed),
              std::to_string(cls.deadline_misses),
@@ -770,8 +754,8 @@ runBackends(const CliArgs &args, Session &session)
             estimate = fmtDouble(
                 session.plan(routed)->estimatedTimeUs(), 2);
         }
-        table.addRow({backend->name(), methodName(backend->method()),
-                      methodToken(backend->method()),
+        table.addRow({backend->name(), nameOf(kMethods, backend->method()),
+                      tokenOf(kMethods, backend->method()),
                       supports ? "yes" : "no",
                       backend->supports(conv_probe) ? "yes" : "no",
                       backend->exact(gemm_probe) ? "yes" : "no",
@@ -794,7 +778,7 @@ runBackends(const CliArgs &args, Session &session)
         for (const HybridClass &cls : split.classes)
             std::printf("  %-8s : %zu tile row group%s, est %.2f "
                         "us\n",
-                        methodToken(cls.method), cls.groups.size(),
+                        tokenOf(kMethods, cls.method), cls.groups.size(),
                         cls.groups.size() == 1 ? "" : "s",
                         cls.estimated_us);
         std::printf("  total est : %.2f us\n",
@@ -806,9 +790,8 @@ runBackends(const CliArgs &args, Session &session)
 int
 runOverhead(const CliArgs &args, Session &session)
 {
-    DataType dtype;
-    parseDataType(args.flag("dtype", "fp16"), &dtype);
-    OverheadReport report = estimateOverhead(session.config(), dtype);
+    OverheadReport report = estimateOverhead(
+        session.config(), flagValue(args, "dtype", "fp16", kDataTypes));
     TextTable table;
     table.setHeader({"module", "area (mm^2)", "power (W)"});
     for (const auto &component : report.components)
@@ -840,9 +823,7 @@ const std::vector<Command> kCommands = {
      .positionals = kMnk,
      .flags = {kASparsity, kBSparsity, kCluster, kSeed, kHybridThreshold,
                kDtype,
-               {"method", ArgKind::Text, ArgRange::Any,
-                {"auto", "dual", "dense", "zhu", "ampere", "cusparse",
-                 "hybrid"}}},
+               {"method", ArgKind::Text, ArgRange::Any, tokensOf(kMethods)}},
      .run = runGemm},
     {.name = "spmm",
      .positionals = kMnk,
@@ -879,7 +860,7 @@ const std::vector<Command> kCommands = {
      .positionals = {kModel},
      .flags = {kDevices,
                {"policy", ArgKind::Text, ArgRange::Any,
-                {"cost", "rr", "shard"}},
+                tokensOf(kPlacementPolicies)},
                kModelMethod,
                {"replicate", ArgKind::Int, ArgRange::Positive},
                kSeed},
@@ -888,11 +869,11 @@ const std::vector<Command> kCommands = {
      .positionals = {kServePool},
      .flags = {kDevices,
                {"policy", ArgKind::Text, ArgRange::Any,
-                {"deadline", "cost", "rr"}},
+                tokensOf(kServePolicies)},
                {"admission", ArgKind::Text, ArgRange::Any,
-                {"reject", "shed"}},
+                tokensOf(kAdmissionPolicies)},
                {"pattern", ArgKind::Text, ArgRange::Any,
-                {"poisson", "bursty"}},
+                tokensOf(kTrafficPatterns)},
                {"rate", ArgKind::Number, ArgRange::Positive},
                {"duration", ArgKind::Number, ArgRange::Positive},
                {"depth", ArgKind::Int, ArgRange::Positive},

@@ -244,6 +244,23 @@ class DstcSimCli(unittest.TestCase):
                 self.assertEqual(first.returncode, 0, first.stderr)
                 self.assertEqual(first.stdout, second.stdout)
 
+    def test_model_and_cluster_name_the_strategy_by_its_legend(self):
+        # model and cluster headers name the strategy as the Fig. 22
+        # legend does (or "Auto").
+        cases = {
+            "model rnn --method auto": "RNN under Auto (",
+            "model rnn --method dual": "under Dual Sparse Implicit (",
+            "model rnn --method dense": "under Dense Implicit (",
+            "model rnn --method single": "under Single Sparse Implicit (",
+            "cluster rnn --method auto": " under Auto on ",
+            "cluster rnn --method dual": " under Dual Sparse Implicit on ",
+        }
+        for (case, expected), proc in zip(cases.items(),
+                                          run_all(list(cases))):
+            with self.subTest(case=case):
+                self.assertEqual(proc.returncode, 0, proc.stderr)
+                self.assertIn(expected, proc.stdout)
+
     def test_rejected_invocations_exit_two(self):
         with tempfile.TemporaryDirectory() as tmp:
             bad_mtx = os.path.join(tmp, "bad.mtx")
