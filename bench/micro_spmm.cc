@@ -1,8 +1,9 @@
 /**
  * @file
  * Micro-benchmark of the SpMM path (sparse A x dense B) over the
- * checked-in real-matrix corpus (corpus/*.mtx: GNN adjacency and
- * SuiteSparse-style stand-ins at 99%+ sparsity). Each corpus matrix
+ * checked-in real-matrix corpus (the .mtx files in corpus/: GNN
+ * adjacency and SuiteSparse-style stand-ins at 99%+ sparsity). Each
+ * corpus matrix
  * is run at N = 32 through
  *
  *  - the narrow-tile (8x1) format, forced (the tentpole kernel);

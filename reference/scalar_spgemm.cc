@@ -2,7 +2,7 @@
  * @file
  * Scalar reference of the warp-tile kernel, compiled into the
  * test-only `dstc_reference` library (the shipped `dstc` library
- * carries the lane-step kernel alone). The equivalence tests and
+ * carries the lane-strip kernel alone). The equivalence tests and
  * bench/micro_spgemm link this target to keep the bitwise pin:
  * computeTile == computeTileScalar for every tile and datatype.
  */

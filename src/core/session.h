@@ -62,7 +62,7 @@ struct SessionOptions
     GpuConfig config = GpuConfig::v100();
 
     /** Worker budget of every request this session runs. */
-    ExecutionResources resources;
+    ExecutionResources resources{};
 
     /** Encoded-operand cache capacity (entries, LRU eviction). */
     size_t cache_capacity = EncodingCache::kDefaultCapacity;

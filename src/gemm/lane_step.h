@@ -1,18 +1,28 @@
 /**
  * @file
- * The functional accumulate of the warp-tile kernel, in the paper's
- * lane form (Fig. 15): each live k-step expands the B line into 32
- * dense lanes once, and every A non-zero then does one 32-lane
- * multiply-add predicated by the B line's bitmap word. Empty k-steps
- * never run: the step loop walks the AND of the two tiles' line
- * occupancy words (Sec. III-B3).
+ * The functional accumulate of the SpGEMM tile loop, in the paper's
+ * lane form (Fig. 15): one operand's line is the 32-lane predicate of
+ * the OHMMAs, and every non-zero of the other operand's line does one
+ * 32-lane multiply-add predicated by that line's bitmap word. Empty
+ * k-steps never run: the step loop walks the AND of the two tiles'
+ * line occupancy words (Sec. III-B3).
  *
- * The lane step is one body compiled for several x86-64 targets
+ * Either operand can take the lanes; the loop puts the denser one
+ * there (aOnLanes), since it does the most lane work per k-step. A
+ * strip of the lane operand (one tile row of A, or one tile column
+ * of B) is expanded once into a LaneStrip of dense lanes, and the
+ * strip kernel then accumulates each output tile of the strip from
+ * it. With A on the lanes the staged tile is the transpose of the
+ * output tile (row = output column, lane = output row).
+ *
+ * The strip kernel is one body compiled for several x86-64 targets
  * (avx512f, avx2, the default); one of them is picked once per
- * process from the running CPU. Every variant performs the same
- * FP32 multiply and add per on-lane cell in k order, so all of them
- * are bitwise equal to SpGemmWarpEngine::computeTileScalar. This
- * header is internal to the SpGEMM kernel and its tests.
+ * process from the running CPU. Each output cell gets one FP32
+ * multiply and one add per live k-step in ascending k, whichever
+ * side is on the lanes (a * b and b * a are the same IEEE product),
+ * so every variant and side is bitwise equal to
+ * SpGemmWarpEngine::computeTileScalar. This header is internal to
+ * the SpGEMM kernel and its tests.
  */
 #ifndef DSTC_GEMM_LANE_STEP_H
 #define DSTC_GEMM_LANE_STEP_H
@@ -20,6 +30,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "sparse/bitmap.h"
 
@@ -29,29 +40,15 @@ namespace dstc {
 constexpr int kLanes = 32;
 
 /**
- * One live k-step on a lane tile (row stride kLanes): for every set
- * bit p of @p a_word, in ascending order, with the next value of
- * @p a_vals as av, row p of @p tile gains av * b_lane[j] on each lane
- * j whose bit is set in @p b_word, and -0.0f (the additive identity)
- * on every other lane.
+ * The lane side of a multiply: A takes the lanes iff its density
+ * (nnz / size) is strictly higher than B's; on a tie B keeps them.
+ * @p m and @p n are the output extents (the shared K cancels).
  */
-using LaneStepFn = void (*)(float *tile, uint32_t a_word,
-                            const float *a_vals, uint32_t b_word,
-                            const float *b_lane);
-
-/** One compiled lane-step variant. */
-struct LaneStepVariant
+constexpr bool
+aOnLanes(int64_t a_nnz, int64_t b_nnz, int64_t m, int64_t n)
 {
-    const char *name; ///< target it was compiled for
-    LaneStepFn fn;
-};
-
-/** The variants the running CPU supports, widest first; the last
- *  one is the default-target build, which every CPU runs. */
-std::span<const LaneStepVariant> laneStepVariants();
-
-/** The widest supported variant, chosen once per process. */
-LaneStepFn laneStep();
+    return a_nnz * n > b_nnz * m;
+}
 
 /**
  * Call @p f(step) for every k-step at which both tiles' lines are
@@ -78,15 +75,90 @@ forEachLiveStep(const BitmapMatrix &a_tile, const BitmapMatrix &b_tile,
 }
 
 /**
- * Accumulate the product of one (m x k) column-major A tile and one
- * (k x n) row-major B tile, m, n <= kLanes, into @p tile (row stride
- * kLanes; only rows < m are touched, and lanes >= n only ever gain
- * -0.0f) through lane step @p step. Operands are the encoders'
- * pre-quantized value lanes.
+ * One strip of the lane operand, expanded once: for each k-chunk,
+ * the bitmap word of every line of its tile, each non-empty line as
+ * kLanes dense values (0 off the line's bitmap; an empty line is
+ * never a live step, so its lanes are left as they were), and the
+ * tile's line occupancy word. A worker reuses one LaneStrip for
+ * every strip it expands; the buffers keep their largest size
+ * (tiles_k x tile_k x kLanes floats).
  */
-void accumulateTile(const BitmapMatrix &a_tile,
-                    const BitmapMatrix &b_tile, float *tile,
-                    LaneStepFn step);
+class LaneStrip
+{
+  public:
+    /**
+     * Expand @p tiles, one per k-chunk of @p tile_k lines (the last
+     * may be shorter). A null tile is a chunk whose warp bit is 0:
+     * nothing is written for it, and the kernel must not be asked to
+     * read it. Every tile's lines are at most kLanes long.
+     */
+    void expand(std::span<const BitmapMatrix *const> tiles, int tile_k);
+
+    int tilesK() const { return tiles_k_; }
+
+    /** Line s of chunk tk starts at lanes(tk) + s * kLanes. */
+    const float *
+    lanes(int tk) const
+    {
+        return lanes_.data() + static_cast<size_t>(tk) * tile_k_ * kLanes;
+    }
+
+    /** Bitmap word of line s of chunk tk is words(tk)[s]. */
+    const uint32_t *
+    words(int tk) const
+    {
+        return words_.data() + static_cast<size_t>(tk) * tile_k_;
+    }
+
+    /** Line occupancy word of chunk tk's tile. */
+    uint64_t occupied(int tk) const { return occupied_[tk]; }
+
+  private:
+    int tile_k_ = 0;
+    int tiles_k_ = 0;
+    std::vector<float> lanes_;
+    std::vector<uint32_t> words_;
+    std::vector<uint64_t> occupied_;
+};
+
+/**
+ * Accumulate one output tile of a strip into @p tile (row stride
+ * kLanes). For every chunk tk with a non-null @p other[tk] (the
+ * other operand's tile at that chunk), and every k-step s at which
+ * both lines are non-empty, in ascending order: for every set bit p
+ * of other's line s, with its next value as v, row p of @p tile
+ * gains v * lane[j] on each lane j whose bit is set in the strip's
+ * word, and -0.0f (the additive identity) on every other lane. Rows
+ * at no set bit are not touched.
+ */
+using StripKernelFn = void (*)(float *tile, const LaneStrip &strip,
+                               const BitmapMatrix *const *other);
+
+/** One compiled strip-kernel variant. */
+struct StripKernelVariant
+{
+    const char *name; ///< target it was compiled for
+    StripKernelFn fn;
+};
+
+/** The variants the running CPU supports, widest first; the last
+ *  one is the default-target build, which every CPU runs. */
+std::span<const StripKernelVariant> stripKernelVariants();
+
+/** The widest supported variant, chosen once per process. */
+StripKernelFn stripKernel();
+
+/**
+ * Copy the (rows x cols) output region at @p src (row stride @p ld)
+ * into lane tile @p tile, transposed when A is on the lanes.
+ */
+void loadLaneTile(const float *src, int ld, int rows, int cols,
+                  bool a_on_lanes, float *tile);
+
+/** The inverse of loadLaneTile: write the (rows x cols) output region
+ *  held in @p tile to @p dst (row stride @p ld). */
+void storeLaneTile(const float *tile, int rows, int cols,
+                   bool a_on_lanes, float *dst, int ld);
 
 } // namespace dstc
 

@@ -19,7 +19,7 @@ namespace {
  */
 constexpr int64_t kTileOverheadCycles = 4;
 
-static_assert(LaneTile::kDim == kWarpTile,
+static_assert(LaneTile::kDim == kWarpTile && kLanes == kWarpTile,
               "the lane tile stages one warp tile's accumulator");
 
 /**
@@ -109,39 +109,75 @@ SpGemmDevice::multiplyValues(const TwoLevelBitmapMatrix &a_enc,
     DSTC_ASSERT(tiles_k == b_enc.numTileRows());
 
     Matrix<float> d(m, n);
+    if (m == 0 || n == 0)
+        return d;
     float *d_base = d.data().data();
-    const LaneStepFn step = laneStep();
+    const StripKernelFn kernel = stripKernel();
 
-    // Each (ti, tj) output tile is independent: its accumulator is a
-    // disjoint region of D, so the loop is partitioned over the
-    // worker pool with no reduction.
-    auto run_tile = [&](int64_t t) {
-        const int ti = static_cast<int>(t / tiles_n);
-        const int tj = static_cast<int>(t % tiles_n);
-        const int rows = std::min(kWarpTile, m - ti * kWarpTile);
-        const int cols = std::min(kWarpTile, n - tj * kWarpTile);
-        // The warp tile accumulates across its k-chunks in a staged
-        // lane tile (row stride 32, so the lane loop needs no stride
-        // or alias checks); the clipped region is copied to D once.
-        thread_local LaneTile stage;
-        std::fill_n(stage.v, rows * LaneTile::kDim, 0.0f);
-        for (int tk = 0; tk < tiles_k; ++tk) {
-            // Warp-bit 0 on either side: the chunk adds nothing.
-            if (a_enc.tileNonEmpty(ti, tk) && b_enc.tileNonEmpty(tk, tj))
-                accumulateTile(a_enc.tile(ti, tk), b_enc.tile(tk, tj),
-                               stage.v, step);
-        }
-        float *d_tile = d_base +
-                        static_cast<size_t>(ti) * kWarpTile * n +
-                        static_cast<size_t>(tj) * kWarpTile;
-        for (int r = 0; r < rows; ++r)
-            std::copy_n(stage.v + r * LaneTile::kDim, cols,
-                        d_tile + static_cast<size_t>(r) * n);
+    // The denser operand goes on the 32 lanes. Each strip of it (a
+    // tile row of A, or a tile column of B) is expanded once, then
+    // every output tile along the strip accumulates from it.
+    const bool a_lanes = aOnLanes(a_enc.nnz(), b_enc.nnz(), m, n);
+    const int tiles_m = a_enc.numTileRows();
+    const int strips = a_lanes ? tiles_m : tiles_n;
+    const int per_strip = a_lanes ? tiles_n : tiles_m;
+    // Tile (strip or output-tile index, tk) of each side; null where
+    // the warp bit is 0 (the chunk adds nothing).
+    auto lane_tile = [&](int s, int tk) -> const BitmapMatrix * {
+        if (a_lanes)
+            return a_enc.tileNonEmpty(s, tk) ? &a_enc.tile(s, tk) : nullptr;
+        return b_enc.tileNonEmpty(tk, s) ? &b_enc.tile(tk, s) : nullptr;
     };
+    auto other_tile = [&](int o, int tk) -> const BitmapMatrix * {
+        if (a_lanes)
+            return b_enc.tileNonEmpty(tk, o) ? &b_enc.tile(tk, o) : nullptr;
+        return a_enc.tileNonEmpty(o, tk) ? &a_enc.tile(o, tk) : nullptr;
+    };
+
+    // Work items are (strip, block of output tiles): output tiles are
+    // disjoint regions of D, so any split gives the same D. Serially
+    // a strip is one block; with workers strips are cut into blocks
+    // until there are kItemsPerWorker items per worker, so that a
+    // few strips still feed every worker. Each block re-expands its
+    // strip once.
+    constexpr int kItemsPerWorker = 4;
     int max_workers = 1;
     ThreadPool *pool = resolveTilePool(options.num_workers, &max_workers);
-    parallelFor(pool, static_cast<int64_t>(a_enc.numTileRows()) * tiles_n,
-                max_workers, run_tile);
+    const int blocks =
+        max_workers == 1
+            ? 1
+            : std::clamp(ceilDiv(kItemsPerWorker * max_workers, strips),
+                         1, per_strip);
+    auto run_block = [&](int64_t item) {
+        const int s = static_cast<int>(item / blocks);
+        const int blk = static_cast<int>(item % blocks);
+        thread_local std::vector<const BitmapMatrix *> lane_tiles, others;
+        thread_local LaneStrip strip;
+        thread_local LaneTile stage;
+        lane_tiles.resize(static_cast<size_t>(tiles_k));
+        others.resize(static_cast<size_t>(tiles_k));
+        for (int tk = 0; tk < tiles_k; ++tk)
+            lane_tiles[tk] = lane_tile(s, tk);
+        strip.expand(lane_tiles, options.tile_k);
+        for (int o = blk * per_strip / blocks;
+             o < (blk + 1) * per_strip / blocks; ++o) {
+            for (int tk = 0; tk < tiles_k; ++tk)
+                others[tk] = lane_tiles[tk] ? other_tile(o, tk) : nullptr;
+            const int ti = a_lanes ? s : o, tj = a_lanes ? o : s;
+            const int rows = std::min(kWarpTile, m - ti * kWarpTile);
+            const int cols = std::min(kWarpTile, n - tj * kWarpTile);
+            // The staged rows are the other operand's positions.
+            std::fill_n(stage.v, (a_lanes ? cols : rows) * LaneTile::kDim,
+                        0.0f);
+            kernel(stage.v, strip, others.data());
+            storeLaneTile(stage.v, rows, cols, a_lanes,
+                          d_base + static_cast<size_t>(ti) * kWarpTile * n +
+                              static_cast<size_t>(tj) * kWarpTile,
+                          n);
+        }
+    };
+    parallelFor(pool, static_cast<int64_t>(strips) * blocks, max_workers,
+                run_block);
 
     // Integer datatypes accumulate integer codes (exact in FP32 below
     // 2^24); the physical scale sa * sb is applied once per output

@@ -43,11 +43,13 @@ struct SpGemmOptions
     bool functional = true;
 
     /**
-     * Worker threads of the (ti, tj) output-tile loop: 0 uses the
-     * process-shared pool (all hardware threads), 1 runs serially in
-     * the caller, N caps the parallelism at N threads. Results and
-     * stats are bitwise identical for every setting — output tiles
-     * are disjoint and per-tile timing outcomes reduce in tile order.
+     * Worker threads of the functional tile loop, split over (lane
+     * strip, block of output tiles) items, and of the timing model's
+     * (ti, tj) tile loop: 0 uses the process-shared pool (all
+     * hardware threads), 1 runs serially in the caller, N caps the
+     * parallelism at N threads. Results and stats are bitwise
+     * identical for every setting — output tiles are disjoint and
+     * per-tile timing outcomes reduce in tile order.
      */
     int num_workers = 0;
 
@@ -98,9 +100,13 @@ class SpGemmDevice
                                  const SpGemmOptions &options = {}) const;
 
     /**
-     * The values of multiplyEncoded alone: accumulates every
-     * non-empty tile pair into D through the lane-predicated tile
-     * kernel and applies the deferred integer output scale. Reads
+     * The values of multiplyEncoded alone. The denser operand goes on
+     * the 32 lanes (aOnLanes in gemm/lane_step.h); each of its strips
+     * (a tile row of A, or a tile column of B) is expanded once, and
+     * every output tile along the strip accumulates its non-empty
+     * tile pairs from it through the lane-predicated strip kernel.
+     * Then the deferred integer output scale is applied. D is bitwise
+     * the same for either lane side and every worker count. Reads
      * only tile_k and num_workers off @p options.
      */
     Matrix<float> multiplyValues(const TwoLevelBitmapMatrix &a,

@@ -1,7 +1,5 @@
 #include "gemm/spgemm_warp.h"
 
-#include <cstring>
-
 #include "common/bitutil.h"
 #include "common/logging.h"
 #include "gemm/lane_step.h"
@@ -46,17 +44,17 @@ SpGemmWarpEngine::computeTile(const BitmapMatrix &a_tile,
     const int n = b_tile.cols();
 
     if (accum) {
-        // Stage the (m x n) region in the lane tile (row stride 32)
-        // so the lane loop runs on a fixed stride.
-        const size_t row_bytes = sizeof(float) * n;
-        float *stage = scratch.stage.v;
-        for (int r = 0; r < m; ++r)
-            std::memcpy(stage + r * LaneTile::kDim,
-                        accum + static_cast<size_t>(r) * ld, row_bytes);
-        accumulateTile(a_tile, b_tile, stage, laneStep());
-        for (int r = 0; r < m; ++r)
-            std::memcpy(accum + static_cast<size_t>(r) * ld,
-                        stage + r * LaneTile::kDim, row_bytes);
+        // A one-tile strip: the denser tile goes on the lanes, and
+        // the (m x n) region is staged in the lane tile (row stride
+        // 32, transposed with A on the lanes) so the lane loop runs
+        // on a fixed stride.
+        const bool a_lanes = aOnLanes(a_tile.nnz(), b_tile.nnz(), m, n);
+        const BitmapMatrix *lane = a_lanes ? &a_tile : &b_tile;
+        const BitmapMatrix *other = a_lanes ? &b_tile : &a_tile;
+        scratch.strip.expand({&lane, 1}, a_tile.cols());
+        loadLaneTile(accum, ld, m, n, a_lanes, scratch.stage.v);
+        stripKernel()(scratch.stage.v, scratch.strip, &other);
+        storeLaneTile(scratch.stage.v, m, n, a_lanes, accum, ld);
     }
 
     WarpTileResult result;

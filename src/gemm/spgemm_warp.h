@@ -9,13 +9,14 @@
  * device-level SpGEMM times whole kernels from popcount profiles
  * (SpGemmDevice::timeFromProfiles) instead.
  *
- * The functional path works on lanes (gemm/lane_step.h): the B line
- * of a k-step is the 32-lane predicate of the OHMMAs, each A
- * non-zero does one predicated 32-lane multiply-add into a staged
- * 32x32 LaneTile, and the AND of the two tiles' line-occupancy words
- * compacts empty k-steps away. The original per-element path
- * survives as computeTileScalar — the reference the equivalence
- * tests and the before/after bench compare against.
+ * The functional path works on lanes (gemm/lane_step.h): the line
+ * of the denser tile is the 32-lane predicate of the OHMMAs, each
+ * non-zero of the other tile's line does one predicated 32-lane
+ * multiply-add into a staged 32x32 LaneTile, and the AND of the two
+ * tiles' line-occupancy words compacts empty k-steps away. The
+ * original per-element path survives as computeTileScalar — the
+ * reference the equivalence tests and the before/after bench compare
+ * against.
  */
 #ifndef DSTC_GEMM_SPGEMM_WARP_H
 #define DSTC_GEMM_SPGEMM_WARP_H
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "gemm/lane_step.h"
 #include "isa/program_builder.h"
 #include "sparse/bitmap.h"
 #include "tensor/matrix.h"
@@ -83,8 +85,9 @@ struct alignas(64) LaneTile
 
 /**
  * Reusable per-worker scratch arena of the tile path: the condensed
- * positions and merge trace of the detailed-merge simulator, and the
- * lane tile that stages a strided accumulator. One arena serves any
+ * positions and merge trace of the detailed-merge simulator, the
+ * lane tile that stages a strided accumulator, and the expanded lane
+ * operand. One arena serves any
  * number of computeTile calls without reallocating; each concurrent
  * worker owns its own.
  */
@@ -94,6 +97,7 @@ struct WarpScratch
     std::vector<int> pos_b;    ///< B-line non-zero positions
     MergeTrace trace;          ///< detailed-merge address stream
     LaneTile stage;            ///< strided-accumulator staging
+    LaneStrip strip;           ///< the lane tile, expanded
 
     /** Size the buffers for tiles up to @p m x @p n. */
     void
@@ -117,13 +121,14 @@ class SpGemmWarpEngine
      * charges each one's predicated SpWMMA set and merge. When
      * @p accum is non-null the partial sums accumulate into it:
      * element (r, c) of the tile lands at accum[r * ld + c], staged
-     * through @p scratch's lane tile. Every live k-step expands its
-     * B line into 32 lanes, and each A non-zero, in position order,
-     * adds its 32-lane product predicated by the B line's bitmap
-     * word (Fig. 15). Each on-lane cell gets one multiply and one
-     * add per k-step, in k order, so the result is bitwise that of
-     * computeTileScalar. Nothing outside the (m x n) region is read
-     * or written.
+     * through @p scratch's lane tile. This is the device loop's strip
+     * kernel on a one-tile strip: the denser tile (aOnLanes) is
+     * expanded into 32 lanes, and each non-zero of the other tile's
+     * line, in position order, adds its 32-lane product predicated
+     * by the lane line's bitmap word (Fig. 15). Each cell gets one
+     * multiply and one add per live k-step, in k order, so the
+     * result is bitwise that of computeTileScalar. Nothing outside
+     * the (m x n) region is read or written.
      *
      * @param a_tile column-major bitmap of the (m x k) A tile
      * @param b_tile row-major bitmap of the (k x n) B tile
@@ -150,7 +155,8 @@ class SpGemmWarpEngine
     /**
      * The pre-word-parallel per-element path, kept verbatim as the
      * reference model: the equivalence tests assert the lane path
-     * (every compiled lane-step variant) reproduces its results,
+     * (every compiled strip-kernel variant, with either operand on
+     * the lanes) reproduces its results,
      * stats and cycles bit-for-bit, and the micro bench reports
      * speedup against it. Unlike the lane path —
      * which multiplies the pre-quantized lane the encoder filled —

@@ -6,6 +6,7 @@
 #ifndef DSTC_TENSOR_MATRIX_H
 #define DSTC_TENSOR_MATRIX_H
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -121,16 +122,30 @@ randomSparseMatrix(int rows, int cols, double sparsity, Rng &rng)
     return m;
 }
 
-/** Largest absolute element-wise difference between two matrices. */
+/**
+ * Largest absolute element-wise difference between two matrices.
+ * Non-finite cells compare by kind: a NaN against a NaN, or an
+ * infinity against the same infinity, differs by 0; a NaN against
+ * anything else differs by +inf, so a tolerance check cannot pass
+ * over a NaN only one side produced.
+ */
 inline double
 maxAbsDiff(const Matrix<float> &a, const Matrix<float> &b)
 {
     DSTC_ASSERT(a.rows() == b.rows() && a.cols() == b.cols());
     double worst = 0.0;
-    for (int r = 0; r < a.rows(); ++r)
-        for (int c = 0; c < a.cols(); ++c)
-            worst = std::max(
-                worst, static_cast<double>(std::fabs(a.at(r, c) - b.at(r, c))));
+    for (int r = 0; r < a.rows(); ++r) {
+        for (int c = 0; c < a.cols(); ++c) {
+            const float x = a.at(r, c), y = b.at(r, c);
+            if (std::isnan(x) || std::isnan(y)) {
+                if (std::isnan(x) != std::isnan(y))
+                    return HUGE_VAL;
+            } else if (x != y) {
+                worst = std::max(worst,
+                                 static_cast<double>(std::fabs(x - y)));
+            }
+        }
+    }
     return worst;
 }
 

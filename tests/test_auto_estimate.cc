@@ -308,12 +308,13 @@ TEST(AutoEstimateTest, EveryBackendEstimateEqualsExecution)
                 const double estimate = plan->estimatedTimeUs();
                 const KernelReport report = plan->execute();
                 ASSERT_GT(report.timeUs(), 0.0) << context;
-                if (!estimate_gap)
+                if (!estimate_gap) {
                     EXPECT_LT(std::fabs(estimate - report.timeUs()) /
                                   report.timeUs(),
                               1e-9)
                         << context << ": estimate=" << estimate
                         << " actual=" << report.timeUs();
+                }
                 if (!timing_only)
                     timing_only = report.stats;
                 expectIdenticalStats(report.stats, *timing_only,

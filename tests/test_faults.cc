@@ -365,8 +365,9 @@ TEST(FaultServingTest, CrashedDeviceReceivesNoFurtherWork)
     ServingEngine engine(opts, testPool());
     ServingResult result = engine.run();
     for (const ServeOutcome &o : result.outcomes)
-        if (o.device == 0)
+        if (o.device == 0) {
             EXPECT_LE(o.start_us, 200.0) << "dispatched after crash";
+        }
     EXPECT_TRUE(engine.replayMatchesSerial(result));
 }
 
@@ -439,10 +440,11 @@ TEST(FaultServingTest, DegradationShedsBatchClassFirst)
     // The batch class pays disproportionately: every batch arrival
     // sheds before any interactive one once degradation is on.
     EXPECT_GT(batch.shed, 0);
-    if (interactive.offered > 0 && batch.offered > 0)
+    if (interactive.offered > 0 && batch.offered > 0) {
         EXPECT_GE(static_cast<double>(batch.shed) / batch.offered,
                   static_cast<double>(interactive.shed) /
                       interactive.offered);
+    }
 }
 
 TEST(FaultServingTest, FaultSeedZeroDerivesFromArrivalSeed)

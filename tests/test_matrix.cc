@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dstc {
 namespace {
 
@@ -84,6 +86,36 @@ TEST(Matrix, MaxAbsDiff)
     b.at(1, 1) = -0.25f;
     EXPECT_DOUBLE_EQ(maxAbsDiff(a, b), 0.5);
     EXPECT_DOUBLE_EQ(maxAbsDiff(a, a), 0.0);
+}
+
+TEST(Matrix, MaxAbsDiffSeesNonFiniteCells)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    auto diff = [](float x, float y) {
+        Matrix<float> a(1, 2, 1.0f), b(1, 2, 1.25f);
+        a.at(0, 1) = x;
+        b.at(0, 1) = y;
+        return maxAbsDiff(a, b);
+    };
+    // Exactly one side NaN: no tolerance passes.
+    EXPECT_EQ(diff(nan, 1.0f), inf);
+    EXPECT_EQ(diff(1.0f, nan), inf);
+    EXPECT_EQ(diff(nan, inf), inf);
+    EXPECT_EQ(diff(-inf, nan), inf);
+    // Both NaN, or the same infinity: the cell agrees.
+    EXPECT_DOUBLE_EQ(diff(nan, -nan), 0.25);
+    EXPECT_DOUBLE_EQ(diff(inf, inf), 0.25);
+    EXPECT_DOUBLE_EQ(diff(-inf, -inf), 0.25);
+    EXPECT_DOUBLE_EQ(diff(0.0f, -0.0f), 0.25);
+    // Different infinities, or an infinity against a finite value.
+    EXPECT_EQ(diff(inf, -inf), inf);
+    EXPECT_EQ(diff(inf, 3.0f), inf);
+    // The NaN cell decides even after a larger finite difference.
+    Matrix<float> a(1, 2), b(1, 2);
+    a.at(0, 0) = 100.0f;
+    b.at(0, 1) = nan;
+    EXPECT_EQ(maxAbsDiff(a, b), inf);
 }
 
 class MatrixSizeSweep : public ::testing::TestWithParam<int>

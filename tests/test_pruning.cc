@@ -61,8 +61,9 @@ TEST(Magnitude, MasksAreNested)
     Matrix<float> p80 = magnitudePrune(p50, 0.8);
     for (int r = 0; r < 32; ++r)
         for (int c = 0; c < 32; ++c)
-            if (p50.at(r, c) == 0.0f)
+            if (p50.at(r, c) == 0.0f) {
                 EXPECT_EQ(p80.at(r, c), 0.0f);
+            }
 }
 
 TEST(VectorWise, EachVectorKeepsQuota)

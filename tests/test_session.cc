@@ -266,15 +266,17 @@ TEST(SessionTest, RunBatchNestsInSharedPool)
             EXPECT_EQ(got[i].backend, want[i].backend) << context << i;
             ASSERT_EQ(got[i].d == nullptr, want[i].d == nullptr)
                 << context << i;
-            if (got[i].d)
+            if (got[i].d) {
                 EXPECT_TRUE(*got[i].d == *want[i].d) << context << i;
+            }
             ASSERT_EQ(got[i].output == nullptr,
                       want[i].output == nullptr)
                 << context << i;
-            if (got[i].output)
+            if (got[i].output) {
                 EXPECT_TRUE(got[i].output->data() ==
                             want[i].output->data())
                     << context << i;
+            }
         }
     };
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "common/rng.h"
+#include "gemm/lane_step.h"
 #include "model/sparsity_gen.h"
 #include "tensor/reference.h"
 
@@ -253,6 +257,38 @@ TEST_F(SpGemmDeviceTest, ProfileTimingPathIsDeterministicAcrossWorkers)
                          device_.timeFromProfiles(a, b, pooled));
 }
 
+/**
+ * The seed flow of the device loop: each output tile accumulates its
+ * non-empty tile pairs through computeTileScalar in a staging
+ * accumulator, in ascending k, and is copied out to D.
+ */
+Matrix<float>
+scalarPipeline(const SpGemmWarpEngine &engine,
+               const TwoLevelBitmapMatrix &a_enc,
+               const TwoLevelBitmapMatrix &b_enc)
+{
+    const int m = a_enc.rows(), n = b_enc.cols();
+    Matrix<float> d(m, n);
+    for (int ti = 0; ti < a_enc.numTileRows(); ++ti) {
+        for (int tj = 0; tj < b_enc.numTileCols(); ++tj) {
+            const int rows = std::min(32, m - ti * 32);
+            const int cols = std::min(32, n - tj * 32);
+            Matrix<float> accum(rows, cols);
+            for (int tk = 0; tk < a_enc.numTileCols(); ++tk) {
+                if (!a_enc.tileNonEmpty(ti, tk) ||
+                    !b_enc.tileNonEmpty(tk, tj))
+                    continue;
+                engine.computeTileScalar(a_enc.tile(ti, tk),
+                                         b_enc.tile(tk, tj), &accum);
+            }
+            for (int r = 0; r < rows; ++r)
+                for (int c = 0; c < cols; ++c)
+                    d.at(ti * 32 + r, tj * 32 + c) = accum.at(r, c);
+        }
+    }
+    return d;
+}
+
 TEST_F(SpGemmDeviceTest, WordPipelineMatchesScalarReferencePipeline)
 {
     // Device-level equivalence: the word-parallel pipeline writing
@@ -266,31 +302,64 @@ TEST_F(SpGemmDeviceTest, WordPipelineMatchesScalarReferencePipeline)
         a, kWarpTile, opts.tile_k, Major::Col);
     TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
         b, opts.tile_k, kWarpTile, Major::Row);
-
-    // The seed pipeline, reproduced with computeTileScalar.
-    SpGemmWarpEngine engine(cfg_);
-    Matrix<float> d_ref(90, 85);
-    for (int ti = 0; ti < a_enc.numTileRows(); ++ti) {
-        for (int tj = 0; tj < b_enc.numTileCols(); ++tj) {
-            const int rows = std::min(32, 90 - ti * 32);
-            const int cols = std::min(32, 85 - tj * 32);
-            Matrix<float> accum(rows, cols);
-            for (int tk = 0; tk < a_enc.numTileCols(); ++tk) {
-                if (!a_enc.tileNonEmpty(ti, tk) ||
-                    !b_enc.tileNonEmpty(tk, tj))
-                    continue;
-                engine.computeTileScalar(a_enc.tile(ti, tk),
-                                         b_enc.tile(tk, tj), &accum);
-            }
-            for (int r = 0; r < rows; ++r)
-                for (int c = 0; c < cols; ++c)
-                    d_ref.at(ti * 32 + r, tj * 32 + c) =
-                        accum.at(r, c);
-        }
-    }
+    ASSERT_FALSE(aOnLanes(a_enc.nnz(), b_enc.nnz(), 90, 85));
 
     SpGemmResult r = device_.multiplyEncoded(a_enc, b_enc, opts);
-    EXPECT_EQ(r.d.data(), d_ref.data());
+    EXPECT_EQ(r.d.data(),
+              scalarPipeline(SpGemmWarpEngine(cfg_), a_enc, b_enc).data());
+}
+
+TEST_F(SpGemmDeviceTest, DenseALanesMatchScalarPipelineAtEveryWorkerCount)
+{
+    // A dense A against a 92%-sparse B puts A on the lanes: the
+    // staged tiles are transposed and the strips are A's tile rows.
+    // Ragged M, N and K.
+    Rng rng(135);
+    Matrix<float> a = randomSparseMatrix(200, 150, 0.0, rng);
+    Matrix<float> b = randomSparseMatrix(150, 230, 0.92, rng);
+    SpGemmOptions opts;
+    TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
+        a, kWarpTile, opts.tile_k, Major::Col);
+    TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
+        b, opts.tile_k, kWarpTile, Major::Row);
+    ASSERT_TRUE(aOnLanes(a_enc.nnz(), b_enc.nnz(), 200, 230));
+
+    const Matrix<float> ref =
+        scalarPipeline(SpGemmWarpEngine(cfg_), a_enc, b_enc);
+    for (int workers : {1, 2, 4, 7}) {
+        opts.num_workers = workers;
+        EXPECT_EQ(device_.multiplyValues(a_enc, b_enc, opts).data(),
+                  ref.data())
+            << "workers=" << workers;
+    }
+}
+
+TEST_F(SpGemmDeviceTest, DeepTilesMatchScalarPipeline)
+{
+    // tile_k = 128: past 64 lines the occupancy words are all ones
+    // and the step loop checks each line instead. Both lane sides,
+    // ragged M, N and K (the last k-chunk is 44 lines).
+    Rng rng(136);
+    for (auto [sa, sb] : {std::pair{0.3, 0.8}, std::pair{0.8, 0.3}}) {
+        Matrix<float> a = randomSparseMatrix(70, 300, sa, rng);
+        Matrix<float> b = randomSparseMatrix(300, 45, sb, rng);
+        SpGemmOptions opts;
+        opts.tile_k = 128;
+        TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
+            a, kWarpTile, opts.tile_k, Major::Col);
+        TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
+            b, opts.tile_k, kWarpTile, Major::Row);
+        EXPECT_EQ(aOnLanes(a_enc.nnz(), b_enc.nnz(), 70, 45), sa < sb);
+
+        const Matrix<float> ref =
+            scalarPipeline(SpGemmWarpEngine(cfg_), a_enc, b_enc);
+        for (int workers : {1, 4}) {
+            opts.num_workers = workers;
+            EXPECT_EQ(device_.multiplyValues(a_enc, b_enc, opts).data(),
+                      ref.data())
+                << "a sparsity " << sa << ", workers " << workers;
+        }
+    }
 }
 
 } // namespace

@@ -230,39 +230,45 @@ bitsOf(const Matrix<float> &mat)
 }
 
 /**
- * The tile pair accumulated by one compiled lane-step variant onto a
- * lane tile holding @p init; returns the (m x n) region.
+ * The tile pair accumulated by one compiled strip-kernel variant, as
+ * a one-tile strip with the chosen operand on the lanes, onto the
+ * accumulator @p init; returns the (m x n) region.
  */
 Matrix<float>
 runVariant(const BitmapMatrix &a_bm, const BitmapMatrix &b_bm,
-           const Matrix<float> &init, LaneStepFn fn)
+           const Matrix<float> &init, StripKernelFn fn, bool a_on_lanes)
 {
+    const int m = init.rows(), n = init.cols();
     LaneTile tile;
-    for (int r = 0; r < init.rows(); ++r)
-        for (int c = 0; c < init.cols(); ++c)
-            tile.v[r * LaneTile::kDim + c] = init.at(r, c);
-    accumulateTile(a_bm, b_bm, tile.v, fn);
-    Matrix<float> out(init.rows(), init.cols());
-    for (int r = 0; r < out.rows(); ++r)
-        for (int c = 0; c < out.cols(); ++c)
-            out.at(r, c) = tile.v[r * LaneTile::kDim + c];
+    loadLaneTile(init.data().data(), n, m, n, a_on_lanes, tile.v);
+    const BitmapMatrix *lane = a_on_lanes ? &a_bm : &b_bm;
+    const BitmapMatrix *other = a_on_lanes ? &b_bm : &a_bm;
+    LaneStrip strip;
+    strip.expand({&lane, 1}, a_bm.cols());
+    fn(tile.v, strip, &other);
+    Matrix<float> out(m, n);
+    storeLaneTile(tile.v, m, n, a_on_lanes, out.data().data(), n);
     return out;
 }
 
-/** Every compiled variant the running CPU supports reproduces the
- *  scalar reference's accumulator bit for bit. */
+/** Every compiled variant the running CPU supports, with either
+ *  operand on the lanes, reproduces the scalar reference's
+ *  accumulator bit for bit. */
 void
 expectEveryVariantMatches(const BitmapMatrix &a_bm,
                           const BitmapMatrix &b_bm,
                           const Matrix<float> &init,
                           const Matrix<float> &scalar)
 {
-    ASSERT_FALSE(laneStepVariants().empty());
-    EXPECT_STREQ(laneStepVariants().back().name, "default");
-    for (const LaneStepVariant &v : laneStepVariants())
-        EXPECT_EQ(bitsOf(runVariant(a_bm, b_bm, init, v.fn)),
-                  bitsOf(scalar))
-            << "lane step " << v.name;
+    ASSERT_FALSE(stripKernelVariants().empty());
+    EXPECT_STREQ(stripKernelVariants().back().name, "default");
+    for (const StripKernelVariant &v : stripKernelVariants())
+        for (bool a_on_lanes : {false, true})
+            EXPECT_EQ(bitsOf(runVariant(a_bm, b_bm, init, v.fn,
+                                        a_on_lanes)),
+                      bitsOf(scalar))
+                << "strip kernel " << v.name
+                << (a_on_lanes ? ", A" : ", B") << " on the lanes";
 }
 
 /**
@@ -294,6 +300,12 @@ TEST_P(WordScalarEquivalence, BitwiseIdenticalToScalarReference)
     EXPECT_EQ(bitsOf(accum_word), bitsOf(accum_scalar));
     expectEveryVariantMatches(a_bm, b_bm, Matrix<float>(p.m, p.n),
                               accum_scalar);
+
+    // Onto a non-zero accumulator too.
+    const Matrix<float> init = randomSparseMatrix(p.m, p.n, 0.0, rng);
+    Matrix<float> onto = init;
+    engine.computeTileScalar(a_bm, b_bm, &onto, p.detailed);
+    expectEveryVariantMatches(a_bm, b_bm, init, onto);
 
     // Timing-only calls (null accumulator) agree too.
     expectIdenticalResults(
@@ -340,10 +352,11 @@ sprinkleHostile(Matrix<float> &mat, Rng &rng)
 }
 
 /**
- * Each compiled lane-step variant, and the dispatched computeTile,
- * against computeTileScalar across datatypes, hostile operands,
- * non-zero accumulator pre-fills (-0.0, +inf, quiet NaN), ragged
- * widths and k depths on both sides of the 64-line occupancy word.
+ * Each compiled strip-kernel variant on both lane sides, and the
+ * dispatched computeTile, against computeTileScalar across
+ * datatypes, hostile operands, non-zero accumulator pre-fills (-0.0,
+ * +inf, quiet NaN), ragged widths and k depths on both sides of the
+ * 64-line occupancy word.
  */
 TEST_P(LaneVariantEquivalence, BitwiseIdenticalToScalarReference)
 {
