@@ -61,7 +61,7 @@ ConvExecutor::runScalar(const Tensor4d &input,
     enc.weight_bytes = static_cast<double>(enc.b->encodedBytes(32));
 
     ConvResult result;
-    result.stats = timeEncoded(shape, method, enc);
+    result.stats = timeEncoded(shape, method, enc, options);
     result.output = foldLoweredOutput(d, shape);
     return result;
 }

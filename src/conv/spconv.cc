@@ -57,7 +57,8 @@ ConvExecutor::ConvExecutor(const GpuConfig &cfg) : cfg_(cfg) {}
 
 KernelStats
 ConvExecutor::timeEncoded(const ConvShape &shape, ConvMethod method,
-                          const ConvOperandEncoding &enc) const
+                          const ConvOperandEncoding &enc,
+                          const ConvOptions &options) const
 {
     KernelStats stats;
     switch (method) {
@@ -73,11 +74,15 @@ ConvExecutor::timeEncoded(const ConvShape &shape, ConvMethod method,
                         shape.loweredCols());
         break;
       case ConvMethod::SingleSparseImplicit:
-      case ConvMethod::DualSparseImplicit:
+      case ConvMethod::DualSparseImplicit: {
         DSTC_ASSERT(enc.a && enc.b,
                     "implicit-sparse conv timing needs both profiles");
-        stats = SpGemmDevice(cfg_).timeFromProfiles(*enc.a, *enc.b);
+        SpGemmOptions gemm_opts;
+        gemm_opts.num_workers = options.num_workers;
+        stats = SpGemmDevice(cfg_).timeFromProfiles(*enc.a, *enc.b,
+                                                    gemm_opts);
         break;
+      }
     }
     stats.name = nameOf(kConvMethods, method);
 
@@ -110,7 +115,7 @@ ConvExecutor::run(const Tensor4d &input, const Matrix<float> &weights,
     ConvResult result;
     result.stats = timeEncoded(
         shape, method,
-        encode(input, weights, shape, method, options, &fmap));
+        encode(input, weights, shape, method, options, &fmap), options);
     result.output = values(input, weights, shape, method, options,
                            std::move(fmap));
     return result;

@@ -213,13 +213,15 @@ class ConvExecutor
 
     /**
      * The conv timing model over an operand encoding: compute side
-     * per method (the implicit-sparse ones from the profiles), memory
-     * side from the convolution traffic model over the encoding's
-     * footprints. timeOnly == encodeConvOperands + timeEncoded, and
-     * run()'s stats == encode + timeEncoded.
+     * per method (the implicit-sparse ones from the profiles, over
+     * @p options.num_workers), memory side from the convolution
+     * traffic model over the encoding's footprints. timeOnly ==
+     * encodeConvOperands + timeEncoded, and run()'s stats == encode
+     * + timeEncoded.
      */
     KernelStats timeEncoded(const ConvShape &shape, ConvMethod method,
-                            const ConvOperandEncoding &enc) const;
+                            const ConvOperandEncoding &enc,
+                            const ConvOptions &options = {}) const;
 
     const GpuConfig &config() const { return cfg_; }
 

@@ -240,10 +240,11 @@ class ConvPlan : public ExecutionPlan
                 req_.shape, conv_method_,
                 executor.encode(*req_.a.tensor(), *req_.b.matrix(),
                                 req_.shape, conv_method_, options(),
-                                &fmap_));
+                                &fmap_),
+                options());
         return executor.timeEncoded(
             req_.shape, conv_method_,
-            *resolve(resolveConvEncoding, conv_method_));
+            *resolve(resolveConvEncoding, conv_method_), options());
     }
 
     void

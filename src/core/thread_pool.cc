@@ -35,6 +35,7 @@ ThreadPool::enqueue(std::function<void()> job)
         DSTC_ASSERT(!stopping_, "enqueue on a stopping pool");
         jobs_.push(std::move(job));
     }
+    jobs_enqueued_.fetch_add(1, std::memory_order_relaxed);
     cv_.notify_one();
 }
 

@@ -18,6 +18,7 @@
 #ifndef DSTC_CORE_THREAD_POOL_H
 #define DSTC_CORE_THREAD_POOL_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -43,6 +44,14 @@ class ThreadPool
 
     int numThreads() const { return static_cast<int>(workers_.size()); }
 
+    /** Jobs enqueued since construction (test hook: a loop run with
+     *  one worker must enqueue none). */
+    uint64_t
+    jobsEnqueued() const
+    {
+        return jobs_enqueued_.load(std::memory_order_relaxed);
+    }
+
   private:
     void workerLoop();
 
@@ -51,6 +60,7 @@ class ThreadPool
     std::mutex mu_;
     std::condition_variable cv_;
     bool stopping_ = false;
+    std::atomic<uint64_t> jobs_enqueued_{0};
 };
 
 /**

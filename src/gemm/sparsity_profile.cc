@@ -89,21 +89,45 @@ SparsityProfile::selectGroups(const std::vector<int> &groups) const
     return slice;
 }
 
+std::vector<int64_t>
+SparsityProfile::tileNnzTable(int tile_k) const
+{
+    const int64_t tiles_k = ceilDiv(k_, static_cast<int64_t>(tile_k));
+    std::vector<int64_t> nnz(static_cast<size_t>(groups_) * tiles_k);
+    int64_t *out = nnz.data();
+    for (int g = 0; g < groups_; ++g) {
+        const uint16_t *counts = groupCounts(g);
+        for (int64_t lo = 0; lo < k_; lo += tile_k) {
+            const int64_t hi = std::min(k_, lo + tile_k);
+            int64_t total = 0;
+            for (int64_t kk = lo; kk < hi; ++kk)
+                total += counts[kk];
+            *out++ = total;
+        }
+    }
+    return nnz;
+}
+
 size_t
 SparsityProfile::encodedBytes(int tile_k, DataType dtype) const
 {
+    return encodedBytes(tileNnzTable(tile_k), tile_k, dtype);
+}
+
+size_t
+SparsityProfile::encodedBytes(const std::vector<int64_t> &tile_nnz,
+                              int tile_k, DataType dtype) const
+{
     const int64_t tiles_k = ceilDiv(k_, static_cast<int64_t>(tile_k));
-    size_t bytes =
-        ceilDiv(static_cast<size_t>(groups_) * tiles_k, size_t{8});
-    for (int g = 0; g < groups_; ++g) {
-        for (int64_t tk = 0; tk < tiles_k; ++tk) {
-            int64_t nnz = tileNnz(g, static_cast<int>(tk), tile_k);
-            if (nnz == 0)
-                continue;
-            bytes += static_cast<size_t>(tile_) * tile_k / 8; // bitmap
-            bytes += dataTypePackedBytes(dtype,
-                                         static_cast<size_t>(nnz));
-        }
+    DSTC_ASSERT(tile_nnz.size() ==
+                    static_cast<size_t>(groups_) * tiles_k,
+                "tile table is not this profile's at tile_k ", tile_k);
+    size_t bytes = ceilDiv(tile_nnz.size(), size_t{8});
+    for (int64_t nnz : tile_nnz) {
+        if (nnz == 0)
+            continue;
+        bytes += static_cast<size_t>(tile_) * tile_k / 8; // bitmap
+        bytes += dataTypePackedBytes(dtype, static_cast<size_t>(nnz));
     }
     return bytes;
 }

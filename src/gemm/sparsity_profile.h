@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/datatype.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "im2col/bitmap_im2col.h"
 #include "tensor/matrix.h"
@@ -47,11 +48,22 @@ class SparsityProfile
         return counts_[static_cast<size_t>(g) * k_ + kk];
     }
 
+    /** Set the popcount of line (group g, k-step kk); a line holds
+     *  at most tile() non-zeros. */
     void
     setCount(int g, int64_t kk, int value)
     {
+        DSTC_ASSERT(value >= 0 && value <= tile_, "line count ", value,
+                    " outside [0, ", tile_, "]");
         counts_[static_cast<size_t>(g) * k_ + kk] =
             static_cast<uint16_t>(value);
+    }
+
+    /** The k() popcounts of group @p g, in k order. */
+    const uint16_t *
+    groupCounts(int g) const
+    {
+        return counts_.data() + static_cast<size_t>(g) * k_;
     }
 
     int groups() const { return groups_; }
@@ -69,6 +81,12 @@ class SparsityProfile
 
     /** Non-zeros in the (g, tk) two-level tile (tile_k k-steps). */
     int64_t tileNnz(int g, int tk, int tile_k) const;
+
+    /**
+     * tileNnz of every two-level tile in one pass over the counts:
+     * groups() x ceil(k() / tile_k), row-major by group.
+     */
+    std::vector<int64_t> tileNnzTable(int tile_k) const;
 
     /** Total non-zeros. */
     int64_t totalNnz() const;
@@ -110,6 +128,10 @@ class SparsityProfile
      */
     size_t encodedBytes(int tile_k,
                         DataType dtype = DataType::Fp16) const;
+
+    /** encodedBytes over a tileNnzTable(@p tile_k) already built. */
+    size_t encodedBytes(const std::vector<int64_t> &tile_nnz, int tile_k,
+                        DataType dtype) const;
 
     // -- constructors from real operands ------------------------------
 

@@ -1,6 +1,8 @@
 #include "gemm/spgemm_device.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/bitutil.h"
 #include "core/thread_pool.h"
@@ -11,33 +13,86 @@ namespace dstc {
 
 namespace {
 
-/**
- * Fixed per-tile-pair pipeline cost: shared-memory operand staging
- * and accumulator spill/fill between K chunks. Amortized over the
- * SpWMMA's 32 k-steps this is small, but it keeps fully-sparse tiles
- * from looking free when they still had to be scheduled.
- */
-constexpr int64_t kTileOverheadCycles = 4;
-
 static_assert(LaneTile::kDim == kWarpTile && kLanes == kWarpTile,
               "the lane tile stages one warp tile's accumulator");
 
 /**
- * Everything one (ti, tj) output tile contributes to the kernel
- * stats. Workers fill one outcome per tile concurrently; the caller
- * reduces them serially in tile order, so the aggregated stats (and
- * every floating-point sum) are bitwise identical to the serial
- * loop regardless of worker count.
+ * What one block of output tiles contributes to the kernel stats: its
+ * integer counters and the work of its surviving k-chunks in
+ * (ti, tj, tk) order. Blocks are contiguous in tile order, so
+ * reducing them in block order gives the serial loop's counters and
+ * work sequence for every worker count.
  */
-struct TileOutcome
+struct BlockOutcome
 {
     InstructionMix mix;
     int64_t merge_cycles = 0;
     int64_t warp_tiles = 0;
     int64_t warp_tiles_skipped = 0;
-    std::vector<int64_t> work; ///< per surviving k-chunk, in tk order
-    double p_cell_zero = 1.0;
+    std::vector<int64_t> work;
 };
+
+/**
+ * Fig. 15 per line of a profile: a line of popcount c enables
+ * ceil(c / chunk) of its side's OHMMA chunks, and a k-step enables
+ * the product of its two lines' counts (0 when either is empty).
+ * groups() x k(), row-major by group like the counts. Chunks are
+ * powers of two, so the division is a shift and the pass vectorizes.
+ */
+std::vector<uint8_t>
+lineChunks(const SparsityProfile &p, int chunk)
+{
+    DSTC_ASSERT(std::has_single_bit(static_cast<unsigned>(chunk)),
+                "OHMMA chunk ", chunk, " is not a power of two");
+    const int shift = std::countr_zero(static_cast<unsigned>(chunk));
+    const int64_t k = p.k();
+    std::vector<uint8_t> chunks(static_cast<size_t>(p.groups()) * k);
+    for (int g = 0; g < p.groups(); ++g) {
+        const uint16_t *counts = p.groupCounts(g);
+        uint8_t *out = chunks.data() + static_cast<size_t>(g) * k;
+        // setCount bounds every count by the warp tile, so the
+        // chunk count fits a byte.
+        for (int64_t kk = 0; kk < k; ++kk)
+            out[kk] = static_cast<uint8_t>((counts[kk] + chunk - 1) >>
+                                           shift);
+    }
+    return chunks;
+}
+
+/** The counters of one tile pair's k-steps over one k-range. */
+struct StepSums
+{
+    int64_t bohmma = 0;   ///< live steps: both lines non-empty
+    int64_t issued = 0;   ///< enabled OHMMAs
+    int64_t accesses = 0; ///< merge accesses, na * nb per step
+};
+
+/** Steps per 32-bit partial sum: the sums vectorize, and a run this
+ *  long of at most kWarpTile^2 accesses per step cannot overflow. */
+constexpr int64_t kStepsPerRun = int64_t{1} << 16;
+static_assert(kStepsPerRun * kWarpTile * kWarpTile <= INT32_MAX);
+
+StepSums
+sumSteps(const uint16_t *a_counts, const uint16_t *b_counts,
+         const uint8_t *a_chunks, const uint8_t *b_chunks, int64_t lo,
+         int64_t hi)
+{
+    StepSums sums;
+    for (int64_t run = lo; run < hi; run += kStepsPerRun) {
+        const int64_t end = std::min(hi, run + kStepsPerRun);
+        int32_t bohmma = 0, issued = 0, accesses = 0;
+        for (int64_t kk = run; kk < end; ++kk) {
+            const int32_t cells = a_counts[kk] * b_counts[kk];
+            bohmma += cells != 0;
+            issued += a_chunks[kk] * b_chunks[kk];
+            accesses += cells;
+        }
+        sums.bohmma += bohmma;
+        sums.issued += issued;
+        sums.accesses += accesses;
+    }
+    return sums;
+}
 
 } // namespace
 
@@ -117,7 +172,8 @@ SpGemmDevice::multiplyValues(const TwoLevelBitmapMatrix &a_enc,
     // The denser operand goes on the 32 lanes. Each strip of it (a
     // tile row of A, or a tile column of B) is expanded once, then
     // every output tile along the strip accumulates from it.
-    const bool a_lanes = aOnLanes(a_enc.nnz(), b_enc.nnz(), m, n);
+    const int a_nnz = a_enc.nnz(), b_nnz = b_enc.nnz();
+    const bool a_lanes = aOnLanes(a_nnz, b_nnz, m, n);
     const int tiles_m = a_enc.numTileRows();
     const int strips = a_lanes ? tiles_m : tiles_n;
     const int per_strip = a_lanes ? tiles_n : tiles_m;
@@ -139,10 +195,20 @@ SpGemmDevice::multiplyValues(const TwoLevelBitmapMatrix &a_enc,
     // a strip is one block; with workers strips are cut into blocks
     // until there are kItemsPerWorker items per worker, so that a
     // few strips still feed every worker. Each block re-expands its
-    // strip once.
+    // strip once. The shared pool's default (num_workers 0) sizes
+    // itself to the lane work, at most one 32-lane step per strip and
+    // non-zero of the other operand: a pool round trip costs more
+    // than a small kernel's, so each worker gets at least
+    // kMinLaneStepsPerWorker of it.
     constexpr int kItemsPerWorker = 4;
+    constexpr int64_t kMinLaneStepsPerWorker = int64_t{1} << 15;
     int max_workers = 1;
     ThreadPool *pool = resolveTilePool(options.num_workers, &max_workers);
+    if (options.num_workers == 0)
+        max_workers = static_cast<int>(std::clamp<int64_t>(
+            static_cast<int64_t>(strips) * (a_lanes ? b_nnz : a_nnz) /
+                kMinLaneStepsPerWorker,
+            1, max_workers));
     const int blocks =
         max_workers == 1
             ? 1
@@ -199,103 +265,135 @@ SpGemmDevice::timeFromProfiles(const SparsityProfile &a,
     DSTC_ASSERT(a.k() == b.k(), "profile K mismatch");
     DSTC_ASSERT(a.tile() == kWarpTile && b.tile() == kWarpTile,
                 "profiles must use the ", kWarpTile, "-wide warp tile");
+    const SpWmmaShape shape = warp_engine_.shape();
+    DSTC_ASSERT(shape.m == kWarpTile && shape.n == kWarpTile,
+                "the SpWMMA set must cover one warp tile");
     const int64_t k = a.k();
+    const int tile_k = options.tile_k;
     const int tiles_m = a.groups();
     const int tiles_n = b.groups();
     const int tiles_k =
-        static_cast<int>(ceilDiv(k, static_cast<int64_t>(options.tile_k)));
-    const SpWmmaShape shape = warp_engine_.shape();
-    MergeCostModel merge_model(cfg_.accum_banks, cfg_.operand_collector);
+        static_cast<int>(ceilDiv(k, static_cast<int64_t>(tile_k)));
+    const MergeCostModel merge_model(cfg_.accum_banks,
+                                     cfg_.operand_collector);
 
     KernelStats stats;
     stats.name = "dstc_spgemm";
 
-    // Per-(group, k-chunk) tile non-zeros for the warp-bitmap skip.
-    auto tile_nnz = [&](const SparsityProfile &p) {
-        std::vector<int64_t> nnz(
-            static_cast<size_t>(p.groups()) * tiles_k);
-        for (int g = 0; g < p.groups(); ++g)
-            for (int tk = 0; tk < tiles_k; ++tk)
-                nnz[static_cast<size_t>(g) * tiles_k + tk] =
-                    p.tileNnz(g, tk, options.tile_k);
-        return nnz;
-    };
-    const auto a_tile_nnz = tile_nnz(a);
-    const auto b_tile_nnz = tile_nnz(b);
-
+    // Read off each profile once, before the tile loop: the
+    // per-(group, k-chunk) non-zeros, which the warp-bitmap skip and
+    // both encoded footprints read, and the per-line OHMMA chunks.
+    const std::vector<int64_t> a_tile_nnz = a.tileNnzTable(tile_k);
+    const std::vector<int64_t> b_tile_nnz = b.tileNnzTable(tile_k);
+    const std::vector<uint8_t> a_chunks = lineChunks(a, shape.a_chunk);
+    const std::vector<uint8_t> b_chunks = lineChunks(b, shape.b_chunk);
     const double tile_cells =
         static_cast<double>(kWarpTile) * kWarpTile;
 
-    const int64_t total_tiles =
-        static_cast<int64_t>(tiles_m) * tiles_n;
-    std::vector<TileOutcome> outcomes(
-        static_cast<size_t>(total_tiles));
-
-    auto run_tile = [&](int64_t t) {
-        const int ti = static_cast<int>(t / tiles_n);
-        const int tj = static_cast<int>(t % tiles_n);
-        TileOutcome &out = outcomes[static_cast<size_t>(t)];
-        out.work.reserve(static_cast<size_t>(tiles_k));
-        for (int tk = 0; tk < tiles_k; ++tk) {
-            const bool a_empty =
-                a_tile_nnz[static_cast<size_t>(ti) * tiles_k + tk] ==
-                0;
-            const bool b_empty =
-                b_tile_nnz[static_cast<size_t>(tj) * tiles_k + tk] ==
-                0;
-            if (options.two_level && (a_empty || b_empty)) {
-                ++out.warp_tiles_skipped;
-                continue;
-            }
-            ++out.warp_tiles;
-            const int64_t k_lo =
-                static_cast<int64_t>(tk) * options.tile_k;
-            const int64_t k_hi = std::min(k, k_lo + options.tile_k);
-            int64_t issued = 0, accesses = 0, bohmma = 0;
-            for (int64_t kk = k_lo; kk < k_hi; ++kk) {
-                const int na = a.count(ti, kk);
-                const int nb = b.count(tj, kk);
-                if (na == 0 || nb == 0)
-                    continue;
-                out.mix.popc += 2;
-                ++bohmma;
-                const int enabled = enabledOhmmas(na, nb, shape);
-                issued += enabled;
-                out.mix.ohmma_skipped +=
-                    shape.ohmmasPerSet() - enabled;
-                accesses += static_cast<int64_t>(na) * nb;
-                out.p_cell_zero *= 1.0 - static_cast<double>(na) * nb /
-                                             tile_cells;
-            }
-            out.mix.bohmma += bohmma;
-            out.mix.ohmma_issued += issued;
-            const int64_t issue_cycles = issued + bohmma;
-            const int64_t scalar_cycles = bohmma + 2;
-            const int64_t merge_cycles = static_cast<int64_t>(
-                merge_model.tileCycles(accesses, issued));
-            out.merge_cycles += merge_cycles;
-            out.work.push_back(std::max({issue_cycles, merge_cycles,
-                                         scalar_cycles}) +
-                               kTileOverheadCycles);
-        }
-    };
+    // Workers own contiguous blocks of output tiles in (ti, tj)
+    // order. The shared pool's default (num_workers 0) sizes itself
+    // to the work: a block is worth a pool job only with enough
+    // k-steps to repay handing it out, so small kernels stay in the
+    // caller.
+    const int64_t total_tiles = static_cast<int64_t>(tiles_m) * tiles_n;
+    constexpr int kBlocksPerWorker = 4;
+    constexpr int64_t kMinStepsPerBlock = int64_t{1} << 15;
     int max_workers = 1;
     ThreadPool *pool = resolveTilePool(options.num_workers, &max_workers);
-    parallelFor(pool, total_tiles, max_workers, run_tile);
+    int64_t blocks =
+        max_workers == 1
+            ? 1
+            : std::min<int64_t>(total_tiles,
+                                kBlocksPerWorker * max_workers);
+    if (options.num_workers == 0)
+        blocks = std::clamp<int64_t>(total_tiles * k / kMinStepsPerBlock,
+                                     1, blocks);
+    std::vector<BlockOutcome> outcomes(static_cast<size_t>(blocks));
+    std::vector<double> p_cell_zero(
+        options.sparse_output ? static_cast<size_t>(total_tiles) : 0);
+    // A block counts in locals. Per k-step the counters are sums: a
+    // live step (both lines non-empty) issues one BOHMMA, two POPCs
+    // and its enabled OHMMAs and squashes the rest of the set. Only
+    // the sparse write-back reads the expected output non-zeros,
+    // whose per-tile product runs in the same k order as the per-tile
+    // loop; a dead step multiplies it by exactly 1.
+    auto run_block = [&](int64_t blk) {
+        int64_t bohmma = 0, issued = 0, merge_cycles = 0;
+        int64_t warp_tiles = 0, skipped = 0;
+        std::vector<int64_t> work;
+        const int64_t t_lo = blk * total_tiles / blocks;
+        const int64_t t_hi = (blk + 1) * total_tiles / blocks;
+        work.reserve(static_cast<size_t>((t_hi - t_lo) * tiles_k));
+        for (int64_t t = t_lo; t < t_hi; ++t) {
+            const int ti = static_cast<int>(t / tiles_n);
+            const int tj = static_cast<int>(t % tiles_n);
+            const uint16_t *a_counts = a.groupCounts(ti);
+            const uint16_t *b_counts = b.groupCounts(tj);
+            const uint8_t *a_ch =
+                a_chunks.data() + static_cast<size_t>(ti) * k;
+            const uint8_t *b_ch =
+                b_chunks.data() + static_cast<size_t>(tj) * k;
+            const int64_t *a_nnz =
+                a_tile_nnz.data() + static_cast<size_t>(ti) * tiles_k;
+            const int64_t *b_nnz =
+                b_tile_nnz.data() + static_cast<size_t>(tj) * tiles_k;
+            double p_zero = 1.0;
+            for (int tk = 0; tk < tiles_k; ++tk) {
+                if (options.two_level &&
+                    (a_nnz[tk] == 0 || b_nnz[tk] == 0)) {
+                    ++skipped;
+                    continue;
+                }
+                ++warp_tiles;
+                const int64_t k_lo = static_cast<int64_t>(tk) * tile_k;
+                const int64_t k_hi = std::min(k, k_lo + tile_k);
+                const StepSums chunk =
+                    sumSteps(a_counts, b_counts, a_ch, b_ch, k_lo, k_hi);
+                if (options.sparse_output)
+                    for (int64_t kk = k_lo; kk < k_hi; ++kk)
+                        p_zero *= 1.0 - static_cast<double>(
+                                            a_counts[kk] * b_counts[kk]) /
+                                            tile_cells;
+                bohmma += chunk.bohmma;
+                issued += chunk.issued;
+                const int64_t chunk_merge = static_cast<int64_t>(
+                    merge_model.tileCycles(chunk.accesses, chunk.issued));
+                merge_cycles += chunk_merge;
+                work.push_back(std::max({chunk.issued + chunk.bohmma,
+                                         chunk_merge, chunk.bohmma + 2}) +
+                               kTileOverheadCycles);
+            }
+            if (options.sparse_output)
+                p_cell_zero[static_cast<size_t>(t)] = p_zero;
+        }
+        BlockOutcome &out = outcomes[static_cast<size_t>(blk)];
+        out.mix.popc = 2 * bohmma;
+        out.mix.bohmma = bohmma;
+        out.mix.ohmma_issued = issued;
+        out.mix.ohmma_skipped = shape.ohmmasPerSet() * bohmma - issued;
+        out.merge_cycles = merge_cycles;
+        out.warp_tiles = warp_tiles;
+        out.warp_tiles_skipped = skipped;
+        out.work = std::move(work);
+    };
+    parallelFor(pool, blocks, max_workers, run_block);
 
-    std::vector<int64_t> work;
-    work.reserve(static_cast<size_t>(total_tiles));
-    double output_nnz_estimate = 0.0;
-    for (const TileOutcome &out : outcomes) {
+    std::vector<int64_t> work = std::move(outcomes.front().work);
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+        const BlockOutcome &out = outcomes[i];
         stats.mix += out.mix;
         stats.merge_cycles += out.merge_cycles;
         stats.warp_tiles += out.warp_tiles;
         stats.warp_tiles_skipped += out.warp_tiles_skipped;
-        work.insert(work.end(), out.work.begin(), out.work.end());
-        output_nnz_estimate += (1.0 - out.p_cell_zero) * tile_cells;
+        if (i > 0)
+            work.insert(work.end(), out.work.begin(), out.work.end());
     }
+    double output_nnz_estimate = 0.0;
+    for (double p : p_cell_zero)
+        output_nnz_estimate += (1.0 - p) * tile_cells;
 
-    int64_t makespan = lptMakespan(work, cfg_.totalSubcores());
+    const int64_t makespan =
+        lptMakespan(std::move(work), cfg_.totalSubcores());
     stats.compute_us =
         static_cast<double>(makespan) /
         (cfg_.clock_ghz * 1e3 * cfg_.sparse_issue_efficiency *
@@ -303,10 +401,10 @@ SpGemmDevice::timeFromProfiles(const SparsityProfile &a,
 
     const int64_t m = static_cast<int64_t>(tiles_m) * kWarpTile;
     const int64_t n = static_cast<int64_t>(tiles_n) * kWarpTile;
-    const double bytes_a =
-        static_cast<double>(a.encodedBytes(options.tile_k, options.dtype));
-    const double bytes_b =
-        static_cast<double>(b.encodedBytes(options.tile_k, options.dtype));
+    const double bytes_a = static_cast<double>(
+        a.encodedBytes(a_tile_nnz, tile_k, options.dtype));
+    const double bytes_b = static_cast<double>(
+        b.encodedBytes(b_tile_nnz, tile_k, options.dtype));
     const double out_bytes = dataTypeOutputBytes(options.dtype);
     const double d_dense = static_cast<double>(m) * n * out_bytes;
     const double d_sparse = static_cast<double>(m) * n / 8.0 +

@@ -44,12 +44,16 @@ struct SpGemmOptions
 
     /**
      * Worker threads of the functional tile loop, split over (lane
-     * strip, block of output tiles) items, and of the timing model's
-     * (ti, tj) tile loop: 0 uses the process-shared pool (all
-     * hardware threads), 1 runs serially in the caller, N caps the
-     * parallelism at N threads. Results and stats are bitwise
-     * identical for every setting — output tiles are disjoint and
-     * per-tile timing outcomes reduce in tile order.
+     * strip, block of output tiles) items, and of the timing model,
+     * split over contiguous blocks of output tiles in (ti, tj) order:
+     * 0 uses the process-shared pool (all hardware threads) as far as
+     * the kernel's work repays a pool round trip, so small kernels
+     * stay in the caller; 1 runs serially in the caller; N splits
+     * over up to N threads. Results and stats are bitwise identical
+     * for every setting — output tiles are disjoint, integer
+     * counters reduce per block in block order, and the one
+     * floating-point sum (the sparse write-back's output estimate)
+     * adds per-tile terms in tile order.
      */
     int num_workers = 0;
 
@@ -125,9 +129,31 @@ class SpGemmDevice
                                  const SparsityProfile &b,
                                  const SpGemmOptions &options = {}) const;
 
+    /**
+     * The per-tile reference of timeFromProfiles: one outcome per
+     * (ti, tj) tile filled k-step by k-step, reduced in tile order.
+     * Every KernelStats field equals timeFromProfiles' bit for bit,
+     * for every worker count. Defined in the test-only
+     * `dstc_reference` library (reference/scalar_spgemm_timing.cc),
+     * which the equivalence tests link.
+     */
+    KernelStats timeFromProfilesScalar(const SparsityProfile &a,
+                                       const SparsityProfile &b,
+                                       const SpGemmOptions &options = {})
+        const;
+
     const GpuConfig &config() const { return cfg_; }
 
   private:
+    /**
+     * Fixed per-tile-pair pipeline cost: shared-memory operand
+     * staging and accumulator spill/fill between K chunks. Amortized
+     * over the SpWMMA's 32 k-steps this is small, but it keeps
+     * fully-sparse tiles from looking free when they still had to be
+     * scheduled.
+     */
+    static constexpr int64_t kTileOverheadCycles = 4;
+
     GpuConfig cfg_;
     SpGemmWarpEngine warp_engine_;
     MemoryModel memory_model_;

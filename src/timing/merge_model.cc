@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/logging.h"
@@ -48,18 +50,44 @@ rawMaxLoad(int bucket, int banks)
 }
 
 /**
- * Process-wide memo registry, one slot per bank count, bounded at
+ * expectedMaxLoad of every n in [0, 8 * banks] (above it the closed
+ * form takes over). The Monte-Carlo estimates are made monotone in n
+ * (estimator noise must never invert the cost ordering) by a
+ * prefix-max over the whole bucket chain, so each entry is a pure
+ * function of (banks, bucket).
+ */
+std::vector<double>
+maxLoadTable(int banks)
+{
+    const int top = 8 * banks;
+    const int top_bucket = maxLoadBucket(top);
+    std::vector<double> prefix(static_cast<size_t>(top_bucket) + 1, 0.0);
+    prefix[1] = 1.0;
+    double running = 1.0;
+    for (int b = 2; b <= top_bucket; b = nextBucket(b)) {
+        running = std::max(running, rawMaxLoad(b, banks));
+        prefix[static_cast<size_t>(b)] = running;
+    }
+    std::vector<double> table(static_cast<size_t>(top) + 1, 0.0);
+    for (int n = 1; n <= top; ++n)
+        table[static_cast<size_t>(n)] =
+            prefix[static_cast<size_t>(maxLoadBucket(n))];
+    return table;
+}
+
+/**
+ * Process-wide table registry, one slot per bank count, bounded at
  * kMemoRegistryBound entries with FIFO eviction. Eviction only drops
- * the registry's reference: live models keep their memo through the
- * shared_ptr, and the values are pure functions of (banks, bucket),
- * so a re-created memo recomputes identical numbers — the bound
- * trades recomputation for a hard memory ceiling when callers sweep
- * many bank counts.
+ * the registry's reference: live models keep their table through the
+ * shared_ptr, and the values are pure functions of (banks, n), so a
+ * re-created table holds identical numbers — the bound trades
+ * recomputation for a hard memory ceiling when callers sweep many
+ * bank counts.
  */
 struct MemoRegistry
 {
     std::mutex mu;
-    std::map<int, std::shared_ptr<MergeCostModel::MaxLoadMemo>> slots;
+    std::map<int, std::shared_ptr<const std::vector<double>>> slots;
     std::vector<int> fifo; ///< insertion order, oldest first
 };
 
@@ -76,7 +104,8 @@ MergeCostModel::MergeCostModel(int banks, bool operand_collector)
     : banks_(banks), operand_collector_(operand_collector)
 {
     DSTC_ASSERT(banks > 0);
-    // One memo per bank count, shared across every model instance in
+    log_banks_ = std::log(static_cast<double>(banks));
+    // One table per bank count, shared across every model instance in
     // the process: SpGemmDevice is constructed per plan-run, and
     // re-estimating the bucket chain each run would dominate small
     // kernels.
@@ -84,15 +113,16 @@ MergeCostModel::MergeCostModel(int banks, bool operand_collector)
     std::lock_guard<std::mutex> lock(registry.mu);
     auto it = registry.slots.find(banks);
     if (it != registry.slots.end()) {
-        memo_ = it->second;
+        max_load_ = it->second;
         return;
     }
     while (registry.slots.size() >= kMemoRegistryBound) {
         registry.slots.erase(registry.fifo.front());
         registry.fifo.erase(registry.fifo.begin());
     }
-    memo_ = std::make_shared<MaxLoadMemo>();
-    registry.slots.emplace(banks, memo_);
+    max_load_ =
+        std::make_shared<const std::vector<double>>(maxLoadTable(banks));
+    registry.slots.emplace(banks, max_load_);
     registry.fifo.push_back(banks);
 }
 
@@ -109,66 +139,15 @@ MergeCostModel::expectedMaxLoad(int n) const
 {
     if (n <= 0)
         return 0.0;
-    if (n == 1)
-        return 1.0;
-
     // Closed form for large n: mean load + the Gaussian tail of the
     // maximum over banks_ bins.
     if (n > 8 * banks_) {
         const double mean = static_cast<double>(n) / banks_;
-        return mean +
-               std::sqrt(2.0 * mean *
-                         std::log(static_cast<double>(banks_)));
+        return mean + std::sqrt(2.0 * mean * log_banks_);
     }
-
-    const int bucket = maxLoadBucket(n);
-
-    // Lock-free warm path: the value is a pure function of (banks,
-    // bucket), so a per-thread memo answers repeat queries without
-    // touching the shared lock — the analytic merge cost sits inside
-    // the parallel tile loop, where a global mutex would serialize
-    // the workers.
-    thread_local std::unordered_map<uint64_t, double> warm;
-    const uint64_t warm_key =
-        (static_cast<uint64_t>(banks_) << 32) |
-        static_cast<uint32_t>(bucket);
-    if (auto it = warm.find(warm_key); it != warm.end())
-        return it->second;
-
-    double prefix;
-    {
-        std::lock_guard<std::mutex> lock(memo_->mu);
-        auto it = memo_->prefix_max.find(bucket);
-        if (it != memo_->prefix_max.end()) {
-            prefix = it->second;
-        } else {
-            // Monotonicity in n (estimator noise must never invert
-            // the cost ordering) via a prefix-max over the whole
-            // bucket chain, which makes the value a pure function of
-            // the bucket — identical no matter which queries came
-            // before, so parallel tile loops stay bitwise
-            // deterministic.
-            prefix = 1.0; // value of the (uncached) bucket 1
-            auto below = memo_->prefix_max.lower_bound(bucket);
-            int from = 2;
-            if (below != memo_->prefix_max.begin()) {
-                --below;
-                prefix = below->second;
-                from = below->first;
-            }
-            for (int b = from; b <= bucket; b = nextBucket(b)) {
-                auto cached = memo_->prefix_max.find(b);
-                if (cached != memo_->prefix_max.end()) {
-                    prefix = cached->second;
-                    continue;
-                }
-                prefix = std::max(prefix, rawMaxLoad(b, banks_));
-                memo_->prefix_max.emplace(b, prefix);
-            }
-        }
-    }
-    warm.emplace(warm_key, prefix);
-    return prefix;
+    // A plain read of an immutable table: the merge cost sits inside
+    // the parallel tile loops, which share it without a lock.
+    return (*max_load_)[static_cast<size_t>(n)];
 }
 
 double

@@ -12,9 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <vector>
 
 namespace dstc {
 
@@ -51,19 +50,12 @@ class MergeCostModel
 
     int banks() const { return banks_; }
 
-    /** Memoized prefix-max Monte-Carlo estimates, one per banks. */
-    struct MaxLoadMemo
-    {
-        std::mutex mu;
-        std::map<int, double> prefix_max; ///< bucket -> max load
-    };
-
     /**
-     * The process-shared memo registry holds at most this many bank
+     * The process-shared table registry holds at most this many bank
      * counts; beyond it the oldest slot is evicted (FIFO). Models
-     * alive at eviction keep their memo through the shared_ptr, and
-     * the values are pure functions of (banks, bucket), so a
-     * re-created memo recomputes identical numbers.
+     * alive at eviction keep their table through the shared_ptr, and
+     * the values are pure functions of (banks, n), so a re-created
+     * table holds identical numbers.
      */
     static constexpr size_t kMemoRegistryBound = 8;
 
@@ -72,20 +64,23 @@ class MergeCostModel
 
   private:
     /**
-     * Monte-Carlo estimate (memoized, deterministic) of the expected
-     * maximum bank load when @p n accesses land on banks_ banks.
+     * Monte-Carlo estimate (deterministic) of the expected maximum
+     * bank load when @p n accesses land on banks_ banks: a read of
+     * the per-bank-count table up to 8 * banks_, a closed form above.
      *
-     * The value is a pure function of n (a prefix-max over the
-     * per-bucket Monte-Carlo estimates, which enforces monotonicity
-     * without depending on query order), so concurrent warp tiles —
-     * and 1-vs-N-worker runs — always read identical costs. The
-     * memo is shared process-wide per bank count and mutex-guarded.
+     * The table is a prefix-max over per-bucket Monte-Carlo
+     * estimates, built whole when the first model of its bank count
+     * is constructed, so every value is a pure function of n:
+     * concurrent warp tiles — and 1-vs-N-worker runs — always read
+     * identical costs.
      */
     double expectedMaxLoad(int n) const;
 
     int banks_;
     bool operand_collector_;
-    std::shared_ptr<MaxLoadMemo> memo_; ///< shared per bank count
+    double log_banks_;
+    /** expectedMaxLoad over [0, 8 * banks_], shared per bank count */
+    std::shared_ptr<const std::vector<double>> max_load_;
 };
 
 } // namespace dstc

@@ -16,7 +16,9 @@ namespace dstc {
 
 /**
  * Longest-processing-time-first makespan of @p work items on
- * @p units identical units, in the work's cycle units.
+ * @p units identical units, in the work's cycle units. Small
+ * non-negative cycle counts take a bucket queue over the load values
+ * instead of a heap; both give the same makespan.
  */
 int64_t lptMakespan(std::vector<int64_t> work, int units);
 

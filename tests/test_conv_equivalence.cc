@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "core/session.h"
+#include "core/thread_pool.h"
 #include "model/sparsity_gen.h"
 #include "tensor/reference.h"
 
@@ -253,6 +254,31 @@ TEST_F(ConvEquivalenceTest, SessionConvRequestHonorsWorkerKnob)
     ASSERT_TRUE(serial.output && pooled.output);
     expectOutputIdentical(*serial.output, *pooled.output, "session");
     expectStatsIdentical(serial.stats, pooled.stats, "session");
+}
+
+TEST_F(ConvEquivalenceTest, SerialSessionKeepsConvTimingOffThePool)
+{
+    // One compute worker runs every kernel-internal loop in the
+    // caller, the conv timing model's included: neither a functional
+    // nor a synthetic Dual Sparse conv enqueues a shared-pool job.
+    Rng rng(416);
+    ConvShape s = shape(4, 14, 8);
+    Tensor4d input = reluActivationTensor(1, 4, 14, 14, 0.6, rng);
+    Matrix<float> weights = randomSparseMatrix(8, 36, 0.8, rng);
+
+    SessionOptions opts{cfg_};
+    opts.resources = {.compute_workers = 1, .encode_workers = 1};
+    Session session(opts);
+    const ThreadPool &pool = sharedThreadPool();
+    const uint64_t before = pool.jobsEnqueued();
+    KernelReport functional = session.run(
+        KernelRequest::conv(input, weights, s)
+            .withMethod(Method::DualSparse));
+    KernelReport synthetic = session.run(
+        KernelRequest::conv(s, 0.8, 0.6).withMethod(Method::DualSparse));
+    EXPECT_EQ(pool.jobsEnqueued(), before);
+    EXPECT_GT(functional.stats.mix.bohmma, 0);
+    EXPECT_GT(synthetic.stats.mix.bohmma, 0);
 }
 
 } // namespace

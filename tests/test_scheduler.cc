@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "common/rng.h"
 
 namespace dstc {
@@ -67,6 +70,45 @@ TEST(Scheduler, MoreUnitsNeverSlower)
         int64_t now = lptMakespan(work, units);
         EXPECT_LE(now, prev);
         prev = now;
+    }
+}
+
+/** LPT by definition: largest item first, each onto the currently
+ *  lightest unit found by a linear scan. */
+int64_t
+naiveLpt(std::vector<int64_t> work, int units)
+{
+    std::sort(work.begin(), work.end(), std::greater<int64_t>());
+    std::vector<int64_t> loads(static_cast<size_t>(units), 0);
+    for (int64_t w : work)
+        *std::min_element(loads.begin(), loads.end()) += w;
+    return *std::max_element(loads.begin(), loads.end());
+}
+
+TEST(Scheduler, MatchesNaiveLptOnEveryPath)
+{
+    // Small items over many units take the bucket queue; a few huge
+    // items, negative sizes or a total far above the item count take
+    // the heap. Both must be LPT exactly.
+    Rng rng(83);
+    for (int trial = 0; trial < 300; ++trial) {
+        const int n = static_cast<int>(rng.uniformInt(400));
+        const int units = 1 + static_cast<int>(rng.uniformInt(400));
+        const int64_t range = int64_t{1}
+                              << (1 + rng.uniformInt(trial % 3 ? 10 : 40));
+        const bool negative = trial % 17 == 0;
+        std::vector<int64_t> work;
+        for (int i = 0; i < n; ++i) {
+            int64_t w = static_cast<int64_t>(
+                rng.uniformInt(static_cast<uint64_t>(range)));
+            if (negative && i % 5 == 0)
+                w = -w;
+            work.push_back(w);
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " n " << n << " units "
+                     << units << " range " << range);
+        EXPECT_EQ(lptMakespan(work, units), naiveLpt(work, units));
     }
 }
 

@@ -281,7 +281,9 @@ TEST(SessionTest, RunBatchNestsInSharedPool)
     };
 
     SessionOptions options;
-    options.resources = {0, 0}; // kernels and encoders on the pool
+    // Kernels split four ways (the default would keep these small
+    // kernels in the caller) and encoders on the pool.
+    options.resources = {4, 0};
     Session session(options);
     ThreadPool &pool = sharedThreadPool();
     const int64_t jobs = pool.numThreads() + 1;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "sparse/two_level.h"
 
@@ -47,7 +49,22 @@ TEST(SparsityProfile, TileNnzAggregatesKChunks)
     SparsityProfile p = SparsityProfile::fromMatrixA(a, 32);
     EXPECT_EQ(p.tileNnz(0, 0, 32), 32);
     EXPECT_EQ(p.tileNnz(0, 1, 32), 8);
+    EXPECT_EQ(p.tileNnzTable(32), (std::vector<int64_t>{32, 8}));
+    EXPECT_EQ(p.tileNnzTable(24), (std::vector<int64_t>{24, 16, 0}));
     EXPECT_EQ(p.totalNnz(), 40);
+}
+
+TEST(SparsityProfileDeathTest, CountOutsideTheLinePanics)
+{
+    // A line holds at most tile() non-zeros; the timing model indexes
+    // per-popcount tables with the counts, so setCount refuses any
+    // other value instead of narrowing it.
+    SparsityProfile p(2, 4, 32);
+    p.setCount(1, 3, 32);
+    EXPECT_EQ(p.count(1, 3), 32);
+    EXPECT_DEATH(p.setCount(0, 0, 33), "line count 33 outside");
+    EXPECT_DEATH(p.setCount(0, 0, -1), "line count -1 outside");
+    EXPECT_DEATH(p.setCount(1, 2, 1 << 16), "outside \\[0, 32\\]");
 }
 
 TEST(SparsityProfile, DenseProfile)

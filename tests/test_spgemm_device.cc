@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "core/thread_pool.h"
 #include "gemm/lane_step.h"
 #include "model/sparsity_gen.h"
 #include "tensor/reference.h"
@@ -255,6 +256,28 @@ TEST_F(SpGemmDeviceTest, ProfileTimingPathIsDeterministicAcrossWorkers)
     pooled.num_workers = 0;
     expectIdenticalStats(device_.timeFromProfiles(a, b, serial),
                          device_.timeFromProfiles(a, b, pooled));
+}
+
+TEST_F(SpGemmDeviceTest, SmallKernelsStayInTheCallerByDefault)
+{
+    // The shared pool's default keeps a kernel too small to repay a
+    // pool round trip in the caller, values and timing alike; an
+    // explicit worker count still splits it, to the same result.
+    Rng rng(135);
+    Matrix<float> a = randomSparseMatrix(128, 128, 0.9, rng);
+    Matrix<float> b = randomSparseMatrix(128, 128, 0.9, rng);
+    const ThreadPool &pool = sharedThreadPool();
+    uint64_t before = pool.jobsEnqueued();
+    SpGemmResult by_default = device_.multiply(a, b);
+    EXPECT_EQ(pool.jobsEnqueued(), before);
+
+    SpGemmOptions split;
+    split.num_workers = 4;
+    before = pool.jobsEnqueued();
+    SpGemmResult four = device_.multiply(a, b, split);
+    EXPECT_GT(pool.jobsEnqueued(), before);
+    EXPECT_EQ(four.d.data(), by_default.d.data());
+    expectIdenticalStats(four.stats, by_default.stats);
 }
 
 /**
