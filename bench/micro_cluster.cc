@@ -1,9 +1,11 @@
 /**
  * @file
- * Micro-benchmark of the Cluster scheduler: throughput and placement
+ * Micro-benchmark of Cluster placement: throughput and placement
  * quality over device sets and policies. The workload is a serving
  * trace — the model zoo's layer batches (conv + GEMM mixed)
- * replicated as if the same models kept arriving — run over
+ * replicated as if the same models kept arriving — run as one
+ * runBatch on a fresh cluster (each batch places from idle devices,
+ * by the earliestFinish / nthLive rule of cluster.h) over
  * homogeneous and heterogeneous device sets under each
  * PlacementPolicy.
  *

@@ -1,6 +1,6 @@
 #include "core/cluster.h"
 
-#include <limits>
+#include <algorithm>
 
 #include "common/logging.h"
 #include "core/thread_pool.h"
@@ -8,63 +8,41 @@
 namespace dstc {
 
 // ===================================================================
-// ClusterScheduler
+// Placement
 // ===================================================================
 
-ClusterScheduler::ClusterScheduler(PlacementPolicy policy,
-                                   size_t num_devices)
-    : policy_(policy), loads_(num_devices)
-{
-    DSTC_ASSERT(num_devices >= 1, "a cluster needs a device");
-}
-
 size_t
-ClusterScheduler::place(const std::vector<double> &estimates,
-                        uint64_t shard_key)
+earliestFinish(std::span<const DeviceView> devices)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    const size_t n = loads_.size();
-    size_t pick = 0;
-    switch (policy_) {
-    case PlacementPolicy::RoundRobin:
-        pick = static_cast<size_t>(next_round_robin_++ % n);
-        break;
-    case PlacementPolicy::StaticShard:
-        pick = static_cast<size_t>(shard_key % n);
-        break;
-    case PlacementPolicy::CostModel: {
-        DSTC_ASSERT(estimates.size() == n,
-                    "CostModel placement needs one estimate per "
-                    "device");
-        double best = std::numeric_limits<double>::infinity();
-        for (size_t d = 0; d < n; ++d) {
-            const double finish =
-                loads_[d].estimated_busy_us + estimates[d];
-            if (finish < best) { // strict: ties go to the lower index
-                best = finish;
-                pick = d;
-            }
-        }
-        loads_[pick].estimated_busy_us += estimates[pick];
-        break;
+    const size_t n = devices.size();
+    size_t pick = n;
+    for (size_t d = 0; d < n; ++d) {
+        const DeviceView &v = devices[d];
+        if (!v.alive)
+            continue;
+        // Strict: ties go to the lower index.
+        if (pick == n ||
+            (v.meets_deadline && !devices[pick].meets_deadline) ||
+            (v.meets_deadline == devices[pick].meets_deadline &&
+             v.finish_us < devices[pick].finish_us))
+            pick = d;
     }
-    }
-    ++loads_[pick].placed;
     return pick;
 }
 
-void
-ClusterScheduler::completed(size_t device)
+size_t
+nthLive(std::span<const DeviceView> devices, uint64_t ticket)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++loads_[device].completed;
-}
-
-DeviceLoad
-ClusterScheduler::load(size_t device) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return loads_[device];
+    const size_t live = static_cast<size_t>(std::count_if(
+        devices.begin(), devices.end(),
+        [](const DeviceView &v) { return v.alive; }));
+    if (live == 0)
+        return devices.size();
+    uint64_t step = ticket % live;
+    size_t d = 0;
+    while (!devices[d].alive || step-- != 0)
+        ++d;
+    return d;
 }
 
 // ===================================================================
@@ -173,10 +151,7 @@ Cluster::Cluster() : Cluster(ClusterOptions{}) {}
 
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache_capacity, options_.cache_capacity_bytes),
-      scheduler_(options_.policy,
-                 options_.devices.empty() ? 1
-                                          : options_.devices.size())
+      cache_(options_.cache_capacity, options_.cache_capacity_bytes)
 {
     if (options_.devices.empty())
         options_.devices.push_back(GpuConfig::v100());
@@ -214,56 +189,49 @@ Cluster::estimateOn(size_t i, const KernelRequest &request,
     });
 }
 
-size_t
-Cluster::place(const KernelRequest &request)
-{
-    std::vector<double> estimates;
-    if (options_.policy == PlacementPolicy::CostModel) {
-        // One content digest per request, not per device: hashing
-        // large operands sits on the serial submission path.
-        const std::optional<uint64_t> digest =
-            requestContentDigest(request);
-        estimates.reserve(sessions_.size());
-        for (size_t d = 0; d < sessions_.size(); ++d)
-            estimates.push_back(estimateOn(d, request, digest));
-    }
-    const uint64_t shard_key =
-        options_.policy == PlacementPolicy::StaticShard
-            ? requestShardKey(request)
-            : 0;
-    return scheduler_.place(estimates, shard_key);
-}
-
-KernelReport
-Cluster::run(const KernelRequest &request)
-{
-    return runOn(place(request), request);
-}
-
-KernelReport
-Cluster::runOn(size_t d, const KernelRequest &request)
-{
-    KernelReport report = sessions_[d]->run(request);
-    report.device = static_cast<int>(d);
-    scheduler_.completed(d);
-    return report;
-}
-
 std::vector<KernelReport>
 Cluster::runBatch(const std::vector<KernelRequest> &requests)
 {
-    // Placement happens first, in index order, so the schedule is a
-    // pure function of the submission sequence; the scheduler never
-    // reads execution state.
+    // Placement happens first, in index order and from idle devices,
+    // so the schedule is a pure function of the batch; it never reads
+    // execution state. Under CostModel a device's finish_us is the
+    // estimates already placed there plus the request's own.
+    const size_t n = sessions_.size();
+    std::vector<DeviceView> views(n);
+    std::vector<double> busy_us(n, 0.0);
     std::vector<size_t> devices;
     devices.reserve(requests.size());
-    for (const KernelRequest &request : requests)
-        devices.push_back(place(request));
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const KernelRequest &request = requests[i];
+        size_t pick = 0;
+        switch (options_.policy) {
+        case PlacementPolicy::CostModel: {
+            // One content digest per request, not per device: hashing
+            // large operands sits on the serial placement path.
+            const std::optional<uint64_t> digest =
+                requestContentDigest(request);
+            for (size_t d = 0; d < n; ++d)
+                views[d].finish_us =
+                    busy_us[d] + estimateOn(d, request, digest);
+            pick = earliestFinish(views);
+            busy_us[pick] = views[pick].finish_us;
+            break;
+        }
+        case PlacementPolicy::RoundRobin:
+            pick = nthLive(views, i);
+            break;
+        case PlacementPolicy::StaticShard:
+            pick = nthLive(views, requestShardKey(request));
+            break;
+        }
+        devices.push_back(pick);
+    }
     std::vector<KernelReport> reports(requests.size());
     ThreadPool &pool = sharedThreadPool();
     parallelFor(&pool, static_cast<int64_t>(requests.size()),
                 pool.numThreads(), [&](int64_t i) {
-                    reports[i] = runOn(devices[i], requests[i]);
+                    reports[i] = sessions_[devices[i]]->run(requests[i]);
+                    reports[i].device = static_cast<int>(devices[i]);
                 });
     return reports;
 }

@@ -4,35 +4,41 @@
  *
  * A Cluster owns N Sessions, one per device GpuConfig (heterogeneous
  * mixes allowed: V100s next to A100-class or future-GPU machines),
- * behind the same run/runBatch surface a single Session exposes. A
- * ClusterScheduler places every KernelRequest on one device:
+ * behind the same runBatch surface a single Session exposes.
+ * runBatch places every KernelRequest of the batch on one device, in
+ * index order, starting from idle devices:
  *
  *  - PlacementPolicy::CostModel (default): each request is estimated
  *    on every device by the plan-stage time estimate — the same
  *    number Method::Auto ranks backends with — and lands on the
- *    device with the earliest estimated finish time (per-device
- *    estimated-busy accumulators, updated in submission order).
- *  - PlacementPolicy::RoundRobin: devices in submission-order
- *    rotation, estimates never computed.
+ *    device with the earliest estimated finish (the estimates the
+ *    batch already placed there plus its own; earliestFinish).
+ *  - PlacementPolicy::RoundRobin: request i goes to device i mod N
+ *    (nthLive), estimates never computed.
  *  - PlacementPolicy::StaticShard: a stable structural digest of the
- *    request picks the device, so identical layers always land on
- *    the same device (encoding affinity), independent of submission
- *    order.
+ *    request picks the device (nthLive), so identical layers always
+ *    land on the same device (encoding affinity), independent of
+ *    submission order.
+ *
+ * earliestFinish and nthLive are the one placement rule: the
+ * ServingEngine places its arrivals, re-placements and hedge arms
+ * with the same two functions over its own device views.
  *
  * Batches run on the process-shared pool, like a Session's (the host
  * cannot be oversubscribed by N per-device pools), and all devices
  * share one EncodingCache:
  * operand encodings are pure in the operand contents, so a layer
  * encoded for device 0 is a cache hit on device 1 even when their
- * configs differ. Config-dependent cache families — the scheduler's
- * per-device time estimates — fold the machine parameters into their
- * keys (CacheKey::gpuConfig) and never collide across configs.
+ * configs differ. Config-dependent cache families — the per-device
+ * time estimates placement ranks by — fold the machine parameters
+ * into their keys (CacheKey::gpuConfig) and never collide across
+ * configs.
  *
  * Determinism contract (the PR 2-4 contract, lifted to the cluster):
- * placement is a pure function of the submission sequence — never of
- * execution timing, thread count or policy racing — and every report
- * is bitwise identical to running the same request serially on a
- * fresh single Session with the placed device's GpuConfig. The
+ * placement is a pure function of the batch — never of execution
+ * timing, thread count, earlier batches or policy racing — and every
+ * report is bitwise identical to running the same request serially
+ * on a fresh single Session with the placed device's GpuConfig. The
  * reports of runBatch are index-aligned with the requests.
  */
 #ifndef DSTC_CORE_CLUSTER_H
@@ -40,15 +46,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/session.h"
 
 namespace dstc {
 
-/** How the ClusterScheduler maps requests to devices. */
+/** How a Cluster maps the requests of a batch to devices. */
 enum class PlacementPolicy
 {
     CostModel,  ///< earliest estimated finish time (plan-stage cost)
@@ -81,49 +87,28 @@ struct ClusterOptions
     size_t cache_capacity_bytes = 0;
 };
 
-/** Per-device work accounting of the scheduler. */
-struct DeviceLoad
+/** What placement sees of one device for one request. */
+struct DeviceView
 {
-    int64_t placed = 0;    ///< requests placed on the device
-    int64_t completed = 0; ///< requests finished executing
-    /** Sum of the placed requests' plan-stage estimates (the
-     *  estimated-finish-time queue; 0 under RoundRobin/StaticShard,
-     *  which never estimate). */
-    double estimated_busy_us = 0.0;
+    bool alive = true;
+    double finish_us = 0.0;     ///< the request's estimated finish there
+    bool meets_deadline = true; ///< finish_us is within its deadline
 };
 
 /**
- * Deterministic placement engine of a Cluster. place() mutates the
- * per-device accounting under a mutex, so concurrent submitters are
- * safe — but placement is only reproducible for a deterministic
- * submission sequence (runBatch places in index order).
+ * The greedy earliest-finish rule: the first live device with the
+ * lowest finish_us, where a device that meets the deadline ranks
+ * ahead of one that misses it. Ties go to the lowest index. Returns
+ * devices.size() when no device is alive.
  */
-class ClusterScheduler
-{
-  public:
-    ClusterScheduler(PlacementPolicy policy, size_t num_devices);
+size_t earliestFinish(std::span<const DeviceView> devices);
 
-    /**
-     * Pick a device for one request. @p estimates holds the per-
-     * device plan-stage estimates (required iff the policy is
-     * CostModel); @p shard_key is the request's stable structural
-     * digest (consulted only by StaticShard). Ties break toward the
-     * lowest device index.
-     */
-    size_t place(const std::vector<double> &estimates,
-                 uint64_t shard_key);
-
-    /** Record that a placed request finished on @p device. */
-    void completed(size_t device);
-
-    DeviceLoad load(size_t device) const;
-
-  private:
-    mutable std::mutex mu_;
-    PlacementPolicy policy_;
-    std::vector<DeviceLoad> loads_;
-    uint64_t next_round_robin_ = 0;
-};
+/**
+ * The (ticket mod live-count)-th live device, counting from index 0:
+ * round-robin rotation and shard keys over the live fleet. Returns
+ * devices.size() when no device is alive.
+ */
+size_t nthLive(std::span<const DeviceView> devices, uint64_t ticket);
 
 /**
  * Stable structural digest of a request: geometry, method, operating
@@ -170,7 +155,6 @@ class Cluster
     EncodingCache &encodingCache() { return cache_; }
     const EncodingCache &encodingCache() const { return cache_; }
     const ClusterOptions &options() const { return options_; }
-    DeviceLoad load(size_t i) const { return scheduler_.load(i); }
 
     /**
      * The plan-stage time estimate of @p request on device @p i —
@@ -182,29 +166,17 @@ class Cluster
     double estimateOn(size_t i, const KernelRequest &request);
 
     /**
-     * Place one request (mutating the scheduler accounting) and
-     * return the chosen device index. run()/runBatch() call this; it
-     * is public so callers can audit placement decisions.
-     */
-    size_t place(const KernelRequest &request);
-
-    /** Place and execute @p request synchronously. The report's
-     *  `device` field records the placement. */
-    KernelReport run(const KernelRequest &request);
-
-    /**
-     * Place every request in index order, then run them all on the
-     * process-shared pool; reports are index-aligned with
-     * @p requests and bitwise identical to running each request
-     * serially on a single Session with the placed device's config.
+     * Place every request in index order, from idle devices, then
+     * run them all on the process-shared pool; reports are
+     * index-aligned with @p requests, record the placement in their
+     * `device` field, and are bitwise identical to running each
+     * request serially on a single Session with the placed device's
+     * config.
      */
     std::vector<KernelReport>
     runBatch(const std::vector<KernelRequest> &requests);
 
   private:
-    /** Execute @p request on device @p d, already placed there. */
-    KernelReport runOn(size_t d, const KernelRequest &request);
-
     /** estimateOn with the request's content digest precomputed (one
      *  hash per request, shared across the per-device loop). */
     double estimateOn(size_t i, const KernelRequest &request,
@@ -213,7 +185,6 @@ class Cluster
     ClusterOptions options_;
     EncodingCache cache_;
     std::vector<std::unique_ptr<Session>> sessions_;
-    ClusterScheduler scheduler_;
 };
 
 } // namespace dstc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -22,6 +23,8 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** A finite decimal number: "nan" and "inf" are no time, duration,
+ *  factor or probability. */
 bool
 parseDouble(const std::string &text, double *out)
 {
@@ -30,7 +33,8 @@ parseDouble(const std::string &text, double *out)
     errno = 0;
     char *end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end != text.c_str() + text.size())
+    if (errno != 0 || end != text.c_str() + text.size() ||
+        !std::isfinite(value))
         return false;
     *out = value;
     return true;
@@ -121,12 +125,20 @@ parseToken(const std::string &token, FaultSpec *out,
     }
     if (token.rfind("randcrash:", 0) == 0) {
         const std::string count = token.substr(10);
+        errno = 0;
+        const unsigned long long value =
+            std::strtoull(count.c_str(), nullptr, 10);
+        // The running total over every randcrash token fits an int.
         if (count.empty() ||
             count.find_first_not_of("0123456789") !=
-                std::string::npos)
-            return tokenError(token, "randcrash:<count>", error);
-        out->random_crashes +=
-            static_cast<int>(std::strtoul(count.c_str(), nullptr, 10));
+                std::string::npos ||
+            errno != 0 ||
+            value > static_cast<unsigned long long>(
+                        std::numeric_limits<int>::max() -
+                        out->random_crashes))
+            return tokenError(token, "randcrash:<count> within int range",
+                              error);
+        out->random_crashes += static_cast<int>(value);
         return true;
     }
     return tokenError(token,

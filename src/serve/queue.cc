@@ -15,8 +15,18 @@ ServingQueue::ServingQueue(size_t num_devices, size_t depth_bound,
     DSTC_ASSERT(num_devices >= 1, "a queue needs a device");
 }
 
-std::optional<std::pair<size_t, size_t>>
-ServingQueue::shedVictim() const
+QueuedRequest
+ServingQueue::take(size_t device, size_t index)
+{
+    std::vector<QueuedRequest> &queue = queues_[device];
+    QueuedRequest request = std::move(queue[index]);
+    queue.erase(queue.begin() + static_cast<long>(index));
+    --total_;
+    return request;
+}
+
+void
+ServingQueue::shedOne(std::vector<QueuedRequest> *shed)
 {
     // Default: the oldest queued request anywhere (lowest id: ids
     // are the submission order, so "oldest" is well defined and
@@ -48,9 +58,11 @@ ServingQueue::shedVictim() const
             }
         }
     }
-    if (victim_dev == queues_.size())
-        return std::nullopt;
-    return std::make_pair(victim_dev, victim_idx);
+    DSTC_ASSERT(victim_dev != queues_.size(),
+                "shedding from empty queues");
+    QueuedRequest victim = take(victim_dev, victim_idx);
+    if (shed)
+        shed->push_back(std::move(victim));
 }
 
 ServingQueue::Admit
@@ -61,15 +73,7 @@ ServingQueue::admit(QueuedRequest request,
     if (!force && total_ >= depth_bound_) {
         if (policy_ == AdmissionPolicy::Reject)
             return Admit::Rejected;
-        const auto victim = shedVictim();
-        DSTC_ASSERT(victim.has_value(),
-                    "full queue with no entries");
-        auto [victim_dev, victim_idx] = *victim;
-        if (shed)
-            shed->push_back(queues_[victim_dev][victim_idx]);
-        queues_[victim_dev].erase(queues_[victim_dev].begin() +
-                                  static_cast<long>(victim_idx));
-        --total_;
+        shedOne(shed);
     }
     queues_[request.device].push_back(request);
     ++total_;
@@ -100,17 +104,8 @@ ServingQueue::setDepthBound(size_t bound)
 void
 ServingQueue::shedExcess(std::vector<QueuedRequest> *shed)
 {
-    while (total_ > depth_bound_) {
-        const auto victim = shedVictim();
-        DSTC_ASSERT(victim.has_value(),
-                    "positive total with no entries");
-        auto [victim_dev, victim_idx] = *victim;
-        if (shed)
-            shed->push_back(queues_[victim_dev][victim_idx]);
-        queues_[victim_dev].erase(queues_[victim_dev].begin() +
-                                  static_cast<long>(victim_idx));
-        --total_;
-    }
+    while (total_ > depth_bound_)
+        shedOne(shed);
 }
 
 bool
@@ -126,17 +121,7 @@ ServingQueue::depth(size_t device) const
 }
 
 double
-ServingQueue::backlogUs(size_t device) const
-{
-    double sum = 0.0;
-    for (const QueuedRequest &q : queues_[device])
-        sum += q.estimate_us;
-    return sum;
-}
-
-double
-ServingQueue::backlogBeforeUs(size_t device,
-                              double deadline_us) const
+ServingQueue::backlogUs(size_t device, double deadline_us) const
 {
     double sum = 0.0;
     for (const QueuedRequest &q : queues_[device])
@@ -147,17 +132,24 @@ ServingQueue::backlogBeforeUs(size_t device,
 
 namespace {
 
-/** Index of the next request to dequeue, or SIZE_MAX when empty. */
+/**
+ * Index of the next request to dequeue — earliest deadline when
+ * @p edf (ties to the lowest id), else lowest id — among those whose
+ * batch_key is @p key when one is given; SIZE_MAX when none is.
+ */
 size_t
-nextIndex(const std::vector<QueuedRequest> &queue, bool edf)
+nextIndex(const std::vector<QueuedRequest> &queue, bool edf,
+          std::optional<uint64_t> key = std::nullopt)
 {
     size_t best = SIZE_MAX;
     for (size_t i = 0; i < queue.size(); ++i) {
+        const QueuedRequest &q = queue[i];
+        if (key && q.batch_key != *key)
+            continue;
         if (best == SIZE_MAX) {
             best = i;
             continue;
         }
-        const QueuedRequest &q = queue[i];
         const QueuedRequest &b = queue[best];
         const bool wins =
             edf ? (q.deadline_us < b.deadline_us ||
@@ -174,14 +166,10 @@ nextIndex(const std::vector<QueuedRequest> &queue, bool edf)
 std::optional<QueuedRequest>
 ServingQueue::pop(size_t device, bool edf)
 {
-    std::vector<QueuedRequest> &queue = queues_[device];
-    const size_t idx = nextIndex(queue, edf);
+    const size_t idx = nextIndex(queues_[device], edf);
     if (idx == SIZE_MAX)
         return std::nullopt;
-    QueuedRequest request = queue[idx];
-    queue.erase(queue.begin() + static_cast<long>(idx));
-    --total_;
-    return request;
+    return take(device, idx);
 }
 
 std::vector<QueuedRequest>
@@ -190,30 +178,10 @@ ServingQueue::popBatchMates(size_t device, uint64_t key,
 {
     std::vector<QueuedRequest> mates;
     while (mates.size() < max_extra) {
-        std::vector<QueuedRequest> &queue = queues_[device];
-        size_t best = SIZE_MAX;
-        for (size_t i = 0; i < queue.size(); ++i) {
-            if (queue[i].batch_key != key)
-                continue;
-            if (best == SIZE_MAX) {
-                best = i;
-                continue;
-            }
-            const QueuedRequest &q = queue[i];
-            const QueuedRequest &b = queue[best];
-            const bool wins =
-                edf ? (q.deadline_us < b.deadline_us ||
-                       (q.deadline_us == b.deadline_us &&
-                        q.id < b.id))
-                    : q.id < b.id;
-            if (wins)
-                best = i;
-        }
-        if (best == SIZE_MAX)
+        const size_t idx = nextIndex(queues_[device], edf, key);
+        if (idx == SIZE_MAX)
             break;
-        mates.push_back(queue[best]);
-        queue.erase(queue.begin() + static_cast<long>(best));
-        --total_;
+        mates.push_back(take(device, idx));
     }
     return mates;
 }
@@ -244,9 +212,7 @@ ServingQueue::steal(size_t thief, size_t *donor_out)
             (q.deadline_us == b.deadline_us && q.id > b.id))
             best = i;
     }
-    QueuedRequest request = queue[best];
-    queue.erase(queue.begin() + static_cast<long>(best));
-    --total_;
+    QueuedRequest request = take(donor, best);
     request.device = thief;
     return request;
 }

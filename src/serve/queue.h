@@ -97,17 +97,16 @@ class ServingQueue
     size_t totalDepth() const { return total_; }
     size_t depthBound() const { return depth_bound_; }
 
-    /** Sum of queued plan-stage estimates on @p device. */
-    double backlogUs(size_t device) const;
-
     /**
-     * Sum of queued estimates on @p device that an EDF dequeue would
-     * run *before* a request with deadline @p deadline_us — the wait
-     * a new arrival of that deadline actually experiences there.
-     * (Ties on the deadline count as ahead: equal-deadline entries
-     * dequeue by lower id, and the newcomer's id is always higher.)
+     * Sum of the queued plan-stage estimates on @p device that an EDF
+     * dequeue would run *before* a request with deadline
+     * @p deadline_us — the wait a new arrival of that deadline
+     * actually experiences there. (Ties on the deadline count as
+     * ahead: equal-deadline entries dequeue by lower id, and the
+     * newcomer's id is always higher.) A FIFO drain runs the whole
+     * backlog first: pass +inf.
      */
-    double backlogBeforeUs(size_t device, double deadline_us) const;
+    double backlogUs(size_t device, double deadline_us) const;
 
     /**
      * Dequeue the next request of @p device: earliest deadline when
@@ -172,9 +171,12 @@ class ServingQueue
     }
 
   private:
-    /** The (device, index) of the next shed victim, or nullopt when
-     *  every queue is empty. */
-    std::optional<std::pair<size_t, size_t>> shedVictim() const;
+    /** Remove and return entry @p index of @p device's queue. */
+    QueuedRequest take(size_t device, size_t index);
+
+    /** Evict the next shed victim into @p shed (when non-null); the
+     *  queues must not all be empty. */
+    void shedOne(std::vector<QueuedRequest> *shed);
 
     size_t depth_bound_;
     AdmissionPolicy policy_;

@@ -25,9 +25,6 @@ ServingEngine::ServingEngine(ServingOptions options,
 
     ClusterOptions copts;
     copts.devices = options_.devices;
-    // The engine places by its own policy and executes on the device
-    // Sessions directly, so the Cluster's placement policy is unused.
-    copts.policy = PlacementPolicy::RoundRobin;
     copts.resources = options_.resources;
     cluster_ = std::make_unique<Cluster>(std::move(copts));
 }
@@ -157,6 +154,8 @@ ServingEngine::run()
     std::vector<std::vector<InFlight>> inflight(n);
     std::vector<PendingRetry> retries;
     uint64_t next_round_robin = 0;
+    // What placement and the hedge pick see of each device.
+    std::vector<DeviceView> views(n);
 
     ServingResult result;
     ServingStats &stats = result.stats;
@@ -192,36 +191,23 @@ ServingEngine::run()
     // slot). The others take the earliest estimated finish: device-
     // ready time plus the backlog the request would wait behind
     // (under Deadline only the earlier-deadline backlog, and a device
-    // that meets the deadline always ranks ahead of one that misses
-    // it) plus its own estimate. Ties go to the lowest index.
+    // that meets the deadline ranks ahead of one that misses it)
+    // plus its own estimate.
+    const bool rotate = options_.policy == ServePolicy::RoundRobin;
     auto place = [&](QueuedRequest &qr, double now) {
-        size_t pick = n;
-        if (options_.policy == ServePolicy::RoundRobin) {
-            size_t step = static_cast<size_t>(next_round_robin++ %
-                                              health.aliveCount());
-            for (size_t d = 0; pick == n; ++d)
-                if (health.alive(d) && step-- == 0)
-                    pick = d;
-        } else {
-            bool best_miss = true;
-            double best = kInf;
-            for (size_t d = 0; d < n; ++d) {
-                if (!health.alive(d))
-                    continue;
-                const double finish =
-                    (busy[d] ? free_at[d] : now) +
-                    (edf ? queue.backlogBeforeUs(d, qr.deadline_us)
-                         : queue.backlogUs(d)) +
-                    scaledEstimate(qr.pool_index, d, now);
-                const bool miss = edf && finish > qr.deadline_us;
-                if (pick == n || (best_miss && !miss) ||
-                    (miss == best_miss && finish < best)) {
-                    best_miss = miss;
-                    best = finish;
-                    pick = d;
-                }
-            }
+        for (size_t d = 0; d < n; ++d) {
+            DeviceView &v = views[d];
+            v.alive = health.alive(d);
+            if (!v.alive || rotate)
+                continue;
+            v.finish_us =
+                (busy[d] ? free_at[d] : now) +
+                queue.backlogUs(d, edf ? qr.deadline_us : kInf) +
+                scaledEstimate(qr.pool_index, d, now);
+            v.meets_deadline = !edf || v.finish_us <= qr.deadline_us;
         }
+        const size_t pick = rotate ? nthLive(views, next_round_robin++)
+                                   : earliestFinish(views);
         ++stats.placed_per_device[pick];
         qr.device = pick;
         qr.estimate_us = scaledEstimate(qr.pool_index, pick, now);
@@ -384,25 +370,19 @@ ServingEngine::run()
         const double start = now + options_.dispatch_overhead_us;
 
         // Hedged dispatch: an interactive head is duplicated onto
-        // the best other idle live device; the first successful arm
-        // wins and cancels the loser. Hedges never batch (the two
-        // arms must stay cancellable as a unit).
-        size_t hedge_dev = SIZE_MAX;
+        // the other idle live device of the lowest estimate; the
+        // first successful arm wins and cancels the loser. Hedges
+        // never batch (the two arms must stay cancellable as a unit).
+        size_t hedge_dev = n;
         if (options_.hedge &&
             head->deadline_class == DeadlineClass::Interactive) {
-            double best = kInf;
-            for (size_t d2 = 0; d2 < n; ++d2) {
-                if (d2 == d || busy[d2] || !health.alive(d2))
-                    continue;
-                const double est =
-                    scaledEstimate(head->pool_index, d2, now);
-                if (est < best) {
-                    best = est;
-                    hedge_dev = d2;
-                }
-            }
+            for (size_t d2 = 0; d2 < n; ++d2)
+                views[d2] = {d2 != d && !busy[d2] && health.alive(d2),
+                             scaledEstimate(head->pool_index, d2, now),
+                             true};
+            hedge_dev = earliestFinish(views);
         }
-        if (hedge_dev != SIZE_MAX) {
+        if (hedge_dev != n) {
             ++fr.hedges;
             const size_t arms[2] = {d, hedge_dev};
             for (int a = 0; a < 2; ++a) {

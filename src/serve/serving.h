@@ -25,7 +25,10 @@
  *    GpuConfig (the cluster contract, kept under open-loop traffic,
  *    EDF reordering, micro-batching and work stealing).
  *
- * Three serving policies decide placement and dispatch (ServePolicy):
+ * Three serving policies decide placement and dispatch (ServePolicy).
+ * Placement is the Cluster's one rule (cluster.h): the engine fills a
+ * DeviceView per device and takes earliestFinish, or nthLive of its
+ * rotation ticket.
  *
  *  - Deadline (default): a request is placed on the device with the
  *    earliest *deadline-aware* estimated finish — device-ready time
@@ -40,6 +43,9 @@
  *    backlog. No stealing, FIFO drain, no guard.
  *  - RoundRobin: rotation over the live devices; estimates never
  *    consulted. No stealing, FIFO drain, no guard.
+ *
+ * A hedged interactive request's second arm goes to the earliestFinish
+ * of the other idle live devices' estimates.
  *
  * Deadlines are workload-relative: each request's deadline is its
  * arrival time plus its class multiplier times the request's

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,9 +81,67 @@ mixedRequests()
     return requests;
 }
 
+/** Requests placed per device, read off the reports. */
+std::vector<int>
+placedPerDevice(const std::vector<KernelReport> &reports,
+                size_t devices)
+{
+    std::vector<int> placed(devices, 0);
+    for (const KernelReport &report : reports)
+        ++placed.at(static_cast<size_t>(report.device));
+    return placed;
+}
+
 constexpr PlacementPolicy kAllPolicies[] = {
     PlacementPolicy::CostModel, PlacementPolicy::RoundRobin,
     PlacementPolicy::StaticShard};
+
+TEST(PlacementRuleTest, EarliestFinishAndNthLive)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const struct
+    {
+        const char *what;
+        std::vector<DeviceView> views;
+        size_t earliest;
+        uint64_t ticket;
+        size_t nth;
+    } cases[] = {
+        {"lowest finish", {{true, 5, true}, {true, 3, true}, {true, 4, true}},
+         1, 1, 1},
+        {"ties go to the lowest index",
+         {{true, 3, true}, {true, 2, true}, {true, 2, true}}, 1, 0, 0},
+        {"dead devices are skipped",
+         {{false, 1, true}, {true, 4, true}, {false, 0, true},
+          {true, 3, true}},
+         3, 1, 3},
+        {"a met deadline beats an earlier miss",
+         {{true, 1, false}, {true, 9, true}, {true, 8, true}}, 2, 2, 2},
+        {"all miss: the earliest finish",
+         {{true, 7, false}, {true, 6, false}}, 1, 0, 0},
+        {"a lone live device", {{false, 1, true}, {true, kInf, false}}, 1,
+         5, 1},
+        {"no live device", {{false, 1, true}, {false, 2, true}}, 2, 7, 2},
+        {"no device", {}, 0, 3, 0},
+        {"the ticket wraps over the live count",
+         {{true, 0, true}, {false, 0, true}, {true, 0, true},
+          {true, 0, true}},
+         0, 7, 2}, // 7 mod 3 live = 1 -> the second live device
+        {"a 64-bit shard key", {{true, 0, true}, {true, 0, true}}, 0,
+         0xffffffffffffffffull, 1},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(earliestFinish(c.views), c.earliest) << c.what;
+        EXPECT_EQ(nthLive(c.views, c.ticket), c.nth) << c.what;
+    }
+    // Consecutive tickets visit every live device in index order.
+    const std::vector<DeviceView> views = {
+        {true, 0, true}, {false, 0, true}, {true, 0, true}};
+    std::vector<size_t> order;
+    for (uint64_t t = 0; t < 4; ++t)
+        order.push_back(nthLive(views, t));
+    EXPECT_EQ(order, (std::vector<size_t>{0, 2, 0, 2}));
+}
 
 TEST(ClusterTest, EveryPolicyDeviceCountAndWorkerCountIsBitwise)
 {
@@ -159,9 +218,10 @@ TEST(ClusterTest, HeterogeneousReportsMatchPlacedDeviceSerially)
 
 TEST(ClusterTest, PlacementIsDeterministic)
 {
-    // Placement is a pure function of the submission sequence: the
-    // execution resources, repeated runs and a fresh cluster all see
-    // the same schedule.
+    // Placement is a pure function of the batch: the execution
+    // resources, a fresh cluster and a second batch on the same
+    // cluster (every batch places from idle devices) all see the
+    // same schedule.
     for (PlacementPolicy policy : kAllPolicies) {
         std::vector<std::vector<int>> schedules;
         for (int workers : {1, 4, 1}) {
@@ -171,16 +231,18 @@ TEST(ClusterTest, PlacementIsDeterministic)
             opts.policy = policy;
             opts.resources = {workers, workers};
             Cluster cluster(opts);
-            std::vector<int> schedule;
-            for (const KernelReport &report :
-                 cluster.runBatch(mixedRequests()))
-                schedule.push_back(report.device);
-            schedules.push_back(std::move(schedule));
+            for (int batch = 0; batch < 2; ++batch) {
+                std::vector<int> schedule;
+                for (const KernelReport &report :
+                     cluster.runBatch(mixedRequests()))
+                    schedule.push_back(report.device);
+                schedules.push_back(std::move(schedule));
+            }
         }
-        EXPECT_EQ(schedules[0], schedules[1])
-            << tokenOf(kPlacementPolicies, policy);
-        EXPECT_EQ(schedules[0], schedules[2])
-            << tokenOf(kPlacementPolicies, policy);
+        for (size_t i = 1; i < schedules.size(); ++i)
+            EXPECT_EQ(schedules[0], schedules[i])
+                << tokenOf(kPlacementPolicies, policy) << ", run "
+                << i;
     }
 }
 
@@ -206,13 +268,15 @@ TEST(ClusterTest, CostModelShiftsLoadToTheFasterDevice)
     opts.policy = PlacementPolicy::CostModel;
     Cluster cost(opts);
     std::vector<KernelReport> cost_reports = cost.runBatch(requests);
-    EXPECT_GT(cost.load(1).placed, cost.load(0).placed);
-    EXPECT_GT(cost.load(1).estimated_busy_us, 0.0);
+    const std::vector<int> cost_placed = placedPerDevice(cost_reports, 2);
+    EXPECT_GT(cost_placed[1], cost_placed[0]);
+    EXPECT_GT(cost.estimateOn(1, requests[0]), 0.0);
 
     opts.policy = PlacementPolicy::RoundRobin;
     Cluster rr(opts);
     std::vector<KernelReport> rr_reports = rr.runBatch(requests);
-    EXPECT_EQ(rr.load(0).placed, rr.load(1).placed);
+    const std::vector<int> rr_placed = placedPerDevice(rr_reports, 2);
+    EXPECT_EQ(rr_placed[0], rr_placed[1]);
     EXPECT_LT(makespan(cost_reports), makespan(rr_reports));
 }
 
@@ -239,23 +303,23 @@ TEST(ClusterTest, StaticShardIsStableAcrossClustersAndOrder)
             << "request " << i;
 }
 
-TEST(ClusterTest, SchedulerAccountingIsConsistent)
+TEST(ClusterTest, PlacementAccountingIsConsistent)
 {
+    // Every request of the batch is placed on exactly one device and
+    // reported once.
     ClusterOptions opts;
     opts.devices = {GpuConfig::v100(), GpuConfig::a100Like()};
     Cluster cluster(opts);
     const size_t n = mixedRequests().size();
-    cluster.runBatch(mixedRequests());
-    int64_t placed = 0, completed = 0;
-    for (size_t d = 0; d < cluster.numDevices(); ++d) {
-        DeviceLoad load = cluster.load(d);
-        placed += load.placed;
-        completed += load.completed;
-        EXPECT_GE(load.completed, 0);
-        EXPECT_EQ(load.placed, load.completed) << "device " << d;
+    const std::vector<KernelReport> reports =
+        cluster.runBatch(mixedRequests());
+    ASSERT_EQ(reports.size(), n);
+    int placed = 0;
+    for (int count : placedPerDevice(reports, cluster.numDevices())) {
+        EXPECT_GE(count, 0);
+        placed += count;
     }
-    EXPECT_EQ(placed, static_cast<int64_t>(n));
-    EXPECT_EQ(completed, static_cast<int64_t>(n));
+    EXPECT_EQ(placed, static_cast<int>(n));
 }
 
 TEST(ClusterTest, EstimatesAreConfigKeyedInTheSharedCache)
@@ -329,11 +393,16 @@ TEST(ClusterTest, EmptyBatchIsANoOp)
 {
     ClusterOptions opts;
     opts.devices = {GpuConfig::v100(), GpuConfig::v100()};
-    Cluster cluster(opts);
-    EXPECT_TRUE(cluster.runBatch({}).empty());
-    for (size_t d = 0; d < cluster.numDevices(); ++d) {
-        EXPECT_EQ(cluster.load(d).placed, 0);
-        EXPECT_EQ(cluster.load(d).completed, 0);
+    for (PlacementPolicy policy : kAllPolicies) {
+        opts.policy = policy;
+        Cluster cluster(opts);
+        EXPECT_TRUE(cluster.runBatch({}).empty());
+        // It leaves no trace: the next batch places as on a fresh
+        // cluster.
+        Cluster fresh(opts);
+        EXPECT_EQ(placedPerDevice(cluster.runBatch(mixedRequests()), 2),
+                  placedPerDevice(fresh.runBatch(mixedRequests()), 2))
+            << tokenOf(kPlacementPolicies, policy);
     }
 }
 

@@ -83,7 +83,12 @@ TEST(FaultSpecTest, MalformedSpecsFailWithMessage)
           "slow@100+50:d0", "transient:0.5", "transient:p",
           "transient:p1.0", "transient:p-0.1", "transient:pfoo",
           "randcrash:", "randcrash:-1", "randcrash:1.5",
-          "crash@100:d0;;crash@200:d1", "crash@1e:d0"}) {
+          "crash@100:d0;;crash@200:d1", "crash@1e:d0",
+          // Non-finite numbers and counts past int.
+          "crash@nan:d0", "crash@inf:d0", "slow@nan+1x2:d0",
+          "slow@0+infx2:d0", "slow@0+1e9xinf:d0", "slow@0+1e9xnan:d0",
+          "transient:pnan", "randcrash:4294967297",
+          "randcrash:2147483647;randcrash:1"}) {
         FaultSpec spec;
         std::string error;
         EXPECT_FALSE(FaultSpec::parse(bad, &spec, &error))

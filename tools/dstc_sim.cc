@@ -441,23 +441,30 @@ runCluster(const CliArgs &args)
                           reports[i].backend});
     per_layer.print();
 
-    std::vector<double> device_us(cluster.numDevices(), 0.0);
+    // Per device: requests placed, the plan-stage estimates cost
+    // placement summed there (in index order, as it did), and the
+    // simulated time they took.
+    const size_t n = cluster.numDevices();
+    std::vector<int64_t> placed(n, 0);
+    std::vector<double> est_busy_us(n, 0.0), device_us(n, 0.0);
     double total_us = 0.0;
-    for (const KernelReport &report : reports) {
-        device_us[report.device] += report.stats.timeUs();
-        total_us += report.stats.timeUs();
+    for (size_t i = 0; i < reports.size(); ++i) {
+        const size_t d = static_cast<size_t>(reports[i].device);
+        ++placed[d];
+        if (opts.policy == PlacementPolicy::CostModel)
+            est_busy_us[d] += cluster.estimateOn(d, requests[i]);
+        device_us[d] += reports[i].stats.timeUs();
+        total_us += reports[i].stats.timeUs();
     }
     std::printf("\nper-device load:\n");
     TextTable per_device;
     per_device.setHeader({"device", "config", "placed",
                           "est busy (us)", "sim time (us)"});
     double makespan_us = 0.0;
-    for (size_t d = 0; d < cluster.numDevices(); ++d) {
-        DeviceLoad load = cluster.load(d);
+    for (size_t d = 0; d < n; ++d) {
         per_device.addRow(
             {std::to_string(d), device_names[d],
-             std::to_string(load.placed),
-             fmtDouble(load.estimated_busy_us, 1),
+             std::to_string(placed[d]), fmtDouble(est_busy_us[d], 1),
              fmtDouble(device_us[d], 1)});
         makespan_us = std::max(makespan_us, device_us[d]);
     }

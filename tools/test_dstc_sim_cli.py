@@ -135,6 +135,7 @@ NEGATIVE = [
     "gemm 0 8 8",
     "backends 8 x 8",
     ["serve", "mix", "--faults", "crash@oops:d1"],
+    ["serve", "mix", "--faults", "crash@nan:d1"],
     "spmm BAD_MTX 32",
     MNK + " --method hybrid --dtype int8",
     CONV + " --explicit --method dual",
@@ -200,15 +201,27 @@ def argv(case, bad_mtx=""):
     return [bad_mtx if a == "BAD_MTX" else a for a in args]
 
 
-def run(args):
-    return subprocess.run([DSTC_SIM] + args, cwd=REPO_ROOT,
-                          capture_output=True, text=True, timeout=600)
+# A rejected invocation fails while parsing its flags, so one that runs
+# for seconds is a hang (e.g. a fault spec the parser let through).
+ACCEPTED_TIMEOUT_S = 600
+REJECTED_TIMEOUT_S = 30
 
 
-def run_all(cases, bad_mtx=""):
+def run(args, timeout=ACCEPTED_TIMEOUT_S):
+    try:
+        return subprocess.run([DSTC_SIM] + args, cwd=REPO_ROOT,
+                              capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(
+            args, None, "", f"timed out after {timeout} s")
+
+
+def run_all(cases, bad_mtx="", timeout=ACCEPTED_TIMEOUT_S):
     """Run every case, four at a time (sanitized builds are slow)."""
     with ThreadPoolExecutor(max_workers=4) as pool:
-        return list(pool.map(lambda c: run(argv(c, bad_mtx)), cases))
+        return list(pool.map(lambda c: run(argv(c, bad_mtx), timeout),
+                             cases))
 
 
 def readme_cli_block():
@@ -266,7 +279,9 @@ class DstcSimCli(unittest.TestCase):
             bad_mtx = os.path.join(tmp, "bad.mtx")
             with open(bad_mtx, "w") as f:
                 f.write("not a matrix market file\n")
-            for case, proc in zip(NEGATIVE, run_all(NEGATIVE, bad_mtx)):
+            for case, proc in zip(NEGATIVE,
+                                  run_all(NEGATIVE, bad_mtx,
+                                          REJECTED_TIMEOUT_S)):
                 with self.subTest(case=case):
                     self.assertEqual(proc.returncode, 2,
                                      proc.stdout + proc.stderr)
