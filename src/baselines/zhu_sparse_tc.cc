@@ -35,10 +35,9 @@ zhuGemm(const GpuConfig &cfg, int64_t m, int64_t n, int64_t k,
 
 Matrix<float>
 zhuGemmFunctional(const Matrix<float> &a, const Matrix<float> &b,
-                  int vec_len, const QuantSpec &spec_a,
-                  const QuantSpec &spec_b)
+                  const QuantSpec &spec_a, const QuantSpec &spec_b)
 {
-    Matrix<float> pruned = vectorWisePrune(b, vec_len, kZhuPruneRatio);
+    Matrix<float> pruned = vectorWisePrune(b, kZhuVecLen, kZhuPruneRatio);
     return refGemmQuant(a, pruned, spec_a, spec_b);
 }
 

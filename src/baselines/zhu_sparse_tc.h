@@ -26,6 +26,9 @@ namespace dstc {
 /** Fixed structural pruning ratio of the Sparse Tensor Core design. */
 constexpr double kZhuPruneRatio = 0.75;
 
+/** Length of the weight vectors the pruning keeps or drops lanes of. */
+constexpr int kZhuVecLen = 16;
+
 /** Effective speedup over the dense kernel after format overheads. */
 constexpr double kZhuEffectiveSpeedup = 1.86;
 
@@ -40,13 +43,14 @@ KernelStats zhuGemm(const GpuConfig &cfg, int64_t m, int64_t n,
                     int64_t k, DataType dtype = DataType::Fp16);
 
 /**
- * Functional counterpart: vector-wise prune B to the fixed ratio and
- * multiply densely at the specs' datatype (FP16 default; pruning
- * selects on raw magnitudes). Provided so the baseline's accuracy
- * cost is inspectable; the pruner itself lives in model/pruning.h.
+ * Functional counterpart: vector-wise prune B (kZhuVecLen-element
+ * vectors) to the fixed ratio and multiply densely at the specs'
+ * datatype (FP16 default; pruning selects on raw magnitudes).
+ * Provided so the baseline's accuracy cost is inspectable; the
+ * pruner itself lives in model/pruning.h.
  */
 Matrix<float> zhuGemmFunctional(const Matrix<float> &a,
-                                const Matrix<float> &b, int vec_len = 16,
+                                const Matrix<float> &b,
                                 const QuantSpec &spec_a = {},
                                 const QuantSpec &spec_b = {});
 

@@ -333,7 +333,7 @@ class DenseGemmPlan : public ExecutionPlan
         const Matrix<float> &b = *req_.b.matrix();
         const DataType dtype = req_.dataType();
         report.d = std::make_shared<const Matrix<float>>(
-            DenseGemmDevice(cfg()).multiply(a, b, false, specFor(dtype, a),
+            DenseGemmDevice(cfg()).multiply(a, b, specFor(dtype, a),
                                             specFor(dtype, b)));
     }
 };
@@ -409,7 +409,7 @@ class PrunedGemmPlan : public ExecutionPlan
         const QuantSpec sa = specFor(dtype, a);
         const QuantSpec sb = specFor(dtype, b);
         report.d = std::make_shared<const Matrix<float>>(
-            zhu() ? zhuGemmFunctional(a, b, 16, sa, sb)
+            zhu() ? zhuGemmFunctional(a, b, sa, sb)
                   : ampereGemmFunctional(a, b, sa, sb));
     }
 

@@ -150,8 +150,7 @@ requestContentDigest(const KernelRequest &request)
 Cluster::Cluster() : Cluster(ClusterOptions{}) {}
 
 Cluster::Cluster(ClusterOptions options)
-    : options_(std::move(options)),
-      cache_(options_.cache_capacity, options_.cache_capacity_bytes)
+    : options_(std::move(options))
 {
     if (options_.devices.empty())
         options_.devices.push_back(GpuConfig::v100());

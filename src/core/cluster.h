@@ -26,7 +26,7 @@
  *
  * Batches run on the process-shared pool, like a Session's (the host
  * cannot be oversubscribed by N per-device pools), and all devices
- * share one EncodingCache:
+ * share one EncodingCache (1024 entries, LRU):
  * operand encodings are pure in the operand contents, so a layer
  * encoded for device 0 is a cache hit on device 1 even when their
  * configs differ. Config-dependent cache families — the per-device
@@ -81,10 +81,6 @@ struct ClusterOptions
 
     /** Per-device execution resources (SessionOptions semantics). */
     ExecutionResources resources;
-
-    /** Shared-cache bounds (SessionOptions semantics). */
-    size_t cache_capacity = EncodingCache::kDefaultCapacity;
-    size_t cache_capacity_bytes = 0;
 };
 
 /** What placement sees of one device for one request. */

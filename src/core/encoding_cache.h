@@ -170,8 +170,8 @@ class CacheKey
 };
 
 /**
- * Approximate resident bytes of a cached value, used by the cache's
- * optional byte-aware bound. Encodings report their real footprint
+ * Approximate resident bytes of a cached value, summed by
+ * EncodingCache::totalBytes. Encodings report their real footprint
  * through encodedBytes(); anything else is charged its object size.
  */
 template <typename T>
@@ -185,28 +185,18 @@ cachedValueBytes(const T &value)
 }
 
 /**
- * Shared cache of encoded operands, keyed by content hash. Bounded
- * two ways: an entry-count capacity, and an optional byte bound over
- * the values' reported footprints. Eviction is LRU — every hit
- * refreshes the entry — and in-flight users keep evicted values
- * alive through the shared_ptr; only the cache's reference drops.
+ * Shared cache of encoded operands, keyed by content hash and
+ * bounded by an entry count. Eviction is LRU — every hit refreshes
+ * the entry — and in-flight users keep evicted values alive through
+ * the shared_ptr; only the cache's reference drops. totalBytes()
+ * reports the resident values' summed footprints.
  */
 class EncodingCache
 {
   public:
-    static constexpr size_t kDefaultCapacity = 1024;
-
-    /**
-     * @param capacity       maximum entry count (>= 1)
-     * @param capacity_bytes maximum total value bytes; 0 = unbounded.
-     *        A single value larger than the bound is still cached
-     *        (evicting everything else) — the bound sheds history,
-     *        it never refuses work.
-     */
-    explicit EncodingCache(size_t capacity = kDefaultCapacity,
-                           size_t capacity_bytes = 0)
-        : capacity_(capacity == 0 ? 1 : capacity),
-          capacity_bytes_(capacity_bytes)
+    /** @param capacity maximum entry count (0 is taken as 1) */
+    explicit EncodingCache(size_t capacity = 1024)
+        : capacity_(capacity == 0 ? 1 : capacity)
     {
     }
 
@@ -263,31 +253,14 @@ class EncodingCache
                     "EncodingCache key collision across types");
         if (built) {
             // The value's size is only known after the build (which
-            // runs outside the lock); charge it now and apply the
-            // byte bound. The entry may already have been evicted by
-            // a concurrent insert — then there is nothing to charge.
+            // runs outside the lock); charge it now. The entry may
+            // already have been evicted by a concurrent insert — then
+            // there is nothing to charge.
             std::lock_guard<std::mutex> lock(mu_);
             auto it = entries_.find(key);
             if (it != entries_.end() && it->second == entry) {
                 entry->charged = true;
                 total_bytes_ += entry->bytes;
-                if (capacity_bytes_ > 0)
-                    while (total_bytes_ > capacity_bytes_ &&
-                           entries_.size() > 1) {
-                        if (lru_order_.front() == key) {
-                            // Never evict the just-built entry: it
-                            // can sit at the LRU front when every
-                            // other entry was touched after its
-                            // insert. Rotate it to the back (it is
-                            // the most recent use anyway) and keep
-                            // shedding the next-oldest.
-                            lru_order_.splice(lru_order_.end(),
-                                              lru_order_,
-                                              lru_order_.begin());
-                            continue;
-                        }
-                        evictOldestLocked();
-                    }
             }
         }
         return std::static_pointer_cast<const T>(entry->value);
@@ -326,7 +299,6 @@ class EncodingCache
     }
 
     size_t capacity() const { return capacity_; }
-    size_t capacityBytes() const { return capacity_bytes_; }
 
   private:
     struct Entry
@@ -356,7 +328,6 @@ class EncodingCache
 
     mutable std::mutex mu_;
     size_t capacity_;
-    size_t capacity_bytes_;
     size_t total_bytes_ = 0;
     std::unordered_map<uint64_t, std::shared_ptr<Entry>> entries_;
     std::list<uint64_t> lru_order_;

@@ -12,9 +12,7 @@ Session::Session(GpuConfig config)
 }
 
 Session::Session(SessionOptions options)
-    : options_(options),
-      registry_(KernelRegistry::withDefaultBackends()),
-      cache_(options.cache_capacity, options.cache_capacity_bytes)
+    : options_(options), registry_(KernelRegistry::withDefaultBackends())
 {
 }
 

@@ -3,9 +3,10 @@
  * Session — the library's public entry point.
  *
  * A Session owns the machine description, the KernelRegistry of
- * execution backends and the EncodingCache of encoded operands. It
- * answers KernelRequests through the uniform plan/execute protocol,
- * serially or batched on the process-shared pool:
+ * execution backends and the EncodingCache of encoded operands (1024
+ * entries, LRU). It answers KernelRequests through the uniform
+ * plan/execute protocol, serially or batched on the process-shared
+ * pool:
  *
  * @code
  *   dstc::Session session;                        // V100 model
@@ -64,25 +65,13 @@ struct SessionOptions
     /** Worker budget of every request this session runs. */
     ExecutionResources resources{};
 
-    /** Encoded-operand cache capacity (entries, LRU eviction). */
-    size_t cache_capacity = EncodingCache::kDefaultCapacity;
-
-    /**
-     * Optional byte-aware cache bound over the encoded values'
-     * reported footprints; 0 = entry-count bound only. For
-     * long-running serving, set this to the memory budget the
-     * encodings may occupy.
-     */
-    size_t cache_capacity_bytes = 0;
-
     /**
      * Non-owning shared encoding cache. When set, plans resolve
-     * operands here instead of the session-private cache
-     * (cache_capacity/_bytes are ignored) — Sessions over different
-     * GpuConfigs can share one cache because operand encodings are
-     * pure in the operand contents; config-dependent families fold
-     * the machine bits into their keys (CacheKey::gpuConfig). Must
-     * outlive the Session.
+     * operands here instead of the session-private cache (1024
+     * entries, LRU) — Sessions over different GpuConfigs can share
+     * one cache because operand encodings are pure in the operand
+     * contents; config-dependent families fold the machine bits into
+     * their keys (CacheKey::gpuConfig). Must outlive the Session.
      */
     EncodingCache *shared_cache = nullptr;
 };

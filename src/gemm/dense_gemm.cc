@@ -14,7 +14,7 @@ DenseGemmDevice::DenseGemmDevice(const GpuConfig &cfg)
 
 Matrix<float>
 DenseGemmDevice::multiply(const Matrix<float> &a, const Matrix<float> &b,
-                          bool outer_product, const QuantSpec &spec_a,
+                          const QuantSpec &spec_a,
                           const QuantSpec &spec_b) const
 {
     DSTC_ASSERT(spec_a.dtype == spec_b.dtype,
@@ -41,11 +41,7 @@ DenseGemmDevice::multiply(const Matrix<float> &a, const Matrix<float> &b,
                 for (int r = 0; r < kk; ++r)
                     for (int c = 0; c < nn; ++c)
                         b_frag.at(r, c) = b.at(k0 + r, j0 + c);
-                acc = outer_product
-                          ? wmmaOuter(a_frag, b_frag, &acc, spec_a,
-                                      spec_b)
-                          : wmmaInner(a_frag, b_frag, &acc, spec_a,
-                                      spec_b);
+                acc = wmmaInner(a_frag, b_frag, &acc, spec_a, spec_b);
             }
             for (int r = 0; r < mm; ++r)
                 for (int c = 0; c < nn; ++c)

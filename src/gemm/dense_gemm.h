@@ -17,25 +17,24 @@
 
 namespace dstc {
 
-/** Dense GEMM on the (inner- or outer-product) Tensor Core model. */
+/** Dense GEMM on the inner-product Tensor Core model. */
 class DenseGemmDevice
 {
   public:
     explicit DenseGemmDevice(const GpuConfig &cfg);
 
     /**
-     * Functional tiled execution (16x16x16 WMMA tiles): the values
-     * of a * b (timeOnly is the clock). @p outer_product selects the
-     * OWMMA order; results are bitwise identical either way (see
-     * gemm/wmma.h). Operands quantize through the specs (FP16 by
-     * default); both must share a datatype. Integer specs accumulate
+     * Functional tiled execution (16x16x16 inner-product WMMA
+     * tiles): the values of a * b (timeOnly is the clock). The OWMMA
+     * order would give bitwise the same values (gemm/wmma.h).
+     * Operands quantize through the specs (FP16 by default); both
+     * must share a datatype. Integer specs accumulate
      * codes and apply the deferred sa * sb output scale once after
      * the K loop — dense and dual-sparse integer results are bitwise
      * equal.
      */
     Matrix<float> multiply(const Matrix<float> &a,
                            const Matrix<float> &b,
-                           bool outer_product = false,
                            const QuantSpec &spec_a = {},
                            const QuantSpec &spec_b = {}) const;
 

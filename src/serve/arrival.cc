@@ -7,21 +7,28 @@
 
 namespace dstc {
 
-ArrivalGenerator::ArrivalGenerator(ArrivalOptions options)
-    : options_(options)
+namespace {
+
+// The bursty MMPP-2 shape: state rate factors and per-arrival switch
+// probabilities. The per-arrival stationary probability of the burst
+// state is kCalmToBurst / (kCalmToBurst + kBurstToCalm) = 0.25.
+constexpr double kCalmRateFactor = 0.4;
+constexpr double kBurstRateFactor = 2.8;
+constexpr double kCalmToBurst = 0.05;
+constexpr double kBurstToCalm = 0.15;
+
+} // namespace
+
+ArrivalGenerator::ArrivalGenerator(ArrivalOptions options,
+                                   size_t pool_size)
+    : options_(options), pool_size_(pool_size)
 {
     DSTC_ASSERT(options_.rate_rpms > 0.0,
                 "arrival rate must be positive");
     DSTC_ASSERT(options_.duration_ms >= 0.0,
                 "arrival window cannot be negative");
-    DSTC_ASSERT(options_.pool_size >= 1,
+    DSTC_ASSERT(pool_size_ >= 1,
                 "arrivals need a workload pool to draw from");
-    DSTC_ASSERT(options_.interactive_fraction >= 0.0 &&
-                    options_.standard_fraction >= 0.0 &&
-                    options_.interactive_fraction +
-                            options_.standard_fraction <=
-                        1.0,
-                "class fractions must be a sub-probability");
 }
 
 std::vector<Arrival>
@@ -39,22 +46,21 @@ ArrivalGenerator::generate() const
     // state's mean gap, so the expected gap is the pi-weighted
     // harmonic combination of the factors; dividing every gap by it
     // restores E[gap] = 1 / rate.
-    double gap_norm = 1.0;
-    if (options_.pattern == TrafficPattern::Bursty) {
-        const double pi_burst =
-            options_.p_calm_to_burst /
-            (options_.p_calm_to_burst + options_.p_burst_to_calm);
-        gap_norm = (1.0 - pi_burst) / options_.calm_rate_factor +
-                   pi_burst / options_.burst_rate_factor;
-    }
+    constexpr double pi_burst =
+        kCalmToBurst / (kCalmToBurst + kBurstToCalm);
+    const double gap_norm =
+        options_.pattern == TrafficPattern::Bursty
+            ? (1.0 - pi_burst) / kCalmRateFactor +
+                  pi_burst / kBurstRateFactor
+            : 1.0;
 
     bool burst = false; // MMPP starts calm
     double t = 0.0;
     while (true) {
         double gap_scale = 1.0;
         if (options_.pattern == TrafficPattern::Bursty) {
-            const double factor = burst ? options_.burst_rate_factor
-                                        : options_.calm_rate_factor;
+            const double factor =
+                burst ? kBurstRateFactor : kCalmRateFactor;
             gap_scale = 1.0 / (factor * gap_norm);
         }
         // Exponential inter-arrival; 1 - u keeps the argument of
@@ -66,22 +72,19 @@ ArrivalGenerator::generate() const
         Arrival a;
         a.id = static_cast<int64_t>(arrivals.size());
         a.time_us = t;
+        // The class whose running share first exceeds u; the last
+        // class takes the remainder.
         const double u = rng.uniform();
-        if (u < options_.interactive_fraction)
-            a.deadline_class = DeadlineClass::Interactive;
-        else if (u < options_.interactive_fraction +
-                         options_.standard_fraction)
-            a.deadline_class = DeadlineClass::Standard;
-        else
-            a.deadline_class = DeadlineClass::Batch;
-        a.pool_index = static_cast<size_t>(
-            rng.uniformInt(options_.pool_size));
+        int c = 0;
+        double share_sum = kDeadlineClassSlos[0].share;
+        while (c + 1 < kNumDeadlineClasses && u >= share_sum)
+            share_sum += kDeadlineClassSlos[++c].share;
+        a.deadline_class = kDeadlineClassSlos[c].value;
+        a.pool_index = static_cast<size_t>(rng.uniformInt(pool_size_));
         arrivals.push_back(a);
 
         if (options_.pattern == TrafficPattern::Bursty) {
-            const double p_switch = burst ? options_.p_burst_to_calm
-                                          : options_.p_calm_to_burst;
-            if (rng.bernoulli(p_switch))
+            if (rng.bernoulli(burst ? kBurstToCalm : kCalmToBurst))
                 burst = !burst;
         }
     }

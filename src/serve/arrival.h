@@ -14,11 +14,18 @@
  *    burst) whose state-conditional rates are normalized so the
  *    long-run mean equals the requested rate. Bursts are what break
  *    naive least-loaded placement: a queue that looked fine a
- *    millisecond ago is suddenly deep.
+ *    millisecond ago is suddenly deep. The chain's shape is fixed:
+ *    rate factors 0.4 (calm) and 2.8 (burst), per-arrival switch
+ *    probabilities 0.05 (calm -> burst) and 0.15 (burst -> calm).
+ *
+ * The class mix is fixed too: kDeadlineClassSlos holds each class's
+ * share of arrivals next to its SLO multiplier, so one row declares
+ * both what a class sends and what it is promised.
  *
  * Everything is a pure function of ArrivalOptions (including the
- * seed): the same options always produce the identical sequence, so
- * serving runs — and their bitwise-replay checks — are reproducible.
+ * seed) and the pool size: the same inputs always produce the
+ * identical sequence, so serving runs — and their bitwise-replay
+ * checks — are reproducible.
  */
 #ifndef DSTC_SERVE_ARRIVAL_H
 #define DSTC_SERVE_ARRIVAL_H
@@ -48,10 +55,10 @@ static_assert(listsEveryValue(kTrafficPatterns, TrafficPattern::Bursty));
 
 /**
  * Latency expectation attached to a request. The concrete deadline
- * is derived by the serving engine (class multiplier x the request's
- * reference-device estimate + a base slack), so classes stay
- * workload-relative: an interactive BERT layer is not held to the
- * deadline of an interactive 1x1 conv.
+ * is deadlineFor's (class multiplier x the request's reference-device
+ * estimate + a base slack), so classes stay workload-relative: an
+ * interactive BERT layer is not held to the deadline of an
+ * interactive 1x1 conv.
  */
 enum class DeadlineClass
 {
@@ -69,6 +76,47 @@ inline constexpr Term<DeadlineClass> kDeadlineClasses[] = {
 static_assert(listsEveryValue(kDeadlineClasses, DeadlineClass::Batch));
 
 constexpr int kNumDeadlineClasses = std::size(kDeadlineClasses);
+
+/** What one deadline class sends and is promised. */
+struct DeadlineClassSlo
+{
+    DeadlineClass value;
+    double share;    ///< fraction of the arrivals of this class
+    double slo_mult; ///< deadline multiplier of the reference estimate
+};
+
+/** The class mix and the SLO multipliers, one row per class. */
+inline constexpr DeadlineClassSlo kDeadlineClassSlos[] = {
+    {DeadlineClass::Interactive, 0.5, 4.0},
+    {DeadlineClass::Standard, 0.35, 12.0},
+    {DeadlineClass::Batch, 0.15, 60.0},
+};
+static_assert(listsEveryValue(kDeadlineClassSlos, DeadlineClass::Batch));
+static_assert(kDeadlineClassSlos[0].share >= 0.0 &&
+                  kDeadlineClassSlos[1].share >= 0.0 &&
+                  kDeadlineClassSlos[2].share >= 0.0 &&
+                  kDeadlineClassSlos[0].share +
+                          kDeadlineClassSlos[1].share +
+                          kDeadlineClassSlos[2].share ==
+                      1.0,
+              "the class shares must form a distribution");
+
+/** Fixed slack every deadline gets on top of its multiplier, in
+ *  simulated us. */
+inline constexpr double kSloBaseSlackUs = 25.0;
+
+/** The absolute deadline of an arrival of @p dclass at @p arrival_us
+ *  whose reference-device estimate is @p ref_estimate_us:
+ *  arrival + slo_mult(class) x estimate + kSloBaseSlackUs. */
+constexpr double
+deadlineFor(DeadlineClass dclass, double arrival_us,
+            double ref_estimate_us)
+{
+    return arrival_us +
+           kDeadlineClassSlos[static_cast<int>(dclass)].slo_mult *
+               ref_estimate_us +
+           kSloBaseSlackUs;
+}
 
 /** One request arrival of the open-loop stream. */
 struct Arrival
@@ -92,40 +140,25 @@ struct ArrivalOptions
     double duration_ms = 2.0;
 
     uint64_t seed = 1;
-
-    /** Workload-pool size arrivals draw from (uniformly). */
-    size_t pool_size = 1;
-
-    /** Class mix; the remainder is Batch. */
-    double interactive_fraction = 0.5;
-    double standard_fraction = 0.35;
-
-    // Bursty (MMPP-2) shape. The per-arrival stationary probability
-    // of the burst state is p_calm_to_burst / (p_calm_to_burst +
-    // p_burst_to_calm) (0.25 with the defaults); the generator
-    // normalizes the state factors by the pi-weighted harmonic
-    // combination so the long-run mean rate equals rate_rpms for
-    // any factor/switch-probability choice.
-    double calm_rate_factor = 0.4;
-    double burst_rate_factor = 2.8;
-    double p_calm_to_burst = 0.05; ///< per-arrival switch probability
-    double p_burst_to_calm = 0.15;
 };
 
 /** Seeded open-loop traffic synthesizer. */
 class ArrivalGenerator
 {
   public:
-    explicit ArrivalGenerator(ArrivalOptions options);
+    /** @param pool_size workload-pool size arrivals draw from
+     *         (uniformly; >= 1). */
+    ArrivalGenerator(ArrivalOptions options, size_t pool_size);
 
     /** The full arrival sequence — strictly increasing timestamps,
-     *  ids 0..n-1 — identical for identical options. */
+     *  ids 0..n-1 — identical for identical inputs. */
     std::vector<Arrival> generate() const;
 
     const ArrivalOptions &options() const { return options_; }
 
   private:
     ArrivalOptions options_;
+    size_t pool_size_;
 };
 
 } // namespace dstc

@@ -21,25 +21,11 @@ ServingEngine::ServingEngine(ServingOptions options,
         options_.microbatch = 1;
     if (options_.retry_budget < 1)
         options_.retry_budget = 1;
-    options_.arrivals.pool_size = pool_.size();
 
     ClusterOptions copts;
     copts.devices = options_.devices;
     copts.resources = options_.resources;
     cluster_ = std::make_unique<Cluster>(std::move(copts));
-}
-
-double
-ServingEngine::deadlineFor(DeadlineClass dclass, double arrival_us,
-                           double ref_estimate_us) const
-{
-    double mult = options_.slo_standard_mult;
-    if (dclass == DeadlineClass::Interactive)
-        mult = options_.slo_interactive_mult;
-    else if (dclass == DeadlineClass::Batch)
-        mult = options_.slo_batch_mult;
-    return arrival_us + mult * ref_estimate_us +
-           options_.slo_base_slack_us;
 }
 
 void
@@ -70,8 +56,7 @@ ServingEngine::buildPoolInfo()
         // pool's ~2us kernels the overhead is roughly half the
         // effective service time, not a rounding error.)
         for (const PoolEntry &entry : pool_info_)
-            sum_us +=
-                entry.estimate_us[d] + options_.dispatch_overhead_us;
+            sum_us += entry.estimate_us[d] + kDispatchOverheadUs;
         if (sum_us > 0.0)
             device_capacity_[d] =
                 1e3 * static_cast<double>(pool_.size()) / sum_us;
@@ -119,7 +104,7 @@ ServingEngine::run()
     buildPoolInfo();
     const std::vector<PoolEntry> &info = pool_info_;
     const std::vector<Arrival> arrivals =
-        ArrivalGenerator(options_.arrivals).generate();
+        ArrivalGenerator(options_.arrivals, pool_.size()).generate();
 
     ServingQueue queue(n, options_.queue_depth, options_.admission);
     // The Deadline policy drains EDF, lets idle devices steal, and
@@ -362,12 +347,11 @@ ServingEngine::run()
             const double est =
                 scaledEstimate(head->pool_index, d, now) *
                 (options_.degrade ? degrade_factor : 1.0);
-            if (now + options_.dispatch_overhead_us + est <=
-                head->deadline_us)
+            if (now + kDispatchOverheadUs + est <= head->deadline_us)
                 break;
             ++classOf(head->deadline_class).dropped;
         }
-        const double start = now + options_.dispatch_overhead_us;
+        const double start = now + kDispatchOverheadUs;
 
         // Hedged dispatch: an interactive head is duplicated onto
         // the other idle live device of the lowest estimate; the
@@ -568,6 +552,18 @@ ServingEngine::run()
         }
         for (size_t d = 0; d < n; ++d)
             dispatch(d, now);
+    }
+
+    // A finish at +inf (stacked or huge slowdowns overflow) is never
+    // an event, so the loop ends with such a batch still in flight
+    // and its device's queue held: count all of it lost. A hedged
+    // request in flight on both arms is lost once.
+    for (size_t d = 0; d < n; ++d) {
+        for (const InFlight &fl : inflight[d])
+            if (!fl.hedge_secondary || !partnerInFlight(fl))
+                loseRequest(fl.request.deadline_class);
+        for (const QueuedRequest &qr : queue.drainDevice(d))
+            loseRequest(qr.deadline_class);
     }
 
     std::sort(result.outcomes.begin(), result.outcomes.end(),

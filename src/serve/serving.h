@@ -47,11 +47,13 @@
  * A hedged interactive request's second arm goes to the earliestFinish
  * of the other idle live devices' estimates.
  *
- * Deadlines are workload-relative: each request's deadline is its
- * arrival time plus its class multiplier times the request's
- * plan-stage estimate on the *reference device* (device 0), plus a
- * fixed base slack — so the same traffic is held to the same SLO no
- * matter which policy or device mix serves it.
+ * Deadlines are workload-relative (deadlineFor, arrival.h): each
+ * request's deadline is its arrival time plus its class multiplier
+ * (kDeadlineClassSlos: 4 / 12 / 60) times the request's plan-stage
+ * estimate on the *reference device* (device 0), plus a fixed
+ * kSloBaseSlackUs (25 us) — so the same traffic is held to the same
+ * SLO no matter which policy or device mix serves it. Each dispatch
+ * batch pays kDispatchOverheadUs (2 us) once.
  *
  * Fault tolerance (see faults.h): a FaultSpec injects deterministic
  * crash-stop, slowdown and transient faults into the timeline; the
@@ -60,7 +62,11 @@
  * interactive class, and capacity-rescaled graceful degradation —
  * are all pure functions of (options, seed) too, so recovery
  * quality is gated in CI exactly like p99 and goodput. The run's
- * HealthTracker is the one record of which devices are alive.
+ * HealthTracker is the one record of which devices are alive. A
+ * dispatch whose slowed finish overflows to +inf never completes:
+ * when the timeline ends, every request still in flight or queued is
+ * counted lost, so completed + shed + dropped + lost == admitted
+ * always holds.
  */
 #ifndef DSTC_SERVE_SERVING_H
 #define DSTC_SERVE_SERVING_H
@@ -93,6 +99,10 @@ inline constexpr Term<ServePolicy> kServePolicies[] = {
 };
 static_assert(listsEveryValue(kServePolicies, ServePolicy::RoundRobin));
 
+/** Scheduling/launch overhead charged once per dispatch batch, in
+ *  simulated us. */
+inline constexpr double kDispatchOverheadUs = 2.0;
+
 /** Construction knobs of a ServingEngine. */
 struct ServingOptions
 {
@@ -112,20 +122,9 @@ struct ServingOptions
      *  shared EncodingCache back to back. */
     size_t microbatch = 4;
 
-    /** Scheduling/launch overhead charged once per dispatch batch,
-     *  in simulated us. */
-    double dispatch_overhead_us = 2.0;
-
-    /** Traffic shape (pattern, rate, duration, seed, class mix).
-     *  pool_size is overwritten with the workload pool's size. */
+    /** Traffic shape (pattern, rate, duration, seed); arrivals draw
+     *  from the engine's workload pool. */
     ArrivalOptions arrivals;
-
-    /** SLO model: deadline = arrival + mult(class) * reference
-     *  estimate + base slack. */
-    double slo_base_slack_us = 25.0;
-    double slo_interactive_mult = 4.0;
-    double slo_standard_mult = 12.0;
-    double slo_batch_mult = 60.0;
 
     // -- fault injection and recovery ------------------------------
     //
@@ -226,18 +225,12 @@ class ServingEngine
     const ServingOptions &options() const { return options_; }
     const std::vector<KernelRequest> &pool() const { return pool_; }
 
-    /** The absolute deadline the engine assigns an arrival of
-     *  @p dclass at @p arrival_us whose reference-device estimate is
-     *  @p ref_estimate_us. */
-    double deadlineFor(DeadlineClass dclass, double arrival_us,
-                       double ref_estimate_us) const;
-
     /**
      * Aggregate serving capacity of the configured devices, in
      * requests per simulated millisecond, assuming a uniform draw
-     * over the pool: sum over devices of pool_size / (sum of the
-     * pool's per-device estimates plus one dispatch overhead per
-     * request — the no-batching worst case). The natural yardstick
+     * over the pool: sum over devices of the pool size / (sum of
+     * the pool's per-device estimates plus one kDispatchOverheadUs
+     * per request — the no-batching worst case). The natural yardstick
      * for choosing an offered rate ("0.8 x capacity",
      * "2.5 x capacity"); micro-batching policies gain headroom
      * beyond it by amortizing the overhead.

@@ -16,10 +16,10 @@ MemoryModel::dramTimeUs(double bytes) const
 
 double
 MemoryModel::gemmTrafficBytes(int64_t m, int64_t n, double bytes_a,
-                              double bytes_b, double bytes_d,
-                              int block) const
+                              double bytes_b, double bytes_d) const
 {
-    DSTC_ASSERT(m > 0 && n > 0 && block > 0);
+    constexpr int64_t block = 128;
+    DSTC_ASSERT(m > 0 && n > 0);
     // A's block-row stripe is needed by every block column of D (and
     // vice versa for B). When a stripe fits in its share of the L2
     // it stays resident across the sweep and is read from DRAM only

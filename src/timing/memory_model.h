@@ -24,17 +24,16 @@ class MemoryModel
     double dramTimeUs(double bytes) const;
 
     /**
-     * DRAM traffic of a block-tiled GEMM. @p bytes_a / @p bytes_b /
-     * @p bytes_d are the *single-copy* footprints of each operand
-     * (already reflecting any sparse encoding). Operands are re-read
-     * once per opposing block stripe, damped by the L2 hit rate.
+     * DRAM traffic of a GEMM tiled in 128 x 128 thread blocks (the
+     * CUTLASS-like tile). @p bytes_a / @p bytes_b / @p bytes_d are
+     * the *single-copy* footprints of each operand (already
+     * reflecting any sparse encoding). Operands are re-read once per
+     * opposing block stripe, damped by the L2 hit rate.
      *
      * @param m,n     output dimensions (elements)
-     * @param block   thread-block tile edge (128 for CUTLASS-like)
      */
     double gemmTrafficBytes(int64_t m, int64_t n, double bytes_a,
-                            double bytes_b, double bytes_d,
-                            int block = 128) const;
+                            double bytes_b, double bytes_d) const;
 
     /**
      * DRAM traffic of a convolution. With implicit im2col the input

@@ -196,8 +196,8 @@ TEST(DataTypeDeterminism, DenseEqualsDualSparseForIntegers)
         opts.functional = true;
         opts.dtype = dtype;
         const Matrix<float> dual = spgemm.multiply(a, b, opts).d;
-        const Matrix<float> d = dense.multiply(
-            a, b, false, specOf(dtype, a), specOf(dtype, b));
+        const Matrix<float> d =
+            dense.multiply(a, b, specOf(dtype, a), specOf(dtype, b));
         EXPECT_TRUE(d == dual) << tokenOf(kDataTypes, dtype);
     }
 }

@@ -21,10 +21,8 @@ TEST_F(DenseGemmTest, FunctionalMatchesReference)
     Rng rng(131);
     Matrix<float> a = randomSparseMatrix(48, 32, 0.2, rng);
     Matrix<float> b = randomSparseMatrix(32, 48, 0.2, rng);
-    Matrix<float> inner = device_.multiply(a, b, false);
-    Matrix<float> outer = device_.multiply(a, b, true);
-    EXPECT_LT(maxAbsDiff(inner, refGemmFp16(a, b)), 1e-5);
-    EXPECT_EQ(maxAbsDiff(inner, outer), 0.0);
+    EXPECT_LT(maxAbsDiff(device_.multiply(a, b), refGemmFp16(a, b)),
+              1e-5);
 }
 
 TEST_F(DenseGemmTest, NonAlignedShapes)

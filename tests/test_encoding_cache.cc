@@ -197,66 +197,26 @@ TEST(EncodingCacheTest, HitsRefreshLruRecency)
     EXPECT_FALSE(hit) << "stale entry should have been evicted";
 }
 
-TEST(EncodingCacheTest, ByteBoundEvictsUntilUnderBudget)
+TEST(EncodingCacheTest, TotalBytesSumsResidentValues)
 {
-    // Values report their footprint via encodedBytes(); CSR matrices
-    // do. Bound the cache to ~2.5 of them.
+    // totalBytes() charges each resident value's encodedBytes() and
+    // gives it back on eviction. Values of distinct sizes make the
+    // sum name the survivors: the newest three of five.
     Rng rng(23);
-    Matrix<float> dense = randomSparseMatrix(64, 64, 0.5, rng);
-    const size_t one = CsrMatrix::encode(dense).encodedBytes();
-    EncodingCache cache(1024, one * 5 / 2);
-
-    for (uint64_t k = 0; k < 4; ++k)
-        cache.getOrBuild<CsrMatrix>(
+    EncodingCache cache(3);
+    std::vector<size_t> bytes;
+    for (int k = 0; k < 5; ++k) {
+        const Matrix<float> dense =
+            randomSparseMatrix(16 + 8 * k, 32, 0.5, rng);
+        const auto csr = cache.getOrBuild<CsrMatrix>(
             k, [&] { return CsrMatrix::encode(dense); });
-    EXPECT_LE(cache.totalBytes(), one * 5 / 2);
-    EXPECT_EQ(cache.entries(), 2u);
+        bytes.push_back(csr->encodedBytes());
+    }
+    EXPECT_EQ(cache.entries(), 3u);
     EXPECT_EQ(cache.counters().evictions, 2);
-
-    // The newest entries are the survivors.
-    bool hit = false;
-    cache.getOrBuild<CsrMatrix>(
-        3, [&] { return CsrMatrix::encode(dense); }, &hit);
-    EXPECT_TRUE(hit);
-    cache.getOrBuild<CsrMatrix>(
-        0, [&] { return CsrMatrix::encode(dense); }, &hit);
-    EXPECT_FALSE(hit);
-}
-
-TEST(EncodingCacheTest, OversizedSingleValueIsStillCached)
-{
-    // A value bigger than the whole byte budget caches anyway (the
-    // bound sheds history, it never refuses work).
-    Rng rng(24);
-    Matrix<float> dense = randomSparseMatrix(64, 64, 0.2, rng);
-    EncodingCache cache(1024, 16);
-    bool hit = true;
-    cache.getOrBuild<CsrMatrix>(
-        7, [&] { return CsrMatrix::encode(dense); }, &hit);
-    EXPECT_FALSE(hit);
-    cache.getOrBuild<CsrMatrix>(
-        7, [&] { return CsrMatrix::encode(dense); }, &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(cache.entries(), 1u);
-}
-
-TEST(EncodingCacheTest, SessionHonorsByteBound)
-{
-    SessionOptions options;
-    options.cache_capacity_bytes = 1; // evict everything evictable
-    Session session(options);
-    EXPECT_EQ(session.encodingCache().capacityBytes(), 1u);
-
-    Rng rng(25);
-    Matrix<float> a = randomSparseMatrix(64, 64, 0.7, rng);
-    Matrix<float> b = randomSparseMatrix(64, 64, 0.7, rng);
-    KernelRequest req = KernelRequest::gemm(a, b);
-    req.method = Method::DualSparse;
-    session.run(req);
-    // With a 1-byte budget at most the newest (uncharged/last) entry
-    // survives per insertion round.
-    EXPECT_LE(session.encodingCache().entries(), 2u);
-    EXPECT_GT(session.encodingCache().counters().evictions, 0);
+    EXPECT_EQ(cache.totalBytes(), bytes[2] + bytes[3] + bytes[4]);
+    cache.clear();
+    EXPECT_EQ(cache.totalBytes(), 0u);
 }
 
 TEST(EncodingCacheTest, ConcurrentLookupsBuildOnce)

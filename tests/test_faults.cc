@@ -289,6 +289,40 @@ TEST(FaultServingTest, AccountingIdentityHoldsUnderFaults)
     EXPECT_LE(stats.faults.availability, 1.0);
 }
 
+TEST(FaultServingTest, OverflowingSlowdownsLoseWhatTheDeviceHolds)
+{
+    // Stacked windows multiply to +inf, and one huge factor times a
+    // service time above 1.8 us overflows too: a dispatch on d0 then
+    // never finishes. What d0 still holds when the timeline ends is
+    // lost, and every admitted request still ends exactly one way.
+    KernelRequest large = KernelRequest::gemm(1024, 1024, 1024, 0.5, 0.7);
+    large.method = Method::DualSparse;
+    for (const char *spec : {"slow@0+1e9x1e200:d0;slow@0+1e9x1e200:d0",
+                             "slow@0+1e9x1e308:d0"}) {
+        for (const Term<ServePolicy> &policy : kServePolicies) {
+            ServingOptions opts = faultedOptions(spec, 2);
+            opts.policy = policy.value;
+            opts.arrivals.duration_ms = 0.25;
+            ServingEngine engine(opts, {large});
+            const ServingStats stats = engine.run().stats;
+            EXPECT_GT(stats.admitted, 0);
+            EXPECT_EQ(stats.completed + stats.shed + stats.dropped +
+                          stats.faults.lost,
+                      stats.admitted)
+                << spec << " " << policy.token;
+            int64_t class_lost = 0;
+            for (const ClassStats &cls : stats.per_class)
+                class_lost += cls.lost;
+            EXPECT_EQ(class_lost, stats.faults.lost);
+            // Round-robin keeps sending d0 its share, so it loses.
+            if (policy.value == ServePolicy::RoundRobin) {
+                EXPECT_GT(stats.faults.lost, 0) << spec;
+                EXPECT_LT(stats.faults.availability, 1.0) << spec;
+            }
+        }
+    }
+}
+
 TEST(FaultServingTest, WholeFleetCrashAtZeroDegeneratesGracefully)
 {
     // Crash everything at t = 0: the run must terminate (no hang),

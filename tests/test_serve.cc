@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
@@ -71,15 +72,14 @@ TEST(ArrivalTest, SameOptionsSameSequence)
     ArrivalOptions opts;
     opts.rate_rpms = 500.0;
     opts.duration_ms = 2.0;
-    opts.pool_size = 7;
     opts.seed = 42;
     for (TrafficPattern pattern :
          {TrafficPattern::Poisson, TrafficPattern::Bursty}) {
         opts.pattern = pattern;
         const std::vector<Arrival> a =
-            ArrivalGenerator(opts).generate();
+            ArrivalGenerator(opts, 7).generate();
         const std::vector<Arrival> b =
-            ArrivalGenerator(opts).generate();
+            ArrivalGenerator(opts, 7).generate();
         ASSERT_EQ(a.size(), b.size());
         ASSERT_FALSE(a.empty());
         for (size_t i = 0; i < a.size(); ++i) {
@@ -96,17 +96,17 @@ TEST(ArrivalTest, SequenceIsWellFormed)
     ArrivalOptions opts;
     opts.rate_rpms = 800.0;
     opts.duration_ms = 3.0;
-    opts.pool_size = 5;
     opts.pattern = TrafficPattern::Bursty;
+    const size_t pool_size = 5;
     const std::vector<Arrival> arrivals =
-        ArrivalGenerator(opts).generate();
+        ArrivalGenerator(opts, pool_size).generate();
     ASSERT_FALSE(arrivals.empty());
     double prev = -1.0;
     for (size_t i = 0; i < arrivals.size(); ++i) {
         EXPECT_EQ(arrivals[i].id, static_cast<int64_t>(i));
         EXPECT_GT(arrivals[i].time_us, prev);
         EXPECT_LT(arrivals[i].time_us, opts.duration_ms * 1e3);
-        EXPECT_LT(arrivals[i].pool_index, opts.pool_size);
+        EXPECT_LT(arrivals[i].pool_index, pool_size);
         prev = arrivals[i].time_us;
     }
 }
@@ -117,9 +117,9 @@ TEST(ArrivalTest, DifferentSeedsDiffer)
     opts.rate_rpms = 500.0;
     opts.duration_ms = 1.0;
     opts.seed = 1;
-    const std::vector<Arrival> a = ArrivalGenerator(opts).generate();
+    const std::vector<Arrival> a = ArrivalGenerator(opts, 1).generate();
     opts.seed = 2;
-    const std::vector<Arrival> b = ArrivalGenerator(opts).generate();
+    const std::vector<Arrival> b = ArrivalGenerator(opts, 1).generate();
     ASSERT_FALSE(a.empty());
     ASSERT_FALSE(b.empty());
     EXPECT_TRUE(a.size() != b.size() ||
@@ -134,7 +134,7 @@ TEST(ArrivalTest, MeanRateTracksRequestForBothPatterns)
     for (TrafficPattern pattern :
          {TrafficPattern::Poisson, TrafficPattern::Bursty}) {
         opts.pattern = pattern;
-        const size_t n = ArrivalGenerator(opts).generate().size();
+        const size_t n = ArrivalGenerator(opts, 1).generate().size();
         const double rate = n / opts.duration_ms;
         EXPECT_NEAR(rate, opts.rate_rpms, 0.15 * opts.rate_rpms)
             << tokenOf(kTrafficPatterns, pattern);
@@ -145,7 +145,35 @@ TEST(ArrivalTest, ZeroDurationYieldsNoArrivals)
 {
     ArrivalOptions opts;
     opts.duration_ms = 0.0;
-    EXPECT_TRUE(ArrivalGenerator(opts).generate().empty());
+    EXPECT_TRUE(ArrivalGenerator(opts, 1).generate().empty());
+}
+
+TEST(ArrivalTest, ClassMixTracksTheTable)
+{
+    // Each class's share of a long window's arrivals lies within five
+    // binomial standard deviations of its kDeadlineClassSlos share,
+    // for both patterns (the class draw ignores the MMPP state).
+    ArrivalOptions opts;
+    opts.rate_rpms = 1000.0;
+    opts.duration_ms = 40.0;
+    for (TrafficPattern pattern :
+         {TrafficPattern::Poisson, TrafficPattern::Bursty}) {
+        opts.pattern = pattern;
+        const std::vector<Arrival> arrivals =
+            ArrivalGenerator(opts, 1).generate();
+        std::vector<double> count(kNumDeadlineClasses, 0.0);
+        for (const Arrival &a : arrivals)
+            ++count[static_cast<int>(a.deadline_class)];
+        const double n = static_cast<double>(arrivals.size());
+        ASSERT_GT(n, 10000.0);
+        for (const DeadlineClassSlo &row : kDeadlineClassSlos) {
+            const double p = row.share;
+            EXPECT_NEAR(count[static_cast<int>(row.value)], n * p,
+                        5.0 * std::sqrt(n * p * (1.0 - p)))
+                << nameOf(kDeadlineClasses, row.value) << " "
+                << tokenOf(kTrafficPatterns, pattern);
+        }
+    }
 }
 
 // ---------------------------------------------------------------- //
@@ -484,13 +512,13 @@ TEST(ServingEngineTest, DeadlinePolicyDropsInfeasibleUnderOverload)
 TEST(ServingEngineTest, MicroBatchingAmortizesDispatchOverhead)
 {
     // A single-shape pool: every queued request is batch-compatible,
-    // so micro-batching pays one dispatch overhead per batch instead
-    // of one per request — strictly earlier completions.
+    // so micro-batching pays one dispatch overhead
+    // (kDispatchOverheadUs) per batch instead of one per request —
+    // strictly earlier completions.
     std::vector<KernelRequest> pool = {testPool()[0]};
     ServingOptions opts = baseOptions();
     opts.devices = {GpuConfig::v100()};
     opts.arrivals.rate_rpms = 2000.0;
-    opts.dispatch_overhead_us = 5.0;
     opts.microbatch = 1;
     ServingEngine unbatched(opts, pool);
     const ServingStats without = unbatched.run().stats;
@@ -505,17 +533,15 @@ TEST(ServingEngineTest, MicroBatchingAmortizesDispatchOverhead)
 
 TEST(ServingEngineTest, DeadlineClassesOrderDeadlines)
 {
-    ServingOptions opts = baseOptions();
-    ServingEngine engine(opts, testPool());
-    const double interactive = engine.deadlineFor(
-        DeadlineClass::Interactive, 100.0, 10.0);
+    // arrival + slo_mult x estimate + 25 us, multipliers 4 / 12 / 60.
+    const double interactive =
+        deadlineFor(DeadlineClass::Interactive, 100.0, 10.0);
     const double standard =
-        engine.deadlineFor(DeadlineClass::Standard, 100.0, 10.0);
-    const double batch =
-        engine.deadlineFor(DeadlineClass::Batch, 100.0, 10.0);
-    EXPECT_LT(interactive, standard);
-    EXPECT_LT(standard, batch);
-    EXPECT_GT(interactive, 100.0); // always after the arrival
+        deadlineFor(DeadlineClass::Standard, 100.0, 10.0);
+    const double batch = deadlineFor(DeadlineClass::Batch, 100.0, 10.0);
+    EXPECT_EQ(interactive, 165.0);
+    EXPECT_EQ(standard, 245.0);
+    EXPECT_EQ(batch, 725.0);
 }
 
 TEST(ServingEngineTest, ZeroDurationRunIsEmpty)

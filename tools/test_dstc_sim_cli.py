@@ -119,6 +119,12 @@ POSITIVE += [f"serve rnn --duration 0.5 {flag}" for flag in
              ("--policy deadline", "--policy cost", "--policy rr",
               "--admission reject", "--admission shed",
               "--pattern poisson", "--pattern bursty")]
+# slowdowns whose product (stacked windows) or whose slowed service
+# time (one huge factor) overflows to +inf
+POSITIVE += [["serve", "rnn", "--duration", "0.5", "--policy", "rr",
+              "--faults", spec] for spec in
+             ("slow@0+1e9x1e200:d0;slow@0+1e9x1e200:d0",
+              "slow@0+1e9x1e308:d0")]
 
 MNK = "gemm 64 64 64"
 MTX = "corpus/cora_like.mtx"
@@ -256,6 +262,24 @@ class DstcSimCli(unittest.TestCase):
             with self.subTest(case=case):
                 self.assertEqual(first.returncode, 0, first.stderr)
                 self.assertEqual(first.stdout, second.stdout)
+
+    def test_serve_accounts_for_every_admitted_request(self):
+        # Every admitted request ends exactly one way: completed,
+        # shed, dropped (EDF guard) or lost (faults).
+        admitted_re = re.compile(r"^offered / admitted : \d+ / (\d+)$",
+                                 re.M)
+        ended_re = re.compile(r"^completed +: (\d+) \(\d+ rejected, "
+                              r"(\d+) shed, (\d+) dropped, (\d+) lost\)$",
+                              re.M)
+        cases = [c for c in POSITIVE if argv(c)[0] == "serve"]
+        for case, proc in zip(cases, run_all(cases)):
+            with self.subTest(case=case):
+                self.assertEqual(proc.returncode, 0, proc.stderr)
+                admitted = admitted_re.search(proc.stdout)
+                ended = ended_re.search(proc.stdout)
+                self.assertTrue(admitted and ended, proc.stdout)
+                self.assertEqual(sum(map(int, ended.groups())),
+                                 int(admitted.group(1)))
 
     def test_model_and_cluster_name_the_strategy_by_its_legend(self):
         # model and cluster headers name the strategy as the Fig. 22
